@@ -1,10 +1,10 @@
 """The unified request API of the stack: one typed facade for everything.
 
-Before this module the repo had three divergent argument surfaces for
-the same computations: the CLI subcommands (argparse namespaces), the
-distributed shard payloads (ad-hoc dicts) and direct library calls
-(positional sprawls).  :mod:`repro.api` replaces all three with frozen,
-versioned request dataclasses and three facade functions:
+One request type flows through every transport: the CLI subcommands,
+the ``repro serve`` daemon, the :mod:`repro.dist` shard files (a shard
+is a canonical request payload plus a slice of its rows or stream
+blocks) and the result store all carry the frozen, versioned request
+dataclasses defined here, and compute through three facade functions:
 
 * :func:`evaluate` — a :class:`SweepRequest` (design-point grid +
   metrics + params) through the exp pipeline into a columnar
@@ -18,6 +18,9 @@ The CLI subcommands, the ``repro serve`` daemon dispatcher and the
 :mod:`repro.dist` shard runner all call these functions, which is the
 byte-identity story: every transport (in-process, socket, shard file)
 funnels through the same entry points, so results agree bit for bit.
+
+The result store is consulted in one place: :func:`lookup` and
+:func:`commit`, driven by the per-kind codec table :data:`KINDS`.
 
 Canonical form and content addressing
 -------------------------------------
@@ -38,36 +41,27 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from repro.crossbar.montecarlo import (
     MonteCarloMarginYield,
     MonteCarloYield,
     simulate_cave_yield,
     simulate_margin_yield,
+    yield_kernel,
 )
 from repro.crossbar.spec import CrossbarSpec
-from repro.dist.spec import (
-    canonical_json,
-    dump_points,
-    load_points,
-    params_from_dict,
-    params_to_dict,
-    spec_from_dict,
-    spec_to_dict,
-)
+from repro.durable import canonical_json
 from repro.exp.designpoint import DesignPoint
 from repro.exp.pipeline import SweepParams, resolve_metrics, run_sweep
 from repro.exp.results import Record, SweepResult
+from repro.fabrication.lithography import LithographyRules
 from repro.sim.batch import DEFAULT_MAX_TRIALS_PER_CHUNK, DEFAULT_STREAM_BLOCK
 
 #: Version stamp embedded in every canonical request payload.  Bump on
 #: any change that alters the canonical form of an existing request —
 #: digests then change, so stale store entries simply stop matching.
 API_SCHEMA_VERSION = 1
-
-#: Monte-Carlo request kinds (mirrors the dist shard kinds).
-MC_KINDS = ("cavemc", "marginmc")
 
 #: Trace kinds the workload engine accepts.
 TRACE_KINDS = ("uniform", "sequential", "zipfian", "bursty")
@@ -81,12 +75,35 @@ def request_digest(request: "SweepRequest | McRequest | WorkloadRequest") -> str
     return hashlib.sha256(request.canonical().encode()).hexdigest()
 
 
-def _spec_payload(spec: CrossbarSpec | None) -> dict | None:
-    return None if spec is None else spec_to_dict(spec)
+# -- payload codecs ------------------------------------------------------------
 
 
-def _spec_value(payload: Mapping | None) -> CrossbarSpec | None:
-    return None if payload is None else spec_from_dict(payload)
+def _spec_from_dict(payload: Mapping | None) -> CrossbarSpec | None:
+    """Rebuild a :class:`CrossbarSpec` from its ``asdict`` form (rules nested)."""
+    if payload is None:
+        return None
+    data = dict(payload)
+    rules = data.pop("rules", None)
+    if rules is not None:
+        data["rules"] = LithographyRules(**rules)
+    return CrossbarSpec(**data)
+
+
+def _point_to_dict(point: DesignPoint) -> dict:
+    """JSON form of one design point (overrides as sorted pairs)."""
+    return {
+        "family": point.family,
+        "total_length": point.total_length,
+        "n": point.n,
+        "overrides": [list(pair) for pair in point.overrides],
+    }
+
+
+def _point_from_dict(payload: Mapping) -> DesignPoint:
+    overrides = {name: value for name, value in payload.get("overrides", ())}
+    return DesignPoint.make(
+        payload["family"], payload["total_length"], payload.get("n", 2), **overrides
+    )
 
 
 def _normalize_spec(request) -> None:
@@ -143,20 +160,20 @@ class SweepRequest:
         return {
             "v": API_SCHEMA_VERSION,
             "kind": self.kind,
-            "spec": _spec_payload(self.spec),
+            "spec": dataclasses.asdict(self.spec),
             "metrics": list(self.metrics),
-            "params": params_to_dict(self.params),
-            "points": dump_points(self.points),
+            "params": dataclasses.asdict(self.params),
+            "points": [_point_to_dict(p) for p in self.points],
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "SweepRequest":
-        _check_payload(payload, "sweep")
+        _check_payload(payload, cls)
         return cls(
-            points=tuple(load_points(payload["points"])),
+            points=tuple(_point_from_dict(p) for p in payload["points"]),
             metrics=tuple(payload["metrics"]),
-            spec=_spec_value(payload.get("spec")),
-            params=params_from_dict(payload["params"]),
+            spec=_spec_from_dict(payload.get("spec")),
+            params=SweepParams(**payload["params"]),
         )
 
     def canonical(self) -> str:
@@ -190,9 +207,10 @@ class McRequest:
 
     def __post_init__(self) -> None:
         _normalize_spec(self)
-        if self.kind not in MC_KINDS:
+        if self.kind not in _kinds_of(McRequest):
             raise ValueError(
-                f"unknown MC request kind {self.kind!r}; expected one of {MC_KINDS}"
+                f"unknown MC request kind {self.kind!r}; "
+                f"expected one of {_kinds_of(McRequest)}"
             )
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
@@ -201,7 +219,7 @@ class McRequest:
         payload = {
             "v": API_SCHEMA_VERSION,
             "kind": self.kind,
-            "spec": _spec_payload(self.spec),
+            "spec": dataclasses.asdict(self.spec),
             "family": self.family,
             "total_length": self.total_length,
             "n": self.n,
@@ -215,7 +233,7 @@ class McRequest:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "McRequest":
-        _check_payload(payload, *MC_KINDS)
+        _check_payload(payload, cls)
         return cls(
             kind=payload["kind"],
             family=payload["family"],
@@ -225,7 +243,7 @@ class McRequest:
             seed=int(payload["seed"]),
             k_sigma=float(payload.get("k_sigma", 3.0)),
             stream_block=int(payload.get("stream_block", DEFAULT_STREAM_BLOCK)),
-            spec=_spec_value(payload.get("spec")),
+            spec=_spec_from_dict(payload.get("spec")),
         )
 
     def canonical(self) -> str:
@@ -288,7 +306,7 @@ class WorkloadRequest:
         payload = {
             "v": API_SCHEMA_VERSION,
             "kind": self.kind,
-            "spec": _spec_payload(self.spec),
+            "spec": dataclasses.asdict(self.spec),
             "family": self.family,
             "total_length": self.total_length,
             "n": self.n,
@@ -313,7 +331,7 @@ class WorkloadRequest:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "WorkloadRequest":
-        _check_payload(payload, "memsim")
+        _check_payload(payload, cls)
         return cls(
             family=payload["family"],
             total_length=int(payload["total_length"]),
@@ -331,7 +349,7 @@ class WorkloadRequest:
             r_off=float(payload.get("r_off", 1.0e7)),
             v_read=float(payload.get("v_read", 0.5)),
             resolution=float(payload.get("resolution", 0.0)),
-            spec=_spec_value(payload.get("spec")),
+            spec=_spec_from_dict(payload.get("spec")),
         )
 
     def canonical(self) -> str:
@@ -423,17 +441,53 @@ def mc_result_from_dict(
     return types[name](**data)
 
 
-def _check_payload(payload: Mapping, *kinds: str) -> None:
+# -- kinds, parsing and the store protocol -------------------------------------
+
+
+@dataclass(frozen=True)
+class _Codec:
+    """How one request kind parses and how its result sits in the store."""
+
+    request: type
+    encode: Callable[[object], dict]
+    decode: Callable[[Mapping], object]
+
+
+_MC_CODEC = _Codec(
+    McRequest,
+    lambda result: {"mc": mc_result_to_dict(result)},
+    lambda payload: mc_result_from_dict(payload["mc"]),
+)
+
+#: Every request kind: its request type and its store-entry codec.
+#: Entry payloads are the byte format existing stores hold.
+KINDS: dict[str, _Codec] = {
+    "sweep": _Codec(SweepRequest, sweep_result_to_dict, sweep_result_from_dict),
+    "cavemc": _MC_CODEC,
+    "marginmc": _MC_CODEC,
+    "memsim": _Codec(
+        WorkloadRequest,
+        lambda result: {"workload": result.to_dict()},
+        lambda payload: WorkloadResult.from_dict(payload["workload"]),
+    ),
+}
+
+
+def _kinds_of(request_type: type) -> tuple[str, ...]:
+    return tuple(kind for kind, codec in KINDS.items() if codec.request is request_type)
+
+
+def _check_payload(payload: Mapping, request_type: type) -> None:
     version = payload.get("v", API_SCHEMA_VERSION)
     if version != API_SCHEMA_VERSION:
         raise ValueError(
             f"request schema v{version} is not supported "
             f"(this library speaks v{API_SCHEMA_VERSION})"
         )
-    if payload.get("kind") not in kinds:
+    if payload.get("kind") not in _kinds_of(request_type):
         raise ValueError(
             f"unexpected request kind {payload.get('kind')!r}; "
-            f"expected one of {list(kinds)}"
+            f"expected one of {list(_kinds_of(request_type))}"
         )
 
 
@@ -441,14 +495,53 @@ def parse_request(
     payload: Mapping,
 ) -> "SweepRequest | McRequest | WorkloadRequest":
     """Rebuild any request from its canonical payload (kind-dispatched)."""
-    kind = payload.get("kind")
-    if kind == "sweep":
-        return SweepRequest.from_dict(payload)
-    if kind in MC_KINDS:
-        return McRequest.from_dict(payload)
-    if kind == "memsim":
-        return WorkloadRequest.from_dict(payload)
-    raise ValueError(f"unknown request kind {kind!r}")
+    codec = KINDS.get(payload.get("kind"))
+    if codec is None:
+        raise ValueError(f"unknown request kind {payload.get('kind')!r}")
+    return codec.request.from_dict(payload)
+
+
+def _uses_store(store, request, method: str) -> bool:
+    # store entries hold the batched estimate; the legacy cavemc loop
+    # draws a different stream layout, so that one call bypasses the store
+    return store is not None and not (request.kind == "cavemc" and method == "loop")
+
+
+def lookup(store, request, *, method: str = "batched"):
+    """The stored result of ``request``, or None on a miss.
+
+    ``store`` is a :class:`repro.store.ResultStore` or None (always a
+    miss).  The entry is read and verified once.  ``method`` is the
+    execution method the caller would compute with: a ``cavemc`` request
+    run with ``method="loop"`` never reads the store.
+    """
+    if not _uses_store(store, request, method):
+        return None
+    payload = store.get(request_digest(request))
+    return None if payload is None else KINDS[request.kind].decode(payload)
+
+
+def commit(store, request, result, *, method: str = "batched") -> None:
+    """Write ``result`` to ``store`` under the request's digest.
+
+    The counterpart of :func:`lookup`, with the same ``store=None`` and
+    ``cavemc`` loop rules.
+    """
+    if _uses_store(store, request, method):
+        store.put(
+            request_digest(request),
+            request.kind,
+            request.to_dict(),
+            KINDS[request.kind].encode(result),
+        )
+
+
+def _through_store(store, request, method: str, compute: Callable[[], object]):
+    result = lookup(store, request, method=method)
+    if result is None:
+        result = compute()
+        commit(store, request, result, method=method)
+    return result
 
 
 # -- facade --------------------------------------------------------------------
@@ -485,15 +578,12 @@ def evaluate(
     rows are written back, so the next identical request — from any
     process or host sharing the store — is served without compute.
     """
-    if store is not None:
-        digest = request_digest(request)
-        hit = store.get(digest)
-        if hit is not None:
-            return sweep_result_from_dict(hit)
-        result = SweepResult.from_records(evaluate_records(request, jobs=jobs))
-        store.put(digest, request.kind, request.to_dict(), sweep_result_to_dict(result))
-        return result
-    return SweepResult.from_records(evaluate_records(request, jobs=jobs))
+    return _through_store(
+        store,
+        request,
+        "batched",
+        lambda: SweepResult.from_records(evaluate_records(request, jobs=jobs)),
+    )
 
 
 def simulate(
@@ -512,17 +602,26 @@ def simulate(
     layout — store entries always hold the ``batched`` estimate, so
     ``method="loop"`` bypasses the store.)
     """
-    if store is not None and not (request.kind == "cavemc" and method == "loop"):
-        digest = request_digest(request)
-        hit = store.get(digest)
-        if hit is not None:
-            return mc_result_from_dict(hit["mc"])
-        result = _simulate_direct(request, method=method, chunk_size=chunk_size)
-        store.put(
-            digest, request.kind, request.to_dict(), {"mc": mc_result_to_dict(result)}
-        )
-        return result
-    return _simulate_direct(request, method=method, chunk_size=chunk_size)
+    return _through_store(
+        store,
+        request,
+        method,
+        lambda: _simulate_direct(request, method=method, chunk_size=chunk_size),
+    )
+
+
+def mc_kernel(request: McRequest):
+    """The trial kernel an MC request runs on the sim engine.
+
+    Built by :func:`repro.crossbar.montecarlo.yield_kernel`, the builder
+    behind :func:`simulate`; the :mod:`repro.dist` shard runner feeds
+    its stream blocks to this kernel and the merger summarises with it.
+    """
+    from repro.codes.registry import make_code
+
+    code = make_code(request.family, request.n, request.total_length)
+    k_sigma = request.k_sigma if request.kind == "marginmc" else None
+    return yield_kernel(request.spec, code, k_sigma)
 
 
 def _simulate_direct(
@@ -569,17 +668,12 @@ def memsim(
     ``cache`` statistics section reflects the run that populated the
     store.
     """
-    if store is not None:
-        digest = request_digest(request)
-        hit = store.get(digest)
-        if hit is not None:
-            return WorkloadResult.from_dict(hit["workload"])
-        result = _memsim_direct(request, method=method, chunk_size=chunk_size)
-        store.put(
-            digest, request.kind, request.to_dict(), {"workload": result.to_dict()}
-        )
-        return result
-    return _memsim_direct(request, method=method, chunk_size=chunk_size)
+    return _through_store(
+        store,
+        request,
+        method,
+        lambda: _memsim_direct(request, method=method, chunk_size=chunk_size),
+    )
 
 
 def _memsim_direct(

@@ -1125,7 +1125,7 @@ def _cmd_shard(spec: CrossbarSpec, args: argparse.Namespace) -> str:
         table = render_table(["shard", "key", "units"], rows)
         return (
             table
-            + f"\n\nplanned {plan.job['kind']} job {plan.key}: "
+            + f"\n\nplanned {plan.kind} job {plan.key}: "
             f"{len(plan.shards)} shard spec(s) in {args.job_dir}"
         )
     if args.shard_command == "run":

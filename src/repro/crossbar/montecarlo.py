@@ -8,7 +8,8 @@ sigma from the variability matrix) and actual contact-edge positions
 Agreement between the two validates the independence assumptions.
 
 Two execution paths share the same sampling kernel
-(:class:`repro.sim.engine.CaveYieldKernel`):
+(:class:`repro.sim.engine.CaveYieldKernel`, built by
+:func:`yield_kernel`):
 
 * ``method="batched"`` (default) — the chunked engine of
   :mod:`repro.sim`, evaluating every trial on a leading batch axis;
@@ -58,6 +59,53 @@ class MonteCarloYield:
         if self.samples <= 1:
             return 0.0
         return self.std_cave_yield / math.sqrt(self.samples)
+
+
+def yield_kernel(spec: CrossbarSpec, space: CodeSpace, k_sigma: float | None = None):
+    """The trial kernel of a yield Monte-Carlo for one code.
+
+    With ``k_sigma`` the k-sigma :class:`repro.sim.margins.MarginYieldKernel`,
+    without it the decoder's cached :class:`repro.sim.engine.CaveYieldKernel`.
+    The one builder behind :func:`simulate_cave_yield`,
+    :func:`simulate_margin_yield` and the :mod:`repro.dist` shard runner.
+    """
+    decoder = decoder_for(spec, space)
+    if k_sigma is None:
+        return decoder.montecarlo_kernel
+    from repro.sim.margins import MarginYieldKernel
+
+    return MarginYieldKernel(decoder, k_sigma)
+
+
+def yield_result(
+    kernel, samples: int, moments
+) -> MonteCarloYield | MonteCarloMarginYield:
+    """The result object of a yield kernel's per-metric moments.
+
+    ``moments`` maps each of ``kernel.metrics`` to a summary with
+    ``mean`` and ``std``.  The one constructor behind the batched engine
+    runs, the margin-yield loop and the shard merger, so every path
+    fills the result fields identically.
+    """
+    from repro.sim.margins import MarginYieldKernel
+
+    if isinstance(kernel, MarginYieldKernel):
+        return MonteCarloMarginYield(
+            samples=int(samples),
+            k_sigma=kernel.k_sigma,
+            guard_v=kernel.guard_v,
+            mean_margin_yield=moments["margin_yield"].mean,
+            std_margin_yield=moments["margin_yield"].std,
+            mean_select_margin=moments["select_margin"].mean,
+            mean_block_margin=moments["block_margin"].mean,
+        )
+    return MonteCarloYield(
+        samples=int(samples),
+        mean_cave_yield=moments["cave"].mean,
+        std_cave_yield=moments["cave"].std,
+        mean_electrical_yield=moments["electrical"].mean,
+        mean_geometric_yield=moments["geometric"].mean,
+    )
 
 
 def sample_electrical_mask(
@@ -130,8 +178,7 @@ def simulate_cave_yield(
     if method != "loop":
         raise ValueError(f"unknown method {method!r}; use 'batched' or 'loop'")
 
-    decoder = decoder_for(spec, space)
-    kernel = decoder.montecarlo_kernel
+    kernel = yield_kernel(spec, space)
     rng = np.random.default_rng(seed)
     cave = np.empty(samples)
     electrical = np.empty(samples)
@@ -259,12 +306,10 @@ def simulate_margin_yield(
     ``max_trials_per_chunk``.
     """
     from repro.sim.engine import MonteCarloEngine
-    from repro.sim.margins import MarginYieldKernel
 
     validate_samples(samples)
     validate_chunk(max_trials_per_chunk)
-    decoder = decoder_for(spec, space)
-    kernel = MarginYieldKernel(decoder, k_sigma)
+    kernel = yield_kernel(spec, space, k_sigma)
     if method == "batched":
         engine = MonteCarloEngine(
             kernel,
@@ -272,15 +317,7 @@ def simulate_margin_yield(
             stream_block=stream_block,
         )
         result = engine.run(samples, seed)
-        return MonteCarloMarginYield(
-            samples=result.samples,
-            k_sigma=kernel.k_sigma,
-            guard_v=kernel.guard_v,
-            mean_margin_yield=result["margin_yield"].mean,
-            std_margin_yield=result["margin_yield"].std,
-            mean_select_margin=result["select_margin"].mean,
-            mean_block_margin=result["block_margin"].mean,
-        )
+        return yield_result(kernel, result.samples, result.metrics)
     if method != "loop":
         raise ValueError(f"unknown method {method!r}; use 'batched' or 'loop'")
 
@@ -306,12 +343,4 @@ def simulate_margin_yield(
                     "block_margin": block,
                 }
             )
-    return MonteCarloMarginYield(
-        samples=int(samples),
-        k_sigma=kernel.k_sigma,
-        guard_v=kernel.guard_v,
-        mean_margin_yield=acc["margin_yield"].mean,
-        std_margin_yield=acc["margin_yield"].std,
-        mean_select_margin=acc["select_margin"].mean,
-        mean_block_margin=acc["block_margin"].mean,
-    )
+    return yield_result(kernel, samples, acc)

@@ -25,7 +25,6 @@ from repro.dist.runner import run_shard, run_shard_file
 from repro.dist.spec import (
     ShardPlan,
     ShardSpec,
-    canonical_json,
     content_key,
     split_even,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "ShardJobError",
     "ShardPlan",
     "ShardSpec",
-    "canonical_json",
     "completed_keys",
     "content_key",
     "job_telemetry",

@@ -9,7 +9,7 @@ the signal works across processes and across hosts sharing the job
 directory over a network filesystem, with no sockets or signals
 involved.
 
-Renewal is an atomic temp-file + ``os.replace`` like every other write
+Renewal is a :func:`repro.durable.atomic_write` like every other write
 in the job directory: a reader never sees a half-written lease.  On
 clean exit the lease file is removed; on any unclean death it simply
 stops being renewed and expires.
@@ -25,6 +25,7 @@ import time
 from pathlib import Path
 
 from repro.dist.spec import ShardSpec
+from repro.durable import atomic_write
 
 LEASES_DIR = "leases"
 
@@ -84,7 +85,6 @@ class Lease:
         self._started = time.time()
 
     def _write(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         doc = {
             "pid": os.getpid(),
             "host": socket.gethostname(),
@@ -92,9 +92,7 @@ class Lease:
             "renewed": time.time(),
             "ttl_s": self.ttl_s,
         }
-        tmp = self.path.with_name(self.path.name + f".tmp{os.getpid()}")
-        tmp.write_text(json.dumps(doc) + "\n")
-        os.replace(tmp, self.path)
+        atomic_write(self.path, json.dumps(doc) + "\n")
 
     def _renew_loop(self) -> None:
         while not self._stop.wait(self.interval_s):

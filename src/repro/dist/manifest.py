@@ -9,19 +9,19 @@ A planned job materialises as one directory — the unit an orchestrator
         results/NNNN-<key>.json   # one result document per finished shard
         manifest.jsonl      # append-only completion log (the checkpoint)
 
-The manifest is the commit log: the runner renames a fully-written
-result file into place *before* appending its line, so every manifest
-entry points at a complete result.  Completion is judged by *both*
-signals — a manifest line whose shard key matches the plan **and** an
-existing result file — which makes resume conservative: truncating the
-manifest (a killed run) forces the affected shards to re-run even if
-their result files survived.
+The manifest is the commit log: the runner commits a fully-written
+result file (:func:`repro.durable.atomic_write`) *before* appending its
+line, so every manifest entry points at a complete result.  Completion
+is judged by *both* signals — a manifest line whose shard key matches
+the plan **and** an existing result file — which makes resume
+conservative: truncating the manifest (a killed run) forces the
+affected shards to re-run even if their result files survived.
 
 Multiple hosts can share one job directory: each appends its own
-manifest lines (single ``O_APPEND`` writes) and shard files are
+manifest lines (:func:`repro.durable.append_line`) and shard files are
 content-keyed, so two hosts accidentally running the same shard write
 identical result *data* (the timing/telemetry fields differ, but the
-atomic rename means whichever write lands last is still a complete,
+atomic replace means whichever write lands last is still a complete,
 correct document).
 """
 
@@ -31,7 +31,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.dist.spec import ShardPlan, ShardSpec
+from repro.dist.spec import OLD_LAYOUT, ShardPlan, ShardSpec
+from repro.durable import append_line, atomic_write
 
 JOB_FILE = "job.json"
 SHARDS_DIR = "shards"
@@ -57,26 +58,32 @@ def manifest_path_for(job_dir: str | Path) -> Path:
 def write_job(job_dir: str | Path, plan: ShardPlan) -> Path:
     """Materialise a plan: ``job.json`` plus one spec file per shard."""
     job_dir = Path(job_dir)
-    shards = shards_dir_for(job_dir)
-    shards.mkdir(parents=True, exist_ok=True)
     results_dir_for(job_dir).mkdir(parents=True, exist_ok=True)
     for shard in plan.shards:
-        (shards / shard.file_name).write_text(
-            json.dumps(shard.to_dict(), indent=1) + "\n"
+        atomic_write(
+            shards_dir_for(job_dir) / shard.file_name,
+            json.dumps(shard.to_dict(), indent=1) + "\n",
         )
     listing = [
         {"index": s.index, "key": s.key, "file": s.file_name} for s in plan.shards
     ]
-    (job_dir / JOB_FILE).write_text(
-        json.dumps({"job": plan.job, "shards": listing}, indent=1) + "\n"
+    atomic_write(
+        job_dir / JOB_FILE,
+        json.dumps({"job": plan.job, "shards": listing}, indent=1) + "\n",
     )
     return job_dir
 
 
 def load_job(job_dir: str | Path) -> ShardPlan:
-    """Rebuild the plan from a job directory (shard specs re-read)."""
+    """Rebuild the plan from a job directory (shard specs re-read).
+
+    A directory planned with the older shard layout is refused with a
+    ``ValueError`` asking for a re-plan.
+    """
     job_dir = Path(job_dir)
     doc = json.loads((job_dir / JOB_FILE).read_text())
+    if "request" not in doc.get("job", {}):
+        raise ValueError(f"job directory {job_dir} {OLD_LAYOUT}")
     shards = []
     for entry in doc["shards"]:
         spec_path = shards_dir_for(job_dir) / entry["file"]
@@ -105,25 +112,17 @@ def record_completion(job_dir: str | Path, shard: ShardSpec, result: dict) -> No
             "elapsed_s": result["elapsed_s"],
         }
     )
-    with open(manifest_path_for(job_dir), "a") as fh:
-        fh.write(line + "\n")
+    append_line(manifest_path_for(job_dir), line)
 
 
 def completed_keys(job_dir: str | Path) -> set[str]:
     """Shard keys with a manifest line *and* an existing result file."""
-    manifest = manifest_path_for(job_dir)
-    if not manifest.exists():
-        return set()
     results = results_dir_for(job_dir)
-    done = set()
-    for line in manifest.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        entry = json.loads(line)
-        if (results / entry["file"]).exists():
-            done.add(entry["key"])
-    return done
+    return {
+        key
+        for key, entry in _manifest_entries(job_dir).items()
+        if (results / entry["file"]).exists()
+    }
 
 
 def pending_shards(job_dir: str | Path, plan: ShardPlan | None = None) -> list:
@@ -297,7 +296,7 @@ def status(job_dir: str | Path) -> dict:
     )
     return {
         "job_key": plan.key,
-        "kind": plan.job["kind"],
+        "kind": plan.kind,
         "shards": len(plan.shards),
         "completed": len(plan.shards) - len(pending),
         "pending": pending,

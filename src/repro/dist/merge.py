@@ -16,6 +16,9 @@ The merge contract is **byte identity**, not statistical agreement:
   combine per block batch).  Chan's combine is not reordering-exact in
   floating point, so per-block granularity — not per-shard aggregates —
   is what makes the merged mean/std bit-equal for *any* shard count.
+  The result object comes from
+  :func:`repro.crossbar.montecarlo.yield_result`, the constructor the
+  single-host runs use.
 """
 
 from __future__ import annotations
@@ -23,20 +26,13 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.codes.registry import make_code
-from repro.crossbar.montecarlo import MonteCarloMarginYield, MonteCarloYield
-from repro.crossbar.yield_model import decoder_for
+from repro import api
+from repro.crossbar.montecarlo import yield_result
 from repro.exp.results import SweepResult
 from repro.sim.accumulators import StreamingMoments
 
 from repro.dist.manifest import load_job, pending_shards, results_dir_for
-from repro.dist.spec import ShardPlan, spec_from_dict
-
-#: Metric order of the two MC kernels (merge folds every metric).
-MC_METRICS = {
-    "marginmc": ("margin_yield", "select_margin", "block_margin"),
-    "cavemc": ("cave", "electrical", "geometric"),
-}
+from repro.dist.spec import ShardPlan
 
 
 def load_results(job_dir: str | Path, plan: ShardPlan | None = None) -> list[dict]:
@@ -67,62 +63,6 @@ def load_results(job_dir: str | Path, plan: ShardPlan | None = None) -> list[dic
     return results
 
 
-def merge_sweep(plan: ShardPlan, results: list[dict]) -> SweepResult:
-    """Concatenate shard row records in order — the single-host table."""
-    records = [r for doc in results for r in doc["data"]["records"]]
-    return SweepResult.from_records(records)
-
-
-def fold_moments(plan: ShardPlan, results: list[dict]) -> dict[str, StreamingMoments]:
-    """Fold per-block moment states in global block order, per metric."""
-    names = MC_METRICS[plan.job["kind"]]
-    acc = {name: StreamingMoments() for name in names}
-    for doc in results:
-        data = doc["data"]["metrics"]
-        for name in names:
-            for state in data[name]:
-                acc[name].merge(StreamingMoments.from_state(*state))
-    for name in names:
-        if acc[name].count != plan.job["samples"]:
-            raise ValueError(
-                f"merged {name} covers {acc[name].count} trials, expected "
-                f"{plan.job['samples']} — shard results inconsistent"
-            )
-    return acc
-
-
-def merge_marginmc(plan: ShardPlan, results: list[dict]) -> MonteCarloMarginYield:
-    """The :func:`simulate_margin_yield` result object, bit-equal."""
-    acc = fold_moments(plan, results)
-    job = plan.job
-    decoder = decoder_for(
-        spec_from_dict(job["spec"]),
-        make_code(job["family"], job["n"], job["total_length"]),
-    )
-    k_sigma = float(job["k_sigma"])
-    return MonteCarloMarginYield(
-        samples=job["samples"],
-        k_sigma=k_sigma,
-        guard_v=k_sigma * decoder.sigma_t,
-        mean_margin_yield=acc["margin_yield"].mean,
-        std_margin_yield=acc["margin_yield"].std,
-        mean_select_margin=acc["select_margin"].mean,
-        mean_block_margin=acc["block_margin"].mean,
-    )
-
-
-def merge_cavemc(plan: ShardPlan, results: list[dict]) -> MonteCarloYield:
-    """The :func:`simulate_cave_yield_batched` result object, bit-equal."""
-    acc = fold_moments(plan, results)
-    return MonteCarloYield(
-        samples=plan.job["samples"],
-        mean_cave_yield=acc["cave"].mean,
-        std_cave_yield=acc["cave"].std,
-        mean_electrical_yield=acc["electrical"].mean,
-        mean_geometric_yield=acc["geometric"].mean,
-    )
-
-
 def job_telemetry(job_dir: str | Path) -> dict | None:
     """Fold every shard's telemetry snapshot into one job-level profile.
 
@@ -149,16 +89,26 @@ def merge_results(job_dir: str | Path):
     """Merge a completed job directory into its single-host result object.
 
     Returns a :class:`SweepResult` (sweep jobs), a
-    :class:`MonteCarloMarginYield` (marginmc) or a
-    :class:`MonteCarloYield` (cavemc).
+    :class:`~repro.crossbar.montecarlo.MonteCarloMarginYield` (marginmc)
+    or a :class:`~repro.crossbar.montecarlo.MonteCarloYield` (cavemc).
     """
     plan = load_job(job_dir)
     results = load_results(job_dir, plan)
-    kind = plan.job["kind"]
-    if kind == "sweep":
-        return merge_sweep(plan, results)
-    if kind == "marginmc":
-        return merge_marginmc(plan, results)
-    if kind == "cavemc":
-        return merge_cavemc(plan, results)
-    raise ValueError(f"unknown job kind {kind!r}")
+    request = api.parse_request(plan.job["request"])
+    if isinstance(request, api.SweepRequest):
+        return SweepResult.from_records(
+            [r for doc in results for r in doc["data"]["records"]]
+        )
+    kernel = api.mc_kernel(request)
+    acc = {name: StreamingMoments() for name in kernel.metrics}
+    for doc in results:
+        for name in kernel.metrics:
+            for state in doc["data"]["metrics"][name]:
+                acc[name].merge(StreamingMoments.from_state(*state))
+    for name, moments in acc.items():
+        if moments.count != request.samples:
+            raise ValueError(
+                f"merged {name} covers {moments.count} trials, expected "
+                f"{request.samples} — shard results inconsistent"
+            )
+    return yield_result(kernel, request.samples, acc)

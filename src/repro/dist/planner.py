@@ -5,7 +5,8 @@ always produce the same job key, the same shard keys and the same work
 slices — which is what makes checkpoint/resume safe: re-planning an
 interrupted job finds the already-written result files by name.
 
-Two job shapes exist:
+The planner builds the job's :mod:`repro.api` request once; every
+shard carries its canonical payload plus a slice:
 
 * **sweep** — the design-point grid of
   :func:`repro.exp.pipeline.run_sweep` is split into contiguous row
@@ -25,9 +26,10 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from repro.api import McRequest, SweepRequest
 from repro.crossbar.spec import CrossbarSpec
 from repro.exp.designpoint import DesignPoint
-from repro.exp.pipeline import SweepParams, resolve_metrics
+from repro.exp.pipeline import SweepParams
 from repro.sim.batch import (
     DEFAULT_STREAM_BLOCK,
     total_blocks,
@@ -35,18 +37,21 @@ from repro.sim.batch import (
     validate_stream_block,
 )
 
-from repro.dist.spec import (
-    ShardPlan,
-    ShardSpec,
-    content_key,
-    dump_points,
-    params_to_dict,
-    spec_to_dict,
-    split_even,
-)
+from repro.dist.spec import ShardPlan, ShardSpec, content_key, split_even
 
-#: MC job kinds and the code-family validation they share.
-MC_KINDS = ("marginmc", "cavemc")
+
+def _plan(request: SweepRequest | McRequest, units: int, shards: int) -> ShardPlan:
+    """Split ``units`` rows or blocks of ``request`` into contiguous shards."""
+    payload = request.to_dict()
+    ranges = split_even(units, shards)
+    key = content_key({"request": payload, "shards": len(ranges)})
+    return ShardPlan(
+        job={"key": key, "request": payload, "shards": len(ranges)},
+        shards=tuple(
+            ShardSpec(key, index, len(ranges), payload, start, stop)
+            for index, (start, stop) in enumerate(ranges)
+        ),
+    )
 
 
 def plan_sweep_shards(
@@ -62,40 +67,10 @@ def plan_sweep_shards(
     ``shards`` is a ceiling: a grid smaller than the requested shard
     count plans one shard per point.
     """
-    pts = list(points)
-    if not pts:
-        raise ValueError("no design points to shard")
-    names = list(resolve_metrics(metrics))
-    spec_dict = None if spec is None else spec_to_dict(spec)
-    params_dict = params_to_dict(params)
-    rows = dump_points(pts)
-    job = {
-        "kind": "sweep",
-        "metrics": names,
-        "spec": spec_dict,
-        "params": params_dict,
-        "points": len(pts),
-        "shards": len(split_even(len(pts), shards)),
-    }
-    job["key"] = content_key({**job, "rows": rows})
-    shard_specs = []
-    for index, (start, stop) in enumerate(split_even(len(pts), shards)):
-        shard_specs.append(
-            ShardSpec(
-                kind="sweep",
-                job_key=job["key"],
-                index=index,
-                count=job["shards"],
-                payload={
-                    "spec": spec_dict,
-                    "metrics": names,
-                    "params": params_dict,
-                    "row_start": start,
-                    "points": rows[start:stop],
-                },
-            )
-        )
-    return ShardPlan(job=job, shards=tuple(shard_specs))
+    request = SweepRequest(
+        points=tuple(points), metrics=metrics, spec=spec, params=params
+    )
+    return _plan(request, len(request.points), shards)
 
 
 def plan_mc_shards(
@@ -118,50 +93,15 @@ def plan_mc_shards(
     stream blocks than the requested shard count plans one shard per
     block, so a shard never splits a block (the reproducibility unit).
     """
-    if kind not in MC_KINDS:
-        raise ValueError(f"unknown MC job kind {kind!r}; expected one of {MC_KINDS}")
-    samples = validate_samples(samples)
-    stream_block = validate_stream_block(stream_block)
-    blocks = total_blocks(samples, stream_block)
-    ranges = split_even(blocks, shards)
-    spec_dict = spec_to_dict(spec if spec is not None else CrossbarSpec())
-    job = {
-        "kind": kind,
-        "family": family.strip().upper(),
-        "total_length": int(total_length),
-        "n": int(n),
-        "spec": spec_dict,
-        "samples": samples,
-        "seed": int(seed),
-        "stream_block": stream_block,
-        "blocks": blocks,
-        "shards": len(ranges),
-    }
-    if kind == "marginmc":
-        job["k_sigma"] = float(k_sigma)
-    job["key"] = content_key(job)
-    shard_specs = []
-    for index, (start, stop) in enumerate(ranges):
-        payload = {
-            "spec": spec_dict,
-            "family": job["family"],
-            "total_length": job["total_length"],
-            "n": job["n"],
-            "samples": samples,
-            "seed": job["seed"],
-            "stream_block": stream_block,
-            "block_start": start,
-            "block_stop": stop,
-        }
-        if kind == "marginmc":
-            payload["k_sigma"] = job["k_sigma"]
-        shard_specs.append(
-            ShardSpec(
-                kind=kind,
-                job_key=job["key"],
-                index=index,
-                count=job["shards"],
-                payload=payload,
-            )
-        )
-    return ShardPlan(job=job, shards=tuple(shard_specs))
+    request = McRequest(
+        kind=kind,
+        family=family.strip().upper(),
+        total_length=int(total_length),
+        n=int(n),
+        samples=validate_samples(samples),
+        seed=int(seed),
+        k_sigma=float(k_sigma),
+        stream_block=validate_stream_block(stream_block),
+        spec=spec,
+    )
+    return _plan(request, total_blocks(request.samples, request.stream_block), shards)

@@ -1,62 +1,40 @@
 """Shard runner: execute one :class:`~repro.dist.spec.ShardSpec`.
 
 The runner is the only part of the distributed layer that computes.  It
-rebuilds the simulation from the shard's self-describing payload, runs
-exactly the slice of work the shard owns, and writes one content-keyed
-JSON result file:
+rebuilds the shard's :mod:`repro.api` request with
+:func:`repro.api.parse_request`, runs exactly the slice of work the
+shard owns, and writes one content-keyed JSON result file:
 
 * **sweep** shards evaluate their design-point rows through
   :func:`repro.api.evaluate_records` — the same facade entry point the
   CLI and the ``repro serve`` daemon use, which itself funnels into
   the single-host worker pool — and store the row records verbatim.
-* **MC** shards evaluate their stream-block range through
-  :func:`repro.sim.engine.run_block_moments` and store the per-block
-  ``(count, mean, M2)`` moment states, the unit the merger re-folds in
-  global block order to replay the single-host accumulation byte for
-  byte.
+* **MC** shards feed their stream-block range to the request's
+  :func:`repro.api.mc_kernel` — the kernel :func:`repro.api.simulate`
+  runs — through :func:`repro.sim.engine.run_block_moments`, and store
+  the per-block ``(count, mean, M2)`` moment states, the unit the
+  merger re-folds in global block order to replay the single-host
+  accumulation byte for byte.
 
-Result files are written atomically (temp file + ``os.replace``) before
-the checkpoint manifest records completion, so a killed run never leaves
-a manifest entry pointing at a partial file.
+Result files are committed with :func:`repro.durable.atomic_write`
+before the checkpoint manifest records completion, so a killed run
+never leaves a manifest entry pointing at a partial file.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import os
 import time
 from pathlib import Path
 
 from repro import api, faults, obs
-from repro.codes.registry import make_code
-from repro.crossbar.yield_model import decoder_for
+from repro.durable import atomic_write
 from repro.exp.cache import cache_stats
 from repro.obs import JsonlSink
 from repro.sim.engine import run_block_moments
 
-from repro.dist.spec import (
-    ShardSpec,
-    load_points,
-    params_from_dict,
-    spec_from_dict,
-)
-
-
-def build_mc_kernel(payload: dict):
-    """The trial kernel an MC shard payload describes.
-
-    ``marginmc`` builds the k-sigma :class:`repro.sim.margins.MarginYieldKernel`;
-    ``cavemc`` reuses the decoder's cached
-    :class:`repro.sim.engine.CaveYieldKernel`.
-    """
-    spec = spec_from_dict(payload["spec"])
-    space = make_code(payload["family"], payload["n"], payload["total_length"])
-    decoder = decoder_for(spec, space)
-    if "k_sigma" in payload:
-        from repro.sim.margins import MarginYieldKernel
-
-        return MarginYieldKernel(decoder, payload["k_sigma"])
-    return decoder.montecarlo_kernel
+from repro.dist.spec import ShardSpec
 
 
 def telemetry_name(shard: ShardSpec) -> str:
@@ -83,7 +61,6 @@ def run_shard(shard: ShardSpec, *, telemetry_path: str | Path | None = None) -> 
     coherent tree.
     """
     started = time.perf_counter()
-    payload = shard.payload
     sinks = []
     if telemetry_path is not None:
         sinks.append(
@@ -101,31 +78,23 @@ def run_shard(shard: ShardSpec, *, telemetry_path: str | Path | None = None) -> 
         with obs.span(
             "dist.run_shard", kind=shard.kind, index=shard.index, units=shard.units
         ):
-            if shard.kind == "sweep":
-                spec = (
-                    None if payload["spec"] is None
-                    else spec_from_dict(payload["spec"])
+            request = api.parse_request(shard.request)
+            if isinstance(request, api.SweepRequest):
+                rows = dataclasses.replace(
+                    request, points=request.points[shard.start : shard.stop]
                 )
-                request = api.SweepRequest(
-                    points=tuple(load_points(payload["points"])),
-                    metrics=tuple(payload["metrics"]),
-                    spec=spec,
-                    params=params_from_dict(payload["params"]),
-                )
-                records = api.evaluate_records(request)
-                data = {"row_start": payload["row_start"], "records": records}
+                data = {"records": api.evaluate_records(rows)}
             else:
-                kernel = build_mc_kernel(payload)
+                kernel = api.mc_kernel(request)
                 blocks = run_block_moments(
                     kernel,
-                    payload["samples"],
-                    payload["seed"],
-                    block_start=payload["block_start"],
-                    block_stop=payload["block_stop"],
-                    stream_block=payload["stream_block"],
+                    request.samples,
+                    request.seed,
+                    block_start=shard.start,
+                    block_stop=shard.stop,
+                    stream_block=request.stream_block,
                 )
                 data = {
-                    "block_start": payload["block_start"],
                     "metrics": {
                         name: [list(states[name]) for states in blocks]
                         for name in kernel.metrics
@@ -148,13 +117,8 @@ def run_shard(shard: ShardSpec, *, telemetry_path: str | Path | None = None) -> 
 
 
 def write_result(result: dict, path: str | Path) -> Path:
-    """Atomically write a result document (temp file + rename)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(json.dumps(result, indent=1) + "\n")
-    os.replace(tmp, path)
-    return path
+    """Atomically write a result document."""
+    return atomic_write(path, json.dumps(result, indent=1) + "\n")
 
 
 def run_shard_file(

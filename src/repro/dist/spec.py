@@ -1,39 +1,29 @@
-"""Self-describing shard specifications and canonical serialisation.
+"""Self-describing shard specifications and content keys.
 
-A :class:`ShardSpec` is the unit of distributed work: one JSON-round-
-trippable description that any host with this library can execute with
-no other context — the platform spec, the sweep/MC parameters and the
-exact slice of work (design-point rows, or stream-block range) are all
-embedded.  Specs and job descriptions are hashed into short **content
-keys** over their canonical JSON form; the keys name the shard and
-result files, so a result can always be checked against the spec that
-produced it and a re-planned identical job resumes from the same files.
-
-Serialisation here is deliberately dependency-free (stdlib ``json``):
-Python's float repr is shortest-round-trip, so ``float -> JSON ->
-float`` is exact and the byte-identical merge guarantees of
-:mod:`repro.dist.merge` survive the file transport.
+A :class:`ShardSpec` is the unit of distributed work: a canonical
+:mod:`repro.api` request payload plus the slice of it this shard owns —
+design-point rows of a sweep, or stream blocks of a Monte-Carlo run.
+Any host with this library can execute it with no other context.  Specs
+and job descriptions are hashed into short **content keys** over their
+canonical JSON form; the keys name the shard and result files, so a
+result can always be checked against the spec that produced it and a
+re-planned identical job resumes from the same files.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import asdict, dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Mapping
 
-from repro.crossbar.spec import CrossbarSpec
-from repro.exp.designpoint import DesignPoint
-from repro.exp.pipeline import SweepParams
-from repro.fabrication.lithography import LithographyRules
+from repro.durable import canonical_json
 
-#: Shard kinds the planner can produce and the runner can execute.
-KINDS = ("sweep", "marginmc", "cavemc")
-
-
-def canonical_json(payload: object) -> str:
-    """Canonical JSON text: sorted keys, no whitespace, exact floats."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+#: Why an old-layout shard spec or job directory is refused.
+OLD_LAYOUT = (
+    "was planned with an older shard layout (no embedded api request); "
+    "re-plan the job with `repro shard plan`"
+)
 
 
 def content_key(payload: object) -> str:
@@ -42,116 +32,71 @@ def content_key(payload: object) -> str:
     return digest[:12]
 
 
-# -- platform / parameter round trips ------------------------------------------
-
-
-def spec_to_dict(spec: CrossbarSpec) -> dict:
-    """JSON form of a :class:`CrossbarSpec` (rules nested)."""
-    return asdict(spec)
-
-
-def spec_from_dict(payload: Mapping[str, object]) -> CrossbarSpec:
-    """Rebuild a :class:`CrossbarSpec` from :func:`spec_to_dict` output."""
-    data = dict(payload)
-    rules = data.pop("rules", None)
-    if rules is not None:
-        data["rules"] = LithographyRules(**rules)
-    return CrossbarSpec(**data)
-
-
-def params_to_dict(params: SweepParams) -> dict:
-    """JSON form of the evaluator tuning knobs."""
-    return asdict(params)
-
-
-def params_from_dict(payload: Mapping[str, object]) -> SweepParams:
-    """Rebuild :class:`SweepParams` from :func:`params_to_dict` output."""
-    return SweepParams(**payload)
-
-
-def point_to_dict(point: DesignPoint) -> dict:
-    """JSON form of one design point (overrides as sorted pairs)."""
-    return {
-        "family": point.family,
-        "total_length": point.total_length,
-        "n": point.n,
-        "overrides": [list(pair) for pair in point.overrides],
-    }
-
-
-def point_from_dict(payload: Mapping[str, object]) -> DesignPoint:
-    """Rebuild a :class:`DesignPoint` from :func:`point_to_dict` output."""
-    overrides = {name: value for name, value in payload.get("overrides", ())}
-    return DesignPoint.make(
-        payload["family"],
-        payload["total_length"],
-        payload.get("n", 2),
-        **overrides,
-    )
-
-
-# -- the shard unit ------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class ShardSpec:
-    """One self-describing unit of distributed work.
+    """One self-describing unit of distributed work: a request plus a slice.
 
     Parameters
     ----------
-    kind:
-        ``"sweep"`` (a contiguous run of design-point rows),
-        ``"marginmc"`` or ``"cavemc"`` (a contiguous range of MC
-        stream blocks).
     job_key:
         Content key of the parent job description; results carry it so
         a merge never mixes shards of different jobs.
     index / count:
         This shard's position in the plan and the plan's shard count;
         merge order is index order.
-    payload:
-        Kind-specific body.  Sweep: ``spec``, ``metrics``, ``params``,
-        ``points``, ``row_start``.  MC: ``spec``, ``family``,
-        ``total_length``, ``n``, ``samples``, ``seed``,
-        ``stream_block``, ``block_start``, ``block_stop`` and (margin
-        MC) ``k_sigma``.
+    request:
+        The canonical payload of the job's :mod:`repro.api` request
+        (``SweepRequest.to_dict()`` or ``McRequest.to_dict()``); the
+        shard kind is its ``kind``.
+    start / stop:
+        The slice this shard owns: design-point rows ``[start, stop)``
+        of a sweep, or stream blocks ``[start, stop)`` of an MC run.
     """
 
-    kind: str
     job_key: str
     index: int
     count: int
-    payload: dict = field(default_factory=dict)
+    request: dict
+    start: int
+    stop: int
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown shard kind {self.kind!r}; expected {KINDS}")
         if not 0 <= self.index < self.count:
             raise ValueError(
                 f"shard index {self.index} out of range for count {self.count}"
             )
+        if not 0 <= self.start < self.stop:
+            raise ValueError(f"empty shard slice [{self.start}, {self.stop})")
+
+    @property
+    def kind(self) -> str:
+        return self.request["kind"]
 
     def to_dict(self) -> dict:
         """The JSON form written to ``shards/``; fully self-describing."""
         return {
-            "kind": self.kind,
             "job_key": self.job_key,
             "index": self.index,
             "count": self.count,
-            "payload": self.payload,
+            "request": self.request,
+            "start": self.start,
+            "stop": self.stop,
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "ShardSpec":
+        if "request" not in payload:
+            raise ValueError(f"shard spec {OLD_LAYOUT}")
         return cls(
-            kind=payload["kind"],
             job_key=payload["job_key"],
             index=int(payload["index"]),
             count=int(payload["count"]),
-            payload=dict(payload["payload"]),
+            request=dict(payload["request"]),
+            start=int(payload["start"]),
+            stop=int(payload["stop"]),
         )
 
-    @property
+    @cached_property
     def key(self) -> str:
         """Content key of this shard (names the spec and result files)."""
         return content_key(self.to_dict())
@@ -165,19 +110,14 @@ class ShardSpec:
     def units(self) -> int:
         """Work size: design points (sweep) or trials (MC shards)."""
         if self.kind == "sweep":
-            return len(self.payload["points"])
-        start, stop = self.payload["block_start"], self.payload["block_stop"]
-        samples = self.payload["samples"]
-        block = self.payload["stream_block"]
-        full = (stop - start) * block
-        if stop * block > samples:  # shard owns the final partial block
-            full -= stop * block - samples
-        return full
+            return self.stop - self.start
+        block = self.request["stream_block"]
+        return min(self.stop * block, self.request["samples"]) - self.start * block
 
 
 @dataclass(frozen=True)
 class ShardPlan:
-    """A planned job: the job-level description plus its shards in order."""
+    """A planned job: ``{"key", "request", "shards"}`` plus its shards in order."""
 
     job: dict
     shards: tuple[ShardSpec, ...]
@@ -185,6 +125,10 @@ class ShardPlan:
     @property
     def key(self) -> str:
         return self.job["key"]
+
+    @property
+    def kind(self) -> str:
+        return self.job["request"]["kind"]
 
 
 def split_even(total: int, parts: int) -> list[tuple[int, int]]:
@@ -207,13 +151,3 @@ def split_even(total: int, parts: int) -> list[tuple[int, int]]:
         ranges.append((start, start + width))
         start += width
     return ranges
-
-
-def dump_points(points: Sequence[DesignPoint]) -> list[dict]:
-    """JSON form of a design-point list (order preserved)."""
-    return [point_to_dict(p) for p in points]
-
-
-def load_points(payload: Sequence[Mapping[str, object]]) -> list[DesignPoint]:
-    """Rebuild a design-point list from :func:`dump_points` output."""
-    return [point_from_dict(p) for p in payload]

@@ -48,6 +48,7 @@ from pathlib import Path
 from repro import faults, obs
 from repro.dist.lease import lease_is_stale, lease_path_for
 from repro.dist.spec import ShardSpec
+from repro.durable import append_line, atomic_write
 
 SUPERVISOR_LOG = "supervisor.jsonl"
 QUARANTINE_DIR = "quarantine"
@@ -86,8 +87,7 @@ def quarantined_indices(job_dir: str | Path) -> tuple[int, ...]:
 def log_event(job_dir: str | Path, event: dict) -> None:
     """Append one supervision event (single ``O_APPEND`` write)."""
     line = json.dumps({"ts": time.time(), **event})
-    with open(Path(job_dir) / SUPERVISOR_LOG, "a") as fh:
-        fh.write(line + "\n")
+    append_line(Path(job_dir) / SUPERVISOR_LOG, line)
 
 
 def retry_counts(job_dir: str | Path) -> dict[int, int]:
@@ -260,9 +260,8 @@ def launch(
             )
             failures.append(failure)
             obs.counter("dist.quarantined")
-            marker = quarantine_path_for(job_dir, shard)
-            marker.parent.mkdir(parents=True, exist_ok=True)
-            marker.write_text(
+            atomic_write(
+                quarantine_path_for(job_dir, shard),
                 json.dumps(
                     {
                         "index": shard.index,

@@ -15,6 +15,7 @@ import json
 from pathlib import Path
 from typing import Mapping
 
+from repro.durable import canonical_json
 from repro.obs.core import SCHEMA_VERSION
 
 
@@ -25,8 +26,7 @@ def run_id(meta: Mapping | None) -> str:
     downstream tooling group re-runs and dedup shard streams — the same
     content-keying discipline as ``repro.dist`` shard specs.
     """
-    canonical = json.dumps(meta or {}, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+    return hashlib.sha256(canonical_json(meta or {}).encode()).hexdigest()[:12]
 
 
 class InMemorySink:

@@ -8,7 +8,8 @@ requests over newline-delimited JSON frames
 client traffic into efficient engine calls:
 
 * **store hits** — a request whose digest is already committed is
-  answered immediately from disk, no compute;
+  answered immediately from disk (one :func:`repro.api.lookup`), no
+  compute;
 * **in-flight coalescing** — identical requests (same digest) arriving
   while one is being computed share a single evaluation: followers
   await the leader's future instead of re-running the engine;
@@ -20,10 +21,11 @@ client traffic into efficient engine calls:
   evaluating each request alone — the property the byte-identity
   tests pin down.
 
-Compute runs on a thread-pool executor so the event loop keeps
-accepting connections (the numpy engines release the GIL for the
-heavy parts); results stream back chunk-by-chunk so clients can start
-consuming large grids early.
+Compute — and the :func:`repro.api.commit` of its result to the store —
+runs on a thread-pool executor so the event loop keeps accepting
+connections (the numpy engines release the GIL for the heavy parts);
+results stream back chunk-by-chunk so clients can start consuming
+large grids early.
 
 Degradation is graceful, not accidental:
 
@@ -56,7 +58,8 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from repro import api, faults, obs
-from repro.dist.spec import canonical_json
+from repro.durable import canonical_json
+from repro.exp.results import SweepResult
 from repro.serve.protocol import (
     DEFAULT_CHUNK_ROWS,
     chunk_frame,
@@ -423,19 +426,18 @@ class ReproServer:
 
     async def _op_evaluate(self, frame: dict, writer, lock) -> None:
         request = api.SweepRequest.from_dict(frame["request"])
-        digest = api.request_digest(request)
         request_id = frame["id"]
 
-        if self.store is not None:
-            hit = self.store.get(digest)
-            if hit is not None:
-                self.counters["store_hits"] += 1
-                await self._stream_sweep(writer, lock, request_id, hit, cached=True)
-                return
+        hit = api.lookup(self.store, request)
+        if hit is not None:
+            self.counters["store_hits"] += 1
+            await self._stream_sweep(writer, lock, request_id, hit, cached=True)
+            return
 
+        digest = api.request_digest(request)
         if digest in self._inflight:
             self.counters["coalesced"] += 1
-            payload = await asyncio.shield(self._inflight[digest])
+            result = await asyncio.shield(self._inflight[digest])
         else:
             self._admit(digest)
             future = asyncio.get_running_loop().create_future()
@@ -446,10 +448,10 @@ class ReproServer:
             )
             self._schedule_drain()
             try:
-                payload = await asyncio.shield(future)
+                result = await asyncio.shield(future)
             finally:
                 self._inflight.pop(digest, None)
-        await self._stream_sweep(writer, lock, request_id, payload, cached=False)
+        await self._stream_sweep(writer, lock, request_id, result, cached=False)
 
     @staticmethod
     def _compat_key(request: api.SweepRequest) -> str:
@@ -473,8 +475,8 @@ class ReproServer:
         for group in pending.values():
             await self._run_group(group)
 
-    async def _run_group(self, group: list[_PendingSweep]) -> None:
-        loop = asyncio.get_running_loop()
+    def _evaluate_group(self, group: list[_PendingSweep]) -> list[SweepResult]:
+        """One engine call for the group, split back and committed per member."""
         first = group[0].request
         merged = api.SweepRequest(
             points=tuple(p for member in group for p in member.request.points),
@@ -482,12 +484,24 @@ class ReproServer:
             spec=first.spec,
             params=first.params,
         )
+        records = api.evaluate_records(merged, jobs=self.jobs)
+        results = []
+        start = 0
+        for member in group:
+            stop = start + len(member.request.points)
+            result = SweepResult.from_records(records[start:stop])
+            start = stop
+            api.commit(self.store, member.request, result)
+            results.append(result)
+        return results
+
+    async def _run_group(self, group: list[_PendingSweep]) -> None:
+        loop = asyncio.get_running_loop()
         self.counters["batch_groups"] += 1
         self.counters["batched_requests"] += len(group)
         try:
-            records = await loop.run_in_executor(
-                self._executor,
-                lambda: api.evaluate_records(merged, jobs=self.jobs),
+            results = await loop.run_in_executor(
+                self._executor, self._evaluate_group, group
             )
         except Exception as exc:  # noqa: BLE001 — fan the fault out per member
             for member in group:
@@ -498,105 +512,72 @@ class ReproServer:
                     member.future.exception()
             return
         self.counters["computed"] += len(group)
-        fields = list(records[0]) if records else []
-        start = 0
-        for member in group:
-            stop = start + len(member.request.points)
-            payload = {"fields": fields, "records": records[start:stop]}
-            start = stop
-            if self.store is not None:
-                self.store.put(
-                    member.digest,
-                    member.request.kind,
-                    member.request.to_dict(),
-                    payload,
-                )
+        for member, result in zip(group, results):
             if not member.future.done():
-                member.future.set_result(payload)
+                member.future.set_result(result)
 
     async def _stream_sweep(
-        self, writer, lock, request_id, payload: dict, *, cached: bool
+        self, writer, lock, request_id, result: SweepResult, *, cached: bool
     ) -> None:
-        fields = list(payload["fields"])
-        for chunk in iter_record_chunks(payload["records"], self.chunk_rows):
+        fields = list(result.fields)
+        for chunk in iter_record_chunks(result.to_records(), self.chunk_rows):
             await self._send(writer, lock, chunk_frame(request_id, fields, chunk))
         await self._send(writer, lock, done_frame(request_id, cached=cached))
 
     # -- scalar paths (MC, workload) -------------------------------------------
 
     async def _op_scalar(self, op: str, frame: dict, writer, lock) -> None:
-        if op == "simulate":
-            request = api.McRequest.from_dict(frame["request"])
-        else:
-            request = api.WorkloadRequest.from_dict(frame["request"])
+        request_type = api.McRequest if op == "simulate" else api.WorkloadRequest
+        request = request_type.from_dict(frame["request"])
         method = frame.get("method", "batched")
         chunk_size = int(frame.get("chunk_size", self.mc_chunk_size))
-        digest = api.request_digest(request)
         request_id = frame["id"]
 
-        # cavemc loop/batched use different stream layouts, so the store
-        # (which holds batched estimates) is bypassed for that combination
-        store_eligible = not (
-            op == "simulate" and request.kind == "cavemc" and method == "loop"
-        )
-        cached = (
-            store_eligible
-            and self.store is not None
-            and self.store.contains(digest)
-        )
-        if digest in self._inflight and not cached:
+        hit = api.lookup(self.store, request, method=method)
+        if hit is not None:
+            self.counters["store_hits"] += 1
+            await self._send(
+                writer, lock, done_frame(request_id, cached=True, result=_wire(hit))
+            )
+            return
+
+        digest = api.request_digest(request)
+        future = self._inflight.get(digest)
+        if future is not None:
             self.counters["coalesced"] += 1
-            result = await asyncio.shield(self._inflight[digest])
         else:
-            if not cached:
-                self._admit(digest)
+            self._admit(digest)
             future = asyncio.get_running_loop().create_future()
-            if not cached:
-                self._inflight[digest] = future
+            self._inflight[digest] = future
             # compute runs in its own task: a deadline cancelling *this*
             # request's await must not kill the shared evaluation that
             # coalesced followers (and the store commit) depend on
             asyncio.ensure_future(
-                self._compute_scalar(
-                    op, request, method, chunk_size, digest, cached, future
-                )
+                self._compute_scalar(request, method, chunk_size, digest, future)
             )
-            result = await asyncio.shield(future)
+        result = await asyncio.shield(future)
         await self._send(
-            writer, lock, done_frame(request_id, cached=cached, result=result)
+            writer, lock, done_frame(request_id, cached=False, result=result)
         )
 
-    async def _compute_scalar(
-        self, op, request, method, chunk_size, digest, cached, future
-    ) -> None:
+    def _scalar_and_commit(self, request, method, chunk_size) -> dict:
+        """Compute one MC or workload request and commit it (executor side)."""
+        facade = api.simulate if isinstance(request, api.McRequest) else api.memsim
+        result = facade(request, method=method, chunk_size=chunk_size)
+        api.commit(self.store, request, result, method=method)
+        return _wire(result)
+
+    async def _compute_scalar(self, request, method, chunk_size, digest, future):
         loop = asyncio.get_running_loop()
         try:
-            if op == "simulate":
-                result = await loop.run_in_executor(
-                    self._executor,
-                    lambda: api.mc_result_to_dict(
-                        api.simulate(
-                            request,
-                            method=method,
-                            chunk_size=chunk_size,
-                            store=self.store,
-                        )
-                    ),
-                )
-            else:
-                result = await loop.run_in_executor(
-                    self._executor,
-                    lambda: api.memsim(
-                        request,
-                        method=method,
-                        chunk_size=chunk_size,
-                        store=self.store,
-                    ).to_dict(),
-                )
-            if cached:
-                self.counters["store_hits"] += 1
-            else:
-                self.counters["computed"] += 1
+            result = await loop.run_in_executor(
+                self._executor,
+                self._scalar_and_commit,
+                request,
+                method,
+                chunk_size,
+            )
+            self.counters["computed"] += 1
             if not future.done():
                 future.set_result(result)
         except Exception as exc:  # noqa: BLE001 — fault propagates per frame
@@ -605,8 +586,7 @@ class ReproServer:
                 # mark consumed: every awaiter may already be gone
                 future.exception()
         finally:
-            if not cached:
-                self._inflight.pop(digest, None)
+            self._inflight.pop(digest, None)
 
     # -- introspection ---------------------------------------------------------
 
@@ -620,3 +600,10 @@ class ReproServer:
         if self.store is not None:
             payload["store"] = self.store.stats()
         return payload
+
+
+def _wire(result) -> dict:
+    """The JSON form of a scalar (MC or workload) result on the wire."""
+    if isinstance(result, api.WorkloadResult):
+        return result.to_dict()
+    return api.mc_result_to_dict(result)

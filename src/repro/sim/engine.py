@@ -404,23 +404,16 @@ def simulate_cave_yield_batched(
     ``max_trials_per_chunk``, and agree with the legacy loop within
     Monte-Carlo error (the streams differ by design).
     """
-    from repro.crossbar.montecarlo import MonteCarloYield
-    from repro.crossbar.yield_model import decoder_for
+    from repro.crossbar.montecarlo import yield_kernel, yield_result
 
-    decoder = decoder_for(spec, space)
+    kernel = yield_kernel(spec, space)
     engine = MonteCarloEngine(
-        decoder.montecarlo_kernel,
+        kernel,
         max_trials_per_chunk=max_trials_per_chunk,
         stream_block=stream_block,
     )
     result = engine.run(samples, seed)
-    return MonteCarloYield(
-        samples=result.samples,
-        mean_cave_yield=result["cave"].mean,
-        std_cave_yield=result["cave"].std,
-        mean_electrical_yield=result["electrical"].mean,
-        mean_geometric_yield=result["geometric"].mean,
-    )
+    return yield_result(kernel, result.samples, result.metrics)
 
 
 # -- stochastic-decoder baseline kernels ([6], [8]) ----------------------------

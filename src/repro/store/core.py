@@ -16,11 +16,11 @@ Layout (mirrors a :mod:`repro.dist` job directory)::
       objects/<dd>/<digest>.json # self-verifying entry files, sharded
                                  # on the first two digest hex chars
 
-Crash safety uses the dist commit protocol: the entry file is written
-to a ``.tmp<pid>`` sibling and :func:`os.replace`-d into place *before*
-the single ``O_APPEND`` manifest write, so a kill at any instant
-leaves either no trace or a fully valid entry — a manifest line whose
-file is missing is treated as incomplete, exactly like shard resume.
+Crash safety uses the commit protocol of :mod:`repro.durable`: the
+entry file is atomically replaced into place *before* the single
+``O_APPEND`` manifest line is written, so a kill at any instant leaves
+either no trace or a fully valid entry — a manifest line whose file is
+missing is treated as incomplete, exactly like shard resume.
 Every read re-verifies the entry (digest match against the file name
 *and* a sha256 over the canonical result payload recorded at write
 time); truncation, bit rot or a partial write all degrade to a cache
@@ -41,7 +41,7 @@ import threading
 from pathlib import Path
 
 from repro import faults, obs
-from repro.dist.spec import canonical_json
+from repro.durable import append_line, atomic_write, canonical_json
 
 STORE_SCHEMA_VERSION = 1
 
@@ -79,6 +79,37 @@ def result_checksum(result: dict) -> str:
     return hashlib.sha256(canonical_json(result).encode()).hexdigest()
 
 
+class _CorruptEntry(ValueError):
+    """An object file that exists but fails verification."""
+
+
+def _verified_result(path: Path, digest: str) -> dict:
+    """The result payload of one object file, after full verification.
+
+    The one verification chain of the store: the file parses, names
+    ``digest``, carries this store schema version, and its result
+    payload hashes to the recorded checksum.  Raises :class:`OSError`
+    when the file cannot be read and :class:`_CorruptEntry` (with the
+    reason) when it fails a check.
+    """
+    raw = path.read_bytes()
+    try:
+        entry = json.loads(raw)
+    except ValueError:
+        raise _CorruptEntry("object file is not valid JSON (truncated?)") from None
+    try:
+        if entry["digest"] != digest:
+            raise _CorruptEntry("entry file names a different digest")
+        if entry["v"] != STORE_SCHEMA_VERSION:
+            raise _CorruptEntry(f"unsupported store schema v{entry['v']}")
+        result = entry["result"]
+        if result_checksum(result) != entry["result_sha256"]:
+            raise _CorruptEntry("result checksum mismatch")
+    except (KeyError, TypeError):
+        raise _CorruptEntry("entry document missing required fields") from None
+    return result
+
+
 class ResultStore:
     """A content-addressed result cache rooted at one directory.
 
@@ -89,10 +120,10 @@ class ResultStore:
     the race is benign.
 
     ``max_entries`` bounds the number of *live* objects: once exceeded,
-    :meth:`put` evicts the oldest committed entries (manifest order —
-    append order approximates LRU-by-insertion).  Eviction deletes the
-    object file only; the manifest stays append-only, and a manifest
-    line without a file is simply a miss.
+    :meth:`put` evicts entries in order of their latest commit (manifest
+    order); reads do not refresh recency.  Eviction deletes the object
+    file only; the manifest stays append-only, and a manifest line
+    without a file is simply a miss.
     """
 
     def __init__(self, root: str | Path, *, max_entries: int | None = None):
@@ -113,28 +144,18 @@ class ResultStore:
     def get(self, digest: str) -> dict | None:
         """The result payload for ``digest``, or ``None`` on a miss.
 
-        A hit requires the full verification chain: the object file
-        exists, parses, names this digest, and its result payload
-        hashes to the recorded checksum.  Any failure counts as
-        ``corrupt`` (plus the miss) and quarantines the bad file so
-        the next writer can recommit cleanly.
+        A hit requires the full verification chain of
+        :func:`_verified_result`.  Any failure counts as ``corrupt``
+        (plus the miss) and quarantines the bad file so the next writer
+        can recommit cleanly.
         """
         path = self.object_path(digest)
         try:
-            raw = path.read_text()
+            result = _verified_result(path, digest)
         except OSError:
             _bump("misses")
             return None
-        try:
-            entry = json.loads(raw)
-            if entry["digest"] != digest:
-                raise ValueError("entry file names a different digest")
-            if entry["v"] != STORE_SCHEMA_VERSION:
-                raise ValueError(f"unsupported store schema v{entry['v']}")
-            result = entry["result"]
-            if result_checksum(result) != entry["result_sha256"]:
-                raise ValueError("result checksum mismatch")
-        except (ValueError, KeyError, TypeError):
+        except _CorruptEntry:
             _bump("corrupt")
             _bump("misses")
             self._quarantine(path)
@@ -144,26 +165,22 @@ class ResultStore:
 
     def contains(self, digest: str) -> bool:
         """Whether a verified entry exists (without counting a hit/miss)."""
-        path = self.object_path(digest)
         try:
-            entry = json.loads(path.read_text())
-            return (
-                entry["digest"] == digest
-                and result_checksum(entry["result"]) == entry["result_sha256"]
-            )
-        except (OSError, ValueError, KeyError, TypeError):
+            _verified_result(self.object_path(digest), digest)
+        except (OSError, _CorruptEntry):
             return False
+        return True
 
     # -- write -----------------------------------------------------------------
 
     def put(self, digest: str, kind: str, request: dict, result: dict) -> Path:
         """Commit a result under its request digest; returns the entry path.
 
-        Atomic: tmp write + rename, then one appended manifest line.
-        Safe to call concurrently from threads and processes.
+        Atomic: the entry file is replaced into place, then one manifest
+        line is appended.  Safe to call concurrently from threads and
+        processes.
         """
         path = self.object_path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
             "v": STORE_SCHEMA_VERSION,
             "digest": digest,
@@ -172,16 +189,9 @@ class ResultStore:
             "result": result,
             "result_sha256": result_checksum(result),
         }
-        tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-        tmp.write_text(json.dumps(entry, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, path)
+        atomic_write(path, json.dumps(entry, indent=2, sort_keys=True) + "\n")
         faults.corrupt_file("store.corrupt_object", path)
-        line = canonical_json({"digest": digest, "kind": kind}) + "\n"
-        fd = os.open(self._manifest, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, line.encode())
-        finally:
-            os.close(fd)
+        append_line(self._manifest, canonical_json({"digest": digest, "kind": kind}))
         _bump("puts")
         if self.max_entries is not None:
             self._evict_over(self.max_entries)
@@ -208,6 +218,14 @@ class ResultStore:
             entries.append(entry)
         return entries
 
+    def _live_entries(self, entries: list[dict]) -> dict[str, dict]:
+        """Each live digest's latest manifest line, oldest commit first."""
+        latest: dict[str, dict] = {}
+        for entry in entries:
+            latest.pop(entry["digest"], None)
+            latest[entry["digest"]] = entry
+        return {d: e for d, e in latest.items() if self.object_path(d).exists()}
+
     def live_digests(self) -> list[str]:
         """Digests with both a manifest line and an object file, oldest first.
 
@@ -215,11 +233,7 @@ class ResultStore:
         eviction) counts at its *latest* manifest line, so re-putting
         refreshes its recency in the eviction order.
         """
-        seen: dict[str, None] = {}
-        for entry in self.manifest_entries():
-            seen.pop(entry["digest"], None)
-            seen[entry["digest"]] = None
-        return [d for d in seen if self.object_path(d).exists()]
+        return list(self._live_entries(self.manifest_entries()))
 
     def _evict_over(self, limit: int) -> int:
         with self._lock:
@@ -242,56 +256,26 @@ class ResultStore:
         except OSError:
             pass
 
-    def _verify_object(self, path: Path, digest: str) -> str | None:
-        """Why one object file fails verification, or None if it's sound."""
-        try:
-            entry = json.loads(path.read_text())
-        except OSError:
-            return "object file unreadable"
-        except ValueError:
-            return "object file is not valid JSON (truncated?)"
-        try:
-            if entry["digest"] != digest:
-                return "entry file names a different digest"
-            if entry["v"] != STORE_SCHEMA_VERSION:
-                return f"unsupported store schema v{entry['v']}"
-            if result_checksum(entry["result"]) != entry["result_sha256"]:
-                return "result checksum mismatch"
-        except (KeyError, TypeError):
-            return "entry document missing required fields"
-        return None
-
     def gc(self) -> dict:
         """Compact the append-only manifest to its live entries.
 
-        Rewrites ``manifest.jsonl`` (atomic tmp + rename, under the
-        instance lock) keeping one line per live digest in the current
+        Rewrites ``manifest.jsonl`` (atomically, under the instance
+        lock) keeping one line per live digest in the current
         recency order — dropping lines for evicted/quarantined objects
         and duplicate recommit lines.  Returns counts:
         ``{"manifest_lines", "live", "pruned"}``.
         """
         with self._lock:
             entries = self.manifest_entries()
-            latest: dict[str, dict] = {}
-            for entry in entries:
-                latest.pop(entry["digest"], None)
-                latest[entry["digest"]] = entry
-            live = [
-                e for d, e in latest.items() if self.object_path(d).exists()
-            ]
-            tmp = self._manifest.with_name(
-                self._manifest.name + f".tmp{os.getpid()}"
-            )
-            tmp.write_text(
+            live = list(self._live_entries(entries).values())
+            atomic_write(
+                self._manifest,
                 "".join(
-                    canonical_json(
-                        {"digest": e["digest"], "kind": e.get("kind")}
-                    )
+                    canonical_json({"digest": e["digest"], "kind": e.get("kind")})
                     + "\n"
                     for e in live
-                )
+                ),
             )
-            os.replace(tmp, self._manifest)
             return {
                 "manifest_lines": len(entries),
                 "live": len(live),
@@ -318,9 +302,13 @@ class ResultStore:
             for path in sorted(shard_dir.glob("*.json")):
                 digest = path.stem
                 checked += 1
-                reason = self._verify_object(path, digest)
-                if reason is None:
+                try:
+                    _verified_result(path, digest)
                     continue
+                except OSError:
+                    reason = "object file unreadable"
+                except _CorruptEntry as exc:
+                    reason = str(exc)
                 corrupt.append(
                     {"digest": digest, "path": str(path), "reason": reason}
                 )

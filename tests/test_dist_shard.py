@@ -92,8 +92,27 @@ class TestPlanning:
         with pytest.raises(ValueError, match="shared-stream"):
             run_block_moments(RandomCodesKernel(8, 32), 4096)
 
+    def test_old_layout_job_refused_with_a_clear_message(self, tmp_path):
+        # the layout before shards embedded an api request: a kind plus
+        # an ad-hoc payload per shard, and a job dict without "request"
+        job = tmp_path / "old"
+        (job / "shards").mkdir(parents=True)
+        old_shard = {
+            "kind": "cavemc", "job_key": "abc", "index": 0, "count": 1,
+            "payload": {"samples": 4096, "block_start": 0, "block_stop": 1},
+        }
+        (job / "shards" / "0000-abc.json").write_text(json.dumps(old_shard))
+        (job / "job.json").write_text(json.dumps({
+            "job": {"kind": "cavemc", "samples": 4096, "key": "abc"},
+            "shards": [{"index": 0, "key": "abc", "file": "0000-abc.json"}],
+        }))
+        with pytest.raises(ValueError, match="older shard layout.*re-plan"):
+            load_job(job)
+        with pytest.raises(ValueError, match="older shard layout"):
+            ShardSpec.from_dict(old_shard)
+
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown MC job kind"):
+        with pytest.raises(ValueError, match="unknown MC request kind"):
             plan_mc_shards("margin", "BGC", 8, shards=2, samples=4096)
 
 
@@ -237,10 +256,7 @@ class TestRunShard:
             "cavemc", "TC", 8, shards=3, samples=10_000,
             spec=SPEC, stream_block=1024,
         )
-        ranges = [
-            (s.payload["block_start"], s.payload["block_stop"])
-            for s in plan.shards
-        ]
+        ranges = [(s.start, s.stop) for s in plan.shards]
         assert ranges[0][0] == 0
         assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
         assert ranges[-1][1] == 10  # ceil(10000 / 1024)

@@ -119,6 +119,55 @@ class TestDaemon:
         assert loop == api.simulate(req, method="loop")
         assert batched == api.simulate(req)
 
+    def test_warm_simulate_verifies_the_entry_once(
+        self, socket_path, tmp_path, monkeypatch
+    ):
+        from repro.store import core
+
+        req = api.McRequest(kind="marginmc", family="TC", total_length=6, samples=32)
+        store = ResultStore(tmp_path / "store")
+        api.simulate(req, store=store)  # populate before the daemon
+        calls = []
+        checksum = core.result_checksum
+
+        def counting_checksum(result):
+            calls.append(1)
+            return checksum(result)
+
+        monkeypatch.setattr(core, "result_checksum", counting_checksum)
+        with ReproServer(socket_path, store=store).running():
+            with ServeClient(socket_path) as client:
+                assert client.simulate(req) == api.simulate(req)
+                assert client.last_cached is True
+        assert len(calls) == 1
+
+    def test_store_commits_run_off_the_event_loop(
+        self, socket_path, tmp_path, monkeypatch
+    ):
+        import asyncio
+
+        store = ResultStore(tmp_path / "store")
+        on_loop = []
+        put = ResultStore.put
+
+        def recording_put(self, *args, **kwargs):
+            try:
+                asyncio.get_running_loop()
+                on_loop.append(True)
+            except RuntimeError:
+                on_loop.append(False)
+            return put(self, *args, **kwargs)
+
+        monkeypatch.setattr(ResultStore, "put", recording_put)
+        mc = api.McRequest(kind="marginmc", family="TC", total_length=6, samples=32)
+        wl = api.WorkloadRequest(family="TC", total_length=6, accesses=128, instances=2)
+        with ReproServer(socket_path, store=store).running():
+            with ServeClient(socket_path) as client:
+                client.evaluate(sweep_request())
+                client.simulate(mc)
+                client.memsim(wl)
+        assert on_loop == [False, False, False]
+
     def test_error_frame_for_bad_request(self, socket_path):
         with ReproServer(socket_path).running():
             with ServeClient(socket_path) as client:

@@ -30,7 +30,7 @@ def put_entry(store, tag="a", result=None):
     """Commit one synthetic entry; returns its digest."""
     import hashlib
 
-    from repro.dist.spec import canonical_json
+    from repro.durable import canonical_json
 
     request = {"v": 1, "kind": "sweep", "tag": tag}
     digest = hashlib.sha256(canonical_json(request).encode()).hexdigest()
@@ -87,6 +87,19 @@ class TestCorruption:
         assert store.get(digest) is None
         assert store_counters()["corrupt"] == 1
 
+    def test_schema_version_mismatch_is_not_contained(self, tmp_path):
+        # contains() and get() share one verifier: an entry get() would
+        # reject must not count as contained
+        store = make_store(tmp_path)
+        digest = put_entry(store)
+        path = store.object_path(digest)
+        entry = json.loads(path.read_text())
+        entry["v"] = entry["v"] + 1
+        path.write_text(json.dumps(entry))
+        assert store.contains(digest) is False
+        assert store.get(digest) is None
+        assert store_counters()["corrupt"] == 1
+
     def test_digest_mismatch_is_a_miss(self, tmp_path):
         store = make_store(tmp_path)
         digest = put_entry(store)
@@ -130,6 +143,33 @@ class TestCorruption:
         debris.write_text("partial")
         assert store.get(digest) is not None
         assert store.stats()["entries"] == 1
+
+
+class TestConcurrentCommits:
+    def test_threads_committing_one_digest(self, tmp_path):
+        import threading
+
+        store = make_store(tmp_path)
+        digest = put_entry(store)
+        errors = []
+
+        def commit():
+            for _ in range(300):
+                try:
+                    store.put(digest, "sweep", {"tag": "a"}, {"rows": ["a"]})
+                except OSError as exc:
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=commit) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert store.get(digest) == {"rows": ["a"]}
+        assert store_counters()["puts"] == 601
+        assert not list(store.object_path(digest).parent.glob("*.tmp*"))
 
 
 class TestEviction:
