@@ -14,9 +14,10 @@ The engine decomposes a simulation of ``samples`` trials into
   full block would.)
 * **chunks** — groups of whole stream blocks of at most
   ``max_trials_per_chunk`` trials that are held in memory together.
-  Chunking bounds peak memory at millions of trials and is the
-  dispatch unit for future sharded/multi-process execution; it never
-  changes numerical results.
+  Chunking bounds peak memory at millions of trials; it never changes
+  numerical results.  A chunk's spawn-mode blocks are evaluated on up
+  to :func:`usable_cpus` threads (:func:`parallel_map`) and folded in
+  block order, so the thread count never changes results either.
 
 Shared-stream kernels (see :class:`repro.sim.engine.TrialKernel`) draw
 all their randomness in one array call per chunk from a single caller
@@ -26,7 +27,9 @@ per-trial legacy loops, so those kernels are chunk-invariant too.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -166,3 +169,40 @@ def spawn_block_streams(
     """
     obs.counter("sim.rng_blocks", n_blocks)
     return root.spawn(n_blocks)
+
+
+def usable_cpus() -> int:
+    """Threads an engine call may run on in this process.
+
+    The CPU affinity mask of a main process, and 1 inside a
+    :mod:`multiprocessing` child — the ``exp`` sweep pool and ``dist``
+    shard workers already run one process per core.
+    """
+    import multiprocessing
+
+    if multiprocessing.parent_process() is not None:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API
+        return os.cpu_count() or 1
+
+
+def parallel_map(fn: Callable, *iterables: Iterable) -> list:
+    """``list(map(fn, *iterables))`` on up to :func:`usable_cpus` threads.
+
+    Results come back in input order.  One item (or one usable CPU) is
+    a plain loop; otherwise a scoped thread pool runs the items and is
+    joined before the call returns, so none of its threads outlives the
+    call or is alive at a later ``fork``.  ``fn`` must be re-entrant and
+    must not record telemetry: :mod:`repro.obs` registries are not
+    locked, so callers record on their own thread.
+    """
+    args = list(zip(*iterables))
+    width = min(len(args), usable_cpus())
+    if width <= 1:
+        return [fn(*a) for a in args]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=width) as pool:
+        return list(pool.map(fn, *zip(*args)))

@@ -22,15 +22,18 @@ Reproducibility contract
 ------------------------
 Spawn-mode kernels (cave yield) draw from one child generator per
 fixed-size stream block, so results depend only on the seed and the
-``stream_block`` — not on ``max_trials_per_chunk``.  Shared-mode
-kernels draw from the caller's generator in trial order, so they are
-chunk-invariant *and* bit-compatible with the legacy loops for the
-same seed.
+``stream_block`` — not on ``max_trials_per_chunk``, and not on how
+many threads evaluate a chunk's blocks (:func:`repro.sim.batch.
+parallel_map`; batches fold into the accumulators in block order).
+Shared-mode kernels draw from the caller's generator in trial order,
+so they are chunk-invariant *and* bit-compatible with the legacy loops
+for the same seed; they run serially.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -42,6 +45,7 @@ from repro.sim.batch import (
     DEFAULT_STREAM_BLOCK,
     block_sizes,
     block_width,
+    parallel_map,
     plan_chunks,
     resolve_rng,
     spawn_block_streams,
@@ -63,7 +67,10 @@ class TrialKernel:
       or ``"shared"`` (draw sequentially from the caller's generator;
       only for kernels whose draws concatenate across calls exactly
       like the per-trial legacy loop);
-    * :meth:`sample`.
+    * :meth:`sample`, which must be re-entrant: the engine calls a
+      spawn-mode kernel's :meth:`sample` from several threads at once
+      (one stream block each), so it keeps no per-call scratch state
+      on the instance.
     """
 
     metrics: tuple[str, ...] = ()
@@ -72,6 +79,28 @@ class TrialKernel:
     def sample(self, rng: np.random.Generator, trials: int) -> dict:
         """Return ``{metric: (trials,) float array}`` for one batch."""
         raise NotImplementedError
+
+
+def _sample_timed(
+    kernel: TrialKernel, rng: np.random.Generator, trials: int
+) -> tuple[dict, float]:
+    """One kernel batch and its wall seconds (timing never touches numerics)."""
+    t0 = perf_counter()
+    batch = kernel.sample(rng, trials)
+    return batch, perf_counter() - t0
+
+
+def _block_states(
+    kernel: TrialKernel, rng: np.random.Generator, trials: int
+) -> tuple[dict[str, tuple[int, float, float]], float]:
+    """Per-metric ``(count, mean, M2)`` of one block's batch, plus its seconds."""
+    batch, block_s = _sample_timed(kernel, rng, trials)
+    states = {}
+    for name in kernel.metrics:
+        moments = StreamingMoments()
+        moments.update(batch[name])
+        states[name] = moments.state()
+    return states, block_s
 
 
 @dataclass(frozen=True)
@@ -152,9 +181,10 @@ class MonteCarloEngine:
         raw: dict | None = (
             {name: [] for name in self.kernel.metrics} if collect else None
         )
-        # Hoist the telemetry check: the chunk loop pays per-*block*
-        # clock reads only while collection is on (bench_obs.py gates
-        # the disabled path), and timing never touches the numerics.
+        # Spawn-mode blocks own their streams, so a chunk's blocks run on
+        # up to usable_cpus() threads; batches still fold into the
+        # accumulators in block order, and telemetry is recorded here on
+        # the calling thread (the registry is not locked).
         timed = obs.enabled()
         with obs.span(
             "sim.engine.run", kernel=type(self.kernel).__name__, samples=samples
@@ -162,18 +192,18 @@ class MonteCarloEngine:
             n_blocks = 0
             for chunk in chunks:
                 if self.kernel.stream_mode == "shared":
-                    streams, widths = [root], [chunk.trials]
+                    widths = [chunk.trials]
+                    batches = [_sample_timed(self.kernel, root, chunk.trials)]
                 else:
                     widths = block_sizes(chunk, self.stream_block)
                     streams = spawn_block_streams(root, len(widths))
+                    batches = parallel_map(
+                        partial(_sample_timed, self.kernel), streams, widths
+                    )
                 n_blocks += len(widths)
-                for stream, width in zip(streams, widths):
+                for batch, block_s in batches:
                     if timed:
-                        t0 = perf_counter()
-                        batch = self.kernel.sample(stream, width)
-                        obs.observe("sim.block_s", perf_counter() - t0)
-                    else:
-                        batch = self.kernel.sample(stream, width)
+                        obs.observe("sim.block_s", block_s)
                     acc.update(batch)
                     if raw is not None:
                         for name in self.kernel.metrics:
@@ -237,34 +267,24 @@ def run_block_moments(
         )
     root = resolve_rng(rng)
     streams = spawn_block_streams(root, stop)[start:]
-    out: list[dict[str, tuple[int, float, float]]] = []
+    widths = [block_width(i, samples, stream_block) for i in range(start, stop)]
     timed = obs.enabled()
-    trials_done = 0
     with obs.span(
         "sim.run_block_moments",
         kernel=type(kernel).__name__,
         blocks=stop - start,
     ) as sp:
-        for index, stream in zip(range(start, stop), streams):
-            width = block_width(index, samples, stream_block)
-            if timed:
-                t0 = perf_counter()
-                batch = kernel.sample(stream, width)
-                obs.observe("sim.block_s", perf_counter() - t0)
-            else:
-                batch = kernel.sample(stream, width)
-            trials_done += width
-            states = {}
-            for name in kernel.metrics:
-                moments = StreamingMoments()
-                moments.update(batch[name])
-                states[name] = moments.state()
-            out.append(states)
+        # serial inside `shard launch` workers (usable_cpus() is 1 in a
+        # multiprocessing child); a shard run on its own host uses its
+        # CPUs like the single-host engine does
+        results = parallel_map(partial(_block_states, kernel), streams, widths)
     if timed:
-        obs.counter("sim.trials", trials_done)
+        for _, block_s in results:
+            obs.observe("sim.block_s", block_s)
+        obs.counter("sim.trials", sum(widths))
         obs.counter("sim.blocks", stop - start)
-        obs.gauge("sim.trials_per_s", trials_done / max(sp.wall_s, 1e-9))
-    return out
+        obs.gauge("sim.trials_per_s", sum(widths) / max(sp.wall_s, 1e-9))
+    return [states for states, _ in results]
 
 
 # -- cave-yield kernel (Sec. 6.1 Monte-Carlo cross-check) ----------------------
@@ -282,6 +302,10 @@ class CaveYieldKernel(TrialKernel):
     nominal| <= window_halfwidth`` — which coincides with the legacy
     ``classify``-based mask except on the measure-zero event of a VT
     landing exactly halfway between two levels.
+
+    One kernel is cached per decoder (``decoder.montecarlo_kernel``) and
+    shared by every caller, so draws go to fresh arrays per call, never
+    to a buffer kept on the instance.
     """
 
     metrics = ("cave", "electrical", "geometric")
@@ -322,17 +346,6 @@ class CaveYieldKernel(TrialKernel):
         self.tolerance = rules.alignment_tolerance_nm
         sizes = decoder.group_plan.group_sizes
         self.boundaries = np.cumsum(sizes[:-1]) * pitch
-        self._scratch: np.ndarray | None = None
-
-    def _draw_normals(
-        self, rng: np.random.Generator, shape: tuple[int, ...]
-    ) -> np.ndarray:
-        # Reuse one draw buffer across blocks of the same width so a long
-        # chunked run does not re-fault fresh pages every block.
-        if self._scratch is None or self._scratch.shape != shape:
-            self._scratch = np.empty(shape)
-        rng.standard_normal(out=self._scratch)
-        return self._scratch
 
     def electrical_masks(
         self, rng: np.random.Generator, trials: int, layout: str = "trial"
@@ -340,7 +353,7 @@ class CaveYieldKernel(TrialKernel):
         """``(trials, N)`` boolean electrical addressability masks."""
         n, m = self.nominal.shape
         if layout == "trial":
-            z = self._draw_normals(rng, (trials, n, m))
+            z = rng.standard_normal((trials, n, m))
             if self._zspace:
                 np.abs(z, out=z)
                 return (z <= self._zmax).all(axis=-1)
@@ -348,7 +361,7 @@ class CaveYieldKernel(TrialKernel):
             return (np.abs(vt - self.target) <= self.halfwidth).all(axis=-1)
         if layout != "region":
             raise ValueError(f"unknown layout {layout!r}; use 'trial' or 'region'")
-        z = self._draw_normals(rng, (m, trials, n))
+        z = rng.standard_normal((m, trials, n))
         if self._zspace:
             np.abs(z, out=z)
             mask = z[0] <= self._zmax_by_region[0]

@@ -54,6 +54,11 @@ from repro.sim.engine import TrialKernel
 #: Row-block element budget for the pairwise broadcast (~32 MB float64).
 _PAIR_BLOCK_ELEMENTS = 4_000_000
 
+#: Trial-slab element budget of the realised pair matrix (800 KB
+#: float64: 256 trials of a 20-wire half cave), sized so the running
+#: maximum and its difference buffer stay in a core's L2 cache.
+_TRIAL_SLAB_ELEMENTS = 102_400
+
 
 def applied_voltage_matrix(patterns: np.ndarray, scheme: LevelScheme) -> np.ndarray:
     """``(N, M)`` applied-voltage grid: every wire's own address at once.
@@ -166,8 +171,10 @@ class MarginYieldKernel(TrialKernel):
       wires that have at least one conflicting partner.
 
     The pairwise block reduction runs region-major: a running maximum
-    over the M regions of one ``(trials, N, N)`` broadcast, so there is
-    no per-wire Python loop on the hot path.
+    over the M regions of a ``(trials, N, N)`` broadcast, so there is
+    no per-wire Python loop on the hot path.  The trial axis is tiled
+    into cache-sized slabs whose buffers live only for one call, so
+    :meth:`sample` is re-entrant.
     """
 
     metrics = ("margin_yield", "select_margin", "block_margin")
@@ -185,6 +192,9 @@ class MarginYieldKernel(TrialKernel):
         self.va = applied_voltage_matrix(self.patterns, scheme)
         self.conflicts = conflict_matrix(self.patterns)
         self.has_conflict = self.conflicts.any(axis=1)
+        # start of the running pair maximum: -inf where u must block
+        # address i, +inf elsewhere (a non-conflicting pair never limits)
+        self._pair_init = np.where(self.conflicts, -np.inf, np.inf)
         if not self.has_conflict.any():
             raise ValueError(
                 "margin yield is undefined: no wire has a conflicting "
@@ -202,15 +212,21 @@ class MarginYieldKernel(TrialKernel):
         vt = np.asarray(vt)
         select = (self.va - vt).min(axis=-1)
         n_wires, m = self.patterns.shape
-        pair = np.full(vt.shape[:-2] + (n_wires, n_wires), -np.inf)
-        for j in range(m):
-            np.maximum(
-                pair,
-                vt[..., None, :, j] - self.va[:, j][:, None],
-                out=pair,
-            )
-        block = np.where(self.conflicts, pair, np.inf).min(axis=-1)
-        return select, block
+        flat = vt.reshape(-1, n_wires, m)
+        trials = flat.shape[0]
+        block = np.empty((trials, n_wires))
+        slab = max(1, _TRIAL_SLAB_ELEMENTS // (n_wires * n_wires))
+        pair = np.empty((min(slab, trials), n_wires, n_wires))
+        diff = np.empty_like(pair)
+        for start in range(0, trials, slab):
+            stop = min(start + slab, trials)
+            p, d = pair[: stop - start], diff[: stop - start]
+            for j in range(m):
+                # d[t, i, u] = vt[t, u, j] - va[i, j]
+                np.subtract(flat[start:stop, None, :, j], self.va[:, j, None], out=d)
+                np.maximum(self._pair_init if j == 0 else p, d, out=p)
+            p.min(axis=-1, out=block[start:stop])
+        return select, block.reshape(vt.shape[:-1])
 
     def sample(self, rng: np.random.Generator, trials: int) -> dict:
         z = rng.standard_normal((trials,) + self.nominal.shape)

@@ -49,6 +49,7 @@ from repro.crossbar.memory import CapacityError, CrossbarMemory
 from repro.crossbar.spec import CrossbarSpec
 from repro.sim.batch import (
     DEFAULT_MAX_TRIALS_PER_CHUNK,
+    parallel_map,
     resolve_rng,
     spawn_block_streams,
     validate_chunk,
@@ -59,6 +60,31 @@ from repro.workload.traces import Trace
 #: Seed-sequence tag decorrelating write-error streams from the defect
 #: streams when a caller reuses one integer seed for both.
 _ERROR_STREAM_TAG = 0xE44C
+
+
+#: Rows per write-error draw slab: bounds one instance's float draw
+#: buffer (8 KB per stored bit of a row, 512 KB for a 64-bit SECDED
+#: block) however many writes a chunk holds.
+_FLIP_SLAB_ROWS = 1024
+
+
+def _draw_flips(
+    rng: np.random.Generator, shape: tuple[int, ...], p: float
+) -> np.ndarray:
+    """``rng.random(shape) < p``, drawn in fixed-row slabs into one buffer.
+
+    Filling consecutive row slabs consumes the stream exactly like the
+    one-shot call, so the flips are identical; only the float buffer
+    is bounded.
+    """
+    flips = np.empty(shape, dtype=bool)
+    rows = shape[0]
+    buf = np.empty((min(rows, _FLIP_SLAB_ROWS),) + shape[1:])
+    for start in range(0, rows, _FLIP_SLAB_ROWS):
+        draw = buf[: min(_FLIP_SLAB_ROWS, rows - start)]
+        rng.random(out=draw)
+        np.less(draw, p, out=flips[start : start + draw.shape[0]])
+    return flips
 
 
 def _error_streams(seed: int, instances: int) -> list[np.random.Generator]:
@@ -212,6 +238,16 @@ class MemoryFleet:
         self._raw_bits = rows * cols
         self._capacity_bits = np.array([r.size for r in self._remaps], dtype=np.int64)
         if ecc is not None:
+            # (blocks, block_bits) physical crosspoints of every whole
+            # code block: one gather per access instead of building
+            # address * bb + offset index temporaries
+            bb = ecc.block_bits
+            small = self._raw_bits <= np.iinfo(np.int32).max
+            index_t = np.int32 if small else np.int64
+            self._block_remaps = [
+                r[: r.size // bb * bb].reshape(-1, bb).astype(index_t)
+                for r in self._remaps
+            ]
             self._enc = np.stack(
                 [
                     ecc.encode(np.zeros(ecc.data_bits, dtype=bool)),
@@ -482,12 +518,13 @@ class MemoryFleet:
         read_bits = (
             np.zeros((inst, trace.reads), dtype=bool) if collect_reads else None
         )
-        arange_bb = np.arange(bb)
         read_off = 0
         # Phase accounting (forwarding setup / read gather / write
-        # scatter) pays clock reads only while telemetry is on; the
-        # accumulators live outside the loop so the chunk loop itself
-        # stays allocation-free.
+        # scatter) pays clock reads only while telemetry is on.  Every
+        # instance owns its state row and its slots of the per-instance
+        # arrays, so a chunk's instances run on parallel_map threads;
+        # they return their phase seconds and the counters are recorded
+        # here on the calling thread (the registry is not locked).
         timed = obs.enabled()
         forward_s = read_s = write_s = 0.0
 
@@ -535,7 +572,7 @@ class MemoryFleet:
             if timed:
                 forward_s += perf_counter() - t_chunk
 
-            for i in range(inst):
+            def run_instance(i: int) -> tuple[float, float]:
                 cap = int(caps[i])
                 invalid = a >= cap
                 bad = int(invalid.sum())
@@ -545,7 +582,6 @@ class MemoryFleet:
                     if first < first_fail[i]:
                         first_fail[i] = first
 
-                remap = self._remaps[i]
                 st = state[i]
                 # write-side values, error-corrupted per instance; draws
                 # cover every write (valid or not) so the stream position
@@ -554,14 +590,14 @@ class MemoryFleet:
                 blocks_s = shared_blocks_s
                 if p > 0 and n_w:
                     if code is None:
-                        vals_s = (vw ^ (err_streams[i].random(n_w) < p))[order]
+                        flips = _draw_flips(err_streams[i], (n_w,), p)
+                        vals_s = (vw ^ flips)[order]
                     else:
-                        blocks_s = (
-                            clean_blocks_w
-                            ^ (err_streams[i].random((n_w, bb)) < p)
-                        )[order]
+                        flips = _draw_flips(err_streams[i], (n_w, bb), p)
+                        blocks_s = (clean_blocks_w ^ flips)[order]
 
                 # reads: pre-chunk snapshot gather + forwarding overrides
+                inst_read_s = inst_write_s = 0.0
                 if n_r:
                     t_read = perf_counter() if timed else 0.0
                     val = np.zeros(n_r, dtype=bool)
@@ -569,15 +605,14 @@ class MemoryFleet:
                     if rv.any():
                         arv = ar[rv]
                         if code is None:
-                            snap = st[remap[arv]]
+                            snap = st[self._remaps[i][arv]]
                             if n_w:
                                 h = hit[rv]
                                 val_v = np.where(h, vals_s[idx[rv]], snap)
                             else:
                                 val_v = snap
                         else:
-                            phys = remap[arv[:, None] * bb + arange_bb]
-                            blocks_r = st[phys]
+                            blocks_r = st[self._block_remaps[i][arv]]
                             if n_w:
                                 h = np.flatnonzero(hit[rv])
                                 blocks_r[h] = blocks_s[idx[rv][h]]
@@ -590,7 +625,7 @@ class MemoryFleet:
                     if read_bits is not None:
                         read_bits[i, read_off : read_off + n_r] = val
                     if timed:
-                        read_s += perf_counter() - t_read
+                        inst_read_s = perf_counter() - t_read
 
                 # writes: last write per address wins (sequential
                 # semantics), deterministic scatter on unique addresses
@@ -599,12 +634,16 @@ class MemoryFleet:
                     wsel = last & (aw_s < cap)
                     if wsel.any():
                         if code is None:
-                            st[remap[aw_s[wsel]]] = vals_s[wsel]
+                            st[self._remaps[i][aw_s[wsel]]] = vals_s[wsel]
                         else:
-                            phys = remap[aw_s[wsel][:, None] * bb + arange_bb]
-                            st[phys] = blocks_s[wsel]
+                            st[self._block_remaps[i][aw_s[wsel]]] = blocks_s[wsel]
                     if timed:
-                        write_s += perf_counter() - t_write
+                        inst_write_s = perf_counter() - t_write
+                return inst_read_s, inst_write_s
+
+            for inst_read_s, inst_write_s in parallel_map(run_instance, range(inst)):
+                read_s += inst_read_s
+                write_s += inst_write_s
             read_off += n_r
             if timed:
                 obs.observe("workload.chunk_s", perf_counter() - t_chunk)
