@@ -9,10 +9,11 @@ sensitive and which are structural.
 """
 
 from repro.analysis.report import render_table
-from repro.analysis.sweeps import spec_with, sweep
+from repro.analysis.sweeps import spec_with
 from repro.codes import make_code
 from repro.crossbar.yield_model import crossbar_yield
 from repro.decoder.margins import margin_yield
+from repro.exp.pipeline import function_sweep
 
 BGC10 = make_code("BGC", 2, 10)
 TC6 = make_code("TC", 2, 6)
@@ -23,6 +24,11 @@ def _evaluate(spec):
         "bgc10_yield": crossbar_yield(spec, BGC10).cave_yield,
         "tc6_yield": crossbar_yield(spec, TC6).cave_yield,
     }
+
+
+def sweep(name, values, evaluate):
+    """Records of a one-axis sweep: ``{name: v, **evaluate(v)}`` per value."""
+    return function_sweep({name: values}, lambda **kw: evaluate(kw[name])).to_records()
 
 
 def _rows(records, key):

@@ -12,8 +12,9 @@ Three jobs in one bench:
    crosspoint technologies;
 3. gate the PR-5 readout engine: the batched all-scheme worst-case
    margin sweep of a 64 x 64 bank must run >= 10x faster than the
-   ``method="loop"`` scalar reference (per-cell Python stamping, one
-   dense solve per read) while producing *byte-identical* margins, and
+   scalar reference (the ``LoopReadoutModel`` oracle of
+   ``tests/oracles/readout.py``: per-cell Python stamping, one dense
+   solve per read) while producing *byte-identical* margins, and
    the block-RHS cell batches must match per-cell solves within solver
    tolerance (1e-9 relative on the dense path, 1e-6 on the sparse
    distributed path).
@@ -38,6 +39,7 @@ import numpy as np
 from repro.analysis.report import render_table
 from repro.crossbar.readout import SCHEMES, ReadoutModel
 from repro.sim.readout import scheme_margin_sweep
+from tests.oracles.readout import LoopDistributedReadout, LoopReadoutModel
 
 REPEATS = max(1, int(os.environ.get("READOUT_BENCH_REPEATS", 3)))
 BATCHED_REPS = max(1, int(os.environ.get("READOUT_BENCH_BATCHED_REPS", 5)))
@@ -129,7 +131,7 @@ def test_distributed_line_resistance(benchmark, emit):
 def _loop_sweep(size):
     """All-scheme worst-case margins with the scalar reference path."""
     return {
-        scheme: ReadoutModel(scheme=scheme, method="loop").sense_margin(size, size)
+        scheme: LoopReadoutModel(scheme=scheme).sense_margin(size, size)
         for scheme in SCHEMES
     }
 
@@ -166,7 +168,7 @@ def test_readout_engine_speedup(emit, emit_json):
     check_sizes = (8, 20, GATE_SIZE)
     batched = scheme_margin_sweep(check_sizes)
     for scheme in SCHEMES:
-        loop_model = ReadoutModel(scheme=scheme, method="loop")
+        loop_model = LoopReadoutModel(scheme=scheme)
         for k, size in enumerate(check_sizes):
             assert batched[scheme][k] == loop_model.sense_margin(size, size), (
                 scheme,
@@ -196,11 +198,10 @@ def test_readout_engine_speedup(emit, emit_json):
             row_segment_ohm=200.0,
             col_segment_ohm=200.0,
         )
-        loop_dist = DistributedReadout(
+        loop_dist = LoopDistributedReadout(
             base=ReadoutModel(scheme=scheme),
             row_segment_ohm=200.0,
             col_segment_ohm=200.0,
-            method="loop",
         )
         assert np.allclose(
             batched_dist.read_currents(dist_states, dist_cells),

@@ -8,9 +8,9 @@ plus the speedup into ``BENCH_sim_engine.json``.
 The baseline is a verbatim frozen copy of the seed implementation
 (per-trial ``classify``-based masks, per-call nominal-VT lookups) so
 the speedup is measured against a fixed reference and does not shrink
-as the library's own scalar path improves.  The current in-library
-loop (``simulate_cave_yield(method="loop")``, which hoists the kernel
-precomputation) is reported alongside for context.
+as the library's own scalar path improves.  The golden-fixture loop
+oracle (``tests/oracles/montecarlo.simulate_cave_yield_loop``, which
+hoists the kernel precomputation) is reported alongside for context.
 
 The asserted speedup compares both implementations at the *same* full
 trial budget (the acceptance protocol: 100k trials each), with the
@@ -37,11 +37,11 @@ import pytest
 
 from repro.analysis.report import render_table
 from repro.codes import make_code
-from repro.crossbar.montecarlo import simulate_cave_yield
 from repro.crossbar.yield_model import crossbar_yield, decoder_for
 from repro.decoder.addressing import sampled_addressable_mask
 from repro.device.variability import sample_region_vt
 from repro.sim import simulate_cave_yield_batched
+from tests.oracles.montecarlo import simulate_cave_yield_loop
 
 TRIALS = int(os.environ.get("SIM_BENCH_TRIALS", 100_000))
 LOOP_TRIALS = int(os.environ.get("SIM_BENCH_LOOP_TRIALS", 4_000))
@@ -148,8 +148,8 @@ def _measure_point(spec, family, length, loop_trials, interleaved=False):
             TRIALS,
         )
     wrapper_rate = _best_rate(
-        lambda: simulate_cave_yield(
-            spec, code, samples=min(loop_trials, 4_000), seed=0, method="loop"
+        lambda: simulate_cave_yield_loop(
+            spec, code, samples=min(loop_trials, 4_000), seed=0
         ),
         min(loop_trials, 4_000),
     )

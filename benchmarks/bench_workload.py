@@ -4,8 +4,9 @@ Replays the acceptance workload — a 1M-access zipfian trace over a
 32-instance fleet of sampled defective crossbars — through the
 vectorised workload engine (:mod:`repro.workload.memory_batch`) and
 compares per-access throughput against the scalar
-``CrossbarMemory``-per-call reference (``method="loop"``), which is the
-pre-subsystem way of touching the memory.
+``CrossbarMemory``-per-call reference (the loop oracle
+``tests/oracles/workload.run_fleet_loop``), which is the pre-subsystem
+way of touching the memory.
 
 Protocol
 --------
@@ -37,6 +38,7 @@ from repro.analysis.report import render_table
 from repro.codes import make_code
 from repro.workload import MemoryFleet, analytic_address_space, zipfian_trace
 from repro.workload.memory_batch import FleetResult
+from tests.oracles.workload import run_fleet_loop
 
 ACCESSES = int(os.environ.get("WORKLOAD_BENCH_ACCESSES", 1_000_000))
 INSTANCES = int(os.environ.get("WORKLOAD_BENCH_INSTANCES", 32))
@@ -77,10 +79,10 @@ def _interleaved_rates(fleet, loop_fleet, trace, loop_trace):
     loop_time = batched_time = 0.0
     for _ in range(REPEATS):
         start = time.perf_counter()
-        loop_fleet.run(loop_trace, method="loop")
+        run_fleet_loop(loop_fleet, loop_trace)
         loop_time += time.perf_counter() - start
         start = time.perf_counter()
-        fleet.run(trace, method="batched")
+        fleet.run(trace)
         batched_time += time.perf_counter() - start
     return (
         REPEATS * loop_work / loop_time,
@@ -100,13 +102,12 @@ def test_workload_speedup(benchmark, emit, emit_json, spec):
     equiv_trace = _slice_trace(trace, min(20_000, ACCESSES))
     batched_small = loop_fleet.run(
         equiv_trace,
-        method="batched",
         chunk_size=4096,
         collect_reads=True,
         collect_state=True,
     )
-    loop_small = loop_fleet.run(
-        equiv_trace, method="loop", collect_reads=True, collect_state=True
+    loop_small = run_fleet_loop(
+        loop_fleet, equiv_trace, collect_reads=True, collect_state=True
     )
     loop_equivalent = _equal_runs(batched_small, loop_small)
     assert loop_equivalent, "batched result differs from the scalar loop"
@@ -120,7 +121,7 @@ def test_workload_speedup(benchmark, emit, emit_json, spec):
 
     # -- warm-up then interleaved timing --------------------------------------
     fleet.run(_slice_trace(trace, min(50_000, ACCESSES)))
-    loop_fleet.run(_slice_trace(trace, min(2_000, ACCESSES)), method="loop")
+    run_fleet_loop(loop_fleet, _slice_trace(trace, min(2_000, ACCESSES)))
 
     def run_rates():
         return _interleaved_rates(fleet, loop_fleet, trace, loop_trace)

@@ -5,9 +5,9 @@ defective crossbars with *electrical* reads: every read resolves
 through the batched sneak-path sensing solver
 (:mod:`repro.workload.electrical`) instead of an ideal stored-bit
 lookup, and is compared against the scalar reference that touches one
-``CrossbarArray`` access at a time (``method="loop"``, five fresh bank
-stampings and dense solves per read — the pre-subsystem way of sensing
-a bit).
+``CrossbarArray`` access at a time (the loop oracle
+``tests/oracles/workload.run_fleet_loop``, five fresh bank stampings
+and dense solves per read — the pre-subsystem way of sensing a bit).
 
 The batched engine's advantage is the state-keyed factorization bank
 cache: margins are memoized per (bank state, cell), so only the first
@@ -50,6 +50,7 @@ from repro.crossbar.spec import CrossbarSpec
 from repro.workload import ElectricalReadout, MemoryFleet, analytic_address_space
 from repro.workload.memory_batch import FleetResult
 from repro.workload.traces import zipfian_trace
+from tests.oracles.workload import run_fleet_loop
 
 ACCESSES = int(os.environ.get("READOUT_WL_BENCH_ACCESSES", 40_000))
 INSTANCES = int(os.environ.get("READOUT_WL_BENCH_INSTANCES", 8))
@@ -102,10 +103,10 @@ def _interleaved_rates(fleet, loop_fleet, trace, loop_trace, readout):
     loop_time = batched_time = 0.0
     for _ in range(REPEATS):
         start = time.perf_counter()
-        loop_fleet.run(loop_trace, method="loop", readout=readout)
+        run_fleet_loop(loop_fleet, loop_trace, readout=readout)
         loop_time += time.perf_counter() - start
         start = time.perf_counter()
-        fleet.run(trace, method="batched", readout=readout)
+        fleet.run(trace, readout=readout)
         batched_time += time.perf_counter() - start
     return (
         REPEATS * loop_work / loop_time,
@@ -135,11 +136,9 @@ def test_workload_readout_speedup(benchmark, emit, emit_json):
     equiv_trace = _slice_trace(trace, min(2_000, ACCESSES))
     collect = dict(collect_reads=True, collect_state=True, collect_margins=True)
     batched_small = loop_fleet.run(
-        equiv_trace, method="batched", chunk_size=512, readout=readout, **collect
+        equiv_trace, chunk_size=512, readout=readout, **collect
     )
-    loop_small = loop_fleet.run(
-        equiv_trace, method="loop", readout=readout, **collect
-    )
+    loop_small = run_fleet_loop(loop_fleet, equiv_trace, readout=readout, **collect)
     loop_equivalent = _equal_runs(batched_small, loop_small)
     assert loop_equivalent, "batched electrical result differs from the loop"
 
@@ -152,8 +151,8 @@ def test_workload_readout_speedup(benchmark, emit, emit_json):
 
     # -- warm-up then interleaved timing --------------------------------------
     fleet.run(_slice_trace(trace, min(5_000, ACCESSES)), readout=readout)
-    loop_fleet.run(
-        _slice_trace(trace, min(500, ACCESSES)), method="loop", readout=readout
+    run_fleet_loop(
+        loop_fleet, _slice_trace(trace, min(500, ACCESSES)), readout=readout
     )
 
     def run_rates():

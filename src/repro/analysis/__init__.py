@@ -2,8 +2,8 @@
 
 One generator per paper figure (:mod:`repro.analysis.figures`), one
 measurable function per textual claim (:mod:`repro.analysis.stats`), a
-generic sweep engine (:mod:`repro.analysis.sweeps`) and plain-text
-reporting (:mod:`repro.analysis.report`).
+platform-spec perturbation helper (:mod:`repro.analysis.sweeps`) and
+plain-text reporting (:mod:`repro.analysis.report`).
 """
 
 from repro.analysis.figures import (
@@ -58,7 +58,7 @@ from repro.analysis.stats import (
     tc_area_saving,
     tc_yield_gain,
 )
-from repro.analysis.sweeps import Record, grid_sweep, spec_with, sweep
+from repro.analysis.sweeps import Record, spec_with
 
 __all__ = [
     "CalibrationPoint",
@@ -96,13 +96,11 @@ __all__ = [
     "format_delta_percent",
     "format_percent",
     "gray_complexity_reduction",
-    "grid_sweep",
     "headline_summary",
     "min_bit_area",
     "paper_vs_measured",
     "render_table",
     "spec_with",
-    "sweep",
     "tc_area_saving",
     "tc_yield_gain",
 ]

@@ -1,79 +1,22 @@
-"""Legacy sweep helpers — thin compat shims over the exp pipeline.
+"""Platform-spec perturbation for the sweeps and ablation benches.
 
 The paper's evaluation is a set of one-dimensional sweeps (code length,
 code family, logic valence); our ablation benches additionally sweep the
 calibrated model parameters (window margin, boundary gap, sigma_T, N).
-All of that now runs on the design-space evaluation pipeline
-(:mod:`repro.exp`): :func:`sweep` and :func:`grid_sweep` keep their
-historical ``list[dict]`` signatures — including iterator-valued axes
-and per-value (ragged) result fields — by delegating to
-:func:`repro.exp.pipeline.iter_function_records`.  New code with
-uniform fields should prefer :func:`repro.exp.pipeline.function_sweep`,
-whose columnar :class:`~repro.exp.results.SweepResult` the rest of the
-pipeline consumes.
+The sweeps themselves run on the design-space evaluation pipeline
+(:mod:`repro.exp`): design-point grids through :func:`repro.api.evaluate`,
+generic function sweeps through :func:`repro.exp.pipeline.function_sweep`.
+This module keeps :func:`spec_with`, which derives the perturbed
+platform specs.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
-from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.crossbar.spec import CrossbarSpec
 
 Record = dict[str, object]
-
-
-def _warn_deprecated(name: str) -> None:
-    """Emit the one deprecation message both legacy shims share."""
-    warnings.warn(
-        f"repro.analysis.sweeps.{name} is deprecated; design-point grids "
-        "should go through the repro.api facade (SweepRequest + "
-        "api.evaluate), generic function sweeps through "
-        "repro.exp.pipeline.function_sweep",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def sweep(
-    name: str,
-    values: Iterable[object],
-    evaluate: Callable[[object], Mapping[str, object]],
-) -> list[Record]:
-    """One-dimensional sweep: evaluate each value, tag it with ``name``.
-
-    .. deprecated:: PR9
-        Use :func:`repro.api.evaluate` (design-point grids) or
-        :func:`repro.exp.pipeline.function_sweep` (generic sweeps).
-
-    Compat shim over :func:`repro.exp.pipeline.iter_function_records`
-    (one axis); keeps the historical semantics exactly, including
-    iterator-valued ``values`` and per-value result fields.
-    """
-    from repro.exp.pipeline import iter_function_records
-
-    _warn_deprecated("sweep")
-    return list(iter_function_records({name: values}, lambda **kw: evaluate(kw[name])))
-
-
-def grid_sweep(
-    axes: Mapping[str, Sequence[object]],
-    evaluate: Callable[..., Mapping[str, object]],
-) -> list[Record]:
-    """Full-factorial sweep over named axes.
-
-    .. deprecated:: PR9
-        Use :func:`repro.api.evaluate` (design-point grids) or
-        :func:`repro.exp.pipeline.function_sweep` (generic sweeps).
-
-    ``evaluate`` receives the axis values as keyword arguments.  Compat
-    shim over :func:`repro.exp.pipeline.iter_function_records`.
-    """
-    from repro.exp.pipeline import iter_function_records
-
-    _warn_deprecated("grid_sweep")
-    return list(iter_function_records(axes, evaluate))
 
 
 def spec_with(

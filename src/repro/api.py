@@ -30,10 +30,10 @@ shortest-round-trip floats).  :func:`request_digest` is the sha256 of
 that canonical text — the content address the result store
 (:mod:`repro.store`) and the daemon key on.  Only *result-determining*
 fields enter the canonical payload: execution knobs (``jobs``,
-``method``, ``chunk_size``) never change result bytes (asserted across
-the test suite) and are therefore passed to the facade functions
-separately, so a sweep computed with 8 workers is a cache hit for a
-client asking with 1.
+``chunk_size``) never change result bytes (asserted across the test
+suite) and are therefore passed to the facade functions separately,
+so a sweep computed with 8 workers is a cache hit for a client asking
+with 1.
 """
 
 from __future__ import annotations
@@ -56,7 +56,11 @@ from repro.exp.designpoint import DesignPoint
 from repro.exp.pipeline import SweepParams, resolve_metrics, run_sweep
 from repro.exp.results import Record, SweepResult
 from repro.fabrication.lithography import LithographyRules
-from repro.sim.batch import DEFAULT_MAX_TRIALS_PER_CHUNK, DEFAULT_STREAM_BLOCK
+from repro.sim.batch import (
+    DEFAULT_MAX_TRIALS_PER_CHUNK,
+    DEFAULT_STREAM_BLOCK,
+    validate_chunk,
+)
 
 #: Version stamp embedded in every canonical request payload.  Bump on
 #: any change that alters the canonical form of an existing request —
@@ -501,33 +505,24 @@ def parse_request(
     return codec.request.from_dict(payload)
 
 
-def _uses_store(store, request, method: str) -> bool:
-    # store entries hold the batched estimate; the legacy cavemc loop
-    # draws a different stream layout, so that one call bypasses the store
-    return store is not None and not (request.kind == "cavemc" and method == "loop")
-
-
-def lookup(store, request, *, method: str = "batched"):
+def lookup(store, request):
     """The stored result of ``request``, or None on a miss.
 
     ``store`` is a :class:`repro.store.ResultStore` or None (always a
-    miss).  The entry is read and verified once.  ``method`` is the
-    execution method the caller would compute with: a ``cavemc`` request
-    run with ``method="loop"`` never reads the store.
+    miss).  The entry is read and verified once.
     """
-    if not _uses_store(store, request, method):
+    if store is None:
         return None
     payload = store.get(request_digest(request))
     return None if payload is None else KINDS[request.kind].decode(payload)
 
 
-def commit(store, request, result, *, method: str = "batched") -> None:
+def commit(store, request, result) -> None:
     """Write ``result`` to ``store`` under the request's digest.
 
-    The counterpart of :func:`lookup`, with the same ``store=None`` and
-    ``cavemc`` loop rules.
+    The counterpart of :func:`lookup`; a None ``store`` is a no-op.
     """
-    if _uses_store(store, request, method):
+    if store is not None:
         store.put(
             request_digest(request),
             request.kind,
@@ -536,11 +531,11 @@ def commit(store, request, result, *, method: str = "batched") -> None:
         )
 
 
-def _through_store(store, request, method: str, compute: Callable[[], object]):
-    result = lookup(store, request, method=method)
+def _through_store(store, request, compute: Callable[[], object]):
+    result = lookup(store, request)
     if result is None:
         result = compute()
-        commit(store, request, result, method=method)
+        commit(store, request, result)
     return result
 
 
@@ -581,7 +576,6 @@ def evaluate(
     return _through_store(
         store,
         request,
-        "batched",
         lambda: SweepResult.from_records(evaluate_records(request, jobs=jobs)),
     )
 
@@ -589,24 +583,20 @@ def evaluate(
 def simulate(
     request: McRequest,
     *,
-    method: str = "batched",
     chunk_size: int = DEFAULT_MAX_TRIALS_PER_CHUNK,
     store=None,
 ) -> MonteCarloYield | MonteCarloMarginYield:
     """Run a Monte-Carlo request on the batched sim engine.
 
-    ``method`` and ``chunk_size`` are execution knobs: for ``marginmc``
-    both methods produce identical sampled yields, and no result
-    depends on the chunk size, so store entries are shared across all
-    of them.  (For ``cavemc`` the legacy loop uses a different stream
-    layout — store entries always hold the ``batched`` estimate, so
-    ``method="loop"`` bypasses the store.)
+    ``chunk_size`` is an execution knob: no result depends on it, so
+    store entries are shared across chunk sizes.  It is validated
+    before the store is read, so a bad value fails hit or miss.
     """
+    validate_chunk(chunk_size)
     return _through_store(
         store,
         request,
-        method,
-        lambda: _simulate_direct(request, method=method, chunk_size=chunk_size),
+        lambda: _simulate_direct(request, chunk_size=chunk_size),
     )
 
 
@@ -625,7 +615,7 @@ def mc_kernel(request: McRequest):
 
 
 def _simulate_direct(
-    request: McRequest, *, method: str, chunk_size: int
+    request: McRequest, *, chunk_size: int
 ) -> MonteCarloYield | MonteCarloMarginYield:
     from repro.codes.registry import make_code
 
@@ -638,7 +628,6 @@ def _simulate_direct(
             samples=request.samples,
             seed=request.seed,
             k_sigma=request.k_sigma,
-            method=method,
             max_trials_per_chunk=chunk_size,
             stream_block=request.stream_block,
         )
@@ -647,7 +636,6 @@ def _simulate_direct(
         code,
         samples=request.samples,
         seed=request.seed,
-        method=method,
         max_trials_per_chunk=chunk_size,
         stream_block=request.stream_block,
     )
@@ -656,29 +644,26 @@ def _simulate_direct(
 def memsim(
     request: WorkloadRequest,
     *,
-    method: str = "batched",
     chunk_size: int = DEFAULT_MAX_TRIALS_PER_CHUNK,
     store=None,
 ) -> WorkloadResult:
     """Run a workload request over a sampled fleet.
 
-    Metric summaries are byte-identical across ``method`` and
-    ``chunk_size`` (the workload engine's equivalence contract), so
-    store entries are shared across execution knobs; only the
-    ``cache`` statistics section reflects the run that populated the
-    store.
+    Metric summaries are byte-identical across ``chunk_size`` (the
+    workload engine's equivalence contract), so store entries are
+    shared across chunk sizes, which are validated before the store is
+    read; only the ``cache`` statistics section reflects the run that
+    populated the store.
     """
+    validate_chunk(chunk_size)
     return _through_store(
         store,
         request,
-        method,
-        lambda: _memsim_direct(request, method=method, chunk_size=chunk_size),
+        lambda: _memsim_direct(request, chunk_size=chunk_size),
     )
 
 
-def _memsim_direct(
-    request: WorkloadRequest, *, method: str, chunk_size: int
-) -> WorkloadResult:
+def _memsim_direct(request: WorkloadRequest, *, chunk_size: int) -> WorkloadResult:
     from repro.codes.registry import make_code
     from repro.crossbar.ecc import SecdedCode
     from repro.workload import (
@@ -725,7 +710,6 @@ def _memsim_direct(
         }
     result = fleet.run(
         trace,
-        method=method,
         chunk_size=chunk_size,
         seed=request.seed,
         write_error_rate=request.error_rate,

@@ -63,16 +63,10 @@ FAMILY_CHOICES = ["TC", "GC", "BGC", "HC", "AHC"]
 # same helper, so names, defaults, choices and help text agree across
 # the whole CLI (pinned by a golden test in tests/test_cli.py).
 
-#: The one help string of every ``--method`` option.
-METHOD_HELP = (
-    "vectorised batched engine (default) or the scalar reference "
-    "loop (byte-identical results)"
-)
-
 #: The one help string of every ``--seed`` option.
 SEED_HELP = (
     "root seed; results are deterministic per seed and independent "
-    "of --jobs, --method and --chunk-size"
+    "of --jobs and --chunk-size"
 )
 
 #: The one help string of every ``--chunk-size`` option.
@@ -92,12 +86,6 @@ VIA_HELP = (
 )
 
 FORMAT_CHOICES = ["table", "csv", "json"]
-
-
-def _add_method_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--method", default="batched", choices=["batched", "loop"], help=METHOD_HELP
-    )
 
 
 def _add_seed_arg(p: argparse.ArgumentParser) -> None:
@@ -393,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_seed_arg(p)
     _add_chunk_arg(p)
-    _add_method_arg(p)
     _add_format_arg(p)
     _add_via_arg(p)
 
@@ -474,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_seed_arg(p)
     _add_chunk_arg(p)
-    _add_method_arg(p)
     p.add_argument(
         "--readout",
         nargs="?",
@@ -568,7 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_seed_arg(p)
     _add_chunk_arg(p)
-    _add_method_arg(p)
     _add_format_arg(p)
     _add_via_arg(p)
 
@@ -604,7 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.0e7,
         help="crosspoint OFF resistance [ohm] (default 1e7)",
     )
-    _add_method_arg(p)
 
     sub.add_parser("calibrate", help="score the calibration grid")
 
@@ -1258,7 +1242,6 @@ def _cmd_simulate(spec: CrossbarSpec, args: argparse.Namespace) -> str:
             args,
             "simulate",
             request,
-            method=args.method,
             chunk_size=args.chunk_size,
         )
     elapsed = max(sp.wall_s, 1e-9)
@@ -1267,7 +1250,6 @@ def _cmd_simulate(spec: CrossbarSpec, args: argparse.Namespace) -> str:
         payload = {
             "family": args.family,
             "total_length": args.length,
-            "method": args.method,
             "samples": mc.samples,
             "mean_cave_yield": mc.mean_cave_yield,
             "std_cave_yield": mc.std_cave_yield,
@@ -1281,7 +1263,6 @@ def _cmd_simulate(spec: CrossbarSpec, args: argparse.Namespace) -> str:
         return _json.dumps(payload, indent=2)
 
     rows = [
-        ["method", args.method],
         ["samples", mc.samples],
         ["trials/s", f"{mc.samples / elapsed:,.0f}"],
         ["mean cave yield", f"{100 * mc.mean_cave_yield:.2f}%"],
@@ -1319,7 +1300,6 @@ def _cmd_memsim(spec: CrossbarSpec, args: argparse.Namespace) -> str:
             args,
             "memsim",
             request,
-            method=args.method,
             chunk_size=args.chunk_size,
         )
     elapsed = max(sp.wall_s, 1e-9)
@@ -1334,7 +1314,6 @@ def _cmd_memsim(spec: CrossbarSpec, args: argparse.Namespace) -> str:
             "instances": result.instances,
             "address_space": result.address_space,
             "ecc": result.ecc,
-            "method": args.method,
             "accesses_per_second": result.accesses * result.instances / elapsed,
             "metrics": result.metrics,
             "exhausted_fraction": result.exhausted_fraction,
@@ -1359,7 +1338,6 @@ def _cmd_memsim(spec: CrossbarSpec, args: argparse.Namespace) -> str:
         ["instances", result.instances],
         ["address space", result.address_space],
         ["ecc", f"SECDED r={result.parity_bits}" if result.ecc else "off"],
-        ["method", args.method],
         ["fleet accesses/s", f"{result.accesses * result.instances / elapsed:,.0f}"],
     ]
     if result.electrical:
@@ -1437,7 +1415,6 @@ def _cmd_margins(spec: CrossbarSpec, args: argparse.Namespace) -> str:
             spec.nanowires_per_half_cave,
             sigma_t=spec.sigma_t,
             k_sigma=args.k_sigma,
-            method=args.method,
         )
         entry = {
             "family": family,
@@ -1450,7 +1427,6 @@ def _cmd_margins(spec: CrossbarSpec, args: argparse.Namespace) -> str:
                 spec.nanowires_per_half_cave,
                 sigma_t=spec.sigma_t,
                 k_sigma=args.k_sigma,
-                method=args.method,
             ),
         }
         if args.samples > 0:
@@ -1469,7 +1445,6 @@ def _cmd_margins(spec: CrossbarSpec, args: argparse.Namespace) -> str:
                     k_sigma=args.k_sigma,
                     spec=spec,
                 ),
-                method=args.method,
                 chunk_size=args.chunk_size,
             )
             entry["mc_margin_yield"] = mc.mean_margin_yield
@@ -1485,7 +1460,6 @@ def _cmd_margins(spec: CrossbarSpec, args: argparse.Namespace) -> str:
             "k_sigma": args.k_sigma,
             "samples": args.samples,
             "seed": args.seed,
-            "method": args.method,
             "families": results,
             "timing": _timing_payload(),
         }
@@ -1526,7 +1500,7 @@ def _cmd_margins(spec: CrossbarSpec, args: argparse.Namespace) -> str:
 
 
 def _cmd_readout(args: argparse.Namespace) -> str:
-    from repro.crossbar.readout import SCHEMES, ReadoutModel
+    from repro.crossbar.readout import SCHEMES
     from repro.sim.readout import scheme_margin_sweep
 
     try:
@@ -1538,19 +1512,11 @@ def _cmd_readout(args: argparse.Namespace) -> str:
     if min(sizes) < 1:
         raise SystemExit(f"--sizes expects positive bank sizes, got {args.sizes!r}")
     schemes = SCHEMES if args.scheme == "all" else (args.scheme,)
-    if args.method == "batched":
-        # one engine sweep: each bank size's stamped Laplacians are
-        # shared across every requested scheme
-        sweep = scheme_margin_sweep(
-            sizes, r_on=args.r_on, r_off=args.r_off, schemes=schemes
-        )
-    else:
-        sweep = {
-            s: ReadoutModel(
-                r_on=args.r_on, r_off=args.r_off, scheme=s, method="loop"
-            ).sense_margins(sizes)
-            for s in schemes
-        }
+    # one engine sweep: each bank size's stamped Laplacians are shared
+    # across every requested scheme
+    sweep = scheme_margin_sweep(
+        sizes, r_on=args.r_on, r_off=args.r_off, schemes=schemes
+    )
     rows = [
         [size] + [f"{100 * sweep[s][k]:.1f}%" for s in schemes]
         for k, size in enumerate(sizes)

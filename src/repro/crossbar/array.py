@@ -186,15 +186,15 @@ class CrossbarArray:
         opposite reference is a Sherman-Morrison rank-1 update of the
         same factorization (toggling one crosspoint perturbs the bank
         Laplacian by one conductance delta), so dual-reference sensing
-        costs no per-cell re-stamping at all.  Loop-method models — and
-        non-ideal readout objects — keep the per-cell modified-bank
-        reference path.
+        costs no per-cell re-stamping at all.  Any other readout object
+        (a subclass or a non-ideal model) keeps the per-cell
+        modified-bank reference path.
         """
         currents = np.empty(rows.size)
         i_on = np.empty(rows.size)
         i_off = np.empty(rows.size)
         model = self.readout
-        rank1 = type(model) is ReadoutModel and model.method == "batched"
+        rank1 = type(model) is ReadoutModel
         for (r0, c0), local, idx in self._bank_groups(rows, cols):
             per = self.address_map.wires_per_cave
             bank = self._states[r0 : r0 + per, c0 : c0 + per]

@@ -7,16 +7,9 @@ sigma from the variability matrix) and actual contact-edge positions
 (uniform alignment offset), then counts truly addressable nanowires.
 Agreement between the two validates the independence assumptions.
 
-Two execution paths share the same sampling kernel
-(:class:`repro.sim.engine.CaveYieldKernel`, built by
-:func:`yield_kernel`):
-
-* ``method="batched"`` (default) — the chunked engine of
-  :mod:`repro.sim`, evaluating every trial on a leading batch axis;
-  scales to millions of samples.
-* ``method="loop"`` — the original one-trial-per-iteration loop, kept
-  as the seeded reference implementation; draw-for-draw compatible
-  with the seed version of this module.
+Both simulators run the sampling kernel built by :func:`yield_kernel`
+on the chunked engine of :mod:`repro.sim`, evaluating every trial on a
+leading batch axis; they scale to millions of samples.
 """
 
 from __future__ import annotations
@@ -30,14 +23,9 @@ from repro.codes.base import CodeSpace
 from repro.crossbar.spec import CrossbarSpec
 from repro.crossbar.yield_model import decoder_for
 from repro.decoder.decoder import HalfCaveDecoder
-from repro.sim.accumulators import MomentSet
 from repro.sim.batch import (
     DEFAULT_MAX_TRIALS_PER_CHUNK,
     DEFAULT_STREAM_BLOCK,
-    block_sizes,
-    plan_chunks,
-    resolve_rng,
-    spawn_block_streams,
     validate_chunk,
     validate_samples,
 )
@@ -83,9 +71,9 @@ def yield_result(
     """The result object of a yield kernel's per-metric moments.
 
     ``moments`` maps each of ``kernel.metrics`` to a summary with
-    ``mean`` and ``std``.  The one constructor behind the batched engine
-    runs, the margin-yield loop and the shard merger, so every path
-    fills the result fields identically.
+    ``mean`` and ``std``.  The one constructor behind the engine runs
+    and the shard merger, so every path fills the result fields
+    identically.
     """
     from repro.sim.margins import MarginYieldKernel
 
@@ -149,52 +137,28 @@ def simulate_cave_yield(
     samples: int = 200,
     seed: int = 0,
     *,
-    method: str = "batched",
     max_trials_per_chunk: int = DEFAULT_MAX_TRIALS_PER_CHUNK,
     stream_block: int = DEFAULT_STREAM_BLOCK,
 ) -> MonteCarloYield:
     """Monte-Carlo estimate of the half-cave yield for one code.
 
-    ``method="batched"`` runs the chunked engine
-    (:func:`repro.sim.engine.simulate_cave_yield_batched`);
-    ``method="loop"`` runs the legacy per-trial loop, which draws from
-    a single ``default_rng(seed)`` stream exactly like the seed
-    implementation.  The two agree within Monte-Carlo error but use
-    different stream layouts, so their estimates differ trial-for-trial.
+    Runs the chunked engine
+    (:func:`repro.sim.engine.simulate_cave_yield_batched`).  The seed's
+    per-trial loop, which draws from a single ``default_rng(seed)``
+    stream, is kept with the test oracles as a golden fixture: the two
+    agree within Monte-Carlo error but use different stream layouts.
     """
+    from repro.sim.engine import simulate_cave_yield_batched
+
     validate_samples(samples)
     validate_chunk(max_trials_per_chunk)
-    if method == "batched":
-        from repro.sim.engine import simulate_cave_yield_batched
-
-        return simulate_cave_yield_batched(
-            spec,
-            space,
-            samples=samples,
-            seed=seed,
-            max_trials_per_chunk=max_trials_per_chunk,
-            stream_block=stream_block,
-        )
-    if method != "loop":
-        raise ValueError(f"unknown method {method!r}; use 'batched' or 'loop'")
-
-    kernel = yield_kernel(spec, space)
-    rng = np.random.default_rng(seed)
-    cave = np.empty(samples)
-    electrical = np.empty(samples)
-    geometric = np.empty(samples)
-    for s in range(samples):
-        e_mask = kernel.electrical_masks(rng, 1)[0]
-        g_mask = kernel.geometric_masks(rng, 1)[0]
-        electrical[s] = e_mask.mean()
-        geometric[s] = g_mask.mean()
-        cave[s] = (e_mask & g_mask).mean()
-    return MonteCarloYield(
+    return simulate_cave_yield_batched(
+        spec,
+        space,
         samples=samples,
-        mean_cave_yield=float(cave.mean()),
-        std_cave_yield=float(cave.std(ddof=1)) if samples > 1 else 0.0,
-        mean_electrical_yield=float(electrical.mean()),
-        mean_geometric_yield=float(geometric.mean()),
+        seed=seed,
+        max_trials_per_chunk=max_trials_per_chunk,
+        stream_block=stream_block,
     )
 
 
@@ -211,7 +175,7 @@ def simulate_halfcave_yield(
     both names are accepted.  The call is routed straight through
     :func:`simulate_cave_yield`: the default execution path, the
     stderr/SEM guards (``stderr == 0.0`` at one sample) and the
-    seeding semantics are exactly those of ``method="batched"``.
+    seeding semantics are exactly those of :func:`simulate_cave_yield`.
     """
     return simulate_cave_yield(spec, space, samples=samples, seed=seed, **kwargs)
 
@@ -245,39 +209,6 @@ class MonteCarloMarginYield:
         return self.std_margin_yield / math.sqrt(self.samples)
 
 
-def _margin_trial_loop(
-    vt: np.ndarray,
-    va: np.ndarray,
-    patterns: np.ndarray,
-    guard_v: float,
-) -> tuple[float, float, float]:
-    """One scalar margin-yield trial: the original O(N^2) pairwise loop.
-
-    Returns ``(margin_yield, worst_select, worst_block)`` for one
-    realised VT matrix; the frozen per-pair reference the batched
-    kernel is proven against.
-    """
-    n_wires = patterns.shape[0]
-    passing = 0
-    worst_select = np.inf
-    worst_block = np.inf
-    for i in range(n_wires):
-        select = np.min(va[i] - vt[i])
-        block = np.inf
-        has_conflict = False
-        for u in range(n_wires):
-            if u == i or (patterns[u] == patterns[i]).all():
-                continue
-            has_conflict = True
-            block = min(block, np.max(vt[u] - va[i]))
-        if min(select, block) > guard_v:
-            passing += 1
-        worst_select = min(worst_select, select)
-        if has_conflict:
-            worst_block = min(worst_block, block)
-    return passing / n_wires, worst_select, worst_block
-
-
 def simulate_margin_yield(
     spec: CrossbarSpec,
     space: CodeSpace,
@@ -285,7 +216,6 @@ def simulate_margin_yield(
     seed: int = 0,
     *,
     k_sigma: float = 3.0,
-    method: str = "batched",
     max_trials_per_chunk: int = DEFAULT_MAX_TRIALS_PER_CHUNK,
     stream_block: int = DEFAULT_STREAM_BLOCK,
 ) -> MonteCarloMarginYield:
@@ -297,50 +227,21 @@ def simulate_margin_yield(
     passes when its realised select and block margins both exceed the
     sensing guard band ``k_sigma * sigma_T``.
 
-    Both methods draw from the spawned per-block streams of
-    :mod:`repro.sim.batch` **in the same order**, so — unlike the
-    cave-yield pair — ``method="loop"`` (the scalar per-pair
-    reference) and ``method="batched"`` (the
-    :class:`repro.sim.margins.MarginYieldKernel` on the chunked
-    engine) produce *identical* sampled yields, and neither depends on
-    ``max_trials_per_chunk``.
+    The :class:`repro.sim.margins.MarginYieldKernel` runs on the
+    chunked engine, drawing from the spawned per-block streams of
+    :mod:`repro.sim.batch` in the same order as the scalar per-pair
+    oracle, so the two produce *identical* sampled yields, and neither
+    depends on ``max_trials_per_chunk``.
     """
     from repro.sim.engine import MonteCarloEngine
 
     validate_samples(samples)
     validate_chunk(max_trials_per_chunk)
     kernel = yield_kernel(spec, space, k_sigma)
-    if method == "batched":
-        engine = MonteCarloEngine(
-            kernel,
-            max_trials_per_chunk=max_trials_per_chunk,
-            stream_block=stream_block,
-        )
-        result = engine.run(samples, seed)
-        return yield_result(kernel, result.samples, result.metrics)
-    if method != "loop":
-        raise ValueError(f"unknown method {method!r}; use 'batched' or 'loop'")
-
-    root = resolve_rng(seed)
-    acc = MomentSet(kernel.metrics)
-    for chunk in plan_chunks(samples, max_trials_per_chunk, stream_block):
-        widths = block_sizes(chunk, stream_block)
-        streams = spawn_block_streams(root, len(widths))
-        for stream, width in zip(streams, widths):
-            myield = np.empty(width)
-            select = np.empty(width)
-            block = np.empty(width)
-            for t in range(width):
-                z = stream.standard_normal(kernel.nominal.shape)
-                vt = kernel.nominal + kernel.std * z
-                myield[t], select[t], block[t] = _margin_trial_loop(
-                    vt, kernel.va, kernel.patterns, kernel.guard_v
-                )
-            acc.update(
-                {
-                    "margin_yield": myield,
-                    "select_margin": select,
-                    "block_margin": block,
-                }
-            )
-    return yield_result(kernel, samples, acc)
+    engine = MonteCarloEngine(
+        kernel,
+        max_trials_per_chunk=max_trials_per_chunk,
+        stream_block=stream_block,
+    )
+    result = engine.run(samples, seed)
+    return yield_result(kernel, result.samples, result.metrics)

@@ -20,15 +20,11 @@ The sense margin compares the read current of a selected ON cell in the
 worst-case background (all other cells ON) against a selected OFF cell
 in the same background.
 
-Two solver paths are exposed through the ``method`` field:
-
-* ``"batched"`` (default) — the :mod:`repro.sim.readout` engine:
-  vectorized Laplacian stamping, and factorized block-RHS solves for
-  multi-cell reads (:meth:`ReadoutModel.read_currents`).  Single-cell
-  reads are byte-identical to the scalar path; block-RHS reads agree
-  within solver tolerance.
-* ``"loop"`` — the original per-cell Python stamping loop, kept as the
-  byte-compared equivalence reference.
+Reads run on the :mod:`repro.sim.readout` engine: vectorized
+Laplacian stamping, and factorized block-RHS solves for multi-cell
+reads (:meth:`ReadoutModel.read_currents`).  Single-cell reads are
+byte-identical to the original per-cell Python stamping loop (kept with
+the test oracles); block-RHS reads agree within solver tolerance.
 """
 
 from __future__ import annotations
@@ -38,8 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SCHEMES = ("float", "ground", "half_v")
-
-METHODS = ("batched", "loop")
 
 
 class ReadoutError(ValueError):
@@ -58,16 +52,12 @@ class ReadoutModel:
         Read voltage applied to the selected row [V].
     scheme:
         Biasing of unselected lines (see module docstring).
-    method:
-        ``"batched"`` (vectorized engine, default) or ``"loop"`` (the
-        scalar per-cell reference).
     """
 
     r_on: float = 1.0e5
     r_off: float = 1.0e7
     v_read: float = 0.5
     scheme: str = "float"
-    method: str = "batched"
 
     def __post_init__(self) -> None:
         if self.r_on <= 0 or self.r_off <= 0:
@@ -79,10 +69,6 @@ class ReadoutModel:
         if self.scheme not in SCHEMES:
             raise ReadoutError(
                 f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}"
-            )
-        if self.method not in METHODS:
-            raise ReadoutError(
-                f"unknown method {self.method!r}; expected one of {METHODS}"
             )
 
     # -- network solution -----------------------------------------------------
@@ -106,83 +92,18 @@ class ReadoutModel:
         rows, cols = g.shape
         if not 0 <= row < rows or not 0 <= col < cols:
             raise ReadoutError(f"selected cell ({row}, {col}) outside {g.shape}")
-        if self.method == "loop":
-            return self._read_current_loop(g, row, col)
         from repro.sim.readout import IdealBank
 
         return IdealBank(g).read_current(self.scheme, self.v_read, row, col)
-
-    def _read_current_loop(self, g: np.ndarray, row: int, col: int) -> float:
-        """Scalar per-cell reference: nested stamping loop, one solve."""
-        rows, cols = g.shape
-        n_nodes = rows + cols
-
-        def col_node(j: int) -> int:
-            return rows + j
-
-        # Laplacian of the resistor network
-        lap = np.zeros((n_nodes, n_nodes))
-        for i in range(rows):
-            for j in range(cols):
-                gij = g[i, j]
-                lap[i, i] += gij
-                lap[col_node(j), col_node(j)] += gij
-                lap[i, col_node(j)] -= gij
-                lap[col_node(j), i] -= gij
-
-        fixed: dict[int, float] = {row: self.v_read, col_node(col): 0.0}
-        if self.scheme == "ground":
-            for i in range(rows):
-                if i != row:
-                    fixed[i] = 0.0
-            for j in range(cols):
-                if j != col:
-                    fixed[col_node(j)] = 0.0
-        elif self.scheme == "half_v":
-            for i in range(rows):
-                if i != row:
-                    fixed[i] = self.v_read / 2.0
-            for j in range(cols):
-                if j != col:
-                    fixed[col_node(j)] = self.v_read / 2.0
-
-        voltages = np.empty(n_nodes)
-        free = [k for k in range(n_nodes) if k not in fixed]
-        for k, v in fixed.items():
-            voltages[k] = v
-        if free:
-            a = lap[np.ix_(free, free)]
-            rhs = -lap[np.ix_(free, list(fixed))] @ np.array([fixed[k] for k in fixed])
-            voltages[np.array(free)] = np.linalg.solve(a, rhs)
-
-        # current into the sense (virtual-ground) column node
-        sense = col_node(col)
-        current = 0.0
-        for i in range(rows):
-            current += g[i, col] * (voltages[i] - voltages[sense])
-        return float(current)
 
     def read_currents(self, states: np.ndarray, cells) -> np.ndarray:
         """Sense currents of many cells of one bank state.
 
         ``cells`` is a ``(k, 2)`` array-like of ``(row, col)`` pairs.
-        Under ``method="batched"`` the bank's Laplacian is stamped and
-        factorized once and all cells are solved as one block RHS (the
-        Laplacian depends only on the state map, not on the selected
-        cell); ``method="loop"`` falls back to one scalar solve per
-        cell, as the equivalence reference.
+        The bank's Laplacian is stamped and factorized once and all
+        cells are solved as one block RHS (the Laplacian depends only on
+        the state map, not on the selected cell).
         """
-        if self.method == "loop":
-            from repro.sim.readout import _as_cells
-
-            g = self.conductances(states)
-            rows, cols = _as_cells(cells, *g.shape)
-            return np.array(
-                [
-                    self.read_current(states, int(r), int(c))
-                    for r, c in zip(rows, cols)
-                ]
-            )
         from repro.sim.readout import IdealBank
 
         bank = IdealBank(self.conductances(states))
@@ -215,13 +136,10 @@ class ReadoutModel:
     def sense_margins(self, sizes) -> list[float]:
         """Worst-case margins of square banks, one per size.
 
-        Under ``method="batched"`` the per-size worst-case backgrounds
-        are stamped once and shared through the engine's bank sweep;
-        the ``loop`` method evaluates each size with the scalar
-        reference.  Both return identical values.
+        The per-size worst-case backgrounds are stamped once and shared
+        through the engine's bank sweep; the values equal
+        :meth:`sense_margin` size by size.
         """
-        if self.method == "loop":
-            return [self.sense_margin(size, size) for size in sizes]
         from repro.sim.readout import scheme_margin_sweep
 
         sweep = scheme_margin_sweep(

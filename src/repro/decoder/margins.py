@@ -20,17 +20,14 @@ accumulated variability (Def. 5).  A k-sigma margin criterion gives an
 alternative, more conservative yield model that the ablation bench
 compares against the window model.
 
-Execution paths
----------------
-Every public function takes ``method="batched"`` (default) or
-``method="loop"``:
-
-* ``"batched"`` — the broadcast engine of :mod:`repro.sim.margins`:
-  the full select/block margin matrix in whole-array NumPy ops,
-  byte-identical to the loop (same elementwise operations, exact
-  min/max reductions) and >=10x faster on decoder-sized problems;
-* ``"loop"`` — the original scalar implementation with the
-  O(N^2) per-pair Python loop, kept verbatim as the reference.
+Execution
+---------
+Every margin runs on the broadcast engine of :mod:`repro.sim.margins`:
+the full select/block margin matrix in whole-array NumPy ops,
+byte-identical to the original scalar implementation with its O(N^2)
+per-pair Python loop (same elementwise operations, exact min/max
+reductions) and >=10x faster on decoder-sized problems.  That scalar
+implementation is kept verbatim with the test oracles.
 """
 
 from __future__ import annotations
@@ -78,72 +75,19 @@ def applied_voltages(address: np.ndarray, scheme: LevelScheme) -> np.ndarray:
     return levels[address] + scheme.spacing / 2.0
 
 
-def _validate_method(method: str) -> str:
-    if method not in ("batched", "loop"):
-        raise ValueError(f"unknown method {method!r}; use 'batched' or 'loop'")
-    return method
-
-
-def _select_margins_loop(
-    patterns: np.ndarray,
-    nu: np.ndarray,
-    scheme: LevelScheme,
-    sigma_t: float,
-    k_sigma: float,
-) -> np.ndarray:
-    """Scalar reference: one wire per Python iteration (seed semantics)."""
-    patterns = np.asarray(patterns)
-    levels = np.asarray(scheme.levels)
-    nominal = levels[patterns]
-    std = sigma_t * np.sqrt(np.asarray(nu, dtype=float))
-    out = np.empty(patterns.shape[0])
-    for i in range(patterns.shape[0]):
-        va = applied_voltages(patterns[i], scheme)
-        out[i] = np.min(va - nominal[i] - k_sigma * std[i])
-    return out
-
-
-def _block_margins_loop(
-    patterns: np.ndarray,
-    nu: np.ndarray,
-    scheme: LevelScheme,
-    sigma_t: float,
-    k_sigma: float,
-) -> np.ndarray:
-    """Scalar reference: the original O(N^2) per-pair Python loop."""
-    patterns = np.asarray(patterns)
-    levels = np.asarray(scheme.levels)
-    nominal = levels[patterns]
-    std = sigma_t * np.sqrt(np.asarray(nu, dtype=float))
-    n_wires = patterns.shape[0]
-    out = np.full(n_wires, np.inf)
-    for i in range(n_wires):
-        va = applied_voltages(patterns[i], scheme)
-        for u in range(n_wires):
-            if u == i or (patterns[u] == patterns[i]).all():
-                continue
-            pair = np.max(nominal[u] - k_sigma * std[u] - va)
-            out[i] = min(out[i], pair)
-    return out
-
-
 def select_margins(
     patterns: np.ndarray,
     nu: np.ndarray,
     scheme: LevelScheme,
     sigma_t: float = DEFAULT_SIGMA_T,
     k_sigma: float = 3.0,
-    method: str = "batched",
 ) -> np.ndarray:
     """k-sigma conduction margin of every wire under its own address.
 
     For wire i the margin is ``min_j (VA_j - VT_ij - k * sigma_ij)``:
     how far every region stays in conduction when its VT drifts k sigma
-    upward.  The two methods are byte-identical; see the module
-    docstring.
+    upward.
     """
-    if _validate_method(method) == "loop":
-        return _select_margins_loop(patterns, nu, scheme, sigma_t, k_sigma)
     from repro.sim.margins import select_margins_batched
 
     return select_margins_batched(patterns, nu, scheme, sigma_t, k_sigma)
@@ -155,7 +99,6 @@ def block_margins(
     scheme: LevelScheme,
     sigma_t: float = DEFAULT_SIGMA_T,
     k_sigma: float = 3.0,
-    method: str = "batched",
 ) -> np.ndarray:
     """k-sigma blocking margin of every wire's address vs the other wires.
 
@@ -164,11 +107,8 @@ def block_margins(
     is the *best* such region (only one needs to block) and the margin
     of address i is the worst pair.  Wires with identical patterns
     (copies in other contact groups) are skipped — the contact group
-    disambiguates them.  The two methods are byte-identical; see the
-    module docstring.
+    disambiguates them.
     """
-    if _validate_method(method) == "loop":
-        return _block_margins_loop(patterns, nu, scheme, sigma_t, k_sigma)
     from repro.sim.margins import block_margins_batched
 
     return block_margins_batched(patterns, nu, scheme, sigma_t, k_sigma)
@@ -180,15 +120,14 @@ def margin_report(
     scheme: LevelScheme | None = None,
     sigma_t: float = DEFAULT_SIGMA_T,
     k_sigma: float = 3.0,
-    method: str = "batched",
 ) -> MarginReport:
     """Worst-case sense margins of a half cave patterned with ``space``."""
     scheme = scheme or LevelScheme(space.n)
     patterns = pattern_matrix(space, nanowires)
     plan = DopingPlan.from_code(space, nanowires)
     nu = dose_count_matrix(plan.steps)
-    select = select_margins(patterns, nu, scheme, sigma_t, k_sigma, method)
-    block = block_margins(patterns, nu, scheme, sigma_t, k_sigma, method)
+    select = select_margins(patterns, nu, scheme, sigma_t, k_sigma)
+    block = block_margins(patterns, nu, scheme, sigma_t, k_sigma)
     return MarginReport(
         select_margin_v=float(select.min()),
         block_margin_v=float(block.min()),
@@ -202,7 +141,6 @@ def margin_yield(
     scheme: LevelScheme | None = None,
     sigma_t: float = DEFAULT_SIGMA_T,
     k_sigma: float = 3.0,
-    method: str = "batched",
 ) -> float:
     """Fraction of wires with positive select *and* block margins.
 
@@ -215,7 +153,7 @@ def margin_yield(
     patterns = pattern_matrix(space, nanowires)
     plan = DopingPlan.from_code(space, nanowires)
     nu = dose_count_matrix(plan.steps)
-    select = select_margins(patterns, nu, scheme, sigma_t, k_sigma, method)
-    block = block_margins(patterns, nu, scheme, sigma_t, k_sigma, method)
+    select = select_margins(patterns, nu, scheme, sigma_t, k_sigma)
+    block = block_margins(patterns, nu, scheme, sigma_t, k_sigma)
     ok = (select > 0) & (block > 0)
     return float(ok.mean())

@@ -88,36 +88,26 @@ def simulate_random_codes(
     samples: int,
     rng: np.random.Generator,
     *,
-    method: str = "batched",
     max_trials_per_chunk: int = 65536,
 ) -> float:
     """Monte-Carlo estimate of the group-unique fraction.
 
-    ``method="batched"`` draws all codes of a chunk in one array call
-    via :class:`repro.sim.engine.RandomCodesKernel`; because the
-    batched draws consume ``rng`` in the same order as the legacy loop,
-    the per-trial fractions are bit-identical to ``method="loop"`` for
-    the same generator state, independent of ``max_trials_per_chunk``
-    (the mean may differ by float summation order only).
+    Draws all codes of a chunk in one array call via
+    :class:`repro.sim.engine.RandomCodesKernel`; because the batched
+    draws consume ``rng`` in the same order as the per-trial loop, the
+    per-trial fractions are bit-identical to that loop for the same
+    generator state, independent of ``max_trials_per_chunk`` (the mean
+    may differ by float summation order only).
     """
+    from repro.sim.engine import MonteCarloEngine, RandomCodesKernel
+
     unique_code_probability(group_size, code_space)  # validates both args
     _validate_trial_budget(samples, max_trials_per_chunk)
-    if method == "batched":
-        from repro.sim.engine import MonteCarloEngine, RandomCodesKernel
-
-        engine = MonteCarloEngine(
-            RandomCodesKernel(group_size, code_space),
-            max_trials_per_chunk=max_trials_per_chunk,
-        )
-        return float(engine.run(samples, rng)["unique_fraction"].mean)
-    if method != "loop":
-        raise StochasticError(f"unknown method {method!r}; use 'batched' or 'loop'")
-    total = 0.0
-    for _ in range(samples):
-        codes = rng.integers(0, code_space, size=group_size)
-        _, counts = np.unique(codes, return_counts=True)
-        total += counts[counts == 1].sum() / group_size
-    return total / samples
+    engine = MonteCarloEngine(
+        RandomCodesKernel(group_size, code_space),
+        max_trials_per_chunk=max_trials_per_chunk,
+    )
+    return float(engine.run(samples, rng)["unique_fraction"].mean)
 
 
 # -- random-contact decoder (Hogg [8]) ----------------------------------------
@@ -166,38 +156,24 @@ def simulate_random_contacts(
     rng: np.random.Generator,
     connection_probability: float = 0.5,
     *,
-    method: str = "batched",
     max_trials_per_chunk: int = 65536,
 ) -> float:
     """Monte-Carlo estimate of the random-contact unique fraction.
 
-    Batched by default via
-    :class:`repro.sim.engine.RandomContactsKernel`; same draw-for-draw
-    equivalence contract as :func:`simulate_random_codes`.
+    Batched via :class:`repro.sim.engine.RandomContactsKernel`; same
+    draw-for-draw equivalence contract as :func:`simulate_random_codes`.
     """
+    from repro.sim.engine import MonteCarloEngine, RandomContactsKernel
+
     random_contact_addressable_fraction(
         group_size, mesowires, connection_probability
     )  # validates all three args
     _validate_trial_budget(samples, max_trials_per_chunk)
-    if method == "batched":
-        from repro.sim.engine import MonteCarloEngine, RandomContactsKernel
-
-        engine = MonteCarloEngine(
-            RandomContactsKernel(group_size, mesowires, connection_probability),
-            max_trials_per_chunk=max_trials_per_chunk,
-        )
-        return float(engine.run(samples, rng)["unique_fraction"].mean)
-    if method != "loop":
-        raise StochasticError(f"unknown method {method!r}; use 'batched' or 'loop'")
-    total = 0.0
-    for _ in range(samples):
-        sig = rng.random((group_size, mesowires)) < connection_probability
-        # count wires whose signature row is unique
-        _, inverse, counts = np.unique(
-            sig, axis=0, return_inverse=True, return_counts=True
-        )
-        total += (counts[inverse] == 1).sum() / group_size
-    return total / samples
+    engine = MonteCarloEngine(
+        RandomContactsKernel(group_size, mesowires, connection_probability),
+        max_trials_per_chunk=max_trials_per_chunk,
+    )
+    return float(engine.run(samples, rng)["unique_fraction"].mean)
 
 
 # -- comparison against the deterministic MSPT decoder ------------------------

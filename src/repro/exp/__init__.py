@@ -27,7 +27,6 @@ from repro.exp.pipeline import (
     default_jobs,
     evaluate_point,
     function_sweep,
-    iter_function_records,
     register_evaluator,
     resolve_metrics,
     run_sweep,
@@ -47,7 +46,6 @@ __all__ = [
     "design_grid",
     "evaluate_point",
     "function_sweep",
-    "iter_function_records",
     "register_evaluator",
     "resolve_metrics",
     "run_sweep",

@@ -24,7 +24,7 @@ import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro import obs
 from repro.codes.base import CodeSpace
@@ -535,36 +535,25 @@ def default_jobs() -> int:
     return max(1, min(8, os.cpu_count() or 1))
 
 
-def iter_function_records(
-    axes: Mapping[str, Iterable[object]],
-    evaluate: Callable[..., Mapping[str, object]],
-) -> Iterator[Record]:
-    """Full-factorial records of an arbitrary evaluate callable.
-
-    ``evaluate`` receives one keyword argument per axis; each yielded
-    record is the axis values plus the evaluation's outputs.  Axis
-    values may be any iterable (materialised once), and records may
-    carry non-uniform fields — this is the legacy-faithful engine
-    behind the ``repro.analysis.sweeps`` compat shims.
-    """
-    import itertools
-
-    names = list(axes.keys())
-    values = [list(axes[k]) for k in names]
-    for combo in itertools.product(*values):
-        kwargs = dict(zip(names, combo))
-        record: Record = dict(kwargs)
-        record.update(evaluate(**kwargs))
-        yield record
-
-
 def function_sweep(
     axes: Mapping[str, Iterable[object]],
     evaluate: Callable[..., Mapping[str, object]],
 ) -> SweepResult:
     """Columnar full-factorial sweep of an arbitrary evaluate callable.
 
-    Like :func:`iter_function_records` but collected into a
-    :class:`SweepResult`, which requires uniform record fields.
+    ``evaluate`` receives one keyword argument per axis; each record is
+    the axis values plus the evaluation's outputs, collected into a
+    :class:`SweepResult` (so every evaluation must return the same
+    fields).  Axis values may be any iterable; each is materialised once.
     """
-    return SweepResult.from_records(list(iter_function_records(axes, evaluate)))
+    import itertools
+
+    names = list(axes.keys())
+    values = [list(axes[k]) for k in names]
+    records: list[Record] = []
+    for combo in itertools.product(*values):
+        kwargs = dict(zip(names, combo))
+        record: Record = dict(kwargs)
+        record.update(evaluate(**kwargs))
+        records.append(record)
+    return SweepResult.from_records(records)

@@ -125,60 +125,35 @@ class ProcessFlow:
             np.add.at(counts, (rows, cols), 1)
         return doses, counts
 
-    def replay(self, method: str = "batched") -> np.ndarray:
+    def replay(self) -> np.ndarray:
         """Execute the flow, accumulating doses onto defined nanowires.
 
         Each doping event's dose lands on the exposed regions of *every*
         nanowire defined so far (the MSPT accumulation of Prop. 2).
         Returns the resulting final doping matrix.
 
-        ``method="batched"`` (default) folds the events into per-step
-        deposit rows and reverse-cumulative-sums them — no per-wire
-        Python loop; ``method="loop"`` is the original event-by-event
-        replay, kept as the equivalence reference (the two agree to
-        floating-point rounding; summation order differs).
+        The events fold into per-step deposit rows that are
+        reverse-cumulative-summed — no per-wire Python loop.  The
+        event-by-event replay lives with the test oracles; the two agree
+        to floating-point rounding (summation order differs).
         """
-        if method == "batched":
-            doses, _ = self._event_deposits()
-            return np.cumsum(doses[::-1], axis=0)[::-1]
-        if method != "loop":
-            raise ValueError(f"unknown method {method!r}; use 'batched' or 'loop'")
-        doping = np.zeros((self.plan.nanowires, self.plan.regions))
-        defined = 0
-        for event in self.events:
-            if isinstance(event, SpacerEvent):
-                defined = max(defined, event.wire + 1)
-            else:
-                for j in event.regions:
-                    doping[:defined, j] += event.dose
-        return doping
+        doses, _ = self._event_deposits()
+        return np.cumsum(doses[::-1], axis=0)[::-1]
 
     def verify(self, rtol: float = 1e-6) -> bool:
         """Check that replaying the events reproduces the planned doping."""
         return bool(np.allclose(self.replay(), self.plan.final, rtol=rtol))
 
-    def dose_counts(self, method: str = "batched") -> np.ndarray:
+    def dose_counts(self) -> np.ndarray:
         """How many doses each region of each nanowire received.
 
         This is the nu matrix of Def. 5, obtained operationally from the
         event list rather than from the formula — the two are compared in
-        the test suite.  Methods as in :meth:`replay`; counts are
-        integers, so the two paths are exactly equal.
+        the test suite.  Counts are integers, so the event-by-event
+        oracle matches exactly.
         """
-        if method == "batched":
-            _, deposits = self._event_deposits()
-            return np.cumsum(deposits[::-1], axis=0)[::-1]
-        if method != "loop":
-            raise ValueError(f"unknown method {method!r}; use 'batched' or 'loop'")
-        counts = np.zeros((self.plan.nanowires, self.plan.regions), dtype=int)
-        defined = 0
-        for event in self.events:
-            if isinstance(event, SpacerEvent):
-                defined = max(defined, event.wire + 1)
-            else:
-                for j in event.regions:
-                    counts[:defined, j] += 1
-        return counts
+        _, deposits = self._event_deposits()
+        return np.cumsum(deposits[::-1], axis=0)[::-1]
 
     def summary(self) -> dict:
         """Headline step accounting of the flow."""

@@ -173,7 +173,6 @@ def estimate_position_sigma(
     samples: int,
     rng: np.random.Generator,
     *,
-    method: str = "batched",
     stream_block: int | None = None,
     max_samples_per_chunk: int | None = None,
 ) -> np.ndarray:
@@ -181,16 +180,14 @@ def estimate_position_sigma(
 
     Cross-validates the closed-form random-walk model in the tests.
 
-    ``method="batched"`` (default) runs on the :mod:`repro.sim` trial
-    axis: the sample budget is split into the engine's chunk/stream-
-    block plan, one child generator is spawned per stream block from
-    ``rng``, and per-spacer moments accumulate through the Welford
-    combiners — so results depend only on ``(rng state,
-    stream_block)``, never on the chunk bound.  ``method="loop"`` is
-    the original one-geometry-per-iteration reference, drawing from
-    ``rng`` directly.  The two paths sample the same distribution from
-    different stream layouts, so they agree statistically rather than
-    draw-for-draw.
+    Runs on the :mod:`repro.sim` trial axis: the sample budget is split
+    into the engine's chunk/stream-block plan, one child generator is
+    spawned per stream block from ``rng``, and per-spacer moments
+    accumulate through the Welford combiners — so results depend only
+    on ``(rng state, stream_block)``, never on the chunk bound.  The
+    one-geometry-per-iteration oracle in the tests samples the same
+    distribution from a different stream layout, so the two agree
+    statistically rather than draw-for-draw.
     """
     from repro.sim.accumulators import StreamingMoments
     from repro.sim.batch import (
@@ -203,16 +200,6 @@ def estimate_position_sigma(
 
     if samples < 2:
         raise VariationError("need at least two samples")
-    if method == "loop":
-        centres = np.empty((samples, nanowires))
-        for s in range(samples):
-            centres[s] = sample_spacer_geometry(
-                recipe, variation, nanowires, rng
-            )["centre_nm"]
-        return centres.std(axis=0, ddof=1)
-    if method != "batched":
-        raise VariationError(f"unknown method {method!r}; expected 'batched' or 'loop'")
-
     block = DEFAULT_STREAM_BLOCK if stream_block is None else stream_block
     chunk_bound = (
         DEFAULT_MAX_TRIALS_PER_CHUNK

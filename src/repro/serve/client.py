@@ -242,22 +242,16 @@ class ServeClient:
         self,
         request: api.McRequest,
         *,
-        method: str = "batched",
         chunk_size: int | None = None,
     ) -> MonteCarloYield | MonteCarloMarginYield:
-        done, _ = self._roundtrip(
-            "simulate", request.to_dict(), method=method, chunk_size=chunk_size
-        )
+        done, _ = self._roundtrip("simulate", request.to_dict(), chunk_size=chunk_size)
         return api.mc_result_from_dict(done["result"])
 
     def memsim(
         self,
         request: api.WorkloadRequest,
         *,
-        method: str = "batched",
         chunk_size: int | None = None,
     ) -> api.WorkloadResult:
-        done, _ = self._roundtrip(
-            "memsim", request.to_dict(), method=method, chunk_size=chunk_size
-        )
+        done, _ = self._roundtrip("memsim", request.to_dict(), chunk_size=chunk_size)
         return api.WorkloadResult.from_dict(done["result"])

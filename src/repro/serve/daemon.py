@@ -62,6 +62,7 @@ from repro.durable import canonical_json
 from repro.exp.results import SweepResult
 from repro.serve.protocol import (
     DEFAULT_CHUNK_ROWS,
+    PROTOCOL_VERSION,
     chunk_frame,
     decode_frame,
     done_frame,
@@ -69,7 +70,7 @@ from repro.serve.protocol import (
     error_frame,
     iter_record_chunks,
 )
-from repro.sim.batch import DEFAULT_MAX_TRIALS_PER_CHUNK
+from repro.sim.batch import DEFAULT_MAX_TRIALS_PER_CHUNK, validate_chunk
 
 #: Seconds the batcher waits to let compatible sweeps pile up.
 DEFAULT_BATCH_WINDOW_S = 0.01
@@ -322,6 +323,11 @@ class ReproServer:
         try:
             frame = decode_frame(line)
             request_id = frame.get("id")
+            if frame.get("v") != PROTOCOL_VERSION:
+                raise ValueError(
+                    f"protocol v{frame.get('v')} is not supported "
+                    f"(this daemon speaks v{PROTOCOL_VERSION})"
+                )
             op = frame.get("op")
             self.counters["requests"] += 1
             # spans are thread-LIFO and this handler interleaves on one
@@ -529,11 +535,13 @@ class ReproServer:
     async def _op_scalar(self, op: str, frame: dict, writer, lock) -> None:
         request_type = api.McRequest if op == "simulate" else api.WorkloadRequest
         request = request_type.from_dict(frame["request"])
-        method = frame.get("method", "batched")
-        chunk_size = int(frame.get("chunk_size", self.mc_chunk_size))
+        chunk_size = frame.get("chunk_size", self.mc_chunk_size)
+        if isinstance(chunk_size, bool) or not isinstance(chunk_size, int):
+            raise ValueError(f"chunk_size must be an integer, got {chunk_size!r}")
+        validate_chunk(chunk_size)
         request_id = frame["id"]
 
-        hit = api.lookup(self.store, request, method=method)
+        hit = api.lookup(self.store, request)
         if hit is not None:
             self.counters["store_hits"] += 1
             await self._send(
@@ -553,28 +561,27 @@ class ReproServer:
             # request's await must not kill the shared evaluation that
             # coalesced followers (and the store commit) depend on
             asyncio.ensure_future(
-                self._compute_scalar(request, method, chunk_size, digest, future)
+                self._compute_scalar(request, chunk_size, digest, future)
             )
         result = await asyncio.shield(future)
         await self._send(
             writer, lock, done_frame(request_id, cached=False, result=result)
         )
 
-    def _scalar_and_commit(self, request, method, chunk_size) -> dict:
+    def _scalar_and_commit(self, request, chunk_size) -> dict:
         """Compute one MC or workload request and commit it (executor side)."""
         facade = api.simulate if isinstance(request, api.McRequest) else api.memsim
-        result = facade(request, method=method, chunk_size=chunk_size)
-        api.commit(self.store, request, result, method=method)
+        result = facade(request, chunk_size=chunk_size)
+        api.commit(self.store, request, result)
         return _wire(result)
 
-    async def _compute_scalar(self, request, method, chunk_size, digest, future):
+    async def _compute_scalar(self, request, chunk_size, digest, future):
         loop = asyncio.get_running_loop()
         try:
             result = await loop.run_in_executor(
                 self._executor,
                 self._scalar_and_commit,
                 request,
-                method,
                 chunk_size,
             )
             self.counters["computed"] += 1

@@ -9,14 +9,17 @@ by the client-chosen ``id``.
 
 Request frame::
 
-    {"id": 1, "op": "evaluate", "request": <canonical api payload>,
+    {"v": 2, "id": 1, "op": "evaluate", "request": <canonical api payload>,
      "jobs": 4}                       # optional execution knobs
-    {"id": 2, "op": "simulate", "request": ..., "method": "batched",
-     "chunk_size": 65536}
-    {"id": 3, "op": "memsim", "request": ..., "method": "batched"}
-    {"id": 4, "op": "ping"}
-    {"id": 5, "op": "stats"}
-    {"id": 6, "op": "shutdown"}
+    {"v": 2, "id": 2, "op": "simulate", "request": ..., "chunk_size": 65536}
+    {"v": 2, "id": 3, "op": "memsim", "request": ...}
+    {"v": 2, "id": 4, "op": "ping"}
+    {"v": 2, "id": 5, "op": "stats"}
+    {"v": 2, "id": 6, "op": "shutdown"}
+
+Every request frame carries the protocol version ``v``; the daemon
+answers a frame whose ``v`` differs from its own
+:data:`PROTOCOL_VERSION` with an error frame naming both versions.
 
 Response frames::
 
@@ -49,7 +52,8 @@ from __future__ import annotations
 import json
 from typing import Iterator
 
-PROTOCOL_VERSION = 1
+#: Version 2 dropped the ``method`` knob of simulate/memsim frames.
+PROTOCOL_VERSION = 2
 
 #: Operations the daemon dispatches.
 OPS = ("evaluate", "simulate", "memsim", "ping", "stats", "shutdown")

@@ -9,7 +9,7 @@ the chunking and reproducibility contract.
 
 :mod:`repro.sim.readout` extends the same engine pattern to the
 deterministic sneak-path solvers: vectorized Laplacian stamping and
-factorized block-RHS solves behind the ``method="batched"`` paths of
+factorized block-RHS solves behind
 :class:`repro.crossbar.readout.ReadoutModel` and
 :class:`repro.crossbar.readout_distributed.DistributedReadout`.
 """

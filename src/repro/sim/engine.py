@@ -1,8 +1,7 @@
 """Batched Monte-Carlo engine: every trial lives on a leading array axis.
 
-The legacy simulators (:func:`repro.crossbar.montecarlo.simulate_cave_yield`
-with ``method="loop"``, and the ``method="loop"`` paths of
-:mod:`repro.decoder.stochastic`) evaluate one trial per Python-loop
+The legacy simulators (the seed's cave-yield and stochastic-decoder
+loops, now test oracles) evaluate one trial per Python-loop
 iteration.  This module evaluates *all* trials of a chunk in single
 NumPy calls on a leading ``(trials, ...)`` axis, which is 20-50x faster
 and scales to millions of samples with bounded memory:
@@ -313,8 +312,8 @@ class CaveYieldKernel(TrialKernel):
 
     #: Draw layouts.  ``"trial"`` draws VT noise as ``(trials, N, M)``
     #: — the batch-of-1 form consumes the stream exactly like the seed
-    #: per-trial implementation, so the scalar wrappers and the
-    #: ``method="loop"`` path use it.  ``"region"`` draws ``(M, trials,
+    #: per-trial implementation, so the scalar wrappers and the seed's
+    #: per-trial loop use it.  ``"region"`` draws ``(M, trials,
     #: N)`` so the all-regions reduction runs as a few full-width
     #: vectorised ANDs instead of NumPy's slow length-M inner reduce;
     #: it is ~1.3x faster and is the engine default.  The two layouts

@@ -1,10 +1,9 @@
 """Vectorized sense-margin engine and batched k-sigma margin-yield MC.
 
-The scalar reference in :mod:`repro.decoder.margins` walks every
-(selected, unselected) wire pair in nested Python loops — O(N^2) loop
-iterations per margin evaluation, thousands of decoder-sized
-iterations per design-space sweep.  This module evaluates the same
-quantities as whole-matrix broadcasts:
+The scalar reference walks every (selected, unselected) wire pair in
+nested Python loops — O(N^2) loop iterations per margin evaluation,
+thousands of decoder-sized iterations per design-space sweep.  This
+module evaluates the same quantities as whole-matrix broadcasts:
 
 * the **selected-conduct margin matrix** ``VA - VT_nominal - k sigma``
   over all (wire, region) pairs at once;
@@ -23,11 +22,10 @@ Exactness contract
 The broadcast paths perform the same elementwise IEEE operations in
 the same order as the scalar loops (gather, subtract, multiply,
 exact min/max reductions), so their outputs are **byte-identical** to
-:func:`repro.decoder.margins.select_margins` /
-:func:`~repro.decoder.margins.block_margins` with ``method="loop"`` —
-not merely close.  Likewise the Monte-Carlo kernel draws its normals
-in the same stream order as the scalar per-sample reference, so the
-two methods produce identical sampled yields, and the spawned-stream
+the scalar per-pair loops kept with the test oracles — not merely
+close.  Likewise the Monte-Carlo kernel draws its normals in the same
+stream order as the scalar per-sample oracle, so the two produce
+identical sampled yields, and the spawned-stream
 plan of :mod:`repro.sim.batch` makes results independent of
 ``max_trials_per_chunk``.
 

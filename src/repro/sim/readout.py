@@ -1,15 +1,15 @@
 """Batched sneak-path readout engine: vectorized stamping, block-RHS solves.
 
-The scalar solvers in :mod:`repro.crossbar.readout` and
-:mod:`repro.crossbar.readout_distributed` assemble their conductance
-Laplacians with nested per-cell Python loops and solve one ``(states,
-row, col)`` triple per call.  This module is the batched engine behind
-their ``method="batched"`` paths:
+The original scalar solvers (kept with the test oracles) assemble their
+conductance Laplacians with nested per-cell Python loops and solve one
+``(states, row, col)`` triple per call.  This module is the batched
+engine behind :mod:`repro.crossbar.readout` and
+:mod:`repro.crossbar.readout_distributed`:
 
 * **Vectorized stamping** — :func:`ideal_laplacian` stamps the
   ideal-line Laplacian with ``np.add.at`` scatter-adds whose per-entry
   accumulation order matches the scalar loop exactly, so the dense path
-  stays *byte-identical* to the ``method="loop"`` reference;
+  stays *byte-identical* to the scalar reference;
   :func:`distributed_laplacian` builds the ``2 m n``-node
   distributed-line Laplacian from COO triplet arrays (index grids, no
   Python-level cell loops).
@@ -185,7 +185,7 @@ def ideal_laplacian(g: np.ndarray) -> np.ndarray:
     lines; every crosspoint is a conductance between its row and column
     node.  Diagonal entries are accumulated with ``np.add.at`` in the
     same element order as the scalar per-cell stamping loop, so the
-    result is byte-identical to the ``method="loop"`` reference.
+    result is byte-identical to the scalar reference.
     """
     rows, cols = g.shape
     n = rows + cols
@@ -594,7 +594,7 @@ def scheme_margin_sweep(
     The two worst-case backgrounds (all-ON, and all-ON with the
     selected cell OFF) are stamped once per bank size and shared across
     every biasing scheme — the Laplacian depends only on the state map.
-    Margins equal the scalar ``method="loop"`` path bit for bit.
+    Margins equal the scalar reference bit for bit.
     """
     for size in sizes:
         if size < 1:

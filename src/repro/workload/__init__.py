@@ -11,7 +11,7 @@ traffic instead of wire-level yield alone:
   samples N defective crossbar instances, builds defect-aware
   logical→physical remap tables once per instance, and executes whole
   traces as vectorised gather/scatter chunks (optional SECDED repair),
-  with a scalar ``method="loop"`` reference that is byte-identical;
+  byte-identical to a scalar per-access reference kept with the tests;
 * :mod:`repro.workload.electrical` — the electrical read mode: reads
   resolve through the sneak-path readout solver via a state-keyed
   factorization bank cache, so misreads, margins and ECC masking come

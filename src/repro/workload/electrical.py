@@ -8,8 +8,8 @@ dual-reference sense margin falls below the sense amplifier's
 resolution *misreads* as OFF, and those misreads flow into SECDED
 repair and the Welford fleet metrics.
 
-Execution model (``method="batched"``)
---------------------------------------
+Execution model
+---------------
 Chunks are split into *segments* — maximal runs of same-type accesses —
 so reads always sense the state produced by every earlier write, exactly
 as the scalar loop does.  Write segments scatter with explicit
@@ -29,10 +29,11 @@ write actually changes a cell value inside the bank.
 
 Equivalence contract
 --------------------
-``method="loop"`` executes the same semantics one access at a time
-through :class:`~repro.crossbar.array.CrossbarArray` on the *same*
-defect maps (``read_bit`` + ``read_margin`` per crosspoint).  Batched
-results are byte-identical and chunk-size invariant: the margin of a
+The scalar reference (kept with the test oracles) executes the same
+semantics one access at a time through
+:class:`~repro.crossbar.array.CrossbarArray` on the *same* defect maps
+(``read_bit`` + ``read_margin`` per crosspoint).  Batched results are
+byte-identical and chunk-size invariant: the margin of a
 cell is computed with the exact arithmetic of
 :meth:`CrossbarArray.read_margin` (forced-state bank, one solver call
 per reference) and only memoized — never approximated — so cached and
@@ -51,8 +52,8 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.crossbar.array import AddressingFault, CrossbarArray
-from repro.crossbar.ecc import EccError, decode_blocks
+from repro.crossbar.array import AddressingFault
+from repro.crossbar.ecc import decode_blocks
 from repro.crossbar.readout import ReadoutError, ReadoutModel
 from repro.decoder.addressmap import AddressMap
 from repro.sim.readout import BankCache, IdealBank, state_digest
@@ -130,9 +131,10 @@ def _cell_margin(
 
     Bit-identical to :meth:`CrossbarArray.read_margin`: both references
     are fresh forced-state solves of the same arithmetic; the cache
-    only memoizes the resulting floats.  ``fast`` (ideal batched
-    models) shares the forced-state solvers through the bank cache;
-    otherwise each reference goes through ``model.read_current``.
+    only memoizes the resulting floats.  ``fast`` (plain
+    :class:`ReadoutModel` instances) shares the forced-state solvers
+    through the bank cache; otherwise each reference goes through
+    ``model.read_current``.
     """
     key = (lr, lc)
     cached = entry.margins.get(key)
@@ -195,7 +197,7 @@ def run_electrical_batched(
     caps = fleet.address_capacities
     model = readout.model
     res = readout.resolution
-    fast = type(model) is ReadoutModel and model.method == "batched"
+    fast = type(model) is ReadoutModel
     side = fleet._maps[0].shape[0]
     side_cols = fleet._maps[0].shape[1]
     per = AddressMap(fleet.spec, fleet.space).wires_per_cave
@@ -425,143 +427,6 @@ def run_electrical_batched(
     )
 
 
-def run_electrical_loop(
-    fleet,
-    trace: Trace,
-    err_streams: Sequence[np.random.Generator | None],
-    p: float,
-    readout: ElectricalReadout,
-    collect_reads: bool,
-    collect_state: bool,
-    collect_margins: bool,
-):
-    """Scalar electrical reference: one CrossbarArray access per step."""
-    inst = fleet.instances
-    n = trace.accesses
-    code = fleet.ecc
-    bb = 1 if code is None else code.block_bits
-    caps = fleet.address_capacities
-    model = readout.model
-    res = readout.resolution
-    side_cols = fleet._maps[0].shape[1]
-
-    failures = np.zeros(inst, dtype=np.int64)
-    first_fail = np.full(inst, n, dtype=np.int64)
-    corrected = np.zeros(inst, dtype=np.int64)
-    uncorrectable = np.zeros(inst, dtype=np.int64)
-    sensed_bits = np.zeros(inst, dtype=np.int64)
-    misread_bits = np.zeros(inst, dtype=np.int64)
-    misread_reads = np.zeros(inst, dtype=np.int64)
-    ecc_masked = np.zeros(inst, dtype=np.int64)
-    margins = np.full((inst, trace.reads * bb), np.nan)
-    read_bits = np.zeros((inst, trace.reads), dtype=bool)
-    final_state = (
-        np.zeros((inst, fleet.raw_bits), dtype=bool) if collect_state else None
-    )
-
-    for i in range(inst):
-        arr = CrossbarArray(
-            fleet.spec, fleet.space, readout=model, defects=fleet._maps[i]
-        )
-        remap = fleet._remaps[i]
-        cap = int(caps[i])
-        err = err_streams[i]
-        r_off = 0
-        for j in range(n):
-            addr = int(trace.addresses[j])
-            if trace.is_write[j]:
-                if code is None:
-                    bit = bool(trace.values[j])
-                    if err is not None:
-                        bit ^= bool(err.random() < p)
-                    if addr >= cap:
-                        failures[i] += 1
-                        first_fail[i] = min(first_fail[i], j)
-                    else:
-                        r, c = divmod(int(remap[addr]), side_cols)
-                        arr.write_bit(r, c, bit)
-                else:
-                    payload = np.full(code.data_bits, trace.values[j], bool)
-                    block = code.encode(payload)
-                    if err is not None:
-                        block = block ^ (err.random(bb) < p)
-                    if addr >= cap:
-                        failures[i] += 1
-                        first_fail[i] = min(first_fail[i], j)
-                    else:
-                        for k in range(bb):
-                            r, c = divmod(int(remap[addr * bb + k]), side_cols)
-                            arr.write_bit(r, c, bool(block[k]))
-                continue
-
-            if addr >= cap:
-                failures[i] += 1
-                first_fail[i] = min(first_fail[i], j)
-                value = False
-            elif code is None:
-                r, c = divmod(int(remap[addr]), side_cols)
-                margin = arr.read_margin(r, c)
-                value = arr.read_bit(r, c) and (margin > res)
-                stored = arr.stored_bit(r, c)
-                margins[i, r_off] = margin
-                sensed_bits[i] += 1
-                if value != stored:
-                    misread_bits[i] += 1
-                    misread_reads[i] += 1
-            else:
-                sensed = np.zeros(bb, dtype=bool)
-                stored_blk = np.zeros(bb, dtype=bool)
-                for k in range(bb):
-                    r, c = divmod(int(remap[addr * bb + k]), side_cols)
-                    margin = arr.read_margin(r, c)
-                    sensed[k] = arr.read_bit(r, c) and (margin > res)
-                    stored_blk[k] = arr.stored_bit(r, c)
-                    margins[i, r_off * bb + k] = margin
-                sensed_bits[i] += bb
-                n_mis = int((sensed != stored_blk).sum())
-                misread_bits[i] += n_mis
-                if n_mis:
-                    misread_reads[i] += 1
-                try:
-                    data, cpos = code.decode(sensed)
-                    if cpos >= 0:
-                        corrected[i] += 1
-                    value = bool(data[0])
-                except EccError:
-                    uncorrectable[i] += 1
-                    value = False
-                try:
-                    data_s, _ = code.decode(stored_blk)
-                    value_s = bool(data_s[0])
-                except EccError:
-                    value_s = False
-                if n_mis and value == value_s:
-                    ecc_masked[i] += 1
-            read_bits[i, r_off] = value
-            r_off += 1
-        if final_state is not None:
-            final_state[i] = arr.raw_state().reshape(-1)
-
-    return _finish_electrical(
-        fleet,
-        trace,
-        readout,
-        failures=failures,
-        first_fail=first_fail,
-        corrected=corrected,
-        uncorrectable=uncorrectable,
-        sensed_bits=sensed_bits,
-        misread_bits=misread_bits,
-        misread_reads=misread_reads,
-        ecc_masked=ecc_masked,
-        margins=margins,
-        read_bits=read_bits if collect_reads else None,
-        final_state=final_state,
-        collect_margins=collect_margins,
-        cache=None,
-    )
-
-
 def _finish_electrical(
     fleet,
     trace: Trace,
@@ -581,7 +446,7 @@ def _finish_electrical(
     collect_margins: bool,
     cache: dict | None,
 ):
-    """Shared aggregation of both electrical paths (identical math)."""
+    """Aggregation shared with the scalar oracle (identical math)."""
     from repro.workload.metrics import electrical_metrics
 
     inst = fleet.instances

@@ -24,10 +24,11 @@ too slow.  :class:`MemoryFleet` replaces that hot path:
 
 Equivalence contract
 --------------------
-``method="loop"`` executes the same semantics through the scalar
-:class:`CrossbarMemory` / :class:`SecdedCode` APIs, one access per
-Python iteration.  Batched results are **byte-identical** to the loop
-and invariant to ``chunk_size``: write-error draws are consumed from
+The scalar reference (kept with the test oracles) executes the same
+semantics through the :class:`~repro.crossbar.memory.CrossbarMemory` /
+:class:`SecdedCode` APIs, one access per Python iteration.  Batched
+results are **byte-identical** to that loop and invariant to
+``chunk_size``: write-error draws are consumed from
 per-instance shared streams in trace order, so concatenated chunk draws
 equal the loop's per-access draws (the same contract the sim engine's
 shared-stream kernels rely on).
@@ -44,8 +45,7 @@ import numpy as np
 from repro import obs
 from repro.codes.base import CodeSpace
 from repro.crossbar.defects import DefectMap, sample_layer_mask
-from repro.crossbar.ecc import EccError, SecdedCode, decode_blocks
-from repro.crossbar.memory import CapacityError, CrossbarMemory
+from repro.crossbar.ecc import SecdedCode, decode_blocks
 from repro.crossbar.spec import CrossbarSpec
 from repro.sim.batch import (
     DEFAULT_MAX_TRIALS_PER_CHUNK,
@@ -162,7 +162,8 @@ class FleetResult:
     matrix of returned read values — failed reads return False — and
     ``final_state`` (``collect_state=True``) the ``(instances,
     raw_bits)`` stored-bit matrix; both are what the equivalence suite
-    compares byte-for-byte across methods and chunk sizes.
+    compares byte-for-byte against the scalar oracle and across chunk
+    sizes.
 
     Electrical runs (``readout=`` given, see
     :mod:`repro.workload.electrical`) set ``electrical`` and add the
@@ -343,7 +344,6 @@ class MemoryFleet:
         self,
         trace: Trace,
         *,
-        method: str = "batched",
         chunk_size: int = DEFAULT_MAX_TRIALS_PER_CHUNK,
         seed: int = 0,
         write_error_rate: float = 0.0,
@@ -356,9 +356,6 @@ class MemoryFleet:
 
         Parameters
         ----------
-        method:
-            ``"batched"`` (vectorised chunks, the default) or
-            ``"loop"`` (the scalar reference; byte-identical results).
         chunk_size:
             Max accesses materialised per vectorised step; bounds
             memory, never changes results.
@@ -394,13 +391,11 @@ class MemoryFleet:
             trace=trace.name,
             accesses=trace.accesses,
             instances=self.instances,
-            method=method,
             electrical=readout is not None,
         ) as sp:
             if readout is not None:
                 result = self._run_electrical(
                     trace,
-                    method,
                     chunk_size,
                     err_streams,
                     write_error_rate,
@@ -409,7 +404,7 @@ class MemoryFleet:
                     collect_state,
                     collect_margins,
                 )
-            elif method == "batched":
+            else:
                 result = self._run_batched(
                     trace,
                     chunk_size,
@@ -417,14 +412,6 @@ class MemoryFleet:
                     write_error_rate,
                     collect_reads,
                     collect_state,
-                )
-            elif method != "loop":
-                raise ValueError(
-                    f"unknown method {method!r}; use 'batched' or 'loop'"
-                )
-            else:
-                result = self._run_loop(
-                    trace, err_streams, write_error_rate, collect_reads, collect_state
                 )
         if obs.enabled():
             total = trace.accesses * self.instances
@@ -439,7 +426,6 @@ class MemoryFleet:
     def _run_electrical(
         self,
         trace: Trace,
-        method: str,
         chunk_size: int,
         err_streams: Sequence[np.random.Generator | None],
         p: float,
@@ -448,11 +434,7 @@ class MemoryFleet:
         collect_state: bool,
         collect_margins: bool,
     ) -> FleetResult:
-        from repro.workload.electrical import (
-            ElectricalReadout,
-            run_electrical_batched,
-            run_electrical_loop,
-        )
+        from repro.workload.electrical import ElectricalReadout, run_electrical_batched
 
         if not isinstance(readout, ElectricalReadout):
             raise TypeError(
@@ -469,23 +451,10 @@ class MemoryFleet:
                 f"defect map shape {self._maps[0].shape} does not match the "
                 f"({side}, {side}) crosspoint grid of the given spec"
             )
-        if method == "batched":
-            return run_electrical_batched(
-                self,
-                trace,
-                chunk_size,
-                err_streams,
-                p,
-                readout,
-                collect_reads,
-                collect_state,
-                collect_margins,
-            )
-        if method != "loop":
-            raise ValueError(f"unknown method {method!r}; use 'batched' or 'loop'")
-        return run_electrical_loop(
+        return run_electrical_batched(
             self,
             trace,
+            chunk_size,
             err_streams,
             p,
             readout,
@@ -662,95 +631,6 @@ class MemoryFleet:
             uncorrectable,
             read_bits,
             np.stack(state) if collect_state else None,
-        )
-
-    # -- scalar reference path -------------------------------------------------
-
-    def _run_loop(
-        self,
-        trace: Trace,
-        err_streams: Sequence[np.random.Generator | None],
-        p: float,
-        collect_reads: bool,
-        collect_state: bool,
-    ) -> FleetResult:
-        inst = self.instances
-        n = trace.accesses
-        code = self._ecc
-        bb = 1 if code is None else code.block_bits
-        failures = np.zeros(inst, dtype=np.int64)
-        first_fail = np.full(inst, n, dtype=np.int64)
-        corrected = np.zeros(inst, dtype=np.int64)
-        uncorrectable = np.zeros(inst, dtype=np.int64)
-        read_bits = (
-            np.zeros((inst, trace.reads), dtype=bool) if collect_reads else None
-        )
-        state = np.zeros((inst, self._raw_bits), dtype=bool) if collect_state else None
-
-        for i in range(inst):
-            mem = CrossbarMemory(self._maps[i])
-            err = err_streams[i]
-            r_off = 0
-            for j in range(n):
-                addr = int(trace.addresses[j])
-                if trace.is_write[j]:
-                    if code is None:
-                        bit = bool(trace.values[j])
-                        if err is not None:
-                            bit ^= bool(err.random() < p)
-                        try:
-                            mem.write(addr, bit)
-                        except CapacityError:
-                            failures[i] += 1
-                            first_fail[i] = min(first_fail[i], j)
-                    else:
-                        payload = np.full(code.data_bits, trace.values[j], bool)
-                        block = code.encode(payload)
-                        if err is not None:
-                            block = block ^ (err.random(bb) < p)
-                        try:
-                            mem.write_block(addr * bb, block)
-                        except CapacityError:
-                            failures[i] += 1
-                            first_fail[i] = min(first_fail[i], j)
-                else:
-                    if code is None:
-                        try:
-                            bit = mem.read(addr)
-                        except CapacityError:
-                            failures[i] += 1
-                            first_fail[i] = min(first_fail[i], j)
-                            bit = False
-                    else:
-                        try:
-                            raw = mem.read_block(addr * bb, bb)
-                        except CapacityError:
-                            failures[i] += 1
-                            first_fail[i] = min(first_fail[i], j)
-                            raw = None
-                        bit = False
-                        if raw is not None:
-                            try:
-                                data, cpos = code.decode(raw)
-                                if cpos >= 0:
-                                    corrected[i] += 1
-                                bit = bool(data[0])
-                            except EccError:
-                                uncorrectable[i] += 1
-                    if read_bits is not None:
-                        read_bits[i, r_off] = bit
-                    r_off += 1
-            if state is not None:
-                state[i] = mem.raw_state().ravel()
-
-        return self._finish(
-            trace,
-            failures,
-            first_fail,
-            corrected,
-            uncorrectable,
-            read_bits,
-            state,
         )
 
     # -- aggregation -----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Unit tests for repro.analysis.report and repro.analysis.sweeps."""
+"""Unit tests for repro.analysis.report, function sweeps and spec_with."""
 
 import pytest
 
@@ -9,8 +9,9 @@ from repro.analysis.report import (
     paper_vs_measured,
     render_table,
 )
-from repro.analysis.sweeps import grid_sweep, spec_with, sweep
+from repro.analysis.sweeps import spec_with
 from repro.crossbar.spec import CrossbarSpec
+from repro.exp.pipeline import function_sweep
 
 
 class TestFormatting:
@@ -46,7 +47,8 @@ class TestRenderTable:
 
 class TestSweep:
     def test_one_dimensional(self):
-        records = sweep("x", [1, 2, 3], lambda v: {"square": v * v})
+        table = function_sweep({"x": [1, 2, 3]}, lambda x: {"square": x * x})
+        records = table.to_records()
         assert records == [
             {"x": 1, "square": 1},
             {"x": 2, "square": 4},
@@ -54,7 +56,8 @@ class TestSweep:
         ]
 
     def test_grid(self):
-        records = grid_sweep({"a": [1, 2], "b": [10, 20]}, lambda a, b: {"sum": a + b})
+        axes = {"a": [1, 2], "b": [10, 20]}
+        records = function_sweep(axes, lambda a, b: {"sum": a + b}).to_records()
         assert len(records) == 4
         assert {"a": 2, "b": 10, "sum": 12} in records
 

@@ -115,8 +115,8 @@ class TestDigests:
         assert api.request_digest(base) != api.request_digest(reseeded)
 
     def test_digest_ignores_execution_knobs(self):
-        # method/chunk_size/jobs are call arguments, not request fields,
-        # so they cannot perturb the digest by construction; spot-check
+        # chunk_size/jobs are call arguments, not request fields, so
+        # they cannot perturb the digest by construction; spot-check
         # that the canonical payload has no such keys.
         payload = small_sweep_request().to_dict()
         assert not {"jobs", "method", "chunk_size"} & set(payload)
@@ -230,23 +230,17 @@ class TestFacadeWithStore:
         assert warm == cold
         assert store.stats()["entries"] == 1
 
-    def test_simulate_store_shared_across_methods_marginmc(self, tmp_path):
+    def test_bad_chunk_size_rejected_on_a_store_hit(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        req = api.McRequest(kind="marginmc", family="TC", total_length=6, samples=32)
-        cold = api.simulate(req, method="batched", store=store)
-        warm = api.simulate(req, method="loop", store=store)
-        assert warm == cold == api.simulate(req)  # loop == batched == direct
-
-    def test_simulate_cavemc_loop_bypasses_store(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        req = api.McRequest(kind="cavemc", family="TC", total_length=6, samples=32)
-        direct_loop = api.simulate(req, method="loop")
-        assert api.simulate(req, method="loop", store=store) == direct_loop
-        assert store.stats()["entries"] == 0  # nothing was committed
-        api.simulate(req, method="batched", store=store)
-        assert store.stats()["entries"] == 1
-        # a later loop call must not be served the batched estimate
-        assert api.simulate(req, method="loop", store=store) == direct_loop
+        mc = api.McRequest(kind="marginmc", family="TC", total_length=6, samples=32)
+        wl = api.WorkloadRequest(family="TC", total_length=6, accesses=64, instances=2)
+        api.simulate(mc, store=store)
+        api.memsim(wl, store=store)
+        # a miss and a hit fail the same way
+        for facade, req in ((api.simulate, mc), (api.memsim, wl)):
+            for target in (None, store):
+                with pytest.raises(ValueError, match="chunk size"):
+                    facade(req, chunk_size=0, store=target)
 
     def test_memsim_store_round_trip_identical(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -280,13 +274,3 @@ class TestOverrideValidation:
         point = DesignPoint("TC", 6, overrides=(("bogus_knob", 1.0),))
         with pytest.raises(ValueError, match="unknown spec override"):
             point.resolved_spec()
-
-
-class TestDeprecatedShims:
-    def test_legacy_sweep_warns(self):
-        from repro.analysis.sweeps import grid_sweep, sweep
-
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            sweep("x", [1, 2], lambda x: {"y": x * 2})
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            grid_sweep({"x": [1]}, lambda x: {"y": x})

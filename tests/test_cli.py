@@ -4,7 +4,14 @@ import json
 
 import pytest
 
+from repro import api
 from repro.cli import build_parser, main
+from repro.decoder import margins
+from tests.oracles.margins import (
+    block_margins_loop,
+    select_margins_loop,
+    simulate_margin_yield_loop,
+)
 
 
 def run_cli(capsys, *argv):
@@ -113,7 +120,7 @@ class TestSubcommands:
         assert code == 0
         assert "mc yield" in out and "mc stderr" in out
 
-    def test_margins_loop_batched_identical(self, capsys):
+    def test_margins_loop_batched_identical(self, capsys, monkeypatch):
         args = (
             "margins",
             "--family",
@@ -127,10 +134,13 @@ class TestSubcommands:
             "--format",
             "json",
         )
-        _, batched = run_cli(capsys, *args, "--method", "batched")
-        _, loop = run_cli(capsys, *args, "--method", "loop")
+        _, batched = run_cli(capsys, *args)
+        # the same command on the scalar loop oracles
+        monkeypatch.setattr(margins, "select_margins", select_margins_loop)
+        monkeypatch.setattr(margins, "block_margins", block_margins_loop)
+        monkeypatch.setattr(api, "simulate_margin_yield", simulate_margin_yield_loop)
+        _, loop = run_cli(capsys, *args)
         lhs, rhs = json.loads(batched), json.loads(loop)
-        lhs.pop("method"), rhs.pop("method")
         # the timing section reports wall clock, not results
         lhs.pop("timing"), rhs.pop("timing")
         assert lhs == rhs
@@ -230,7 +240,6 @@ class TestSharedOptions:
         from repro.cli import (
             CHUNK_HELP,
             FORMAT_HELP,
-            METHOD_HELP,
             SEED_HELP,
             VIA_HELP,
         )
@@ -240,7 +249,7 @@ class TestSharedOptions:
             for cmd in ("sweep", "simulate", "memsim", "margins", "readout")
         }
         for cmd in ("simulate", "memsim", "margins", "readout"):
-            assert " ".join(METHOD_HELP.split()) in helps[cmd], cmd
+            assert "--method" not in helps[cmd], cmd
         for cmd in ("sweep", "simulate", "memsim", "margins"):
             assert " ".join(SEED_HELP.split()) in helps[cmd], cmd
             assert " ".join(FORMAT_HELP.split()) in helps[cmd], cmd
@@ -249,12 +258,19 @@ class TestSharedOptions:
             assert " ".join(CHUNK_HELP.split()) in helps[cmd], cmd
 
     def test_method_error_message_identical(self, capsys):
+        # --method is gone from every command that had it
+        design = ["TC", "-M", "6"]
         errors = {
-            cmd: self._error(capsys, [cmd, "--method", "bogus"])
-            for cmd in ("simulate", "memsim", "margins", "readout")
+            cmd: self._error(capsys, [cmd, *extra, "--method", "loop"])
+            for cmd, extra in (
+                ("simulate", design),
+                ("memsim", design),
+                ("margins", []),
+                ("readout", []),
+            )
         }
         assert len(set(errors.values())) == 1, errors
-        assert "invalid choice: 'bogus'" in errors["simulate"]
+        assert "unrecognized arguments: --method loop" in errors["simulate"]
 
     def test_format_error_message_identical(self, capsys):
         errors = {

@@ -10,6 +10,7 @@ from repro.crossbar.montecarlo import (
     simulate_cave_yield,
 )
 from repro.crossbar.yield_model import crossbar_yield, decoder_for
+from tests.oracles.montecarlo import simulate_cave_yield_loop
 
 
 class TestSampleMasks:
@@ -69,17 +70,15 @@ class TestSimulateCaveYield:
             simulate_cave_yield(spec, make_code("TC", 2, 8), samples=0)
 
     def test_single_sample_has_zero_stderr(self, spec):
-        for method in ("batched", "loop"):
-            mc = simulate_cave_yield(
-                spec, make_code("TC", 2, 8), samples=1, seed=2, method=method
-            )
+        for simulate in (simulate_cave_yield, simulate_cave_yield_loop):
+            mc = simulate(spec, make_code("TC", 2, 8), samples=1, seed=2)
             assert mc.std_cave_yield == 0.0
             assert mc.stderr == 0.0
 
     def test_methods_agree_statistically(self, spec):
         code = make_code("BGC", 2, 8)
         batched = simulate_cave_yield(spec, code, samples=2000, seed=3)
-        loop = simulate_cave_yield(spec, code, samples=500, seed=3, method="loop")
+        loop = simulate_cave_yield_loop(spec, code, samples=500, seed=3)
         assert batched.mean_cave_yield == pytest.approx(
             loop.mean_cave_yield, abs=4 * (batched.stderr + loop.stderr)
         )

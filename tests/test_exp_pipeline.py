@@ -332,25 +332,21 @@ class TestGoldenEquivalence:
             assert point.cost == score(spec, point.design.space)
 
     def test_function_sweep_matches_legacy_records(self):
-        from repro.analysis.sweeps import grid_sweep
-
         axes = {"a": [1, 2], "b": [10, 20]}
-        records = grid_sweep(axes, lambda a, b: {"sum": a + b})
         table = function_sweep(axes, lambda a, b: {"sum": a + b})
-        assert records == table.to_records()
-
-    def test_shims_keep_legacy_edge_cases(self):
-        from repro.analysis.sweeps import grid_sweep, sweep
-
+        assert table.to_records() == [
+            {"a": 1, "b": 10, "sum": 11},
+            {"a": 1, "b": 20, "sum": 21},
+            {"a": 2, "b": 10, "sum": 12},
+            {"a": 2, "b": 20, "sum": 22},
+        ]
         # iterator-valued axes are materialised, not consumed twice
-        records = grid_sweep({"x": (i for i in range(3))}, lambda x: {"y": 2 * x})
-        assert records == [{"x": 0, "y": 0}, {"x": 1, "y": 2}, {"x": 2, "y": 4}]
-        # per-value result fields (ragged records) stay allowed
-        ragged = sweep("x", [1, 2], lambda v: {"big": True} if v > 1 else {})
-        assert ragged == [{"x": 1}, {"x": 2, "big": True}]
-        # empty axes yield the historical empty list
-        assert sweep("x", [], lambda v: {"y": v}) == []
-        assert grid_sweep({"x": []}, lambda x: {"y": x}) == []
+        table = function_sweep({"x": (i for i in range(3))}, lambda x: {"y": 2 * x})
+        assert table.to_records() == [
+            {"x": 0, "y": 0},
+            {"x": 1, "y": 2},
+            {"x": 2, "y": 4},
+        ]
 
 
 class TestSweepCLI:

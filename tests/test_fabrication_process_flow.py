@@ -1,11 +1,13 @@
 """Unit tests for repro.fabrication.process_flow."""
 
 import numpy as np
+import pytest
 
 from repro.codes import GrayCode, HotCode, TreeCode, make_code
 from repro.decoder.variability import dose_count_matrix
 from repro.fabrication.doping import DopingPlan
 from repro.fabrication.process_flow import DopingEvent, ProcessFlow, SpacerEvent
+from tests.oracles.fabrication import dose_counts_loop, replay_loop
 
 
 def flow_for(space, nanowires):
@@ -74,14 +76,14 @@ class TestBatchedReplay:
     def test_replay_matches_loop_reference(self):
         for space in (TreeCode(2, 3), GrayCode(3, 2), HotCode(2, 2)):
             flow = flow_for(space, 9)
-            assert np.allclose(flow.replay(), flow.replay(method="loop"))
+            assert np.allclose(flow.replay(), replay_loop(flow))
 
     def test_dose_counts_exactly_match_loop_reference(self):
         """Counts are integers: the two formulations agree exactly."""
         for space in (TreeCode(2, 4), GrayCode(2, 4), HotCode(2, 3)):
             flow = flow_for(space, 12)
             batched = flow.dose_counts()
-            loop = flow.dose_counts(method="loop")
+            loop = dose_counts_loop(flow)
             assert batched.dtype == loop.dtype
             assert np.array_equal(batched, loop)
 
@@ -90,15 +92,12 @@ class TestBatchedReplay:
     ):
         plan = DopingPlan.from_pattern(example1_pattern, paper_map)
         flow = ProcessFlow.from_plan(plan)
-        assert np.allclose(flow.replay(method="batched"), plan.final)
-        assert np.allclose(flow.replay(method="loop"), plan.final)
+        assert np.allclose(flow.replay(), plan.final)
+        assert np.allclose(replay_loop(flow), plan.final)
 
     def test_unknown_method_rejected(self):
+        # the event-by-event loops are test oracles now, not a method knob
         flow = flow_for(GrayCode(2, 3), 6)
         for call in (flow.replay, flow.dose_counts):
-            try:
-                call(method="turbo")
-            except ValueError as exc:
-                assert "turbo" in str(exc)
-            else:  # pragma: no cover - defensive
-                raise AssertionError("expected ValueError")
+            with pytest.raises(TypeError):
+                call(method="loop")

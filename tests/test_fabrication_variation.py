@@ -10,6 +10,7 @@ from repro.fabrication.variation import (
     estimate_position_sigma,
     sample_spacer_geometry,
 )
+from tests.oracles.fabrication import estimate_position_sigma_loop
 
 
 @pytest.fixture
@@ -87,6 +88,18 @@ class TestEstimatePositionSigma:
         )
         analytic = np.array([variation.position_sigma_nm(i) for i in range(15)])
         assert np.allclose(estimated, analytic, rtol=0.12)
+
+    def test_loop_oracle_agrees_statistically(self, recipe, variation):
+        """Different stream layouts, same distribution."""
+        batched = estimate_position_sigma(
+            recipe, variation, 15, 1500, np.random.default_rng(4)
+        )
+        loop = estimate_position_sigma_loop(
+            recipe, variation, 15, 1500, np.random.default_rng(4)
+        )
+        analytic = np.array([variation.position_sigma_nm(i) for i in range(15)])
+        assert np.allclose(loop, analytic, rtol=0.12)
+        assert np.allclose(batched, loop, rtol=0.2)
 
     def test_requires_samples(self, recipe, variation, rng):
         with pytest.raises(VariationError):

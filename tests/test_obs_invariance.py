@@ -19,7 +19,8 @@ from repro.crossbar.montecarlo import simulate_margin_yield
 from repro.crossbar.spec import CrossbarSpec
 from repro.exp import clear_caches, design_grid, run_sweep
 from repro.sim.engine import MonteCarloEngine
-from repro.workload import ElectricalReadout, prepare_workload
+from repro.workload import ElectricalReadout, MemoryFleet, prepare_workload
+from tests.oracles.workload import run_fleet_loop
 
 
 @pytest.fixture
@@ -68,18 +69,17 @@ class TestSweepInvariance:
 
 
 class TestWorkloadInvariance:
-    @pytest.mark.parametrize("method", ["batched", "loop"])
-    def test_fleet_result_identical(self, spec, method):
+    @pytest.mark.parametrize("runner", ["batched", "loop"])
+    def test_fleet_result_identical(self, spec, runner):
+        run = {"batched": MemoryFleet.run, "loop": run_fleet_loop}[runner]
         code = make_code("BGC", 2, 8)
         fleet, trace = prepare_workload(
             spec, code, accesses=300, instances=2, seed=5
         )
-        kwargs = dict(
-            method=method, seed=5, collect_reads=True, collect_state=True
-        )
-        plain = fleet.run(trace, **kwargs)
+        kwargs = dict(seed=5, collect_reads=True, collect_state=True)
+        plain = run(fleet, trace, **kwargs)
         with obs.scoped():
-            instrumented = fleet.run(trace, **kwargs)
+            instrumented = run(fleet, trace, **kwargs)
         assert fleet_results_equal(instrumented, plain)
 
     def test_electrical_fleet_result_identical(self, spec):
@@ -92,7 +92,7 @@ class TestWorkloadInvariance:
         readout = ElectricalReadout(
             model=ReadoutModel(r_on=1e4, r_off=1e7, v_read=1.0, scheme="float")
         )
-        kwargs = dict(method="batched", seed=7, readout=readout)
+        kwargs = dict(seed=7, readout=readout)
         plain = fleet.run(trace, **kwargs)
         with obs.scoped():
             instrumented = fleet.run(trace, **kwargs)

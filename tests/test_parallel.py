@@ -35,6 +35,7 @@ from repro.crossbar.spec import CrossbarSpec
 from repro.sim import batch, engine, margins
 from repro.sim.engine import MonteCarloEngine
 from repro.workload import memory_batch
+from tests.oracles.margins import simulate_margin_yield_loop
 
 SPEC = CrossbarSpec()
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -223,7 +224,7 @@ class TestSlicing:
         code = make_code("BGC", 2, 8)
         assert yield_kernel(SPEC, code, 3.0).patterns.shape[0] == 20
         kwargs = dict(samples=samples, seed=9, k_sigma=2.5)
-        loop = simulate_margin_yield(SPEC, code, method="loop", **kwargs)
+        loop = simulate_margin_yield_loop(SPEC, code, **kwargs)
         assert simulate_margin_yield(SPEC, code, **kwargs) == loop
 
     def test_tiled_margins_equal_loop_across_blocks(self):
@@ -233,7 +234,7 @@ class TestSlicing:
         code = make_code("BGC", 2, 6)
         assert margins._TRIAL_SLAB_ELEMENTS // 8**2 < 4096
         kwargs = dict(samples=4097, seed=2, k_sigma=2.0)
-        loop = simulate_margin_yield(spec, code, method="loop", **kwargs)
+        loop = simulate_margin_yield_loop(spec, code, **kwargs)
         assert simulate_margin_yield(spec, code, **kwargs) == loop
 
     def test_realised_margins_keep_leading_shape(self):

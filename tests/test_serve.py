@@ -1,5 +1,6 @@
 """Integration tests for the repro serve daemon, protocol and client."""
 
+import socket
 import threading
 import uuid
 
@@ -9,6 +10,7 @@ from repro import api
 from repro.exp.designpoint import DesignPoint
 from repro.serve import ReproServer, ServeClient, ServeError
 from repro.serve.protocol import (
+    PROTOCOL_VERSION,
     decode_frame,
     encode_frame,
     iter_record_chunks,
@@ -26,6 +28,14 @@ def socket_path(tmp_path):
     return str(path)
 
 
+def raw_exchange(socket_path, frame):
+    """Send one frame as-is and return the daemon's first reply frame."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+        raw.connect(socket_path)
+        raw.sendall(encode_frame(frame))
+        return decode_frame(raw.makefile("rb").readline())
+
+
 def sweep_request(*families, length=6):
     points = tuple(DesignPoint.make(f, length) for f in families or ("TC", "GC"))
     return api.SweepRequest(points=points, metrics=("yield", "area"))
@@ -37,8 +47,8 @@ class TestProtocol:
         assert decode_frame(encode_frame(frame)) == frame
 
     def test_none_knobs_dropped(self):
-        frame = request_frame("simulate", 1, {}, method="loop", chunk_size=None)
-        assert "chunk_size" not in frame and frame["method"] == "loop"
+        frame = request_frame("simulate", 1, {}, chunk_size=None)
+        assert "chunk_size" not in frame and frame["v"] == PROTOCOL_VERSION
 
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError, match="unknown op"):
@@ -109,15 +119,40 @@ class TestDaemon:
                 assert client.memsim(wl) == api.memsim(wl)
 
     def test_cavemc_loop_not_reported_cached(self, socket_path, tmp_path):
+        """A v1 client's loop cavemc frame is refused, not served the
+        batched estimate the store holds."""
         req = api.McRequest(kind="cavemc", family="TC", total_length=6, samples=32)
         store = ResultStore(tmp_path / "store")
+        api.simulate(req, store=store)  # commits the batched estimate
+        old = {"v": 1, "id": 7, "op": "simulate", "request": req.to_dict()}
+        old["method"] = "loop"
+        with ReproServer(socket_path, store=store).running():
+            reply = raw_exchange(socket_path, old)
+        assert reply["ok"] is False and reply["id"] == 7
+        assert "result" not in reply and "cached" not in reply
+
+    def test_rejects_other_protocol_versions(self, socket_path):
+        with ReproServer(socket_path).running():
+            for version in (PROTOCOL_VERSION + 1, None):
+                frame = request_frame("ping", 1)
+                frame["v"] = version
+                reply = raw_exchange(socket_path, frame)
+                assert reply["ok"] is False and reply["frame"] == "error"
+                assert f"v{version}" in reply["error"]
+                assert f"v{PROTOCOL_VERSION}" in reply["error"]
+            assert raw_exchange(socket_path, request_frame("ping", 2))["ok"]
+
+    def test_bad_chunk_size_rejected_before_the_store(self, socket_path, tmp_path):
+        req = api.McRequest(kind="marginmc", family="TC", total_length=6, samples=32)
+        store = ResultStore(tmp_path / "store")
+        api.simulate(req, store=store)  # a hit would skip compute
         with ReproServer(socket_path, store=store).running():
             with ServeClient(socket_path) as client:
-                batched = client.simulate(req)  # commits the batched estimate
-                loop = client.simulate(req, method="loop")
-                assert client.last_cached is False  # loop bypasses the store
-        assert loop == api.simulate(req, method="loop")
-        assert batched == api.simulate(req)
+                for bad in (0, -4, 2.5, "64", True):
+                    with pytest.raises(ServeError, match="chunk"):
+                        client.simulate(req, chunk_size=bad)
+                assert client.simulate(req, chunk_size=64) == api.simulate(req)
+                assert client.last_cached is True
 
     def test_warm_simulate_verifies_the_entry_once(
         self, socket_path, tmp_path, monkeypatch

@@ -2,7 +2,8 @@
 
 The engine's contract, tested here:
 
-* batched and legacy per-trial loops produce **identical** results for
+* batched and legacy per-trial loops (inline, or the oracles in
+  ``tests/oracles/montecarlo.py``) produce **identical** results for
   the same seed wherever they consume the random stream identically
   (stochastic baselines, batch-of-1 wrappers, region-VT draws);
 * where the stream layouts differ by design (the spawned block streams
@@ -43,6 +44,11 @@ from repro.sim import (
     simulate_cave_yield_batched,
 )
 from repro.sim.batch import block_sizes
+from tests.oracles.montecarlo import (
+    simulate_cave_yield_loop,
+    simulate_random_codes_loop,
+    simulate_random_contacts_loop,
+)
 
 COMMON = settings(max_examples=25, deadline=None)
 
@@ -186,9 +192,7 @@ class TestRandomCodesEquivalence:
         assert a == b
 
     def test_public_methods_agree(self):
-        loop = simulate_random_codes(
-            20, 64, 500, np.random.default_rng(4), method="loop"
-        )
+        loop = simulate_random_codes_loop(20, 64, 500, np.random.default_rng(4))
         batched = simulate_random_codes(20, 64, 500, np.random.default_rng(4))
         assert batched == pytest.approx(loop, rel=1e-12)
 
@@ -222,9 +226,7 @@ class TestRandomContactsEquivalence:
 
     def test_multiword_signatures_use_exact_fallback(self):
         """> 52 mesowires exceed one float64 word; results stay exact."""
-        loop = simulate_random_contacts(
-            6, 60, 100, np.random.default_rng(2), method="loop"
-        )
+        loop = simulate_random_contacts_loop(6, 60, 100, np.random.default_rng(2))
         batched = simulate_random_contacts(6, 60, 100, np.random.default_rng(2))
         assert batched == pytest.approx(loop, rel=1e-12)
 
@@ -318,7 +320,7 @@ class TestCaveYieldEngine:
         for family, length in [("TC", 8), ("BGC", 10), ("HC", 6)]:
             code = make_code(family, 2, length)
             batched = simulate_cave_yield(spec, code, samples=4000, seed=17)
-            loop = simulate_cave_yield(spec, code, samples=1000, seed=17, method="loop")
+            loop = simulate_cave_yield_loop(spec, code, samples=1000, seed=17)
             analytic = crossbar_yield(spec, code).cave_yield
             tol = 4 * (batched.stderr + loop.stderr)
             assert batched.mean_cave_yield == pytest.approx(
@@ -329,9 +331,9 @@ class TestCaveYieldEngine:
             )
 
     def test_loop_method_matches_pre_engine_simulator(self, spec):
-        """The loop path still draws exactly like the seed implementation."""
+        """The loop oracle still draws exactly like the seed implementation."""
         code = make_code("BGC", 2, 8)
-        mc = simulate_cave_yield(spec, code, samples=200, seed=3, method="loop")
+        mc = simulate_cave_yield_loop(spec, code, samples=200, seed=3)
         decoder = decoder_for(spec, code)
         rng = np.random.default_rng(3)
         cave = np.empty(200)
@@ -365,7 +367,6 @@ class TestValidation:
         for kwargs in (
             {"samples": 0},
             {"samples": 100, "max_trials_per_chunk": 0},
-            {"samples": 100, "method": "warp"},
         ):
             with pytest.raises(ValueError):
                 simulate_cave_yield(spec, code, seed=0, **kwargs)
@@ -387,8 +388,6 @@ class TestValidation:
                 fn(samples=0)
             with pytest.raises(StochasticError):
                 fn(samples=10, max_trials_per_chunk=0)
-            with pytest.raises(StochasticError):
-                fn(samples=10, method="warp")
 
     def test_stderr_guards_single_sample(self, spec):
         mc = simulate_cave_yield(spec, make_code("TC", 2, 8), samples=1, seed=0)

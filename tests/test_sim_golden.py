@@ -3,13 +3,14 @@
 These pin the exact numbers produced by canonical seeded runs so a
 future refactor cannot silently drift the figures:
 
-* ``method="loop"`` goldens are bit-compatible with the seed (pre-
-  engine) implementation of ``simulate_cave_yield`` — they were
-  computed with the original per-trial loop and must keep matching;
-* ``method="batched"`` goldens pin the engine's spawned-stream layout
-  (seed + stream block), which the reproducibility contract freezes;
+* loop goldens are bit-compatible with the seed (pre-engine)
+  implementation of ``simulate_cave_yield`` — they were computed with
+  the original per-trial loop, kept as the golden fixture in
+  ``tests/oracles/montecarlo.py``, and must keep matching;
+* batched goldens pin the engine's spawned-stream layout (seed +
+  stream block), which the reproducibility contract freezes;
 * the stochastic-baseline goldens pin the shared-stream draws common
-  to both methods.
+  to the engine and the loop oracles.
 
 Tolerance is ``rel=1e-12``: tight enough to catch any change in draws
 or masking, loose enough to ignore float summation-order noise.
@@ -24,6 +25,11 @@ from repro.crossbar.spec import CrossbarSpec
 from repro.decoder.stochastic import (
     simulate_random_codes,
     simulate_random_contacts,
+)
+from tests.oracles.montecarlo import (
+    simulate_cave_yield_loop,
+    simulate_random_codes_loop,
+    simulate_random_contacts_loop,
 )
 
 GOLDEN_RTOL = 1e-12
@@ -78,12 +84,11 @@ class TestCaveYieldGoldens:
     @pytest.mark.parametrize("point", sorted(LOOP_GOLDENS))
     def test_loop_method_pinned(self, point):
         family, length, samples, seed = point
-        mc = simulate_cave_yield(
+        mc = simulate_cave_yield_loop(
             CrossbarSpec(),
             make_code(family, 2, length),
             samples=samples,
             seed=seed,
-            method="loop",
         )
         _check(mc, LOOP_GOLDENS[point])
 
@@ -113,16 +118,12 @@ class TestCaveYieldGoldens:
 class TestStochasticBaselineGoldens:
     def test_random_codes_pinned(self):
         batched = simulate_random_codes(20, 64, 4000, np.random.default_rng(3))
-        loop = simulate_random_codes(
-            20, 64, 4000, np.random.default_rng(3), method="loop"
-        )
+        loop = simulate_random_codes_loop(20, 64, 4000, np.random.default_rng(3))
         assert batched == pytest.approx(0.7391875, rel=GOLDEN_RTOL)
         assert loop == pytest.approx(0.7391875, rel=1e-9)
 
     def test_random_contacts_pinned(self):
         batched = simulate_random_contacts(10, 8, 4000, np.random.default_rng(3))
-        loop = simulate_random_contacts(
-            10, 8, 4000, np.random.default_rng(3), method="loop"
-        )
+        loop = simulate_random_contacts_loop(10, 8, 4000, np.random.default_rng(3))
         assert batched == pytest.approx(0.963425, rel=GOLDEN_RTOL)
         assert loop == pytest.approx(0.963425, rel=1e-9)

@@ -3,11 +3,11 @@
 The PR-4 contract (see ``repro/sim/margins.py``):
 
 * the broadcast analytic margins are **byte-identical** to the scalar
-  per-pair loops for every family/valence/size/k;
+  per-pair loop oracles (``tests/oracles/margins.py``) for every
+  family/valence/size/k;
 * the margin-yield Monte-Carlo produces **identical** sampled yields
-  from ``method="loop"`` and ``method="batched"`` (both ride the same
-  spawned per-block streams) and is invariant to
-  ``max_trials_per_chunk``;
+  to the per-sample loop oracle (both ride the same spawned per-block
+  streams) and is invariant to ``max_trials_per_chunk``;
 * shrinking ``k_sigma`` never shrinks a margin (hypothesis property);
 * the ``repro margins`` CLI output is pinned by seeded goldens.
 """
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.decoder.margins as margins_module
 from repro.codes import make_code
 from repro.crossbar.montecarlo import (
     simulate_cave_yield,
@@ -41,6 +42,11 @@ from repro.sim.margins import (
     applied_voltage_matrix,
     conflict_matrix,
     pair_block_matrix,
+)
+from tests.oracles.margins import (
+    block_margins_loop,
+    select_margins_loop,
+    simulate_margin_yield_loop,
 )
 
 DESIGNS = [
@@ -67,31 +73,28 @@ class TestAnalyticEquivalence:
     def test_byte_identical_margins(self, family, n, length, nanowires):
         _, patterns, nu, scheme = margin_inputs(family, n, length, nanowires)
         for k_sigma in (0.0, 1.0, 3.0):
-            loop = select_margins(patterns, nu, scheme, k_sigma=k_sigma, method="loop")
-            batched = select_margins(
-                patterns, nu, scheme, k_sigma=k_sigma, method="batched"
-            )
+            loop = select_margins_loop(patterns, nu, scheme, k_sigma=k_sigma)
+            batched = select_margins(patterns, nu, scheme, k_sigma=k_sigma)
             assert np.array_equal(loop, batched)
-            loop = block_margins(patterns, nu, scheme, k_sigma=k_sigma, method="loop")
-            batched = block_margins(
-                patterns, nu, scheme, k_sigma=k_sigma, method="batched"
-            )
+            loop = block_margins_loop(patterns, nu, scheme, k_sigma=k_sigma)
+            batched = block_margins(patterns, nu, scheme, k_sigma=k_sigma)
             assert np.array_equal(loop, batched)
 
     @pytest.mark.parametrize("family,n,length", DESIGNS)
-    def test_byte_identical_reports_and_yields(self, family, n, length):
+    def test_byte_identical_reports_and_yields(self, family, n, length, monkeypatch):
         space = make_code(family, n, length)
-        assert margin_report(space, 20, method="loop") == margin_report(
-            space, 20, method="batched"
-        )
-        assert margin_yield(space, 20, k_sigma=1.5, method="loop") == margin_yield(
-            space, 20, k_sigma=1.5, method="batched"
-        )
+        report = margin_report(space, 20)
+        myield = margin_yield(space, 20, k_sigma=1.5)
+        monkeypatch.setattr(margins_module, "select_margins", select_margins_loop)
+        monkeypatch.setattr(margins_module, "block_margins", block_margins_loop)
+        assert margin_report(space, 20) == report
+        assert margin_yield(space, 20, k_sigma=1.5) == myield
 
     def test_unknown_method_rejected(self):
+        # the scalar loops are test oracles now, not a method knob
         space = make_code("TC", 2, 6)
-        with pytest.raises(ValueError, match="unknown method"):
-            margin_report(space, 20, method="vectorised")
+        with pytest.raises(TypeError):
+            margin_report(space, 20, method="loop")
 
 
 class TestBatchedHelpers:
@@ -125,8 +128,8 @@ class TestMarginYieldMonteCarlo:
         batched = simulate_margin_yield(
             self.SPEC, code, samples=400, seed=11, k_sigma=2.0
         )
-        loop = simulate_margin_yield(
-            self.SPEC, code, samples=400, seed=11, k_sigma=2.0, method="loop"
+        loop = simulate_margin_yield_loop(
+            self.SPEC, code, samples=400, seed=11, k_sigma=2.0
         )
         assert batched == loop
 
@@ -173,8 +176,6 @@ class TestMarginYieldMonteCarlo:
 
     def test_invalid_inputs_rejected(self):
         code = make_code("TC", 2, 6)
-        with pytest.raises(ValueError, match="unknown method"):
-            simulate_margin_yield(self.SPEC, code, samples=10, method="serial")
         with pytest.raises(ValueError, match="at least one sample"):
             simulate_margin_yield(self.SPEC, code, samples=0)
         with pytest.raises(ValueError, match="k_sigma"):
@@ -184,11 +185,11 @@ class TestMarginYieldMonteCarlo:
         code = make_code("TC", 2, 6)
         alias = simulate_halfcave_yield(self.SPEC, code, samples=50, seed=1)
         assert alias == simulate_cave_yield(self.SPEC, code, samples=50, seed=1)
-        loop = simulate_halfcave_yield(
-            self.SPEC, code, samples=50, seed=1, method="loop"
+        chunked = simulate_halfcave_yield(
+            self.SPEC, code, samples=50, seed=1, max_trials_per_chunk=7
         )
-        assert loop == simulate_cave_yield(
-            self.SPEC, code, samples=50, seed=1, method="loop"
+        assert chunked == simulate_cave_yield(
+            self.SPEC, code, samples=50, seed=1, max_trials_per_chunk=7
         )
 
     def test_kernel_rejects_conflict_free_half_cave(self):
@@ -243,6 +244,6 @@ class TestKSigmaProperty:
     def test_loop_batched_agree_at_any_k(self, k):
         _, patterns, nu, scheme = margin_inputs("GC", 2, 6, 12)
         assert np.array_equal(
-            block_margins(patterns, nu, scheme, k_sigma=k, method="loop"),
-            block_margins(patterns, nu, scheme, k_sigma=k, method="batched"),
+            block_margins_loop(patterns, nu, scheme, k_sigma=k),
+            block_margins(patterns, nu, scheme, k_sigma=k),
         )

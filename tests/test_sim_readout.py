@@ -1,10 +1,11 @@
 """Tests for the batched readout engine (repro.sim.readout).
 
-Covers the contracts of the ``method="batched"`` paths:
+Covers the contracts of the batched readout engine:
 
-* loop-vs-batched equivalence across schemes, bank shapes and segment
-  resistances (byte-identical on the dense ideal path, sparse-solver
-  tolerance on the distributed path);
+* equivalence with the loop oracles (``tests/oracles/readout.py``)
+  across schemes, bank shapes and segment resistances (byte-identical
+  on the dense ideal path, sparse-solver tolerance on the distributed
+  path);
 * the ``segment_resistance = 0`` limit against the ideal solver;
 * block-RHS cell batches identical to per-cell solves;
 * seeded goldens for the ``readout`` sweep evaluator;
@@ -31,6 +32,7 @@ from repro.sim.readout import (
     scheme_margin_sweep,
     state_digest,
 )
+from tests.oracles.readout import LoopDistributedReadout, LoopReadoutModel
 
 SHAPES = ((1, 1), (3, 5), (8, 8), (5, 12))
 
@@ -64,8 +66,8 @@ class TestIdealEquivalence:
     def test_single_cell_byte_identical(self, scheme, shape):
         """The batched dense path reproduces the scalar loop bit for bit."""
         states = random_states(shape, seed=hash(shape) % 1000)
-        loop = ReadoutModel(scheme=scheme, method="loop")
-        batched = ReadoutModel(scheme=scheme, method="batched")
+        loop = LoopReadoutModel(scheme=scheme)
+        batched = ReadoutModel(scheme=scheme)
         rng = np.random.default_rng(1)
         for _ in range(4):
             row = int(rng.integers(shape[0]))
@@ -77,27 +79,26 @@ class TestIdealEquivalence:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_margin_sweep_byte_identical(self, scheme):
         sizes = (2, 4, 8, 16)
-        loop = margin_vs_bank_size(ReadoutModel(scheme=scheme, method="loop"), sizes)
-        batched = margin_vs_bank_size(
-            ReadoutModel(scheme=scheme, method="batched"), sizes
-        )
+        loop = margin_vs_bank_size(LoopReadoutModel(scheme=scheme), sizes)
+        batched = margin_vs_bank_size(ReadoutModel(scheme=scheme), sizes)
         assert loop == batched
 
     def test_scheme_margin_sweep_matches_models(self):
         sizes = (2, 4, 8)
         sweep = scheme_margin_sweep(sizes)
         for scheme in SCHEMES:
-            loop = ReadoutModel(scheme=scheme, method="loop")
+            loop = LoopReadoutModel(scheme=scheme)
             assert sweep[scheme] == [loop.sense_margin(s, s) for s in sizes]
 
     def test_max_bank_size_method_independent(self):
-        loop = ReadoutModel(method="loop")
-        batched = ReadoutModel(method="batched")
+        loop = LoopReadoutModel()
+        batched = ReadoutModel()
         assert max_bank_size(loop, 0.2) == max_bank_size(batched, 0.2)
 
     def test_rejects_unknown_method(self):
-        with pytest.raises(ReadoutError):
-            ReadoutModel(method="weird")
+        # the loop reference is a test oracle now, not a model field
+        with pytest.raises(TypeError):
+            ReadoutModel(method="loop")
 
     def test_rejects_bad_sweep_size(self):
         with pytest.raises(ReadoutError):
@@ -120,7 +121,7 @@ class TestIdealBlockRhs:
 
     def test_loop_method_read_currents(self):
         states = random_states((4, 4), seed=6)
-        model = ReadoutModel(method="loop")
+        model = LoopReadoutModel()
         cells = [(0, 0), (3, 2), (0, 0)]
         got = model.read_currents(states, cells)
         want = [model.read_current(states, r, c) for r, c in cells]
@@ -160,8 +161,8 @@ class TestDistributedEquivalence:
             row_segment_ohm=segment,
             col_segment_ohm=segment,
         )
-        loop = DistributedReadout(method="loop", **kwargs)
-        batched = DistributedReadout(method="batched", **kwargs)
+        loop = LoopDistributedReadout(**kwargs)
+        batched = DistributedReadout(**kwargs)
         for row, col in ((0, 0), (3, 4), (5, 5)):
             a = loop.read_current(states, row, col)
             b = batched.read_current(states, row, col)
@@ -195,8 +196,8 @@ class TestDistributedEquivalence:
     def test_block_matches_loop_reference(self):
         states = random_states((6, 6), seed=10)
         cells = [(0, 0), (2, 4), (5, 1)]
-        batched = DistributedReadout(method="batched")
-        loop = DistributedReadout(method="loop")
+        batched = DistributedReadout()
+        loop = LoopDistributedReadout()
         assert np.allclose(
             batched.read_currents(states, cells),
             loop.read_currents(states, cells),
@@ -205,8 +206,8 @@ class TestDistributedEquivalence:
 
     def test_position_sweep_methods_agree(self):
         kwargs = dict(row_segment_ohm=300.0, col_segment_ohm=300.0)
-        loop = DistributedReadout(method="loop", **kwargs)
-        batched = DistributedReadout(method="batched", **kwargs)
+        loop = LoopDistributedReadout(**kwargs)
+        batched = DistributedReadout(**kwargs)
         for (pa, ia), (pb, ib) in zip(
             loop.position_sweep(8), batched.position_sweep(8)
         ):
@@ -215,15 +216,15 @@ class TestDistributedEquivalence:
 
     def test_worst_case_margin_methods_agree(self):
         kwargs = dict(row_segment_ohm=300.0, col_segment_ohm=300.0)
-        loop = DistributedReadout(method="loop", **kwargs)
-        batched = DistributedReadout(method="batched", **kwargs)
+        loop = LoopDistributedReadout(**kwargs)
+        batched = DistributedReadout(**kwargs)
         assert batched.worst_case_margin(8) == pytest.approx(
             loop.worst_case_margin(8), rel=1e-6
         )
 
     def test_rejects_unknown_method(self):
-        with pytest.raises(ReadoutError):
-            DistributedReadout(method="weird")
+        with pytest.raises(TypeError):
+            DistributedReadout(method="loop")
 
     def test_one_by_one_bank(self):
         states = np.array([[True]])
@@ -231,9 +232,9 @@ class TestDistributedEquivalence:
             dist = DistributedReadout(base=ReadoutModel(scheme=scheme))
             got = dist.read_currents(states, [(0, 0)])[0]
             assert got == pytest.approx(
-                DistributedReadout(
-                    base=ReadoutModel(scheme=scheme), method="loop"
-                ).read_current(states, 0, 0),
+                LoopDistributedReadout(base=ReadoutModel(scheme=scheme)).read_current(
+                    states, 0, 0
+                ),
                 rel=1e-9,
             )
 

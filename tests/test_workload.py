@@ -3,8 +3,9 @@
 The contract under test (see ``repro/workload/memory_batch.py``):
 
 * the batched vectorised executor is **byte-identical** to the scalar
-  ``method="loop"`` reference (CrossbarMemory / SecdedCode per access)
-  — read values, final stored state, and every per-instance metric;
+  loop oracle in ``tests/oracles/workload.py`` (CrossbarMemory /
+  SecdedCode per access) — read values, final stored state, and every
+  per-instance metric;
 * results are invariant to ``chunk_size``;
 * trace generators are pure functions of their arguments.
 """
@@ -24,6 +25,7 @@ from repro.workload import (
     exhausted_fraction,
     make_trace,
 )
+from tests.oracles.workload import run_fleet_loop
 
 #: Small platform so the scalar loop reference stays fast.
 SMALL_SPEC = CrossbarSpec(raw_kilobytes=0.5)
@@ -197,12 +199,11 @@ class TestEquivalence:
         trace = make_trace(kind, 3000, space, seed=3)
         batched = fleet.run(
             trace,
-            method="batched",
             chunk_size=251,
             collect_reads=True,
             collect_state=True,
         )
-        loop = fleet.run(trace, method="loop", collect_reads=True, collect_state=True)
+        loop = run_fleet_loop(fleet, trace, collect_reads=True, collect_state=True)
         assert_runs_equal(batched, loop)
 
     def test_ecc_mode_byte_identical(self):
@@ -212,16 +213,15 @@ class TestEquivalence:
         for p in (0.0, 0.03):
             batched = fleet.run(
                 trace,
-                method="batched",
                 chunk_size=177,
                 seed=9,
                 write_error_rate=p,
                 collect_reads=True,
                 collect_state=True,
             )
-            loop = fleet.run(
+            loop = run_fleet_loop(
+                fleet,
                 trace,
-                method="loop",
                 seed=9,
                 write_error_rate=p,
                 collect_reads=True,
@@ -240,9 +240,9 @@ class TestEquivalence:
             collect_reads=True,
             collect_state=True,
         )
-        loop = fleet.run(
+        loop = run_fleet_loop(
+            fleet,
             trace,
-            method="loop",
             seed=11,
             write_error_rate=0.05,
             collect_reads=True,
@@ -460,7 +460,7 @@ class TestMemsimCli:
         assert payload["ecc"] is True
         assert "corrected" in payload["metrics"]
 
-    def test_memsim_methods_agree(self, capsys):
+    def test_memsim_methods_agree(self, capsys, monkeypatch):
         args = (
             "--raw-kb",
             "0.5",
@@ -475,13 +475,14 @@ class TestMemsimCli:
             "--format",
             "json",
         )
-        _, batched = self.run_cli(capsys, *args, "--method", "batched")
-        _, loop = self.run_cli(capsys, *args, "--method", "loop")
+        _, batched = self.run_cli(capsys, *args)
+        # the same command with the scalar loop oracle as the executor
+        monkeypatch.setattr(MemoryFleet, "run", run_fleet_loop)
+        _, loop = self.run_cli(capsys, *args)
         import json
 
         lhs, rhs = json.loads(batched), json.loads(loop)
         lhs.pop("accesses_per_second"), rhs.pop("accesses_per_second")
-        lhs.pop("method"), rhs.pop("method")
         # the timing section reports wall clock, not results
         lhs.pop("timing"), rhs.pop("timing")
         assert lhs == rhs

@@ -2,7 +2,8 @@
 
 Covers the tentpole contracts of the trace→sneak-path coupling:
 
-* batched-vs-loop byte identity (raw and ECC, with and without write
+* byte identity with the per-access loop oracle in
+  ``tests/oracles/workload.py`` (raw and ECC, with and without write
   errors) on metrics, read values, margins and final state;
 * chunk-size invariance of everything except cache diagnostics;
 * seeded goldens pinning the misread/margin figures;
@@ -21,6 +22,8 @@ from repro.crossbar.readout import ReadoutError, ReadoutModel
 from repro.crossbar.spec import CrossbarSpec
 from repro.sim.readout import DistributedBank, IdealBank
 from repro.workload import ELECTRICAL_METRICS, ElectricalReadout, prepare_workload
+from tests.oracles.readout import LoopReadoutModel
+from tests.oracles.workload import run_fleet_loop
 
 SPEC = CrossbarSpec(raw_kilobytes=0.2)
 SPACE = make_code("TC", 2, 6)
@@ -60,8 +63,8 @@ class TestLoopEquivalence:
     def test_raw_mode_byte_identical(self):
         fleet, trace = small_fleet()
         ro = ElectricalReadout(resolution=0.55)
-        batched = fleet.run(trace, method="batched", chunk_size=37, readout=ro, **COLLECT)
-        loop = fleet.run(trace, method="loop", readout=ro, **COLLECT)
+        batched = fleet.run(trace, chunk_size=37, readout=ro, **COLLECT)
+        loop = run_fleet_loop(fleet, trace, readout=ro, **COLLECT)
         assert_equal_runs(batched, loop)
         assert batched.electrical and loop.electrical
         assert batched.cache is not None
@@ -71,8 +74,8 @@ class TestLoopEquivalence:
         fleet, trace = small_fleet(accesses=80, seed=7, ecc=SecdedCode(3))
         ro = ElectricalReadout(resolution=0.6)
         kw = dict(readout=ro, write_error_rate=0.05, seed=11, **COLLECT)
-        batched = fleet.run(trace, method="batched", chunk_size=17, **kw)
-        loop = fleet.run(trace, method="loop", **kw)
+        batched = fleet.run(trace, chunk_size=17, **kw)
+        loop = run_fleet_loop(fleet, trace, **kw)
         assert_equal_runs(batched, loop)
         # the run actually exercised ECC repair and masking
         assert int(batched.per_instance["misread_bits"].sum()) > 0
@@ -81,32 +84,33 @@ class TestLoopEquivalence:
     def test_half_v_scheme_byte_identical(self):
         fleet, trace = small_fleet(accesses=100, seed=2)
         ro = ElectricalReadout(model=ReadoutModel(scheme="half_v"), resolution=0.4)
-        batched = fleet.run(trace, method="batched", chunk_size=29, readout=ro, **COLLECT)
-        loop = fleet.run(trace, method="loop", readout=ro, **COLLECT)
+        batched = fleet.run(trace, chunk_size=29, readout=ro, **COLLECT)
+        loop = run_fleet_loop(fleet, trace, readout=ro, **COLLECT)
         assert_equal_runs(batched, loop)
 
     def test_loop_model_method_byte_identical(self):
         """A scalar-stamping readout model runs both engines identically."""
         fleet, trace = small_fleet(accesses=60, seed=4)
-        ro = ElectricalReadout(model=ReadoutModel(method="loop"), resolution=0.5)
-        batched = fleet.run(trace, method="batched", chunk_size=19, readout=ro, **COLLECT)
-        loop = fleet.run(trace, method="loop", readout=ro, **COLLECT)
+        ro = ElectricalReadout(model=LoopReadoutModel(), resolution=0.5)
+        batched = fleet.run(trace, chunk_size=19, readout=ro, **COLLECT)
+        loop = run_fleet_loop(fleet, trace, readout=ro, **COLLECT)
         assert_equal_runs(batched, loop)
 
     def test_chunk_size_invariance(self):
         fleet, trace = small_fleet()
         ro = ElectricalReadout(resolution=0.55)
         runs = [
-            fleet.run(trace, method="batched", chunk_size=cs, readout=ro, **COLLECT)
+            fleet.run(trace, chunk_size=cs, readout=ro, **COLLECT)
             for cs in (16, 37, 1000)
         ]
         assert_equal_runs(runs[0], runs[1])
         assert_equal_runs(runs[0], runs[2])
 
     def test_rejects_unknown_method(self):
+        # the scalar executor is a test oracle now, not a method knob
         fleet, trace = small_fleet(accesses=10)
-        with pytest.raises(ValueError, match="unknown method"):
-            fleet.run(trace, method="weird", readout=ElectricalReadout())
+        with pytest.raises(TypeError):
+            fleet.run(trace, method="loop", readout=ElectricalReadout())
 
 
 class TestSeededGolden:
@@ -115,7 +119,6 @@ class TestSeededGolden:
         fleet, trace = small_fleet(accesses=120, seed=9)
         r = fleet.run(
             trace,
-            method="batched",
             readout=ElectricalReadout(resolution=0.55),
             collect_reads=True,
         )
@@ -142,7 +145,7 @@ class TestBankCache:
     def test_quiescent_trace_hits(self):
         """Read-only traffic re-reads cached bank states every chunk."""
         fleet, trace = small_fleet(accesses=200, seed=3, write_fraction=0.0)
-        r = fleet.run(trace, method="batched", chunk_size=50, readout=ElectricalReadout())
+        r = fleet.run(trace, chunk_size=50, readout=ElectricalReadout())
         assert r.cache["hits"] > 0
         assert r.cache["hit_rate"] > 0.0
         assert r.cache["banks"] <= ElectricalReadout().max_banks
@@ -150,7 +153,7 @@ class TestBankCache:
     def test_lru_bound_evicts(self):
         fleet, trace = small_fleet(accesses=120, seed=9)
         ro = ElectricalReadout(resolution=0.55, max_banks=4)
-        r = fleet.run(trace, method="batched", readout=ro)
+        r = fleet.run(trace, readout=ro)
         assert r.cache["banks"] <= 4
         assert r.cache["evictions"] > 0
 
@@ -159,13 +162,11 @@ class TestBankCache:
         fleet, trace = small_fleet(accesses=120, seed=9)
         big = fleet.run(
             trace,
-            method="batched",
             readout=ElectricalReadout(resolution=0.55),
             **COLLECT,
         )
         tiny = fleet.run(
             trace,
-            method="batched",
             readout=ElectricalReadout(resolution=0.55, max_banks=2),
             **COLLECT,
         )
@@ -175,26 +176,21 @@ class TestBankCache:
 class TestResolution:
     def test_zero_resolution_never_misreads(self):
         fleet, trace = small_fleet(accesses=150, seed=6)
-        r = fleet.run(trace, method="batched", readout=ElectricalReadout())
+        r = fleet.run(trace, readout=ElectricalReadout())
         assert int(r.per_instance["misread_bits"].sum()) == 0
         assert int(r.per_instance["misread_reads"].sum()) == 0
 
     def test_high_resolution_misreads(self):
         fleet, trace = small_fleet(accesses=150, seed=6)
-        r = fleet.run(
-            trace, method="batched", readout=ElectricalReadout(resolution=0.8)
-        )
+        r = fleet.run(trace, readout=ElectricalReadout(resolution=0.8))
         assert int(r.per_instance["misread_bits"].sum()) > 0
 
     def test_misreads_are_one_sided(self):
         """Sneak paths only hide stored ONs; a stored OFF never reads ON."""
         fleet, trace = small_fleet(accesses=150, seed=6)
-        ideal = fleet.run(
-            trace, method="batched", readout=ElectricalReadout(), collect_reads=True
-        )
+        ideal = fleet.run(trace, readout=ElectricalReadout(), collect_reads=True)
         lossy = fleet.run(
             trace,
-            method="batched",
             readout=ElectricalReadout(resolution=0.8),
             collect_reads=True,
         )
@@ -223,7 +219,7 @@ class TestResolution:
     def test_ideal_run_unchanged_without_readout(self):
         """readout=None keeps the ideal engine's result shape."""
         fleet, trace = small_fleet(accesses=40)
-        r = fleet.run(trace, method="batched")
+        r = fleet.run(trace)
         assert not r.electrical
         assert r.cache is None and r.margins is None
         assert "misread_bits" not in r.per_instance
