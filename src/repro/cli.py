@@ -362,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker processes (1 = serial, 0 = auto); results "
-        "are identical for any value",
+        "are identical for any value. With --via the daemon's own "
+        "--jobs applies",
     )
     _add_format_arg(p)
     _add_via_arg(p)
@@ -597,9 +598,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="long-lived result daemon on a unix socket",
         description=(
             "Serve canonical repro.api requests over newline-delimited "
-            "JSON frames: store hits answer immediately, identical "
-            "in-flight requests coalesce, and compatible sweeps batch "
-            "onto one engine call. Point clients at it with --via."
+            "JSON frames: store hits answer immediately and identical "
+            "in-flight requests coalesce onto one computation. Point "
+            "clients at it with --via."
         ),
     )
     p.add_argument(
@@ -620,21 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes per sweep evaluation (1 = serial, "
         "0 = auto); results are identical for any value",
-    )
-    p.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.01,
-        metavar="SECONDS",
-        help="how long a sweep waits for compatible requests to share "
-        "one engine call (default 0.01)",
-    )
-    p.add_argument(
-        "--chunk-rows",
-        type=int,
-        default=256,
-        help="sweep record rows per streamed response frame "
-        "(default 256)",
     )
     p.add_argument(
         "--deadline",
@@ -1034,6 +1020,7 @@ def _run_request(args: argparse.Namespace, op: str, request, **knobs):
     if via:
         from repro.serve import ServeClient
 
+        knobs.pop("jobs", None)  # the daemon evaluates with its own --jobs
         with ServeClient(via) as client:
             return getattr(client, op)(request, **knobs)
     return getattr(api, op)(request, store=_store_from_args(args), **knobs)
@@ -1533,8 +1520,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         args.socket,
         store=store,
         jobs=args.jobs,
-        batch_window_s=args.batch_window,
-        chunk_rows=args.chunk_rows,
         deadline_s=args.deadline or None,
         max_pending=args.max_pending,
     )

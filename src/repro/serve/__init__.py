@@ -1,12 +1,10 @@
 """`repro serve`: asyncio result daemon + blocking client (see submodules)."""
 
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.daemon import DEFAULT_BATCH_WINDOW_S, ReproServer
-from repro.serve.protocol import DEFAULT_CHUNK_ROWS, OPS, PROTOCOL_VERSION
+from repro.serve.daemon import ReproServer
+from repro.serve.protocol import OPS, PROTOCOL_VERSION
 
 __all__ = [
-    "DEFAULT_BATCH_WINDOW_S",
-    "DEFAULT_CHUNK_ROWS",
     "OPS",
     "PROTOCOL_VERSION",
     "ReproServer",

@@ -1,10 +1,11 @@
 """Blocking client for the ``repro serve`` daemon.
 
 What the ``--via SOCKET`` CLI paths use: one unix-socket connection,
-synchronous request/response over the NDJSON protocol.  Sweep results
-arrive as streamed record chunks and are reassembled into the same
-columnar :class:`~repro.exp.results.SweepResult` the direct path
-produces — byte-identical, which the CLI asserts in its tests.
+synchronous request/response over the NDJSON protocol.  Each request
+gets one ``done`` frame whose ``result`` is the store-entry payload of
+the request, decoded with ``api.KINDS[kind].decode`` into the same
+result the direct path produces — byte-identical, which the CLI
+asserts in its tests.
 
 The client degrades the way the daemon does: socket timeouts, dropped
 connections and malformed frames all surface as :class:`ServeError`
@@ -159,8 +160,8 @@ class ServeClient:
                     delay = max(delay, exc.retry_after)
                 time.sleep(delay)
 
-    def _attempt(self, op: str, payload: dict | None = None, **knobs):
-        """Send one request; collect chunks until the terminal frame."""
+    def _attempt(self, op: str, payload: dict | None = None, **knobs) -> dict:
+        """Send one request; return its ``done`` frame."""
         if self._closed:
             raise ServeError("client is closed")
         try:
@@ -170,40 +171,35 @@ class ServeClient:
             request_id = self._next_id
             frame = request_frame(op, request_id, payload, **knobs)
             self._sock.sendall(encode_frame(frame))
-            chunks: list[dict] = []
-            while True:
-                line = self._file.readline()
-                if not line or not line.endswith(b"\n"):
-                    # EOF or a truncated (dropped mid-frame) line
-                    self._teardown()
-                    raise ServeError(
-                        "connection closed by daemon mid-request",
-                        kind="disconnect",
-                    )
-                try:
-                    response = decode_frame(line)
-                except ValueError as exc:
-                    self._teardown()
-                    raise ServeError(
-                        f"malformed frame from daemon: {exc}",
-                        kind="disconnect",
-                    ) from exc
-                if response.get("id") != request_id:
-                    raise ServeError(
-                        f"response id {response.get('id')} does not match "
-                        f"request id {request_id}"
-                    )
-                if not response.get("ok", False):
-                    raise ServeError(
-                        response.get("error", "unknown daemon error"),
-                        kind=response.get("kind"),
-                        retry_after=response.get("retry_after"),
-                    )
-                if response["frame"] == "chunk":
-                    chunks.append(response)
-                    continue
-                self.last_cached = bool(response.get("cached", False))
-                return response, chunks
+            line = self._file.readline()
+            if not line or not line.endswith(b"\n"):
+                # EOF or a truncated (dropped mid-frame) line
+                self._teardown()
+                raise ServeError(
+                    "connection closed by daemon mid-request",
+                    kind="disconnect",
+                )
+            try:
+                response = decode_frame(line)
+            except ValueError as exc:
+                self._teardown()
+                raise ServeError(
+                    f"malformed frame from daemon: {exc}",
+                    kind="disconnect",
+                ) from exc
+            if response.get("id") != request_id:
+                raise ServeError(
+                    f"response id {response.get('id')} does not match "
+                    f"request id {request_id}"
+                )
+            if not response.get("ok", False):
+                raise ServeError(
+                    response.get("error", "unknown daemon error"),
+                    kind=response.get("kind"),
+                    retry_after=response.get("retry_after"),
+                )
+            self.last_cached = bool(response.get("cached", False))
+            return response
         except ServeError:
             raise
         except TimeoutError as exc:
@@ -226,17 +222,18 @@ class ServeClient:
         return True
 
     def stats(self) -> dict:
-        done, _ = self._roundtrip("stats")
-        return done["result"]
+        return self._roundtrip("stats")["result"]
 
     def shutdown(self) -> None:
         self._roundtrip("shutdown")
 
-    def evaluate(self, request: api.SweepRequest, *, jobs: int = 1) -> SweepResult:
-        done, chunks = self._roundtrip("evaluate", request.to_dict(), jobs=jobs)
-        fields = chunks[0]["fields"] if chunks else []
-        records = [rec for chunk in chunks for rec in chunk["records"]]
-        return api.sweep_result_from_dict({"fields": fields, "records": records})
+    def _compute(self, op: str, request, **knobs):
+        done = self._roundtrip(op, request.to_dict(), **knobs)
+        return api.KINDS[request.kind].decode(done["result"])
+
+    def evaluate(self, request: api.SweepRequest) -> SweepResult:
+        """Evaluate a sweep on the daemon (with the daemon's own ``--jobs``)."""
+        return self._compute("evaluate", request)
 
     def simulate(
         self,
@@ -244,8 +241,7 @@ class ServeClient:
         *,
         chunk_size: int | None = None,
     ) -> MonteCarloYield | MonteCarloMarginYield:
-        done, _ = self._roundtrip("simulate", request.to_dict(), chunk_size=chunk_size)
-        return api.mc_result_from_dict(done["result"])
+        return self._compute("simulate", request, chunk_size=chunk_size)
 
     def memsim(
         self,
@@ -253,5 +249,4 @@ class ServeClient:
         *,
         chunk_size: int | None = None,
     ) -> api.WorkloadResult:
-        done, _ = self._roundtrip("memsim", request.to_dict(), chunk_size=chunk_size)
-        return api.WorkloadResult.from_dict(done["result"])
+        return self._compute("memsim", request, chunk_size=chunk_size)

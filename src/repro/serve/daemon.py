@@ -4,41 +4,35 @@ One long-lived process owns the warm in-process construction memos
 (:mod:`repro.exp.cache`) and a persistent content-addressed result
 store (:mod:`repro.store`), and serves canonical :mod:`repro.api`
 requests over newline-delimited JSON frames
-(:mod:`repro.serve.protocol`).  Three mechanisms turn concurrent
-client traffic into efficient engine calls:
+(:mod:`repro.serve.protocol`).
 
-* **store hits** — a request whose digest is already committed is
-  answered immediately from disk (one :func:`repro.api.lookup`), no
-  compute;
-* **in-flight coalescing** — identical requests (same digest) arriving
-  while one is being computed share a single evaluation: followers
-  await the leader's future instead of re-running the engine;
-* **sweep batching** — compatible sweep requests (same spec, metrics
-  and params, any point grids) queued within one batch window are
-  concatenated into a *single* :func:`repro.api.evaluate_records`
-  call, then split back per request.  ``evaluate_points`` is
-  order-preserving per point, so the split rows are byte-identical to
-  evaluating each request alone — the property the byte-identity
-  tests pin down.
-
-Compute — and the :func:`repro.api.commit` of its result to the store —
-runs on a thread-pool executor so the event loop keeps accepting
-connections (the numpy engines release the GIL for the heavy parts);
-results stream back chunk-by-chunk so clients can start consuming
-large grids early.
+``evaluate``, ``simulate`` and ``memsim`` frames share one handler.
+It parses the request and answers a store hit (one
+:func:`repro.api.lookup`) without compute.  On a miss it coalesces on
+the request digest: identical requests arriving while one is being
+computed await the same future instead of re-running the engine.  A
+new computation is admitted, then runs the :mod:`repro.api` facade
+and :func:`repro.api.commit` on a thread-pool executor, so the event
+loop keeps accepting connections (the numpy engines release the GIL
+for the heavy parts).  Every request is answered with one ``done``
+frame whose ``result`` is ``api.KINDS[kind].encode(result)`` — the
+payload the store holds for the same request — or one ``error`` frame.
 
 Degradation is graceful, not accidental:
 
 * every compute request runs under a per-request **deadline**
   (``deadline_s``); past it the client gets a ``deadline`` error frame
-  instead of an unbounded wait (a coalesced computation keeps running
-  for followers that still have time);
+  instead of an unbounded wait.  The computation keeps running and
+  stays in flight, so identical requests still coalesce onto it and
+  its result is still committed;
 * **admission is bounded**: once ``max_pending`` distinct computations
-  are in flight, new leaders are refused with a ``busy`` error frame
+  are in flight, new ones are refused with a ``busy`` error frame
   carrying ``retry_after`` — store hits and coalesced followers are
   always admitted (they add no compute);
+* a request line longer than :data:`MAX_FRAME_BYTES` is answered with
+  an error frame naming the limit, then that connection closes;
 * **SIGTERM drains**: the listening socket closes (new connections
-  refused), in-flight requests finish and stream out, then the daemon
+  refused), in-flight requests finish and answer, then the daemon
   exits 0.  Frames arriving on surviving connections during the drain
   get a ``draining`` error frame.
 
@@ -58,22 +52,14 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from repro import api, faults, obs
-from repro.durable import canonical_json
-from repro.exp.results import SweepResult
 from repro.serve.protocol import (
-    DEFAULT_CHUNK_ROWS,
     PROTOCOL_VERSION,
-    chunk_frame,
     decode_frame,
     done_frame,
     encode_frame,
     error_frame,
-    iter_record_chunks,
 )
 from repro.sim.batch import DEFAULT_MAX_TRIALS_PER_CHUNK, validate_chunk
-
-#: Seconds the batcher waits to let compatible sweeps pile up.
-DEFAULT_BATCH_WINDOW_S = 0.01
 
 #: Default per-request deadline (matches the client's default timeout).
 DEFAULT_DEADLINE_S = 300.0
@@ -81,40 +67,36 @@ DEFAULT_DEADLINE_S = 300.0
 #: Default bound on concurrently computing (in-flight) requests.
 DEFAULT_MAX_PENDING = 64
 
-#: Back-off hint a ``busy`` error frame carries.
-DEFAULT_RETRY_AFTER_S = 0.5
+#: Back-off hint a ``busy`` error frame carries, in seconds.
+RETRY_AFTER_S = 0.5
+
+#: Longest request line the daemon reads, in bytes.  A 1,200-point
+#: sweep is ~87 KB, so this admits sweeps of ~200,000 points.
+MAX_FRAME_BYTES = 16 * 1024 * 1024
+
+#: The request type each compute op carries.
+_REQUEST_TYPES = {
+    "evaluate": api.SweepRequest,
+    "simulate": api.McRequest,
+    "memsim": api.WorkloadRequest,
+}
 
 
 class _BusyError(Exception):
     """Admission queue full; the client should retry after a back-off."""
-
-    def __init__(self, message: str, retry_after: float):
-        super().__init__(message)
-        self.retry_after = retry_after
 
 
 class _DeadlineError(Exception):
     """The request ran past the daemon's per-request deadline."""
 
 
-class _PendingSweep:
-    """One queued sweep awaiting the next batch drain."""
-
-    __slots__ = ("request", "digest", "future")
-
-    def __init__(self, request, digest, future):
-        self.request = request
-        self.digest = digest
-        self.future = future
-
-
 class ReproServer:
     """Dispatches protocol frames onto the :mod:`repro.api` facade.
 
     ``jobs`` is forwarded to sweep evaluation (the exp pipeline's
-    process pool); ``batch_window_s`` bounds the extra latency a sweep
-    pays for a chance to share an engine call; ``chunk_rows`` sets the
-    streamed frame granularity.
+    process pool) and sizes the compute executor; ``deadline_s`` and
+    ``max_pending`` bound each request's wait and the number of
+    distinct computations in flight.
     """
 
     def __init__(
@@ -123,38 +105,27 @@ class ReproServer:
         *,
         store=None,
         jobs: int = 1,
-        batch_window_s: float = DEFAULT_BATCH_WINDOW_S,
-        chunk_rows: int = DEFAULT_CHUNK_ROWS,
-        mc_chunk_size: int = DEFAULT_MAX_TRIALS_PER_CHUNK,
         deadline_s: float | None = DEFAULT_DEADLINE_S,
         max_pending: int = DEFAULT_MAX_PENDING,
-        retry_after_s: float = DEFAULT_RETRY_AFTER_S,
     ):
         self.socket_path = Path(socket_path)
         self.store = store
         self.jobs = jobs
-        self.batch_window_s = batch_window_s
-        self.chunk_rows = chunk_rows
-        self.mc_chunk_size = mc_chunk_size
         self.deadline_s = deadline_s
         self.max_pending = max_pending
-        self.retry_after_s = retry_after_s
         self.counters = {
             "requests": 0,
             "store_hits": 0,
             "coalesced": 0,
-            "batch_groups": 0,
-            "batched_requests": 0,
             "computed": 0,
             "errors": 0,
             "rejected_busy": 0,
             "deadline_exceeded": 0,
         }
         self._inflight: dict[str, asyncio.Future] = {}
-        self._pending: dict[str, list[_PendingSweep]] = {}
         self._connections: set[asyncio.Task] = set()
-        self._requests: set[asyncio.Task] = set()  # in-flight frame handlers
-        self._drain_scheduled = False
+        # in-flight frame handlers and computations (drain awaits both)
+        self._requests: set[asyncio.Task] = set()
         self._draining = False
         self._server: asyncio.AbstractServer | None = None
         self._stop = None  # asyncio.Event, created on the serving loop
@@ -170,7 +141,7 @@ class ReproServer:
         if self.socket_path.exists():
             self.socket_path.unlink()
         server = await asyncio.start_unix_server(
-            self._handle_client, path=str(self.socket_path)
+            self._handle_client, path=str(self.socket_path), limit=MAX_FRAME_BYTES
         )
         self._server = server
         loop = asyncio.get_running_loop()
@@ -206,7 +177,8 @@ class ReproServer:
         connections are refused at the OS level — marks the daemon
         draining so frames still arriving on open connections get a
         ``draining`` error frame, and stops the loop once every
-        in-flight request has streamed its terminal frame.
+        in-flight request has sent its reply frame and every computation
+        (even one whose requests all hit their deadline) has committed.
         """
         if self._draining:
             return
@@ -283,7 +255,19 @@ class ReproServer:
         tasks = []
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # the line overran MAX_FRAME_BYTES
+                    self.counters["errors"] += 1
+                    message = (
+                        f"request frame exceeds the daemon's limit of "
+                        f"{MAX_FRAME_BYTES} bytes per line"
+                    )
+                    try:
+                        await self._send(writer, write_lock, error_frame(None, message))
+                    except (ConnectionError, OSError):
+                        pass
+                    break
                 if not line:
                     break
                 task = asyncio.ensure_future(
@@ -358,12 +342,8 @@ class ReproServer:
             elif op == "shutdown":
                 await self._send(writer, lock, done_frame(request_id, cached=False))
                 self._stop.set()
-            elif op == "evaluate":
-                await self._with_deadline(self._op_evaluate(frame, writer, lock))
-            elif op in ("simulate", "memsim"):
-                await self._with_deadline(
-                    self._op_scalar(op, frame, writer, lock)
-                )
+            elif op in _REQUEST_TYPES:
+                await self._with_deadline(self._op_compute(op, frame, writer, lock))
             else:
                 raise ValueError(f"unknown op {op!r}")
         except asyncio.CancelledError:
@@ -379,7 +359,7 @@ class ReproServer:
                         request_id,
                         str(exc),
                         kind="busy",
-                        retry_after=exc.retry_after,
+                        retry_after=RETRY_AFTER_S,
                     ),
                 )
             except (ConnectionError, OSError):
@@ -403,10 +383,10 @@ class ReproServer:
     async def _with_deadline(self, coro) -> None:
         """Bound one compute request by the per-request deadline.
 
-        Cancellation stops *this request's* streaming, not the shared
-        computation behind it: leaders and followers await their
-        in-flight future through ``asyncio.shield``, so a coalesced
-        group member timing out never kills the group's engine call.
+        Cancellation stops *this request's* wait, not the shared
+        computation behind it: every request awaits its in-flight
+        future through ``asyncio.shield``, so a leader or follower
+        timing out never kills the engine call.
         """
         if not self.deadline_s or self.deadline_s <= 0:
             await coro
@@ -424,118 +404,15 @@ class ReproServer:
             raise _BusyError(
                 f"daemon is busy ({len(self._inflight)} computations in "
                 f"flight, limit {self.max_pending}); retry after "
-                f"{self.retry_after_s:g} s",
-                self.retry_after_s,
+                f"{RETRY_AFTER_S:g} s"
             )
 
-    # -- sweep path ------------------------------------------------------------
+    # -- the compute path ------------------------------------------------------
 
-    async def _op_evaluate(self, frame: dict, writer, lock) -> None:
-        request = api.SweepRequest.from_dict(frame["request"])
-        request_id = frame["id"]
-
-        hit = api.lookup(self.store, request)
-        if hit is not None:
-            self.counters["store_hits"] += 1
-            await self._stream_sweep(writer, lock, request_id, hit, cached=True)
-            return
-
-        digest = api.request_digest(request)
-        if digest in self._inflight:
-            self.counters["coalesced"] += 1
-            result = await asyncio.shield(self._inflight[digest])
-        else:
-            self._admit(digest)
-            future = asyncio.get_running_loop().create_future()
-            self._inflight[digest] = future
-            key = self._compat_key(request)
-            self._pending.setdefault(key, []).append(
-                _PendingSweep(request, digest, future)
-            )
-            self._schedule_drain()
-            try:
-                result = await asyncio.shield(future)
-            finally:
-                self._inflight.pop(digest, None)
-        await self._stream_sweep(writer, lock, request_id, result, cached=False)
-
-    @staticmethod
-    def _compat_key(request: api.SweepRequest) -> str:
-        """Requests sharing this key may ride one ``evaluate_points`` call."""
-        payload = request.to_dict()
-        payload.pop("points")
-        return canonical_json(payload)
-
-    def _schedule_drain(self) -> None:
-        if not self._drain_scheduled:
-            self._drain_scheduled = True
-            loop = asyncio.get_running_loop()
-            loop.call_later(
-                self.batch_window_s,
-                lambda: asyncio.ensure_future(self._drain_pending()),
-            )
-
-    async def _drain_pending(self) -> None:
-        self._drain_scheduled = False
-        pending, self._pending = self._pending, {}
-        for group in pending.values():
-            await self._run_group(group)
-
-    def _evaluate_group(self, group: list[_PendingSweep]) -> list[SweepResult]:
-        """One engine call for the group, split back and committed per member."""
-        first = group[0].request
-        merged = api.SweepRequest(
-            points=tuple(p for member in group for p in member.request.points),
-            metrics=first.metrics,
-            spec=first.spec,
-            params=first.params,
-        )
-        records = api.evaluate_records(merged, jobs=self.jobs)
-        results = []
-        start = 0
-        for member in group:
-            stop = start + len(member.request.points)
-            result = SweepResult.from_records(records[start:stop])
-            start = stop
-            api.commit(self.store, member.request, result)
-            results.append(result)
-        return results
-
-    async def _run_group(self, group: list[_PendingSweep]) -> None:
-        loop = asyncio.get_running_loop()
-        self.counters["batch_groups"] += 1
-        self.counters["batched_requests"] += len(group)
-        try:
-            results = await loop.run_in_executor(
-                self._executor, self._evaluate_group, group
-            )
-        except Exception as exc:  # noqa: BLE001 — fan the fault out per member
-            for member in group:
-                if not member.future.done():
-                    member.future.set_exception(exc)
-                    # a deadline-cancelled leader may never await this;
-                    # mark the exception consumed to keep logs quiet
-                    member.future.exception()
-            return
-        self.counters["computed"] += len(group)
-        for member, result in zip(group, results):
-            if not member.future.done():
-                member.future.set_result(result)
-
-    async def _stream_sweep(
-        self, writer, lock, request_id, result: SweepResult, *, cached: bool
-    ) -> None:
-        fields = list(result.fields)
-        for chunk in iter_record_chunks(result.to_records(), self.chunk_rows):
-            await self._send(writer, lock, chunk_frame(request_id, fields, chunk))
-        await self._send(writer, lock, done_frame(request_id, cached=cached))
-
-    # -- scalar paths (MC, workload) -------------------------------------------
-
-    async def _op_scalar(self, op: str, frame: dict, writer, lock) -> None:
-        request_type = api.McRequest if op == "simulate" else api.WorkloadRequest
-        request = request_type.from_dict(frame["request"])
-        chunk_size = frame.get("chunk_size", self.mc_chunk_size)
+    async def _op_compute(self, op: str, frame: dict, writer, lock) -> None:
+        """Answer one ``evaluate``/``simulate``/``memsim`` frame."""
+        request = _REQUEST_TYPES[op].from_dict(frame["request"])
+        chunk_size = frame.get("chunk_size", DEFAULT_MAX_TRIALS_PER_CHUNK)
         if isinstance(chunk_size, bool) or not isinstance(chunk_size, int):
             raise ValueError(f"chunk_size must be an integer, got {chunk_size!r}")
         validate_chunk(chunk_size)
@@ -544,8 +421,9 @@ class ReproServer:
         hit = api.lookup(self.store, request)
         if hit is not None:
             self.counters["store_hits"] += 1
+            result = api.KINDS[request.kind].encode(hit)
             await self._send(
-                writer, lock, done_frame(request_id, cached=True, result=_wire(hit))
+                writer, lock, done_frame(request_id, cached=True, result=result)
             )
             return
 
@@ -560,29 +438,32 @@ class ReproServer:
             # compute runs in its own task: a deadline cancelling *this*
             # request's await must not kill the shared evaluation that
             # coalesced followers (and the store commit) depend on
-            asyncio.ensure_future(
-                self._compute_scalar(request, chunk_size, digest, future)
+            task = asyncio.ensure_future(
+                self._compute(request, chunk_size, digest, future)
             )
+            self._requests.add(task)
+            task.add_done_callback(self._requests.discard)
         result = await asyncio.shield(future)
         await self._send(
             writer, lock, done_frame(request_id, cached=False, result=result)
         )
 
-    def _scalar_and_commit(self, request, chunk_size) -> dict:
-        """Compute one MC or workload request and commit it (executor side)."""
-        facade = api.simulate if isinstance(request, api.McRequest) else api.memsim
-        result = facade(request, chunk_size=chunk_size)
+    def _compute_and_commit(self, request, chunk_size: int) -> dict:
+        """Compute one request, commit it, return its store payload (executor side)."""
+        if isinstance(request, api.SweepRequest):
+            result = api.evaluate(request, jobs=self.jobs)
+        elif isinstance(request, api.McRequest):
+            result = api.simulate(request, chunk_size=chunk_size)
+        else:
+            result = api.memsim(request, chunk_size=chunk_size)
         api.commit(self.store, request, result)
-        return _wire(result)
+        return api.KINDS[request.kind].encode(result)
 
-    async def _compute_scalar(self, request, chunk_size, digest, future):
+    async def _compute(self, request, chunk_size, digest, future) -> None:
         loop = asyncio.get_running_loop()
         try:
             result = await loop.run_in_executor(
-                self._executor,
-                self._scalar_and_commit,
-                request,
-                chunk_size,
+                self._executor, self._compute_and_commit, request, chunk_size
             )
             self.counters["computed"] += 1
             if not future.done():
@@ -599,18 +480,7 @@ class ReproServer:
 
     def stats(self) -> dict:
         """Server counters plus store stats (the ``stats`` op payload)."""
-        payload = {
-            "server": dict(self.counters),
-            "inflight": len(self._inflight),
-            "pending": sum(len(g) for g in self._pending.values()),
-        }
+        payload = {"server": dict(self.counters), "inflight": len(self._inflight)}
         if self.store is not None:
             payload["store"] = self.store.stats()
         return payload
-
-
-def _wire(result) -> dict:
-    """The JSON form of a scalar (MC or workload) result on the wire."""
-    if isinstance(result, api.WorkloadResult):
-        return result.to_dict()
-    return api.mc_result_to_dict(result)

@@ -3,63 +3,57 @@
 Newline-delimited JSON over a unix socket: each frame is one JSON
 object on one line (requests may not contain literal newlines, which
 :func:`json.dumps` already guarantees).  The client sends request
-frames; the server answers each with zero or more ``chunk`` frames
-followed by exactly one terminal ``done`` or ``error`` frame, matched
-by the client-chosen ``id``.
+frames; the server answers each with exactly one ``done`` or ``error``
+frame, matched by the client-chosen ``id``.
 
 Request frame::
 
-    {"v": 2, "id": 1, "op": "evaluate", "request": <canonical api payload>,
-     "jobs": 4}                       # optional execution knobs
-    {"v": 2, "id": 2, "op": "simulate", "request": ..., "chunk_size": 65536}
-    {"v": 2, "id": 3, "op": "memsim", "request": ...}
-    {"v": 2, "id": 4, "op": "ping"}
-    {"v": 2, "id": 5, "op": "stats"}
-    {"v": 2, "id": 6, "op": "shutdown"}
+    {"v": 3, "id": 1, "op": "evaluate", "request": <canonical api payload>}
+    {"v": 3, "id": 2, "op": "simulate", "request": ..., "chunk_size": 65536}
+    {"v": 3, "id": 3, "op": "memsim", "request": ..., "chunk_size": 65536}
+    {"v": 3, "id": 4, "op": "ping"}
+    {"v": 3, "id": 5, "op": "stats"}
+    {"v": 3, "id": 6, "op": "shutdown"}
 
 Every request frame carries the protocol version ``v``; the daemon
 answers a frame whose ``v`` differs from its own
 :data:`PROTOCOL_VERSION` with an error frame naming both versions.
+``chunk_size`` is the only execution knob a frame carries (it never
+changes results); sweeps run with the daemon's own ``--jobs``.
 
 Response frames::
 
-    {"id": 1, "ok": true, "frame": "chunk", "fields": [...],
-     "records": [...]}                # sweep rows, streamed in order
-    {"id": 1, "ok": true, "frame": "done", "cached": false}
-    {"id": 2, "ok": true, "frame": "done", "result": {...},
-     "cached": true}
+    {"id": 1, "ok": true, "frame": "done", "result": {...},
+     "cached": false}
     {"id": 9, "ok": false, "frame": "error", "error": "..."}
     {"id": 9, "ok": false, "frame": "error", "error": "...",
      "kind": "busy", "retry_after": 0.5}
+
+The ``result`` of a compute op is ``api.KINDS[kind].encode(result)``:
+the same payload the result store holds for that request, decoded by
+the client with ``api.KINDS[kind].decode``.  ``cached`` reports
+whether it came from the content-addressed store.
 
 Error frames may carry a machine-readable ``kind`` that clients use
 for retry decisions: ``busy`` (admission queue full — honour
 ``retry_after`` seconds before retrying), ``deadline`` (the request
 exceeded the daemon's per-request deadline), ``draining`` (the daemon
 is shutting down gracefully and refuses new work).  Absent ``kind``
-means a plain request failure (bad payload, engine error) that a
-retry would not fix.
-
-Sweep results stream chunk-by-chunk (``chunk_rows`` rows per frame) so
-a client can start consuming a large grid before evaluation of later
-batches lands; ``fields`` repeats in every chunk so each frame is
-self-describing.  ``cached`` reports whether the terminal result came
-from the content-addressed store.
+means a plain request failure (bad payload, engine error, a request
+line over the daemon's size limit) that a retry would not fix.  An
+error frame for a line the daemon could not parse has ``"id": null``.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterator
 
-#: Version 2 dropped the ``method`` knob of simulate/memsim frames.
-PROTOCOL_VERSION = 2
+#: Version 3 answers every compute op with one ``done`` frame holding
+#: the store-entry payload (v2 streamed sweep rows in chunk frames).
+PROTOCOL_VERSION = 3
 
 #: Operations the daemon dispatches.
 OPS = ("evaluate", "simulate", "memsim", "ping", "stats", "shutdown")
-
-#: Default number of sweep record rows per streamed chunk frame.
-DEFAULT_CHUNK_ROWS = 256
 
 
 def encode_frame(frame: dict) -> bytes:
@@ -87,7 +81,11 @@ def request_frame(op: str, request_id: int, payload: dict | None = None, **knobs
 
 
 def chunk_frame(request_id: int, fields: list[str], records: list[dict]) -> dict:
-    """One streamed batch of sweep record rows (self-describing)."""
+    """A protocol-v2 sweep row chunk; the daemon no longer sends these.
+
+    Kept only because ``perfbench/workloads.py`` still builds one to
+    time frame encoding; drop it when that benchmark is next revised.
+    """
     return {
         "id": request_id,
         "ok": True,
@@ -98,7 +96,7 @@ def chunk_frame(request_id: int, fields: list[str], records: list[dict]) -> dict
 
 
 def done_frame(request_id: int, *, cached: bool, result: dict | None = None) -> dict:
-    """The terminal success frame of one request."""
+    """The success frame of one request."""
     frame = {"id": request_id, "ok": True, "frame": "done", "cached": cached}
     if result is not None:
         frame["result"] = result
@@ -112,7 +110,7 @@ def error_frame(
     kind: str | None = None,
     retry_after: float | None = None,
 ) -> dict:
-    """The terminal failure frame of one request.
+    """The failure frame of one request.
 
     ``kind`` tags machine-actionable failures (``busy``, ``deadline``,
     ``draining``); ``retry_after`` suggests a client back-off in
@@ -124,14 +122,3 @@ def error_frame(
     if retry_after is not None:
         frame["retry_after"] = retry_after
     return frame
-
-
-def iter_record_chunks(
-    records: list[dict], chunk_rows: int
-) -> Iterator[list[dict]]:
-    """Split a record list into successive row chunks (at least one)."""
-    if not records:
-        yield []
-        return
-    for start in range(0, len(records), max(chunk_rows, 1)):
-        yield records[start : start + max(chunk_rows, 1)]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -68,3 +71,39 @@ def binary_scheme() -> LevelScheme:
 def rng() -> np.random.Generator:
     """Deterministic RNG for sampling tests."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def held_sweeps(monkeypatch):
+    """Hold every sweep evaluation until the yielded event is set.
+
+    Patches :func:`repro.api.evaluate_records`, the compute behind
+    every sweep (the serve daemon's included), so a test can keep a
+    request in flight for as long as it needs.  The event is set on
+    teardown so no executor thread outlives the test.
+    """
+    from repro import api
+
+    release = threading.Event()
+    evaluate_records = api.evaluate_records
+
+    def held(*args, **kwargs):
+        release.wait(timeout=60)
+        return evaluate_records(*args, **kwargs)
+
+    monkeypatch.setattr(api, "evaluate_records", held)
+    yield release
+    release.set()
+
+
+@pytest.fixture
+def wait_until():
+    """A poller: ``wait_until(condition)`` fails the test after ``timeout`` s."""
+
+    def wait(condition, timeout=10.0):
+        deadline = time.monotonic() + timeout
+        while not condition():
+            assert time.monotonic() < deadline, "condition never held"
+            time.sleep(0.005)
+
+    return wait

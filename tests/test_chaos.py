@@ -250,19 +250,53 @@ class TestServeChaos:
                 with retrying:
                     assert retrying.ping()  # second attempt runs fault-free
 
-    def test_deadline_exceeded_answered_with_deadline_frame(self, socket_path):
-        # the batch window outlasting the deadline is a deterministic
-        # way to hold an evaluate in flight past its budget
-        server = ReproServer(socket_path, batch_window_s=0.5, deadline_s=0.1)
+    def test_deadline_exceeded_answered_with_deadline_frame(
+        self, socket_path, held_sweeps
+    ):
+        # a held sweep is a deterministic way to keep an evaluate in
+        # flight past its budget
+        server = ReproServer(socket_path, deadline_s=0.1)
         with server.running():
             with ServeClient(socket_path, retries=0) as client:
                 with pytest.raises(ServeError) as excinfo:
                     client.evaluate(sweep_request())
+            held_sweeps.set()
         assert excinfo.value.kind == "deadline"
         assert server.counters["deadline_exceeded"] == 1
 
-    def test_overload_answers_busy_with_retry_after(self, socket_path):
-        server = ReproServer(socket_path, batch_window_s=0.6, max_pending=1)
+    def test_deadline_leader_stays_in_flight(
+        self, socket_path, held_sweeps, wait_until
+    ):
+        """A leader past its deadline leaves its computation in flight:
+        identical requests still coalesce onto it and it still counts
+        against admission."""
+        req = sweep_request()
+        server = ReproServer(socket_path, deadline_s=0.1, max_pending=1)
+        with server.running():
+            with ServeClient(socket_path, retries=0) as client:
+                with pytest.raises(ServeError) as excinfo:
+                    client.evaluate(req)
+                assert excinfo.value.kind == "deadline"
+                assert len(server._inflight) == 1
+                other = api.SweepRequest(
+                    points=(DesignPoint.make("BGC", 8),), metrics=("yield",)
+                )
+                with pytest.raises(ServeError) as excinfo:
+                    client.evaluate(other)
+                assert excinfo.value.kind == "busy"
+                with pytest.raises(ServeError) as excinfo:
+                    client.evaluate(req)  # coalesces, then times out too
+                assert excinfo.value.kind == "deadline"
+            held_sweeps.set()
+            wait_until(lambda: not server._inflight)
+        assert server.counters["coalesced"] == 1
+        assert server.counters["computed"] == 1
+        assert server.counters["rejected_busy"] == 1
+
+    def test_overload_answers_busy_with_retry_after(
+        self, socket_path, held_sweeps, wait_until
+    ):
+        server = ReproServer(socket_path, max_pending=1)
         results = {}
 
         def leader():
@@ -272,9 +306,7 @@ class TestServeChaos:
         with server.running():
             t = threading.Thread(target=leader)
             t.start()
-            deadline = time.monotonic() + 2.0
-            while not server._inflight and time.monotonic() < deadline:
-                time.sleep(0.01)
+            wait_until(lambda: server._inflight)
             other = api.SweepRequest(
                 points=(DesignPoint.make("BGC", 8),), metrics=("yield",)
             )
@@ -286,6 +318,7 @@ class TestServeChaos:
             assert server.counters["rejected_busy"] == 1
 
             # with retries the same request waits out the backoff and lands
+            threading.Timer(0.6, held_sweeps.set).start()
             with ServeClient(
                 socket_path, retries=3, backoff_s=0.2, rng=random.Random(1)
             ) as c:
@@ -337,16 +370,17 @@ class TestServeChaos:
 
 class TestServeDrain:
     def test_sigterm_finishes_inflight_refuses_new_exits_zero(
-        self, socket_path, tmp_path
+        self, socket_path, tmp_path, wait_until
     ):
-        req = sweep_request()
-        direct = api.evaluate(req)
+        # a margin-yield run sized to take about a second holds the
+        # request in flight while the daemon is TERMed
+        req = api.McRequest(
+            kind="marginmc", family="BGC", total_length=8, samples=100_000
+        )
+        direct = api.simulate(req)
         env = dict(os.environ, PYTHONPATH="src")
         proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve",
-                "--socket", socket_path, "--batch-window", "1.0",
-            ],
+            [sys.executable, "-m", "repro", "serve", "--socket", socket_path],
             env=env,
             cwd=os.getcwd(),
             stdout=subprocess.PIPE,
@@ -364,11 +398,16 @@ class TestServeDrain:
 
             def request():
                 with client:
-                    results["served"] = client.evaluate(req)
+                    results["served"] = client.simulate(req)
 
             t = threading.Thread(target=request)
             t.start()
-            time.sleep(0.3)  # request now held open by the batch window
+
+            def in_flight():
+                with ServeClient(socket_path, retries=0) as probe:
+                    return probe.stats()["inflight"] > 0
+
+            wait_until(in_flight, timeout=20)
             proc.send_signal(signal.SIGTERM)
             t.join(timeout=20)
             assert results["served"] == direct  # in-flight work completed
@@ -383,9 +422,9 @@ class TestServeDrain:
                 proc.wait(timeout=10)
 
     def test_begin_drain_refuses_new_work_with_draining_frame(
-        self, socket_path
+        self, socket_path, held_sweeps, wait_until
     ):
-        server = ReproServer(socket_path, batch_window_s=0.5)
+        server = ReproServer(socket_path)
         results = {}
 
         def leader():
@@ -396,15 +435,14 @@ class TestServeDrain:
             pinned = ServeClient(socket_path, retries=0)  # pre-drain conn
             t = threading.Thread(target=leader)
             t.start()
-            deadline = time.monotonic() + 2.0
-            while not server._inflight and time.monotonic() < deadline:
-                time.sleep(0.01)
+            wait_until(lambda: server._inflight)
             server._server.get_loop().call_soon_threadsafe(server.begin_drain)
             time.sleep(0.05)  # let the drain flag land on the loop
             with pytest.raises(ServeError) as excinfo:
                 pinned.evaluate(sweep_request())
             assert excinfo.value.kind == "draining"
             pinned.close()
+            held_sweeps.set()
             t.join(timeout=10)
         assert results["served"] == api.evaluate(sweep_request())
 

@@ -7,13 +7,14 @@ import uuid
 import pytest
 
 from repro import api
+from repro.durable import canonical_json
 from repro.exp.designpoint import DesignPoint
 from repro.serve import ReproServer, ServeClient, ServeError
+from repro.serve.daemon import MAX_FRAME_BYTES
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     decode_frame,
     encode_frame,
-    iter_record_chunks,
     request_frame,
 )
 from repro.store import ResultStore
@@ -43,7 +44,7 @@ def sweep_request(*families, length=6):
 
 class TestProtocol:
     def test_frame_round_trip(self):
-        frame = request_frame("evaluate", 3, {"kind": "sweep"}, jobs=2)
+        frame = request_frame("simulate", 3, {"kind": "marginmc"}, chunk_size=64)
         assert decode_frame(encode_frame(frame)) == frame
 
     def test_none_knobs_dropped(self):
@@ -57,12 +58,6 @@ class TestProtocol:
     def test_non_object_frame_rejected(self):
         with pytest.raises(ValueError, match="JSON object"):
             decode_frame(b"[1,2,3]\n")
-
-    def test_record_chunking(self):
-        records = [{"i": i} for i in range(5)]
-        chunks = list(iter_record_chunks(records, 2))
-        assert [len(c) for c in chunks] == [2, 2, 1]
-        assert list(iter_record_chunks([], 2)) == [[]]
 
 
 class TestDaemon:
@@ -133,7 +128,7 @@ class TestDaemon:
 
     def test_rejects_other_protocol_versions(self, socket_path):
         with ReproServer(socket_path).running():
-            for version in (PROTOCOL_VERSION + 1, None):
+            for version in (2, PROTOCOL_VERSION + 1, None):
                 frame = request_frame("ping", 1)
                 frame["v"] = version
                 reply = raw_exchange(socket_path, frame)
@@ -210,9 +205,11 @@ class TestDaemon:
                     client._roundtrip("evaluate", {"v": 1, "kind": "bogus"})
                 assert client.ping()  # connection survives the error
 
-    def test_identical_inflight_requests_coalesce(self, socket_path):
+    def test_identical_inflight_requests_coalesce(
+        self, socket_path, held_sweeps, wait_until
+    ):
         req = sweep_request("TC", "GC", "BGC", length=8)
-        server = ReproServer(socket_path, batch_window_s=0.05)
+        server = ReproServer(socket_path)
         results, errors = [], []
 
         def worker():
@@ -226,6 +223,8 @@ class TestDaemon:
             threads = [threading.Thread(target=worker) for _ in range(4)]
             for t in threads:
                 t.start()
+            wait_until(lambda: server.counters["coalesced"] == 3)
+            held_sweeps.set()
             for t in threads:
                 t.join(timeout=120)
         assert not errors
@@ -235,11 +234,13 @@ class TestDaemon:
         assert server.counters["coalesced"] >= 1
         assert server.counters["computed"] + server.counters["coalesced"] >= 4
 
-    def test_compatible_sweeps_batch_into_one_group(self, socket_path):
-        # same spec/metrics/params, different point grids -> one engine call
+    def test_concurrent_different_sweeps_match_direct(
+        self, socket_path, held_sweeps, wait_until
+    ):
+        # same spec/metrics/params, different point grids, both in flight
         first = sweep_request("TC")
         second = sweep_request("GC")
-        server = ReproServer(socket_path, batch_window_s=0.1)
+        server = ReproServer(socket_path)
         results = {}
 
         def worker(name, req):
@@ -253,12 +254,80 @@ class TestDaemon:
             ]
             for t in threads:
                 t.start()
+            wait_until(lambda: len(server._inflight) == 2)
+            held_sweeps.set()
             for t in threads:
                 t.join(timeout=120)
         assert results["tc"] == api.evaluate(first)
         assert results["gc"] == api.evaluate(second)
-        if server.counters["batch_groups"] == 1:  # both landed in the window
-            assert server.counters["batched_requests"] == 2
+
+    def test_done_frame_result_is_the_store_entry_payload(
+        self, socket_path, tmp_path
+    ):
+        requests = {
+            "evaluate": sweep_request(),
+            "simulate": api.McRequest(
+                kind="marginmc", family="TC", total_length=6, samples=32
+            ),
+            "memsim": api.WorkloadRequest(
+                family="TC", total_length=6, accesses=128, instances=2
+            ),
+        }
+        facades = {
+            "evaluate": api.evaluate,
+            "simulate": api.simulate,
+            "memsim": api.memsim,
+        }
+        store = ResultStore(tmp_path / "store")
+        with ReproServer(socket_path, store=store).running():
+            for n, (op, req) in enumerate(requests.items()):
+                frame = request_frame(op, n, req.to_dict())
+                cold = raw_exchange(socket_path, frame)
+                warm = raw_exchange(socket_path, frame)
+                assert (cold["frame"], cold["cached"]) == ("done", False)
+                assert (warm["frame"], warm["cached"]) == ("done", True)
+                entry = store.get(api.request_digest(req))
+                assert canonical_json(cold["result"]) == canonical_json(entry)
+                assert canonical_json(warm["result"]) == canonical_json(entry)
+                if op != "memsim":  # memsim's cache section is run-dependent
+                    encoded = api.KINDS[req.kind].encode(facades[op](req))
+                    assert canonical_json(cold["result"]) == canonical_json(encoded)
+
+    def test_large_sweep_frame_served(self, socket_path):
+        # a 1,200-point canonical request is ~87 KB, past asyncio's
+        # default 64 KiB line limit
+        points = tuple(
+            DesignPoint.make("TC", 6, sigma_t=0.01 + 1e-5 * i) for i in range(1200)
+        )
+        req = api.SweepRequest(points=points, metrics=("area",))
+        assert len(encode_frame(request_frame("evaluate", 1, req.to_dict()))) > 65536
+        with ReproServer(socket_path).running():
+            with ServeClient(socket_path, retries=0) as client:
+                served = client.evaluate(req)
+        assert served == api.evaluate(req)
+
+    def test_over_limit_line_gets_error_frame_and_daemon_lives(self, socket_path):
+        server = ReproServer(socket_path)
+        with server.running():
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+                raw.connect(socket_path)
+                try:
+                    raw.sendall(b"x" * (MAX_FRAME_BYTES + 1) + b"\n")
+                except (BrokenPipeError, ConnectionResetError):
+                    pass  # the daemon closed the connection after its reply
+                stream = raw.makefile("rb")
+                reply = decode_frame(stream.readline())
+                try:  # then the connection closes
+                    tail = stream.readline()
+                except ConnectionResetError:  # closed with our bytes unread
+                    tail = b""
+                assert tail == b""
+            assert reply["ok"] is False and reply["frame"] == "error"
+            assert reply["id"] is None and "kind" not in reply
+            assert str(MAX_FRAME_BYTES) in reply["error"]
+            with ServeClient(socket_path) as client:
+                assert client.ping()
+                assert client.evaluate(sweep_request()) == api.evaluate(sweep_request())
 
     def test_clean_shutdown_removes_socket(self, socket_path, tmp_path):
         import os
