@@ -31,13 +31,18 @@ def sweep(name, values, evaluate):
     return function_sweep({name: values}, lambda **kw: evaluate(kw[name])).to_records()
 
 
+def _advantage(bgc, tc):
+    """BGC/TC yield ratio; ``n/a`` where TC/6 yields nothing."""
+    return f"{bgc / tc:.2f}x" if tc > 0 else "n/a"
+
+
 def _rows(records, key):
     return [
         [
             r[key],
             f"{100 * r['bgc10_yield']:.1f}%",
             f"{100 * r['tc6_yield']:.1f}%",
-            f"{r['bgc10_yield'] / max(r['tc6_yield'], 1e-9):.2f}x",
+            _advantage(r["bgc10_yield"], r["tc6_yield"]),
         ]
         for r in records
     ]

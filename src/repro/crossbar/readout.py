@@ -92,9 +92,11 @@ class ReadoutModel:
         rows, cols = g.shape
         if not 0 <= row < rows or not 0 <= col < cols:
             raise ReadoutError(f"selected cell ({row}, {col}) outside {g.shape}")
-        from repro.sim.readout import IdealBank
+        from repro.sim.readout import sense_currents
 
-        return IdealBank(g).read_current(self.scheme, self.v_read, row, col)
+        return float(
+            sense_currents(g[None], [row], [col], self.scheme, self.v_read)[0]
+        )
 
     def read_currents(self, states: np.ndarray, cells) -> np.ndarray:
         """Sense currents of many cells of one bank state.

@@ -31,10 +31,18 @@ engine behind :mod:`repro.crossbar.readout` and
     one free-node set across all cells, so the per-cell bias patterns
     become columns of a single factorized ``splu`` solve.
 
+* **Stacked per-cell solves** — :func:`sense_currents` solves a slab
+  of (state map, cell) pairs with the scalar loop's own arithmetic:
+  each pair's free-node system is gathered into one stack and LAPACK
+  solves the stack in a single ``np.linalg.solve`` call.  It is the
+  one per-cell path: :meth:`IdealBank.read_current` and
+  ``ReadoutModel.read_current`` are its one-pair calls, and the
+  electrical workload engine solves its queued misses through it.
+
 The block-RHS paths agree with the per-cell reference within solver
 tolerance (different but equally valid arithmetic; see
 ``benchmarks/bench_readout.py`` for the gated bounds), while the
-single-cell dense path reproduces the scalar loop bit for bit.
+per-cell path reproduces the scalar loop bit for bit.
 """
 
 from __future__ import annotations
@@ -57,6 +65,7 @@ __all__ = [
     "distributed_laplacian",
     "ideal_laplacian",
     "scheme_margin_sweep",
+    "sense_currents",
     "state_digest",
 ]
 
@@ -241,6 +250,68 @@ def distributed_laplacian(
     return coo_matrix((data, (i, j)), shape=(n, n)).tocsr()
 
 
+# -- stacked per-cell solves ---------------------------------------------------
+
+
+def sense_currents(g: np.ndarray, rows, cols, scheme: str, v_read: float) -> np.ndarray:
+    """Sense currents of a slab of (conductance map, selected cell) pairs.
+
+    ``g`` is a ``(k, R, C)`` stack of ideal-line conductance maps and
+    ``rows`` / ``cols`` the ``k`` selected cells.  Every pair gets the
+    scalar reference's own arithmetic, bit for bit:
+
+    * the Laplacian diagonals are sequential sums along each line, the
+      element order of the reference's ``np.add.at`` stamping;
+    * ``float`` reads reduce each pair to its free-node system (every
+      line except the driven row and the sensed column, ascending) and
+      the whole slab goes to LAPACK in one ``np.linalg.solve`` call,
+      which runs one ``gesv`` per system;
+    * ``ground`` / ``half_v`` fix every line, so they need no solve;
+    * the sense current sums ``g[i, col] * V[i]`` sequentially over the
+      rows, starting from ``0.0`` like the reference loop.
+    """
+    g = np.asarray(g, dtype=float)
+    k, n_rows, n_cols = g.shape
+    slab = np.arange(k)
+    keep_r = np.ones((k, n_rows), dtype=bool)
+    keep_r[slab, rows] = False
+    if scheme == "float":
+        fr, fc = n_rows - 1, n_cols - 1
+        keep_c = np.ones((k, n_cols), dtype=bool)
+        keep_c[slab, cols] = False
+        d_row = g[:, :, 0].copy()
+        for j in range(1, n_cols):
+            d_row += g[:, :, j]
+        d_col = g[:, 0, :].copy()
+        for i in range(1, n_rows):
+            d_col += g[:, i, :]
+        # free rows then free columns, each ascending: the diagonal,
+        # and the -g coupling blocks (``off`` is the column-row block)
+        a = np.zeros((k, fr + fc, fr + fc))
+        diag = a.reshape(k, -1)[:, :: fr + fc + 1]
+        diag[:, :fr] = d_row[keep_r].reshape(k, fr)
+        diag[:, fr:] = d_col[keep_c].reshape(k, fc)
+        g_free_rows = g[keep_r].reshape(k, fr, n_cols)
+        off = g_free_rows.transpose(0, 2, 1)[keep_c].reshape(k, fc, fr)
+        np.negative(off, out=a[:, fr:, :fr])
+        np.negative(off.transpose(0, 2, 1), out=a[:, :fr, fr:])
+        # driven row at v_read, sense column at 0: only the free
+        # columns couple to the driver
+        rhs = np.zeros((k, fr + fc, 1))
+        rhs[:, fr:, 0] = g[slab, rows][keep_c].reshape(k, fc) * v_read
+        v_rows = np.empty((k, n_rows))
+        if fr:
+            v_rows[keep_r] = np.linalg.solve(a, rhs)[:, :fr, 0].reshape(-1)
+    elif scheme in ("ground", "half_v"):
+        v_rows = np.full((k, n_rows), 0.0 if scheme == "ground" else v_read / 2.0)
+    else:
+        raise _readout_error(f"unknown scheme {scheme!r}")
+    v_rows[~keep_r] = v_read
+    terms = g[slab, :, cols] * v_rows
+    # ``+ 0.0`` makes an all-zero sum +0.0, as the reference's 0.0 start
+    return np.cumsum(terms, axis=1)[:, -1] + 0.0
+
+
 # -- ideal-line bank solver ----------------------------------------------------
 
 
@@ -255,11 +326,10 @@ class IdealBank:
     factorization, block RHS).
 
     ``g`` and ``lap`` are private copies frozen with
-    ``setflags(write=False)``: the lazily cached factorization (and the
-    per-cell solve memo) would silently go stale if either array were
-    mutated after the first solve, so a bank is immutable by
-    construction — re-stamp a new bank (or fetch one from a
-    :class:`BankCache`) for a new state.
+    ``setflags(write=False)``: the lazily cached factorization would
+    silently go stale if either array were mutated after the first
+    solve, so a bank is immutable by construction — re-stamp a new
+    bank (or fetch one from a :class:`BankCache`) for a new state.
     """
 
     def __init__(self, g: np.ndarray) -> None:
@@ -271,59 +341,16 @@ class IdealBank:
         lap.setflags(write=False)
         self.lap = lap
         self._lu = None
-        self._cell_memo: dict[tuple, float] = {}
 
     # -- single cell (scalar-loop compatible arithmetic) -----------------------
 
     def read_current(self, scheme: str, v_read: float, row: int, col: int) -> float:
         """Sense current of one cell; bit-for-bit the scalar loop result.
 
-        The free/fixed reduction, dense solve and sense-current
-        accumulation replicate the reference arithmetic exactly — only
-        the Laplacian stamping is vectorized.  Results are memoized per
-        ``(scheme, v_read, cell)`` (the bank is immutable), so repeated
-        reads of a cached bank skip the solve.
+        The one-cell call of :func:`sense_currents`, the engine's only
+        per-cell solve arithmetic.
         """
-        memo_key = (scheme, float(v_read), int(row), int(col))
-        cached = self._cell_memo.get(memo_key)
-        if cached is not None:
-            return cached
-        rows, cols = self.rows, self.cols
-        sense = rows + col
-        fixed: dict[int, float] = {row: v_read, sense: 0.0}
-        if scheme == "ground":
-            for i in range(rows):
-                if i != row:
-                    fixed[i] = 0.0
-            for j in range(cols):
-                if j != col:
-                    fixed[rows + j] = 0.0
-        elif scheme == "half_v":
-            for i in range(rows):
-                if i != row:
-                    fixed[i] = v_read / 2.0
-            for j in range(cols):
-                if j != col:
-                    fixed[rows + j] = v_read / 2.0
-
-        n_nodes = rows + cols
-        voltages = np.empty(n_nodes)
-        free = [k for k in range(n_nodes) if k not in fixed]
-        for k, v in fixed.items():
-            voltages[k] = v
-        if free:
-            a = self.lap[np.ix_(free, free)]
-            rhs = -self.lap[np.ix_(free, list(fixed))] @ np.array(
-                [fixed[k] for k in fixed]
-            )
-            voltages[np.array(free)] = np.linalg.solve(a, rhs)
-
-        current = 0.0
-        for i in range(rows):
-            current += self.g[i, col] * (voltages[i] - voltages[sense])
-        result = float(current)
-        self._cell_memo[memo_key] = result
-        return result
+        return float(sense_currents(self.g[None], [row], [col], scheme, v_read)[0])
 
     # -- batched cells (one factorization, block RHS) --------------------------
 
@@ -609,11 +636,9 @@ def scheme_margin_sweep(
         off_map = np.ones((size, size), dtype=bool)
         off_map[0, 0] = False
         g_off = np.where(off_map, 1.0 / r_on, 1.0 / r_off)
-        bank_on = IdealBank(g_on)
-        bank_off = IdealBank(g_off)
+        pair = np.stack([g_on, g_off])
         for scheme in schemes:
-            i_on = bank_on.read_current(scheme, v_read, 0, 0)
-            i_off = bank_off.read_current(scheme, v_read, 0, 0)
+            i_on, i_off = sense_currents(pair, [0, 0], [0, 0], scheme, v_read).tolist()
             if i_on <= 0:
                 raise _readout_error("non-positive ON current; check the model")
             out[scheme].append((i_on - i_off) / i_on)

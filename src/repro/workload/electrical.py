@@ -10,22 +10,37 @@ repair and the Welford fleet metrics.
 
 Execution model
 ---------------
-Chunks are split into *segments* — maximal runs of same-type accesses —
-so reads always sense the state produced by every earlier write, exactly
-as the scalar loop does.  Write segments scatter with explicit
-keep-last dedupe; read segments group their crosspoints by cave-sized
-bank and resolve each bank through a two-level, state-keyed
-:class:`~repro.sim.readout.BankCache`:
+Writes never depend on read outcomes, so sensing is deferred.  Each
+chunk's instances run on :func:`~repro.sim.batch.parallel_map` threads,
+one instance per task with its own state, memo and error stream, so
+results and cache counts are the same at any thread width.  Per
+instance and chunk:
 
-* ``wl:<digest>`` — the bank state's *margin memo* (per-cell dual
-  reference margins already computed for this exact state block);
-* ``ib:<digest>`` — the factorized :class:`~repro.sim.readout.
-  IdealBank` solver of a forced-reference state block.
+1. **Replay.** The chunk is split into *segments* — maximal runs of
+   same-type accesses.  Write segments scatter with explicit keep-last
+   dedupe; read segments record, per valid read cell, its stored bit
+   and the digests of its two forced states (the cave-sized bank with
+   the cell forced ON and forced OFF; one of them is the bank's own
+   state, whose digest is memoized until a write changes the bank).
+2. **Lookup.** Each reference is looked up in the instance's memo of
+   sense currents, keyed by (forced-state digest, cell): an LRU
+   :class:`~repro.sim.readout.BankCache` of forced states bounded by
+   ``max_banks``.  Keying by forced state means that after a write
+   toggles a hot cell, reading it again costs no solve — both forced
+   states were seen before.  Misses queue a snapshot of their forced
+   state.
+3. **Slab solves.** Once the queue holds a slab (sized to keep its
+   scratch near :data:`SLAB_BYTES` per thread) or the replay ends, the
+   queued misses go to :func:`~repro.sim.readout.sense_currents` as one
+   stack: one ``np.linalg.solve`` call per slab instead of one per
+   reference.
+4. **Classification.** Margins, misread counts and SECDED
+   ``decode_blocks`` run once over all of the chunk's reads.
 
-Banks that are quiescent between read batches — the common case under
-zipfian traffic — hit the cache and skip re-factorization entirely.
-Per-instance bank digests are memoized and invalidated only when a
-write actually changes a cell value inside the bank.
+``WorkloadResult.cache`` reports the memo: ``hits`` are references
+served without a solve, ``misses`` the solved ones, ``evictions`` the
+forced states the LRU bound dropped, ``banks`` the most forced states
+one instance's memo holds, and ``hit_rate`` is hits over lookups.
 
 Equivalence contract
 --------------------
@@ -33,13 +48,15 @@ The scalar reference (kept with the test oracles) executes the same
 semantics one access at a time through
 :class:`~repro.crossbar.array.CrossbarArray` on the *same* defect maps
 (``read_bit`` + ``read_margin`` per crosspoint).  Batched results are
-byte-identical and chunk-size invariant: the margin of a
-cell is computed with the exact arithmetic of
-:meth:`CrossbarArray.read_margin` (forced-state bank, one solver call
-per reference) and only memoized — never approximated — so cached and
-fresh values are the same floats.  Cache hit/miss statistics are the
-one exception: they depend on chunk boundaries and are reported for
-diagnostics only.
+byte-identical and chunk-size invariant: every reference current is
+computed with the exact arithmetic of :meth:`ReadoutModel.read_current`
+(the stacked kernel runs one LAPACK ``gesv`` per system, and
+``read_current`` is its one-cell call) and only memoized — never
+approximated — so cached and fresh values are the same floats.  Cache
+counts are the one exception: LRU evictions make them depend on chunk
+boundaries, so they are reported for diagnostics only.  Readout models
+other than a plain :class:`ReadoutModel` keep their own per-cell
+``read_current`` for the queued misses and run the instances serially.
 """
 
 from __future__ import annotations
@@ -56,13 +73,14 @@ from repro.crossbar.array import AddressingFault
 from repro.crossbar.ecc import decode_blocks
 from repro.crossbar.readout import ReadoutError, ReadoutModel
 from repro.decoder.addressmap import AddressMap
-from repro.sim.readout import BankCache, IdealBank, state_digest
+from repro.sim.batch import parallel_map
+from repro.sim.readout import BankCache, sense_currents, state_digest
 from repro.workload.traces import Trace
 
 #: Default number of histogram bins over the [0, 1] margin range.
 DEFAULT_MARGIN_BINS = 20
 
-#: Default bound on distinct cached bank states.
+#: Default bound on distinct forced bank states per instance memo.
 DEFAULT_MAX_BANKS = 256
 
 
@@ -83,8 +101,8 @@ class ElectricalReadout:
     margin_bins:
         Histogram bins over the [0, 1] relative-margin range.
     max_banks:
-        Bound on distinct bank states kept in the factorization cache
-        (LRU beyond it).
+        Bound on distinct forced bank states kept in each instance's
+        sense-current memo (LRU beyond it).
     """
 
     model: ReadoutModel = field(default_factory=ReadoutModel)
@@ -107,62 +125,95 @@ class ElectricalReadout:
             )
 
 
-class _BankEntry:
-    """Cached view of one visited bank state: snapshot + margin memo."""
-
-    __slots__ = ("states", "margins")
-
-    def __init__(self, states: np.ndarray) -> None:
-        states = states.copy()
-        states.setflags(write=False)
-        self.states = states
-        self.margins: dict[tuple[int, int], float] = {}
+#: Scratch budget of one stacked solve slab, per thread (forced-state
+#: snapshots, conductance maps and reduced free-node systems).
+SLAB_BYTES = 2 << 20
 
 
-def _cell_margin(
-    cache: BankCache,
-    entry: _BankEntry,
-    lr: int,
-    lc: int,
-    model: ReadoutModel,
-    fast: bool,
-) -> float:
-    """Dual-reference margin of one cell of a cached bank state.
+def _slab_cells(rows: int, cols: int) -> int:
+    """Misses per slab for banks up to ``rows x cols`` (:data:`SLAB_BYTES`)."""
+    free = rows + cols - 2
+    per_cell = 8 * (free * free + 3 * rows * cols) + rows * cols
+    return max(1, SLAB_BYTES // per_cell)
 
-    Bit-identical to :meth:`CrossbarArray.read_margin`: both references
-    are fresh forced-state solves of the same arithmetic; the cache
-    only memoizes the resulting floats.  ``fast`` (plain
-    :class:`ReadoutModel` instances) shares the forced-state solvers
-    through the bank cache; otherwise each reference goes through
-    ``model.read_current``.
+
+class _Sensor:
+    """One instance's sense currents: LRU memo, miss queue, slab solves.
+
+    A sense current is a pure function of the forced bank state and the
+    selected cell, so it is memoized per ``(forced-state digest, cell)``
+    — an LRU :class:`~repro.sim.readout.BankCache` of forced states,
+    each holding a ``{cell: current}`` dict.  :meth:`slot` hands out one
+    slot of :attr:`values` per reference; misses queue a snapshot of
+    the forced state and are solved together once the queue holds a
+    slab (or at :meth:`flush`), so the memo changes cost, never values.
     """
-    key = (lr, lc)
-    cached = entry.margins.get(key)
-    if cached is not None:
-        return cached
-    forced_on = entry.states.copy()
-    forced_on[lr, lc] = True
-    forced_off = entry.states.copy()
-    forced_off[lr, lc] = False
-    if fast:
-        bank_on = cache.get(
-            b"ib:" + state_digest(forced_on),
-            lambda: IdealBank(model.conductances(forced_on)),
-        )
-        i_on = bank_on.read_current(model.scheme, model.v_read, lr, lc)
-        bank_off = cache.get(
-            b"ib:" + state_digest(forced_off),
-            lambda: IdealBank(model.conductances(forced_off)),
-        )
-        i_off = bank_off.read_current(model.scheme, model.v_read, lr, lc)
-    else:
-        i_on = model.read_current(forced_on, lr, lc)
-        i_off = model.read_current(forced_off, lr, lc)
-    if i_on <= 0:
-        raise AddressingFault("non-positive reference current")
-    margin = (i_on - i_off) / i_on
-    entry.margins[key] = margin
-    return margin
+
+    def __init__(self, model: ReadoutModel, max_banks: int, slab: int) -> None:
+        self.model = model
+        self.fast = type(model) is ReadoutModel
+        self.memo = BankCache(max_banks=max_banks)
+        self.slab = slab
+        self.hits = 0
+        self.misses = 0
+        self.values: list[float] = []
+        self._pending: dict[tuple[bytes, int, int], int] = {}
+        self._queue: list[tuple[int, np.ndarray, int, int, dict]] = []
+
+    def slot(self, digest: bytes, block: np.ndarray, lr: int, lc: int) -> int:
+        """Slot of the current of cell ``(lr, lc)`` in forced state ``block``."""
+        entry = self.memo.get(digest, dict)
+        value = entry.get((lr, lc))
+        if value is not None:
+            self.hits += 1
+            self.values.append(value)
+            return len(self.values) - 1
+        key = (digest, lr, lc)
+        slot = self._pending.get(key)
+        if slot is not None:
+            self.hits += 1
+            return slot
+        slot = len(self.values)
+        self.values.append(math.nan)
+        self._pending[key] = slot
+        self._queue.append((slot, block.copy(), lr, lc, entry))
+        if len(self._queue) >= self.slab:
+            self.flush()
+        return slot
+
+    def flush(self) -> None:
+        """Solve every queued miss: one stacked solve per bank shape."""
+        queue = self._queue
+        if not queue:
+            return
+        model = self.model
+        if self.fast:
+            groups: dict[tuple[int, int], list[int]] = {}
+            for k, item in enumerate(queue):
+                groups.setdefault(item[1].shape, []).append(k)
+            currents = np.empty(len(queue))
+            for (_, cols), members in groups.items():
+                forced = np.stack([queue[k][1] for k in members])
+                # a (k * rows, cols) view keeps ReadoutModel.conductances'
+                # own arithmetic for the whole stack
+                g = model.conductances(forced.reshape(-1, cols))
+                currents[members] = sense_currents(
+                    g.reshape(forced.shape),
+                    [queue[k][2] for k in members],
+                    [queue[k][3] for k in members],
+                    model.scheme,
+                    model.v_read,
+                )
+        else:
+            # other readout models keep their own per-cell solve
+            currents = [model.read_current(f, lr, lc) for _, f, lr, lc, _ in queue]
+        for (slot, _, lr, lc, entry), value in zip(queue, currents):
+            value = float(value)
+            self.values[slot] = value
+            entry[(lr, lc)] = value
+        self.misses += len(queue)
+        queue.clear()
+        self._pending.clear()
 
 
 def _segments(is_write: np.ndarray) -> list[tuple[int, int, bool]]:
@@ -189,22 +240,21 @@ def run_electrical_batched(
     collect_state: bool,
     collect_margins: bool,
 ):
-    """Segment-ordered vectorised electrical execution of a trace."""
+    """Deferred, slab-stacked electrical execution of a trace."""
     inst = fleet.instances
     n = trace.accesses
     code = fleet.ecc
     bb = 1 if code is None else code.block_bits
     caps = fleet.address_capacities
-    model = readout.model
     res = readout.resolution
-    fast = type(model) is ReadoutModel
     side = fleet._maps[0].shape[0]
     side_cols = fleet._maps[0].shape[1]
     per = AddressMap(fleet.spec, fleet.space).wires_per_cave
     nbc = -(-side_cols // per)
     arange_bb = np.arange(bb)
 
-    cache = BankCache(max_banks=readout.max_banks)
+    slab = _slab_cells(min(per, side), min(per, side_cols))
+    sensors = [_Sensor(readout.model, readout.max_banks, slab) for _ in range(inst)]
     states = [np.zeros((side, side_cols), dtype=bool) for _ in range(inst)]
     digests: list[dict[int, bytes]] = [{} for _ in range(inst)]
 
@@ -219,12 +269,15 @@ def run_electrical_batched(
     margins = np.full((inst, trace.reads * bb), np.nan)
     read_bits = np.zeros((inst, trace.reads), dtype=bool)
 
-    read_off = 0
-    # Segment-phase accounting mirrors the ideal batched path: clock
-    # reads only while telemetry is on, accumulated locally and folded
-    # into counters once at the end.
+    # Instances are independent (own state, memo, error stream and
+    # result slots), so a chunk's instances run on parallel_map threads
+    # and return their phase seconds; the counters are recorded here on
+    # the calling thread.  Other readout models may record telemetry
+    # inside their solves, so they run serially.
+    fast = type(readout.model) is ReadoutModel
     timed = obs.enabled()
     read_s = write_s = 0.0
+    read_off = 0
     for start in range(0, n, chunk_size):
         t_chunk = perf_counter() if timed else 0.0
         stop = min(start + chunk_size, n)
@@ -232,16 +285,20 @@ def run_electrical_batched(
         w = trace.is_write[start:stop]
         vw = trace.values[start:stop][w]
         n_w = int(vw.size)
-        # global read ordinal of every in-chunk position (writes: unused)
-        r_index = read_off + np.cumsum(~w) - 1
         segments = _segments(w)
+        # in-chunk read ordinal before every position: read segment
+        # [s, e) holds reads r_before[s] .. r_before[e] - 1
+        r_before = np.r_[0, np.cumsum(~w)]
+        ar = a[~w]
         clean_blocks_w = (
             np.where(vw[:, None], fleet._enc[1], fleet._enc[0])
             if code is not None and n_w
             else None
         )
 
-        for i in range(inst):
+        def run_instance(i: int) -> tuple[float, float]:
+            t_inst = perf_counter() if timed else 0.0
+            inst_write_s = 0.0
             cap = int(caps[i])
             invalid = a >= cap
             bad = int(invalid.sum())
@@ -271,23 +328,68 @@ def run_electrical_batched(
             st = states[i]
             st_flat = st.reshape(-1)
             dig = digests[i]
+            sensor = sensors[i]
+
+            # every valid read cell of the chunk, in trace order: its
+            # global read ordinal, bank and bank-local coordinates
+            valid_r = ar < cap
+            v_before = np.r_[0, np.cumsum(valid_r)]
+            ridx_v = read_off + np.flatnonzero(valid_r)
+            if code is None:
+                cells = remap[ar[valid_r]]
+                pos_bits = ridx_v
+            else:
+                cells = remap[ar[valid_r][:, None] * bb + arange_bb].reshape(-1)
+                pos_bits = (ridx_v[:, None] * bb + arange_bb).reshape(-1)
+            rr = cells // side_cols
+            cc = cells % side_cols
+            r0s = (rr // per) * per
+            c0s = (cc // per) * per
+            bids = ((rr // per) * nbc + cc // per).tolist()
+            lrs = (rr - r0s).tolist()
+            lcs = (cc - c0s).tolist()
+            r0s = r0s.tolist()
+            c0s = c0s.tolist()
+            stored = np.empty(cells.size, dtype=bool)
+            on_slot = np.empty(cells.size, dtype=np.intp)
+            off_slot = np.empty(cells.size, dtype=np.intp)
+
             w_cursor = 0
             for seg_start, seg_stop, seg_is_write in segments:
+                if not seg_is_write:
+                    # record both forced-state references of every read
+                    # cell; misses queue up for the slab solves
+                    lo = int(v_before[r_before[seg_start]]) * bb
+                    hi = int(v_before[r_before[seg_stop]]) * bb
+                    for t in range(lo, hi):
+                        bid, lr, lc = bids[t], lrs[t], lcs[t]
+                        r0, c0 = r0s[t], c0s[t]
+                        block = st[r0 : r0 + per, c0 : c0 + per]
+                        d = dig.get(bid)
+                        if d is None:
+                            d = state_digest(block)
+                            dig[bid] = d
+                        bit = bool(block[lr, lc])
+                        flipped = block.copy()
+                        flipped[lr, lc] = not bit
+                        same = sensor.slot(d, block, lr, lc)
+                        other = sensor.slot(state_digest(flipped), flipped, lr, lc)
+                        stored[t] = bit
+                        on_slot[t], off_slot[t] = (
+                            (same, other) if bit else (other, same)
+                        )
+                    continue
+
                 t_seg = perf_counter() if timed else 0.0
-                seg_a = a[seg_start:seg_stop]
-                seg_valid = seg_a < cap
-                if seg_is_write:
-                    k = seg_stop - seg_start
-                    if code is None:
-                        seg_vals = vals_w[w_cursor : w_cursor + k][seg_valid]
-                    else:
-                        seg_blocks = blocks_w[w_cursor : w_cursor + k][seg_valid]
-                    w_cursor += k
-                    av = seg_a[seg_valid]
-                    if not av.size:
-                        if timed:
-                            write_s += perf_counter() - t_seg
-                        continue
+                seg_valid = a[seg_start:seg_stop] < cap
+                k = seg_stop - seg_start
+                if code is None:
+                    seg_vals = vals_w[w_cursor : w_cursor + k][seg_valid]
+                else:
+                    seg_blocks = blocks_w[w_cursor : w_cursor + k][seg_valid]
+                w_cursor += k
+                av = a[seg_start:seg_stop][seg_valid]
+                if av.size:
                     # last write per address wins within the run
                     order = np.argsort(av, kind="stable")
                     av_s = av[order]
@@ -306,104 +408,71 @@ def run_electrical_batched(
                     if changed.any():
                         st_flat[phys] = new
                         cp = phys[changed]
-                        bids = (cp // side_cols // per) * nbc + (
-                            cp % side_cols
-                        ) // per
-                        for bid in np.unique(bids):
-                            dig.pop(int(bid), None)
-                    if timed:
-                        write_s += perf_counter() - t_seg
-                    continue
-
-                # read segment: sense every valid crosspoint through the
-                # bank cache, classify against the resolution floor
-                ridx = r_index[seg_start:seg_stop]
-                vr = np.flatnonzero(seg_valid)
-                if not vr.size:
-                    if timed:
-                        read_s += perf_counter() - t_seg
-                    continue
-                av = seg_a[vr]
-                ridx_v = ridx[vr]
-                if code is None:
-                    cells = remap[av]
-                    pos_bits = ridx_v
-                else:
-                    cells = remap[av[:, None] * bb + arange_bb].reshape(-1)
-                    pos_bits = (ridx_v[:, None] * bb + arange_bb).reshape(-1)
-                rr = cells // side_cols
-                cc = cells % side_cols
-                bids = (rr // per) * nbc + cc // per
-                cell_m = np.empty(cells.size)
-                order = np.argsort(bids, kind="stable")
-                bids_s = bids[order]
-                bounds = np.r_[
-                    np.flatnonzero(np.r_[True, bids_s[1:] != bids_s[:-1]]),
-                    bids_s.size,
-                ]
-                for gi in range(bounds.size - 1):
-                    sel = order[bounds[gi] : bounds[gi + 1]]
-                    bid = int(bids_s[bounds[gi]])
-                    br, bc = divmod(bid, nbc)
-                    r0, c0 = br * per, bc * per
-                    block = st[r0 : r0 + per, c0 : c0 + per]
-                    d = dig.get(bid)
-                    if d is None:
-                        d = state_digest(block)
-                        dig[bid] = d
-                    entry = cache.get(b"wl:" + d, lambda: _BankEntry(block))
-                    for t in sel:
-                        cell_m[t] = _cell_margin(
-                            cache,
-                            entry,
-                            int(rr[t]) - r0,
-                            int(cc[t]) - c0,
-                            model,
-                            fast,
-                        )
-                stored = st_flat[cells]
-                sensed = stored & (cell_m > res)
-                margins[i, pos_bits] = cell_m
-                sensed_bits[i] += int(cells.size)
-                if code is None:
-                    mis = sensed != stored
-                    n_mis = int(mis.sum())
-                    misread_bits[i] += n_mis
-                    misread_reads[i] += n_mis
-                    read_bits[i, ridx_v] = sensed
-                else:
-                    sensed_b = sensed.reshape(-1, bb)
-                    stored_b = stored.reshape(-1, bb)
-                    mis_b = sensed_b != stored_b
-                    n_mis = mis_b.sum(axis=1)
-                    misread_bits[i] += int(mis_b.sum())
-                    misread_reads[i] += int((n_mis > 0).sum())
-                    payload, cpos, unc = decode_blocks(code, sensed_b)
-                    corrected[i] += int((cpos >= 0).sum())
-                    uncorrectable[i] += int(unc.sum())
-                    val = payload[:, 0].copy()
-                    val[unc] = False
-                    payload_s, _, unc_s = decode_blocks(code, stored_b)
-                    val_s = payload_s[:, 0].copy()
-                    val_s[unc_s] = False
-                    ecc_masked[i] += int(((n_mis > 0) & (val == val_s)).sum())
-                    read_bits[i, ridx_v] = val
+                        wb = (cp // side_cols // per) * nbc + (cp % side_cols) // per
+                        for bid in np.unique(wb).tolist():
+                            dig.pop(bid, None)
                 if timed:
-                    read_s += perf_counter() - t_seg
-        read_off += int((~w).sum())
+                    inst_write_s += perf_counter() - t_seg
+
+            # resolve the chunk's margins, classify and decode once
+            sensor.flush()
+            currents = np.array(sensor.values)
+            sensor.values.clear()
+            i_on = currents[on_slot]
+            i_off = currents[off_slot]
+            if np.any(i_on <= 0):
+                raise AddressingFault("non-positive reference current")
+            cell_m = (i_on - i_off) / i_on
+            sensed = stored & (cell_m > res)
+            margins[i, pos_bits] = cell_m
+            sensed_bits[i] += int(cells.size)
+            if code is None:
+                mis = sensed != stored
+                n_mis = int(mis.sum())
+                misread_bits[i] += n_mis
+                misread_reads[i] += n_mis
+                read_bits[i, ridx_v] = sensed
+            else:
+                sensed_b = sensed.reshape(-1, bb)
+                stored_b = stored.reshape(-1, bb)
+                mis_b = sensed_b != stored_b
+                n_mis = mis_b.sum(axis=1)
+                misread_bits[i] += int(mis_b.sum())
+                misread_reads[i] += int((n_mis > 0).sum())
+                payload, cpos, unc = decode_blocks(code, sensed_b)
+                corrected[i] += int((cpos >= 0).sum())
+                uncorrectable[i] += int(unc.sum())
+                val = payload[:, 0].copy()
+                val[unc] = False
+                payload_s, _, unc_s = decode_blocks(code, stored_b)
+                val_s = payload_s[:, 0].copy()
+                val_s[unc_s] = False
+                ecc_masked[i] += int(((n_mis > 0) & (val == val_s)).sum())
+                read_bits[i, ridx_v] = val
+            if not timed:
+                return 0.0, 0.0
+            # read phase: everything but the write segments
+            return perf_counter() - t_inst - inst_write_s, inst_write_s
+
+        if fast:
+            phases = parallel_map(run_instance, range(inst))
+        else:
+            phases = [run_instance(i) for i in range(inst)]
+        for inst_read_s, inst_write_s in phases:
+            read_s += inst_read_s
+            write_s += inst_write_s
+        read_off += int(ar.size)
         if timed:
             obs.observe("workload.chunk_s", perf_counter() - t_chunk)
 
+    cache = _cache_stats(sensors)
     if timed:
         obs.counter("workload.chunks", -(-n // chunk_size))
         obs.counter("workload.read_s", read_s)
         obs.counter("workload.write_s", write_s)
-        # fold the run's bank-cache outcome into the profile (zero
-        # hot-path cost: one stats() read at the end)
-        stats = cache.stats()
-        obs.counter("workload.bank_cache.hits", stats["hits"])
-        obs.counter("workload.bank_cache.misses", stats["misses"])
-        obs.counter("workload.bank_cache.evictions", stats["evictions"])
+        obs.counter("workload.bank_cache.hits", cache["hits"])
+        obs.counter("workload.bank_cache.misses", cache["misses"])
+        obs.counter("workload.bank_cache.evictions", cache["evictions"])
 
     return _finish_electrical(
         fleet,
@@ -423,8 +492,28 @@ def run_electrical_batched(
             np.stack([s.reshape(-1) for s in states]) if collect_state else None
         ),
         collect_margins=collect_margins,
-        cache=cache.stats(),
+        cache=cache,
     )
+
+
+def _cache_stats(sensors: Sequence[_Sensor]) -> dict:
+    """Fleet totals of the per-instance sense-current memos.
+
+    ``hits`` counts references served without a solve, ``misses`` the
+    solved ones, ``evictions`` forced states dropped by the LRU bound;
+    ``banks`` is the most forced states any one instance's memo holds
+    (each memo is bounded by ``max_banks``).
+    """
+    hits = sum(s.hits for s in sensors)
+    misses = sum(s.misses for s in sensors)
+    total = hits + misses
+    return {
+        "hits": hits,
+        "misses": misses,
+        "evictions": sum(s.memo.evictions for s in sensors),
+        "banks": max((len(s.memo) for s in sensors), default=0),
+        "hit_rate": hits / total if total else 0.0,
+    }
 
 
 def _finish_electrical(

@@ -169,9 +169,14 @@ class FleetResult:
     :mod:`repro.workload.electrical`) set ``electrical`` and add the
     per-read-bit ``margins`` matrix (``collect_margins=True``; NaN for
     failed reads), the per-instance ``margin_hist`` counts over
-    ``margin_edges``, and the bank-cache ``cache`` statistics —
-    ``cache`` depends on chunk boundaries and is excluded from the
-    byte-identity contract.
+    ``margin_edges``, and the ``cache`` statistics of the per-instance
+    sense-current memos, summed over the fleet: ``hits`` (references
+    served without a solve), ``misses`` (references solved),
+    ``evictions`` (forced states dropped by the LRU bound), ``banks``
+    (the most forced states one instance's memo holds) and
+    ``hit_rate``.  They do not depend on the thread count, but LRU
+    evictions make them depend on chunk boundaries, so ``cache`` is
+    excluded from the byte-identity contract.
     """
 
     trace_name: str

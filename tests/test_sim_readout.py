@@ -30,6 +30,7 @@ from repro.sim.readout import (
     distributed_laplacian,
     ideal_laplacian,
     scheme_margin_sweep,
+    sense_currents,
     state_digest,
 )
 from tests.oracles.readout import LoopDistributedReadout, LoopReadoutModel
@@ -75,6 +76,30 @@ class TestIdealEquivalence:
             assert loop.read_current(states, row, col) == batched.read_current(
                 states, row, col
             )
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("shape", SHAPES + ((1, 6), (6, 1), (40, 40)))
+    def test_stacked_kernel_bit_identical(self, scheme, shape):
+        """One slab of mixed states and cells equals the scalar loop per pair."""
+        rng = np.random.default_rng(sum(shape))
+        k = 7
+        states = rng.random((k, *shape)) < 0.5
+        rows = rng.integers(shape[0], size=k)
+        cols = rng.integers(shape[1], size=k)
+        loop = LoopReadoutModel(scheme=scheme)
+        g = np.stack([loop.conductances(st) for st in states])
+        got = sense_currents(g, rows, cols, scheme, loop.v_read)
+        want = np.array(
+            [
+                loop.read_current(st, int(r), int(c))
+                for st, r, c in zip(states, rows, cols)
+            ]
+        )
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_stacked_kernel_rejects_unknown_scheme(self):
+        with pytest.raises(ReadoutError, match="unknown scheme"):
+            sense_currents(np.ones((1, 2, 2)), [0], [0], "open", 0.5)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_margin_sweep_byte_identical(self, scheme):
