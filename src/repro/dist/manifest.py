@@ -180,7 +180,7 @@ def launch(job_dir: str | Path, workers: int | None = None, **kwargs) -> LaunchR
     is the whole resume story: re-launching an interrupted job re-runs
     only the missing shards.  ``workers`` defaults to
     ``min(pending, cpu_count)``.  Keyword arguments (``retries``,
-    ``backoff_s``, ``lease_ttl_s``, ``poll_s``) pass through to
+    ``backoff_s``, ``lease_ttl_s``) pass through to
     :func:`repro.dist.supervisor.launch`, which owns failure detection,
     capped retries and quarantine.
     """

@@ -22,6 +22,13 @@ completion is an atomic rename + manifest append, any retry schedule
 merges **byte-identical** to the clean single-host run — the property
 the chaos tests assert under injected crashes, stalls and corruption.
 
+The supervisor is event-driven: it blocks on the workers' process
+sentinels, so a worker's exit wakes it at once and the next ready
+shard starts in the freed slot without delay.  The wait is bounded by
+the next backoff expiry (when a slot is free) and by the next lease
+check, which runs every ``lease_ttl_s / 4`` — the cadence workers
+renew at — so a hung worker is SIGKILLed within about 1.25 TTL.
+
 Every supervision event is appended to ``<job_dir>/supervisor.jsonl``
 (the audit log ``repro shard status`` reads for retry counts) and
 counted through :mod:`repro.obs` (``dist.retries``,
@@ -177,16 +184,21 @@ def launch(
     retries: int = DEFAULT_RETRIES,
     backoff_s: float = DEFAULT_BACKOFF_S,
     lease_ttl_s: float | None = None,
-    poll_s: float = 0.05,
 ):
     """Run every pending shard under supervision; the resume story plus
     failure detection, capped retries and quarantine (module docstring).
+
+    Ready shards start the moment a worker slot is free; between
+    starts the supervisor blocks until a worker exits, a backoff
+    expires or a lease check (every ``lease_ttl_s / 4``) is due.
 
     Returns the job's :class:`~repro.dist.manifest.LaunchReport`
     (``ran``/``skipped`` exactly as before, plus ``retried`` and
     ``quarantined``); raises :class:`ShardJobError` if any shard
     exhausted its attempts.
     """
+    from multiprocessing.connection import wait
+
     from repro.dist.lease import DEFAULT_LEASE_TTL_S
     from repro.dist.manifest import (
         LaunchReport,
@@ -316,51 +328,68 @@ def launch(
             },
         )
 
+    def _start_ready() -> None:
+        now = time.monotonic()
+        for attempt in sorted(queue, key=lambda a: (a.ready_at, a.shard.index)):
+            if len(running) >= workers:
+                break
+            if attempt.ready_at > now:
+                continue
+            queue.remove(attempt)
+            spec_path = shards_dir / attempt.shard.file_name
+            proc = ctx.Process(
+                target=_child_entry,
+                args=(str(spec_path), lease_ttl_s, attempt.epoch),
+                daemon=False,
+            )
+            proc.start()
+            running[attempt.shard.index] = _Running(
+                attempt.shard, attempt.epoch, proc
+            )
+
+    def _check_leases() -> None:
+        for run in running.values():
+            lease_path = lease_path_for(job_dir, run.shard)
+            if run.killed_reason is None and lease_is_stale(
+                lease_path, lease_ttl_s
+            ):
+                obs.counter("dist.lease_expired")
+                log_event(
+                    job_dir,
+                    {
+                        "event": "lease_expired",
+                        "index": run.shard.index,
+                        "key": run.shard.key,
+                        "attempt": run.epoch + 1,
+                    },
+                )
+                run.killed_reason = "lease expired (worker hung)"
+                run.proc.kill()
+
+    # workers renew their leases every ttl/4 (see Lease): checking at the
+    # same cadence kills a hung worker within about 1.25 TTL of its last beat
+    lease_every_s = max(lease_ttl_s / 4.0, 0.01)
+    next_lease_check = time.monotonic() + lease_every_s
     with obs.span("dist.launch", shards=len(todo), workers=workers):
         while queue or running:
+            _start_ready()
             now = time.monotonic()
-            for attempt in sorted(queue, key=lambda a: (a.ready_at, a.shard.index)):
-                if len(running) >= workers:
-                    break
-                if attempt.ready_at > now:
-                    continue
-                queue.remove(attempt)
-                spec_path = shards_dir / attempt.shard.file_name
-                proc = ctx.Process(
-                    target=_child_entry,
-                    args=(str(spec_path), lease_ttl_s, attempt.epoch),
-                    daemon=False,
-                )
-                proc.start()
-                running[attempt.shard.index] = _Running(
-                    attempt.shard, attempt.epoch, proc
-                )
-
-            for index in list(running):
-                run = running[index]
-                if not run.proc.is_alive():
+            timeout = next_lease_check - now
+            if queue and len(running) < workers:
+                timeout = min(timeout, min(a.ready_at for a in queue) - now)
+            # block until a worker exits or the timeout is up; with no
+            # worker running this just waits out the next backoff
+            exited = wait(
+                [run.proc.sentinel for run in running.values()],
+                max(timeout, 0.0),
+            )
+            for index, run in list(running.items()):
+                if run.proc.sentinel in exited:
                     del running[index]
                     _reap(run)
-                    continue
-                lease_path = lease_path_for(job_dir, run.shard)
-                if run.killed_reason is None and lease_is_stale(
-                    lease_path, lease_ttl_s
-                ):
-                    obs.counter("dist.lease_expired")
-                    log_event(
-                        job_dir,
-                        {
-                            "event": "lease_expired",
-                            "index": run.shard.index,
-                            "key": run.shard.key,
-                            "attempt": run.epoch + 1,
-                        },
-                    )
-                    run.killed_reason = "lease expired (worker hung)"
-                    run.proc.kill()
-
-            if queue or running:
-                time.sleep(poll_s)
+            if time.monotonic() >= next_lease_check:
+                _check_leases()
+                next_lease_check = time.monotonic() + lease_every_s
 
     report = LaunchReport(
         ran=tuple(sorted(completed)),

@@ -134,15 +134,40 @@ class TestShardCrashRecovery:
         # no value → the worker SIGSTOPs itself: every thread freezes,
         # heartbeat renewal included, and only the lease can expose it
         monkeypatch.setenv(faults.ENV_VAR, "dist.stall=@1")
-        report = chaos_launch(job, retries=2, lease_ttl_s=0.6)
+        ttl = 0.6
+        started = time.time()
+        report = chaos_launch(job, retries=2, lease_ttl_s=ttl)
         assert report.ran == (0,)
         assert report.retried == ((0, 1),)
         assert merge_results(job) == clean_single_host()
         events = [
-            json.loads(line)["event"]
+            json.loads(line)
             for line in (job / SUPERVISOR_LOG).read_text().splitlines()
         ]
-        assert "lease_expired" in events
+        expired = [e for e in events if e["event"] == "lease_expired"]
+        assert len(expired) == 1
+        # the stalled worker never exits, so only the supervisor's
+        # bounded wait (lease checks every ttl/4) can catch it
+        assert expired[0]["ts"] - started < 3 * ttl
+
+    def test_backoff_delays_the_retry_start(self, tmp_path, monkeypatch):
+        """Blocking on worker exit never starts a backed-off attempt early."""
+        job = tmp_path / "job"
+        write_job(job, mc_plan(shards=2, samples=2048))
+        monkeypatch.setenv(faults.ENV_VAR, "dist.crash_before_result=@1")
+        backoff_s = 0.5
+        report = chaos_launch(job, retries=2, backoff_s=backoff_s)
+        assert report.retried == ((0, 1), (1, 1))
+        assert merge_results(job) == clean_single_host(samples=2048)
+        events = [
+            json.loads(line)
+            for line in (job / SUPERVISOR_LOG).read_text().splitlines()
+        ]
+        retry_ts = {e["index"]: e["ts"] for e in events if e["event"] == "retry"}
+        done_ts = {e["index"]: e["ts"] for e in events if e["event"] == "done"}
+        assert sorted(retry_ts) == sorted(done_ts) == [0, 1]
+        for index, ts in retry_ts.items():
+            assert done_ts[index] >= ts + backoff_s
 
     def test_poison_shard_quarantined_with_report(self, tmp_path, monkeypatch):
         job = tmp_path / "job"

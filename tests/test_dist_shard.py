@@ -170,6 +170,30 @@ class TestByteIdenticalMerge:
         )
 
 
+class TestSupervisorScheduling:
+    def test_next_shard_starts_without_a_fixed_sleep(self, tmp_path, monkeypatch):
+        """A clean job never sleeps between shards: the supervisor blocks
+        on worker exit and starts the next shard in the freed slot."""
+        plan = plan_mc_shards(
+            "marginmc", "BGC", 8, shards=4, samples=4096,
+            spec=SPEC, seed=3, k_sigma=2.5, stream_block=1024,
+        )
+        job = tmp_path / "job"
+        write_job(job, plan)
+
+        def no_sleep(seconds):
+            raise AssertionError(f"supervisor slept {seconds} s between shards")
+
+        monkeypatch.setattr("repro.dist.supervisor.time.sleep", no_sleep)
+        report = launch(job, workers=1)
+        monkeypatch.undo()
+        assert report.ran == (0, 1, 2, 3) and report.retried == ()
+        assert merge_results(job) == simulate_margin_yield(
+            SPEC, make_code("BGC", 2, 8), samples=4096, seed=3,
+            k_sigma=2.5, stream_block=1024,
+        )
+
+
 class TestCheckpointResume:
     def make_job(self, tmp_path, shards=3):
         plan = plan_sweep_shards(GRID, ("yield",), shards=shards, spec=SPEC)
