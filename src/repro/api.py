@@ -60,6 +60,7 @@ from repro.sim.batch import (
     DEFAULT_MAX_TRIALS_PER_CHUNK,
     DEFAULT_STREAM_BLOCK,
     validate_chunk,
+    validate_k_sigma,
 )
 
 #: Version stamp embedded in every canonical request payload.  Bump on
@@ -218,6 +219,7 @@ class McRequest:
             )
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
+        validate_k_sigma(self.k_sigma)
 
     def to_dict(self) -> dict:
         payload = {

@@ -54,6 +54,7 @@ from repro.core.optimizer import explore_designs
 from repro.core.theorems import check_all
 from repro.crossbar.spec import CrossbarSpec
 from repro.decoder.stochastic import compare_with_deterministic
+from repro.sim.batch import validate_k_sigma
 
 
 FAMILY_CHOICES = ["TC", "GC", "BGC", "HC", "AHC"]
@@ -86,6 +87,14 @@ VIA_HELP = (
 )
 
 FORMAT_CHOICES = ["table", "csv", "json"]
+
+
+def _k_sigma_arg(text: str) -> float:
+    """``--k-sigma`` type: a finite float ``>= 0`` (argparse error otherwise)."""
+    try:
+        return validate_k_sigma(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_seed_arg(p: argparse.ArgumentParser) -> None:
@@ -154,7 +163,7 @@ def _add_metric_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--k-sigma",
-        type=float,
+        type=_k_sigma_arg,
         default=3.0,
         help="criterion strictness k for the margins and "
         "marginmc metrics (default 3.0)",
@@ -542,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--k-sigma",
-        type=float,
+        type=_k_sigma_arg,
         default=3.0,
         help="margin criterion strictness k (default 3.0)",
     )
@@ -752,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
         if kind == "marginmc":
             pm.add_argument(
                 "--k-sigma",
-                type=float,
+                type=_k_sigma_arg,
                 default=3.0,
                 help="margin criterion strictness k (default 3.0)",
             )

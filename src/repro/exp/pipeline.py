@@ -33,6 +33,7 @@ from repro.crossbar.spec import CrossbarSpec
 from repro.crossbar.yield_model import crossbar_yield, decoder_for
 from repro.exp.designpoint import DesignPoint
 from repro.exp.results import Record, SweepResult
+from repro.sim.batch import validate_k_sigma
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,9 @@ class SweepParams:
     ro_v_read: float = 0.5
     ro_min_margin: float = 0.5
     ro_bank_limit: int = 256
+
+    def __post_init__(self) -> None:
+        validate_k_sigma(self.k_sigma)
 
 
 #: Evaluator signature: (spec, code, params) -> metric columns.

@@ -23,6 +23,7 @@ from repro.sim.batch import (
     resolve_rng,
     spawn_block_streams,
     validate_chunk,
+    validate_k_sigma,
     validate_samples,
 )
 from repro.sim.engine import (
@@ -80,5 +81,6 @@ __all__ = [
     "simulate_cave_yield_batched",
     "spawn_block_streams",
     "validate_chunk",
+    "validate_k_sigma",
     "validate_samples",
 ]

@@ -50,6 +50,14 @@ def validate_samples(samples: int) -> int:
     return samples
 
 
+def validate_k_sigma(k_sigma: float) -> float:
+    """Check a margin criterion strictness: finite and ``>= 0``."""
+    k_sigma = float(k_sigma)
+    if not 0.0 <= k_sigma < float("inf"):  # also rejects NaN
+        raise ValueError(f"k_sigma must be finite and >= 0, got {k_sigma}")
+    return k_sigma
+
+
 def validate_chunk(max_trials_per_chunk: int) -> int:
     """Check a chunk bound; must allow at least one trial."""
     chunk = int(max_trials_per_chunk)

@@ -12,10 +12,11 @@ module evaluates the same quantities as whole-matrix broadcasts:
   region-axis reduction — no per-wire Python loops;
 * a **batched margin-yield Monte-Carlo**
   (:class:`MarginYieldKernel`) that realises threshold voltages on the
-  leading trial axis of the PR-1 sim engine (spawned per-block
-  streams, Welford accumulators) and counts, per trial, the fraction
-  of wires whose *realised* select and block margins clear the sensing
-  guard band.
+  leading trial axis of the sim engine (spawned per-block streams,
+  Welford accumulators) and counts, per trial, the fraction of wires
+  whose *realised* select and block margins clear the sensing guard
+  band — reducing once per distinct address and once per VT level
+  rather than once per (wire, region).
 
 Exactness contract
 ------------------
@@ -23,10 +24,23 @@ The broadcast paths perform the same elementwise IEEE operations in
 the same order as the scalar loops (gather, subtract, multiply,
 exact min/max reductions), so their outputs are **byte-identical** to
 the scalar per-pair loops kept with the test oracles — not merely
-close.  Likewise the Monte-Carlo kernel draws its normals in the same
-stream order as the scalar per-sample oracle, so the two produce
-identical sampled yields, and the spawned-stream
-plan of :mod:`repro.sim.batch` makes results independent of
+close.
+
+The Monte-Carlo kernel reorders its block reduction but not its
+values.  Rounding is monotone: for a fixed applied voltage ``c``,
+``fl(x - c)`` is non-decreasing in ``x``, so
+
+    ``max_{j in J} fl(x_j - c) == fl(max_{j in J} x_j - c)``
+
+exactly, for any set ``J`` of regions sharing ``c``.  Grouping each
+address's regions by applied voltage (one group per VT level) and
+taking min/max — both exact — in any order therefore reproduces the
+scalar pairwise loop bit for bit; and because round-to-nearest is
+symmetric, ``fl(c - x) == -fl(x - c)``, so the select margins are the
+negated ``u = i`` entries of the same reduction.  The kernel draws its
+normals in the same stream order as the scalar per-sample oracle, so
+the two produce identical sampled yields, and the spawned-stream plan
+of :mod:`repro.sim.batch` makes results independent of
 ``max_trials_per_chunk``.
 
 Model
@@ -47,14 +61,16 @@ import numpy as np
 
 from repro.device.threshold import LevelScheme
 from repro.device.variability import DEFAULT_SIGMA_T
+from repro.sim.batch import validate_k_sigma
 from repro.sim.engine import TrialKernel
 
 #: Row-block element budget for the pairwise broadcast (~32 MB float64).
 _PAIR_BLOCK_ELEMENTS = 4_000_000
 
-#: Trial-slab element budget of the realised pair matrix (800 KB
-#: float64: 256 trials of a 20-wire half cave), sized so the running
-#: maximum and its difference buffer stay in a core's L2 cache.
+#: Trial-slab element budget of the margin-yield kernel's transposed
+#: VT slab (800 KB float64: 640 trials of a 20-wire, 8-region half
+#: cave), sized so the slab and its two per-wire row buffers stay in a
+#: core's L2 cache.
 _TRIAL_SLAB_ELEMENTS = 102_400
 
 
@@ -168,20 +184,31 @@ class MarginYieldKernel(TrialKernel):
     * ``block_margin`` — the trial's worst realised block margin over
       wires that have at least one conflicting partner.
 
-    The pairwise block reduction runs region-major: a running maximum
-    over the M regions of a ``(trials, N, N)`` broadcast, so there is
-    no per-wire Python loop on the hot path.  The trial axis is tiled
-    into cache-sized slabs whose buffers live only for one call, so
-    :meth:`sample` is re-entrant.
+    The block reduction runs once per *distinct address*, not once per
+    wire: the applied voltages and the conflict set of a wire depend
+    only on its pattern, so copies in other contact groups share one
+    row.  Within an address, regions are grouped by applied voltage
+    ``c`` (one value per VT level).  Rounding is monotone, so for a
+    fixed ``c`` the realised difference ``fl(x - c)`` is non-decreasing
+    in ``x`` and, with ``J_c = {j: va[i, j] = c}``,
+
+        ``max_j fl(vt[u, j] - va[i, j]) == max_c fl(max_{j in J_c} vt[u, j] - c)``
+
+    holds exactly: each wire's per-level VT maxima are formed first and
+    shifted once per level.  The select margin of a wire is the same
+    quantity at ``u = i`` with the sign flipped
+    (``min_j fl(va - vt) == -max_j fl(vt - va)``, exact under
+    round-to-nearest), so it reuses its address's row.  The trial axis
+    is tiled into slabs of a ``(M, N, slab)`` region-major, wire-major
+    transpose whose buffers live only for one call, so :meth:`sample`
+    is re-entrant.
     """
 
     metrics = ("margin_yield", "select_margin", "block_margin")
     stream_mode = "spawn"
 
     def __init__(self, decoder, k_sigma: float = 3.0) -> None:
-        if k_sigma < 0:
-            raise ValueError(f"k_sigma must be >= 0, got {k_sigma}")
-        self.k_sigma = float(k_sigma)
+        self.k_sigma = validate_k_sigma(k_sigma)
         self.patterns = np.asarray(decoder.patterns)
         scheme = decoder.scheme
         levels = np.asarray(scheme.levels)
@@ -190,9 +217,6 @@ class MarginYieldKernel(TrialKernel):
         self.va = applied_voltage_matrix(self.patterns, scheme)
         self.conflicts = conflict_matrix(self.patterns)
         self.has_conflict = self.conflicts.any(axis=1)
-        # start of the running pair maximum: -inf where u must block
-        # address i, +inf elsewhere (a non-conflicting pair never limits)
-        self._pair_init = np.where(self.conflicts, -np.inf, np.inf)
         if not self.has_conflict.any():
             raise ValueError(
                 "margin yield is undefined: no wire has a conflicting "
@@ -200,6 +224,18 @@ class MarginYieldKernel(TrialKernel):
             )
         #: Sensing guard band [V]: k per-dose sigma units of headroom.
         self.guard_v = self.k_sigma * decoder.sigma_t
+        # one entry per distinct address: the wires carrying it and its
+        # regions grouped by applied voltage, ((c, regions), ...)
+        _, owner = np.unique(self.patterns, axis=0, return_inverse=True)
+        owner = owner.reshape(-1)
+        self._addresses = []
+        for k in range(owner.max() + 1):
+            wires = np.flatnonzero(owner == k)
+            row = self.va[wires[0]]
+            groups = tuple(
+                (c, tuple(np.flatnonzero(row == c).tolist())) for c in np.unique(row)
+            )
+            self._addresses.append((wires, groups))
 
     def realised_margins(self, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-wire select/block margins of realised VTs ``(..., N, M)``.
@@ -208,23 +244,47 @@ class MarginYieldKernel(TrialKernel):
         no conflicting partner block at ``+inf``.
         """
         vt = np.asarray(vt)
-        select = (self.va - vt).min(axis=-1)
         n_wires, m = self.patterns.shape
         flat = vt.reshape(-1, n_wires, m)
         trials = flat.shape[0]
+        select = np.empty((trials, n_wires))
         block = np.empty((trials, n_wires))
-        slab = max(1, _TRIAL_SLAB_ELEMENTS // (n_wires * n_wires))
-        pair = np.empty((min(slab, trials), n_wires, n_wires))
-        diff = np.empty_like(pair)
+        slab = max(1, _TRIAL_SLAB_ELEMENTS // (m * n_wires))
+        width = min(slab, trials)
+        # flat scratch: a prefix view is contiguous for any slab width
+        region_buf = np.empty(m * n_wires * width)
+        pair_buf = np.empty(n_wires * width)
+        level_buf = np.empty(n_wires * width)
         for start in range(0, trials, slab):
             stop = min(start + slab, trials)
-            p, d = pair[: stop - start], diff[: stop - start]
-            for j in range(m):
-                # d[t, i, u] = vt[t, u, j] - va[i, j]
-                np.subtract(flat[start:stop, None, :, j], self.va[:, j, None], out=d)
-                np.maximum(self._pair_init if j == 0 else p, d, out=p)
-            p.min(axis=-1, out=block[start:stop])
-        return select, block.reshape(vt.shape[:-1])
+            w = stop - start
+            # regions[j, u, t] = vt[t, u, j]
+            regions = region_buf[: m * n_wires * w].reshape(m, n_wires, w)
+            np.copyto(regions, flat[start:stop].transpose(2, 1, 0))
+            pair = pair_buf[: n_wires * w].reshape(n_wires, w)
+            level = level_buf[: n_wires * w].reshape(n_wires, w)
+            select_t = select[start:stop].T
+            block_t = block[start:stop].T
+            for wires, groups in self._addresses:
+                # pair[u, t] = max_j fl(vt[t, u, j] - va[i, j]), i in wires
+                for g, (c, js) in enumerate(groups):
+                    top = regions[js[0]]
+                    if len(js) > 1:
+                        top = np.maximum(top, regions[js[1]], out=level)
+                        for j in js[2:]:
+                            np.maximum(level, regions[j], out=level)
+                    if g == 0:
+                        np.subtract(top, c, out=pair)
+                    else:
+                        np.subtract(top, c, out=level)
+                        np.maximum(pair, level, out=pair)
+                select_t[wires] = pair[wires]
+                # the address's own wires never block it
+                pair[wires] = np.inf
+                block_t[wires] = pair.min(axis=0)
+        # select = -max_j fl(vt - va); 0 - x also maps a -0.0 to +0.0
+        np.subtract(0.0, select, out=select)
+        return select.reshape(vt.shape[:-1]), block.reshape(vt.shape[:-1])
 
     def sample(self, rng: np.random.Generator, trials: int) -> dict:
         z = rng.standard_normal((trials,) + self.nominal.shape)

@@ -68,6 +68,28 @@ def block_margins_loop(
     return out
 
 
+def realised_margins_loop(
+    vt: np.ndarray, va: np.ndarray, patterns: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-wire realised ``(select, block)`` margins of one VT matrix.
+
+    The per-wire values behind :func:`margin_trial_loop`: select is
+    ``min_j (va[i] - vt[i])``, block the pairwise
+    ``min_u max_j (vt[u] - va[i])`` over conflicting wires (``+inf``
+    when there is none).
+    """
+    n_wires = patterns.shape[0]
+    select = np.empty(n_wires)
+    block = np.full(n_wires, np.inf)
+    for i in range(n_wires):
+        select[i] = np.min(va[i] - vt[i])
+        for u in range(n_wires):
+            if u == i or (patterns[u] == patterns[i]).all():
+                continue
+            block[i] = min(block[i], np.max(vt[u] - va[i]))
+    return select, block
+
+
 def margin_trial_loop(
     vt: np.ndarray,
     va: np.ndarray,

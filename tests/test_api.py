@@ -274,3 +274,23 @@ class TestOverrideValidation:
         point = DesignPoint("TC", 6, overrides=(("bogus_knob", 1.0),))
         with pytest.raises(ValueError, match="unknown spec override"):
             point.resolved_spec()
+
+
+class TestKSigmaValidation:
+    """``k_sigma`` must be finite and >= 0 wherever a request is built."""
+
+    BAD = [float("nan"), float("inf"), -1.0]
+
+    @pytest.mark.parametrize("k_sigma", BAD)
+    def test_mc_request_rejects(self, k_sigma):
+        with pytest.raises(ValueError, match="k_sigma must be finite"):
+            api.McRequest("marginmc", "BGC", 8, samples=64, k_sigma=k_sigma)
+        payload = api.McRequest("marginmc", "BGC", 8, samples=64).to_dict()
+        payload["k_sigma"] = k_sigma
+        with pytest.raises(ValueError, match="k_sigma must be finite"):
+            api.parse_request(payload)
+
+    @pytest.mark.parametrize("k_sigma", BAD)
+    def test_sweep_params_reject(self, k_sigma):
+        with pytest.raises(ValueError, match="k_sigma must be finite"):
+            SweepParams(k_sigma=k_sigma)

@@ -214,6 +214,34 @@ class TestMarginsGoldens:
                 ), (family, key)
 
 
+class TestKSigmaArgument:
+    """Bad ``--k-sigma`` values end as an argparse error (exit 2)."""
+
+    def _exit_code(self, capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        err = capsys.readouterr().err
+        assert "error: argument --k-sigma: k_sigma must be finite" in err
+        return exc.value.code
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_margins_rejects(self, capsys, value):
+        argv = ("margins", "--k-sigma", value)
+        assert self._exit_code(capsys, *argv) == 2
+        assert self._exit_code(capsys, *argv, "--samples", "64") == 2
+
+    def test_sweep_rejects(self, capsys):
+        argv = ("sweep", "--metric", "margins", "--k-sigma", "nan")
+        assert self._exit_code(capsys, *argv) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_shard_plan_rejects_without_writing(self, capsys, tmp_path, value):
+        job = tmp_path / "job"
+        argv = ("shard", "plan", "marginmc", str(job), "BGC", "-M", "8")
+        assert self._exit_code(capsys, *argv, "--k-sigma", value) == 2
+        assert not job.exists()
+
+
 class TestPlatformKnobs:
     def test_platform_knobs_change_results(self, capsys):
         _, loose = run_cli(capsys, "evaluate", "TC", "-M", "6")

@@ -189,7 +189,10 @@ class TestThreadCountInvariance:
         """More threads than cores and a 10 us switch interval: a lost
         update to a per-instance counter or a shared draw buffer would
         change the result."""
-        mc = api.McRequest("cavemc", "BGC", 8, samples=8 * 4096, seed=4)
+        mcs = (
+            api.McRequest("cavemc", "BGC", 8, samples=8 * 4096, seed=4),
+            api.McRequest("marginmc", "BGC", 8, samples=6 * 4096 + 5, seed=4),
+        )
         wl = api.WorkloadRequest(
             family="BGC",
             total_length=8,
@@ -202,7 +205,8 @@ class TestThreadCountInvariance:
 
         def compute():
             memsim = api.memsim(wl, chunk_size=1000).to_dict()
-            return api.simulate(mc), json.dumps(memsim, sort_keys=True)
+            mc_results = [api.simulate(mc) for mc in mcs]
+            return mc_results, json.dumps(memsim, sort_keys=True)
 
         force_width(monkeypatch, 1)
         serial = compute()
@@ -217,12 +221,13 @@ class TestThreadCountInvariance:
 
 
 class TestSlicing:
-    @pytest.mark.parametrize("samples", [1, 255, 257])
+    @pytest.mark.parametrize("samples", [1, 255, 257, 639, 640, 641])
     def test_tiled_margins_equal_loop(self, samples):
-        # a 20-wire half cave tiles 256 trials per slab
-        assert margins._TRIAL_SLAB_ELEMENTS // 20**2 == 256
+        # a 20-wire, 8-region half cave tiles 640 trials per slab (255
+        # and 257 straddled the earlier (trials, N, N) kernel's slab)
+        assert margins._TRIAL_SLAB_ELEMENTS // (20 * 8) == 640
         code = make_code("BGC", 2, 8)
-        assert yield_kernel(SPEC, code, 3.0).patterns.shape[0] == 20
+        assert yield_kernel(SPEC, code, 3.0).patterns.shape == (20, 8)
         kwargs = dict(samples=samples, seed=9, k_sigma=2.5)
         loop = simulate_margin_yield_loop(SPEC, code, **kwargs)
         assert simulate_margin_yield(SPEC, code, **kwargs) == loop
@@ -232,7 +237,7 @@ class TestSlicing:
         plus a one-trial block (a smaller cave keeps the loop quick)."""
         spec = CrossbarSpec(nanowires_per_half_cave=8)
         code = make_code("BGC", 2, 6)
-        assert margins._TRIAL_SLAB_ELEMENTS // 8**2 < 4096
+        assert margins._TRIAL_SLAB_ELEMENTS // (8 * 6) < 4096
         kwargs = dict(samples=4097, seed=2, k_sigma=2.0)
         loop = simulate_margin_yield_loop(spec, code, **kwargs)
         assert simulate_margin_yield(spec, code, **kwargs) == loop

@@ -205,6 +205,17 @@ class TestDaemon:
                     client._roundtrip("evaluate", {"v": 1, "kind": "bogus"})
                 assert client.ping()  # connection survives the error
 
+    @pytest.mark.parametrize("k_sigma", [float("nan"), float("inf"), -1.0])
+    def test_error_frame_for_bad_k_sigma(self, socket_path, k_sigma):
+        payload = api.McRequest("marginmc", "BGC", 8, samples=64).to_dict()
+        payload["k_sigma"] = k_sigma
+        with ReproServer(socket_path).running():
+            reply = raw_exchange(socket_path, request_frame("simulate", 9, payload))
+            assert raw_exchange(socket_path, request_frame("ping", 10))["ok"]
+        assert reply["ok"] is False and reply["frame"] == "error"
+        assert reply["id"] == 9 and "result" not in reply
+        assert "k_sigma must be finite" in reply["error"]
+
     def test_identical_inflight_requests_coalesce(
         self, socket_path, held_sweeps, wait_until
     ):
