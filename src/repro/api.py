@@ -50,6 +50,7 @@ from repro.crossbar.montecarlo import (
     simulate_margin_yield,
     yield_kernel,
 )
+from repro.crossbar.readout import check_resolution, check_technology
 from repro.crossbar.spec import CrossbarSpec
 from repro.durable import canonical_json
 from repro.exp.designpoint import DesignPoint
@@ -266,7 +267,8 @@ class WorkloadRequest:
     ``parity_bits=0`` means no ECC; any positive value enables SECDED
     with that many parity bits.  ``readout="off"`` keeps ideal lookups;
     the ``r_on``/``r_off``/``v_read``/``resolution`` technology knobs
-    only enter the canonical payload for electrical runs.
+    are validated and enter the canonical payload for electrical runs
+    only.
     ``address_space=0`` sizes the logical space from the analytic
     effective-bits figure (the shared sizing rule of
     :func:`repro.workload.prepare_workload`).
@@ -307,6 +309,9 @@ class WorkloadRequest:
             raise ValueError(f"accesses must be >= 1, got {self.accesses}")
         if self.instances < 1:
             raise ValueError(f"instances must be >= 1, got {self.instances}")
+        if self.readout != "off":
+            check_technology(self.r_on, self.r_off, self.v_read)
+            check_resolution(self.resolution)
 
     def to_dict(self) -> dict:
         payload = {

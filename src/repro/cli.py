@@ -35,6 +35,7 @@ does ``--store`` (persistent result cache, default ``$REPRO_STORE``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import Sequence
 
@@ -52,6 +53,7 @@ from repro.analysis.sweeps import spec_with
 from repro.core.design import DecoderDesign
 from repro.core.optimizer import explore_designs
 from repro.core.theorems import check_all
+from repro.crossbar.readout import ReadoutError
 from repro.crossbar.spec import CrossbarSpec
 from repro.decoder.stochastic import compare_with_deterministic
 from repro.sim.batch import validate_k_sigma
@@ -95,6 +97,16 @@ def _k_sigma_arg(text: str) -> float:
         return validate_k_sigma(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+@contextlib.contextmanager
+def _readout_args(command: str):
+    """A rejected readout technology ends as a one-line error, exit 2."""
+    try:
+        yield
+    except ReadoutError as exc:
+        print(f"repro {command}: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _add_seed_arg(p: argparse.ArgumentParser) -> None:
@@ -973,22 +985,23 @@ def _params_from_args(args: argparse.Namespace):
     """The :class:`SweepParams` an ``_add_metric_args`` namespace describes."""
     from repro.exp.pipeline import SweepParams
 
-    return SweepParams(
-        mc_samples=args.mc_samples,
-        mc_seed=args.seed if args.mc_seed is None else args.mc_seed,
-        k_sigma=args.k_sigma,
-        wl_trace=args.wl_trace,
-        wl_accesses=args.wl_accesses,
-        wl_instances=args.wl_instances,
-        wl_ecc=args.wl_ecc,
-        wl_error_rate=args.wl_error_rate,
-        wl_readout=args.wl_readout,
-        wl_resolution=args.wl_resolution,
-        wl_seed=args.seed,
-        ro_r_on=args.ro_r_on,
-        ro_r_off=args.ro_r_off,
-        ro_min_margin=args.ro_min_margin,
-    )
+    with _readout_args(args.command):
+        return SweepParams(
+            mc_samples=args.mc_samples,
+            mc_seed=args.seed if args.mc_seed is None else args.mc_seed,
+            k_sigma=args.k_sigma,
+            wl_trace=args.wl_trace,
+            wl_accesses=args.wl_accesses,
+            wl_instances=args.wl_instances,
+            wl_ecc=args.wl_ecc,
+            wl_error_rate=args.wl_error_rate,
+            wl_readout=args.wl_readout,
+            wl_resolution=args.wl_resolution,
+            wl_seed=args.seed,
+            ro_r_on=args.ro_r_on,
+            ro_r_off=args.ro_r_off,
+            ro_min_margin=args.ro_min_margin,
+        )
 
 
 def _metrics_from_args(args: argparse.Namespace) -> tuple[str, ...]:
@@ -1272,25 +1285,26 @@ def _cmd_simulate(spec: CrossbarSpec, args: argparse.Namespace) -> str:
 def _cmd_memsim(spec: CrossbarSpec, args: argparse.Namespace) -> str:
     import json as _json
 
-    request = api.WorkloadRequest(
-        family=args.family,
-        total_length=args.length,
-        n=args.valence,
-        trace=args.trace,
-        accesses=args.accesses,
-        instances=args.instances,
-        write_fraction=args.write_fraction,
-        seed=args.seed,
-        parity_bits=args.parity_bits if args.ecc else 0,
-        error_rate=args.error_rate,
-        address_space=args.address_space,
-        readout=args.readout if args.readout is not None else "off",
-        r_on=args.r_on,
-        r_off=args.r_off,
-        v_read=args.v_read,
-        resolution=args.resolution,
-        spec=spec,
-    )
+    with _readout_args("memsim"):
+        request = api.WorkloadRequest(
+            family=args.family,
+            total_length=args.length,
+            n=args.valence,
+            trace=args.trace,
+            accesses=args.accesses,
+            instances=args.instances,
+            write_fraction=args.write_fraction,
+            seed=args.seed,
+            parity_bits=args.parity_bits if args.ecc else 0,
+            error_rate=args.error_rate,
+            address_space=args.address_space,
+            readout=args.readout if args.readout is not None else "off",
+            r_on=args.r_on,
+            r_off=args.r_off,
+            v_read=args.v_read,
+            resolution=args.resolution,
+            spec=spec,
+        )
     with obs.span("cli.memsim.run", accesses=args.accesses) as sp:
         result = _run_request(
             args,
@@ -1510,9 +1524,10 @@ def _cmd_readout(args: argparse.Namespace) -> str:
     schemes = SCHEMES if args.scheme == "all" else (args.scheme,)
     # one engine sweep: each bank size's stamped Laplacians are shared
     # across every requested scheme
-    sweep = scheme_margin_sweep(
-        sizes, r_on=args.r_on, r_off=args.r_off, schemes=schemes
-    )
+    with _readout_args("readout"):
+        sweep = scheme_margin_sweep(
+            sizes, r_on=args.r_on, r_off=args.r_off, schemes=schemes
+        )
     rows = [
         [size] + [f"{100 * sweep[s][k]:.1f}%" for s in schemes]
         for k, size in enumerate(sizes)

@@ -46,7 +46,8 @@ class CrossbarArray:
     seed:
         Seed for sampling the physical instance (defects).
     readout:
-        Electrical read-out model; defaults to the floating scheme.
+        Electrical read-out model, a :class:`ReadoutModel`; defaults to
+        the floating scheme.
     defects:
         Optional pre-sampled defect map (e.g. a fleet instance's map,
         so the workload engine's scalar reference touches the *same*
@@ -61,9 +62,15 @@ class CrossbarArray:
         readout: ReadoutModel | None = None,
         defects: DefectMap | None = None,
     ) -> None:
+        if readout is None:
+            readout = ReadoutModel()
+        elif not isinstance(readout, ReadoutModel):
+            raise TypeError(
+                f"readout must be a ReadoutModel, got {type(readout).__name__}"
+            )
         self.spec = spec
         self.space = space
-        self.readout = readout or ReadoutModel()
+        self.readout = readout
         self.address_map = AddressMap(spec, space)
         self.defects: DefectMap = (
             sample_defect_map(spec, space, seed=seed) if defects is None else defects
@@ -128,6 +135,27 @@ class CrossbarArray:
         start = (index // per_cave) * per_cave
         return start, min(start + per_cave, self.shape[0])
 
+    def _forced_references(self, row: int, col: int) -> tuple[bool, float, float]:
+        """(stored bit, I_if_on, I_if_off) of one crosspoint in its bank.
+
+        The cave-sized bank is solved with the selected cell forced ON
+        and forced OFF (same data background); the reference whose
+        forced state equals the stored bit *is* the measured current.
+        """
+        self._check_access(row, col)
+        r0, r1 = self._bank_bounds(row)
+        c0, c1 = self._bank_bounds(col)
+        bank = self._states[r0:r1, c0:c1].copy()
+        r_local, c_local = row - r0, col - c0
+        stored = bool(bank[r_local, c_local])
+        bank[r_local, c_local] = True
+        i_on = self.readout.read_current(bank, r_local, c_local)
+        bank[r_local, c_local] = False
+        i_off = self.readout.read_current(bank, r_local, c_local)
+        if i_on <= 0:
+            raise AddressingFault("non-positive reference current")
+        return stored, i_on, i_off
+
     def read_bit(self, row: int, col: int) -> bool:
         """Sense one crosspoint electrically with dual-reference sensing.
 
@@ -140,20 +168,9 @@ class CrossbarArray:
         and forced OFF (same background), and the measured current is
         classified to the nearer reference.
         """
-        self._check_access(row, col)
-        r0, r1 = self._bank_bounds(row)
-        c0, c1 = self._bank_bounds(col)
-        bank = self._states[r0:r1, c0:c1]
-        r_local, c_local = row - r0, col - c0
-        current = self.readout.read_current(bank, r_local, c_local)
-        ref = bank.copy()
-        ref[r_local, c_local] = True
-        i_if_on = self.readout.read_current(ref, r_local, c_local)
-        ref[r_local, c_local] = False
-        i_if_off = self.readout.read_current(ref, r_local, c_local)
-        if i_if_on <= 0:
-            raise AddressingFault("non-positive reference current")
-        return abs(current - i_if_on) < abs(current - i_if_off)
+        stored, i_on, i_off = self._forced_references(row, col)
+        current = i_on if stored else i_off
+        return abs(current - i_on) < abs(current - i_off)
 
     def _bank_groups(self, rows: np.ndarray, cols: np.ndarray):
         """Cells grouped by their (row-bank, col-bank) pair.
@@ -173,72 +190,21 @@ class CrossbarArray:
             yield (r0, c0), local, idx
 
     def _reference_currents(
-        self, rows: np.ndarray, cols: np.ndarray
+        self, rows, cols
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(I_measured, I_if_on, I_if_off) for a batch of crosspoints.
 
-        The measured currents — and the reference whose forced state
-        matches the cell's actual state — come from *one* factorized
-        block-RHS solve per bank (the bank Laplacian depends only on
-        the state map, not on the selected cell).  Under the batched
-        ideal model the bank solver is memoized in the array's
-        state-keyed :class:`~repro.sim.readout.BankCache` and the
-        opposite reference is a Sherman-Morrison rank-1 update of the
-        same factorization (toggling one crosspoint perturbs the bank
-        Laplacian by one conductance delta), so dual-reference sensing
-        costs no per-cell re-stamping at all.  Any other readout object
-        (a subclass or a non-ideal model) keeps the per-cell
-        modified-bank reference path.
-        """
-        currents = np.empty(rows.size)
-        i_on = np.empty(rows.size)
-        i_off = np.empty(rows.size)
-        model = self.readout
-        rank1 = type(model) is ReadoutModel
-        for (r0, c0), local, idx in self._bank_groups(rows, cols):
-            per = self.address_map.wires_per_cave
-            bank = self._states[r0 : r0 + per, c0 : c0 + per]
-            if rank1:
-                solver = self._bank_cache.get(
-                    b"ideal:" + state_digest(bank),
-                    lambda bank=bank: IdealBank(model.conductances(bank)),
-                )
-                measured = solver.read_currents(model.scheme, model.v_read, local)
-                stored = bank[local[:, 0], local[:, 1]]
-                # toggled conductance minus current conductance: OFF
-                # cells gain (g_on - g_off), ON cells lose it
-                delta = (1.0 / model.r_on - 1.0 / model.r_off) * np.where(
-                    stored, -1.0, 1.0
-                )
-                other = solver.toggled_currents(
-                    model.scheme, model.v_read, local, measured, delta
-                )
-                currents[idx] = measured
-                i_on[idx] = np.where(stored, measured, other)
-                i_off[idx] = np.where(stored, other, measured)
-                obs.counter("readout.sherman_morrison", idx.size)
-                continue
-            measured = self.readout.read_currents(bank, local)
-            currents[idx] = measured
-            obs.counter("readout.restamps", idx.size)
-            for pos, t in enumerate(idx):
-                lr, lc = int(local[pos, 0]), int(local[pos, 1])
-                flipped = bank.copy()
-                flipped[lr, lc] = not bank[lr, lc]
-                other = self.readout.read_current(flipped, lr, lc)
-                if bank[lr, lc]:
-                    i_on[t], i_off[t] = measured[pos], other
-                else:
-                    i_on[t], i_off[t] = other, measured[pos]
-        return currents, i_on, i_off
-
-    def read_bits(self, rows, cols) -> np.ndarray:
-        """Sense many crosspoints; dual-reference decisions, batched.
-
-        Cells are grouped by cave-sized bank; each bank's measured
-        currents (and the matching-state references) share one
-        factorized solve.  Raises :class:`AddressingFault` on the first
-        inaccessible crosspoint, like :meth:`read_bit`.
+        Raises :class:`AddressingFault` on the first inaccessible
+        crosspoint, like :meth:`read_bit`.  The measured currents — and
+        the reference whose forced state matches the cell's actual
+        state — come from *one* factorized block-RHS solve per bank
+        (the bank Laplacian depends only on the state map, not on the
+        selected cell), memoized in the array's state-keyed
+        :class:`~repro.sim.readout.BankCache`.  The opposite reference
+        is a Sherman-Morrison rank-1 update of the same factorization
+        (toggling one crosspoint perturbs the bank Laplacian by one
+        conductance delta), so dual-reference sensing costs no per-cell
+        re-stamping at all.
         """
         rows = np.asarray(rows, dtype=int).ravel()
         cols = np.asarray(cols, dtype=int).ravel()
@@ -246,9 +212,45 @@ class CrossbarArray:
             raise ValueError("rows and cols must have matching shapes")
         for r, c in zip(rows, cols):
             self._check_access(int(r), int(c))
-        currents, i_on, i_off = self._reference_currents(rows, cols)
+        currents = np.empty(rows.size)
+        i_on = np.empty(rows.size)
+        i_off = np.empty(rows.size)
+        model = self.readout
+        per = self.address_map.wires_per_cave
+        # toggled minus current conductance: OFF cells gain (g_on -
+        # g_off), ON cells lose it
+        g_swing = 1.0 / model.r_on - 1.0 / model.r_off
+        for (r0, c0), local, idx in self._bank_groups(rows, cols):
+            bank = self._states[r0 : r0 + per, c0 : c0 + per]
+            solver = self._bank_cache.get(
+                b"ideal:" + state_digest(bank),
+                lambda bank=bank: IdealBank(model.conductances(bank)),
+            )
+            measured = solver.read_currents(model.scheme, model.v_read, local)
+            stored = bank[local[:, 0], local[:, 1]]
+            other = solver.toggled_currents(
+                model.scheme,
+                model.v_read,
+                local,
+                measured,
+                g_swing * np.where(stored, -1.0, 1.0),
+            )
+            currents[idx] = measured
+            i_on[idx] = np.where(stored, measured, other)
+            i_off[idx] = np.where(stored, other, measured)
+            obs.counter("readout.sherman_morrison", idx.size)
         if np.any(i_on <= 0):
             raise AddressingFault("non-positive reference current")
+        return currents, i_on, i_off
+
+    def read_bits(self, rows, cols) -> np.ndarray:
+        """Sense many crosspoints; dual-reference decisions, batched.
+
+        Cells are grouped by cave-sized bank; each bank's measured
+        currents (and the matching-state references) share one
+        factorized solve.
+        """
+        currents, i_on, i_off = self._reference_currents(rows, cols)
         return np.abs(currents - i_on) < np.abs(currents - i_off)
 
     def read_margins(self, rows, cols) -> np.ndarray:
@@ -258,15 +260,7 @@ class CrossbarArray:
         reference of every cell taken from one shared block-RHS solve
         per bank.
         """
-        rows = np.asarray(rows, dtype=int).ravel()
-        cols = np.asarray(cols, dtype=int).ravel()
-        if rows.shape != cols.shape:
-            raise ValueError("rows and cols must have matching shapes")
-        for r, c in zip(rows, cols):
-            self._check_access(int(r), int(c))
         _, i_on, i_off = self._reference_currents(rows, cols)
-        if np.any(i_on <= 0):
-            raise AddressingFault("non-positive reference current")
         return (i_on - i_off) / i_on
 
     def read_margin(self, row: int, col: int) -> float:
@@ -276,17 +270,7 @@ class CrossbarArray:
         background — the quantity a design would check against the sense
         amplifier's resolution.
         """
-        self._check_access(row, col)
-        r0, r1 = self._bank_bounds(row)
-        c0, c1 = self._bank_bounds(col)
-        bank = self._states[r0:r1, c0:c1].copy()
-        r_local, c_local = row - r0, col - c0
-        bank[r_local, c_local] = True
-        i_on = self.readout.read_current(bank, r_local, c_local)
-        bank[r_local, c_local] = False
-        i_off = self.readout.read_current(bank, r_local, c_local)
-        if i_on <= 0:
-            raise AddressingFault("non-positive reference current")
+        _, i_on, i_off = self._forced_references(row, col)
         return (i_on - i_off) / i_on
 
     def write_pattern(

@@ -29,6 +29,7 @@ the test oracles); block-RHS reads agree within solver tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,27 @@ SCHEMES = ("float", "ground", "half_v")
 
 class ReadoutError(ValueError):
     """Raised for invalid read-out configurations."""
+
+
+def check_technology(r_on: float, r_off: float, v_read: float) -> None:
+    """Reject a non-physical crosspoint technology with :class:`ReadoutError`.
+
+    ``r_on``, ``r_off`` and ``v_read`` must be finite and positive, and
+    ``r_off`` must exceed ``r_on``; NaN fails every check.  The one
+    check behind :class:`ReadoutModel` and every request that carries
+    the technology as raw numbers.
+    """
+    for name, value in (("r_on", r_on), ("r_off", r_off), ("v_read", v_read)):
+        if not (math.isfinite(value) and value > 0):
+            raise ReadoutError(f"{name} must be finite and > 0, got {value}")
+    if not r_off > r_on:
+        raise ReadoutError(f"r_off must exceed r_on, got r_off={r_off}, r_on={r_on}")
+
+
+def check_resolution(resolution: float) -> None:
+    """Reject a sense-amplifier resolution outside ``[0, 1)`` (or NaN)."""
+    if not 0.0 <= resolution < 1.0:
+        raise ReadoutError(f"sense resolution must be in [0, 1), got {resolution}")
 
 
 @dataclass(frozen=True)
@@ -60,12 +82,7 @@ class ReadoutModel:
     scheme: str = "float"
 
     def __post_init__(self) -> None:
-        if self.r_on <= 0 or self.r_off <= 0:
-            raise ReadoutError("resistances must be positive")
-        if self.r_off <= self.r_on:
-            raise ReadoutError("R_off must exceed R_on")
-        if self.v_read <= 0:
-            raise ReadoutError("read voltage must be positive")
+        check_technology(self.r_on, self.r_off, self.v_read)
         if self.scheme not in SCHEMES:
             raise ReadoutError(
                 f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}"

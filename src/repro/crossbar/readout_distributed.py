@@ -31,7 +31,11 @@ from repro.crossbar.readout import ReadoutError, ReadoutModel
 
 @dataclass(frozen=True)
 class DistributedReadout:
-    """Read-out with finite line resistance.
+    """Read-out with finite line resistance: a standalone bank model.
+
+    It sizes IR drop on one bank; :class:`~repro.crossbar.array.
+    CrossbarArray` and the electrical workload take a plain
+    :class:`ReadoutModel` only.
 
     Parameters
     ----------

@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from repro import obs
 from repro.codes.base import CodeSpace
 from repro.crossbar.area import effective_bit_area
+from repro.crossbar.readout import check_resolution, check_technology
 from repro.crossbar.spec import CrossbarSpec
 from repro.crossbar.yield_model import crossbar_yield, decoder_for
 from repro.exp.designpoint import DesignPoint
@@ -75,6 +76,8 @@ class SweepParams:
 
     def __post_init__(self) -> None:
         validate_k_sigma(self.k_sigma)
+        check_technology(self.ro_r_on, self.ro_r_off, self.ro_v_read)
+        check_resolution(self.wl_resolution)
 
 
 #: Evaluator signature: (spec, code, params) -> metric columns.

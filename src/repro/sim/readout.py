@@ -35,9 +35,9 @@ engine behind :mod:`repro.crossbar.readout` and
   of (state map, cell) pairs with the scalar loop's own arithmetic:
   each pair's free-node system is gathered into one stack and LAPACK
   solves the stack in a single ``np.linalg.solve`` call.  It is the
-  one per-cell path: :meth:`IdealBank.read_current` and
-  ``ReadoutModel.read_current`` are its one-pair calls, and the
-  electrical workload engine solves its queued misses through it.
+  one per-cell path: ``ReadoutModel.read_current`` is its one-pair
+  call, and the electrical workload engine solves its queued misses
+  through it.
 
 The block-RHS paths agree with the per-cell reference within solver
 tolerance (different but equally valid arithmetic; see
@@ -320,10 +320,9 @@ class IdealBank:
 
     The Laplacian depends only on the conductance map ``g`` — not on
     the selected cell or the biasing scheme — so one ``IdealBank`` can
-    serve every read of the bank state: per-cell solves through
-    :meth:`read_current` (byte-compatible with the scalar loop) and
-    batched cell sets through :meth:`read_currents` (one dense LU
-    factorization, block RHS).
+    serve every read of the bank state: batched cell sets through
+    :meth:`read_currents` (one dense LU factorization, block RHS) and
+    their toggled-cell references through :meth:`toggled_currents`.
 
     ``g`` and ``lap`` are private copies frozen with
     ``setflags(write=False)``: the lazily cached factorization would
@@ -341,16 +340,6 @@ class IdealBank:
         lap.setflags(write=False)
         self.lap = lap
         self._lu = None
-
-    # -- single cell (scalar-loop compatible arithmetic) -----------------------
-
-    def read_current(self, scheme: str, v_read: float, row: int, col: int) -> float:
-        """Sense current of one cell; bit-for-bit the scalar loop result.
-
-        The one-cell call of :func:`sense_currents`, the engine's only
-        per-cell solve arithmetic.
-        """
-        return float(sense_currents(self.g[None], [row], [col], scheme, v_read)[0])
 
     # -- batched cells (one factorization, block RHS) --------------------------
 
@@ -530,54 +519,6 @@ class DistributedBank:
         r_eff = green[p, ip] + green[q, iq] - green[p, iq] - green[q, ip]
         return v_read / r_eff
 
-    def toggled_currents(
-        self,
-        scheme: str,
-        v_read: float,
-        cells,
-        measured: np.ndarray,
-        delta_g: np.ndarray,
-    ) -> np.ndarray:
-        """Float-scheme sense currents after perturbing each cell (rank-1).
-
-        Unlike the ideal bank, the perturbed branch spans the cell's
-        two *interior* crossing nodes ``a = rnode(r, c)``, ``b =
-        cnode(r, c)`` — not the read terminals ``s = rnode(r, 0)``,
-        ``t = cnode(0, c)`` — so the update needs the full
-        Sherman-Morrison transfer form on the Green's function ``G``::
-
-            R'_eff(s, t) = R_eff(s, t)
-                - delta_g * (u^T G w)^2 / (1 + delta_g * w^T G w)
-
-        with ``u = e_s - e_t`` and ``w = e_a - e_b``: two extra Green's
-        columns per cell on the *same* ``splu`` factorization, instead
-        of a fresh factorization of the modified bank.  The biased
-        schemes fix interior-adjacent nodes and are not a two-terminal
-        problem, so they fall back to a re-stamped bank (raises).
-        """
-        if scheme != "float":
-            raise _readout_error(
-                "rank-1 toggled currents support the float scheme only; "
-                "re-stamp the bank for biased schemes"
-            )
-        r, c = _as_cells(cells, self.rows, self.cols)
-        delta_g = np.broadcast_to(np.asarray(delta_g, dtype=float), r.shape)
-        s = r * self.cols
-        t = self.rows * self.cols + c
-        a = r * self.cols + c
-        b = self.rows * self.cols + r * self.cols + c
-        nodes = np.unique(np.concatenate([s, t, a, b]))
-        green = self._green_columns(nodes)
-        i_s = np.searchsorted(nodes, s)
-        i_t = np.searchsorted(nodes, t)
-        i_a = np.searchsorted(nodes, a)
-        i_b = np.searchsorted(nodes, b)
-        r_eff = green[s, i_s] + green[t, i_t] - green[s, i_t] - green[t, i_s]
-        u_gw = green[s, i_a] - green[s, i_b] - green[t, i_a] + green[t, i_b]
-        w_gw = green[a, i_a] + green[b, i_b] - green[a, i_b] - green[b, i_a]
-        r_new = r_eff - delta_g * u_gw**2 / (1.0 + delta_g * w_gw)
-        return v_read / r_new
-
     def _biased_currents(
         self, scheme: str, v_read: float, r: np.ndarray, c: np.ndarray
     ) -> np.ndarray:
@@ -623,6 +564,9 @@ def scheme_margin_sweep(
     every biasing scheme — the Laplacian depends only on the state map.
     Margins equal the scalar reference bit for bit.
     """
+    from repro.crossbar.readout import check_technology
+
+    check_technology(r_on, r_off, v_read)
     for size in sizes:
         if size < 1:
             raise _readout_error(

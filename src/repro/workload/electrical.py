@@ -54,9 +54,10 @@ computed with the exact arithmetic of :meth:`ReadoutModel.read_current`
 ``read_current`` is its one-cell call) and only memoized — never
 approximated — so cached and fresh values are the same floats.  Cache
 counts are the one exception: LRU evictions make them depend on chunk
-boundaries, so they are reported for diagnostics only.  Readout models
-other than a plain :class:`ReadoutModel` keep their own per-cell
-``read_current`` for the queued misses and run the instances serially.
+boundaries, so they are reported for diagnostics only.  The engine
+takes a plain :class:`ReadoutModel` and has no other sensing path; a
+per-cell reference solver plugs into the oracle alone, through the
+``read_current`` that ``read_bit`` and ``read_margin`` call.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ import numpy as np
 from repro import obs
 from repro.crossbar.array import AddressingFault
 from repro.crossbar.ecc import decode_blocks
-from repro.crossbar.readout import ReadoutError, ReadoutModel
+from repro.crossbar.readout import ReadoutError, ReadoutModel, check_resolution
 from repro.decoder.addressmap import AddressMap
 from repro.sim.batch import parallel_map
 from repro.sim.readout import BankCache, sense_currents, state_digest
@@ -91,7 +92,7 @@ class ElectricalReadout:
     Parameters
     ----------
     model:
-        The sneak-path readout model (scheme, resistances, read
+        The sneak-path :class:`ReadoutModel` (scheme, resistances, read
         voltage) applied to every crosspoint access.
     resolution:
         Sense amplifier resolution as a relative margin floor in
@@ -111,10 +112,11 @@ class ElectricalReadout:
     max_banks: int = DEFAULT_MAX_BANKS
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.resolution < 1.0:
-            raise ReadoutError(
-                f"sense resolution must be in [0, 1), got {self.resolution}"
+        if not isinstance(self.model, ReadoutModel):
+            raise TypeError(
+                f"model must be a ReadoutModel, got {type(self.model).__name__}"
             )
+        check_resolution(self.resolution)
         if self.margin_bins < 1:
             raise ReadoutError(
                 f"need at least one margin bin, got {self.margin_bins}"
@@ -147,11 +149,13 @@ class _Sensor:
     slot of :attr:`values` per reference; misses queue a snapshot of
     the forced state and are solved together once the queue holds a
     slab (or at :meth:`flush`), so the memo changes cost, never values.
+    Every miss is solved by :func:`~repro.sim.readout.sense_currents`
+    on the model's conductances, the arithmetic of
+    :meth:`ReadoutModel.read_current`.
     """
 
     def __init__(self, model: ReadoutModel, max_banks: int, slab: int) -> None:
         self.model = model
-        self.fast = type(model) is ReadoutModel
         self.memo = BankCache(max_banks=max_banks)
         self.slab = slab
         self.hits = 0
@@ -187,26 +191,22 @@ class _Sensor:
         if not queue:
             return
         model = self.model
-        if self.fast:
-            groups: dict[tuple[int, int], list[int]] = {}
-            for k, item in enumerate(queue):
-                groups.setdefault(item[1].shape, []).append(k)
-            currents = np.empty(len(queue))
-            for (_, cols), members in groups.items():
-                forced = np.stack([queue[k][1] for k in members])
-                # a (k * rows, cols) view keeps ReadoutModel.conductances'
-                # own arithmetic for the whole stack
-                g = model.conductances(forced.reshape(-1, cols))
-                currents[members] = sense_currents(
-                    g.reshape(forced.shape),
-                    [queue[k][2] for k in members],
-                    [queue[k][3] for k in members],
-                    model.scheme,
-                    model.v_read,
-                )
-        else:
-            # other readout models keep their own per-cell solve
-            currents = [model.read_current(f, lr, lc) for _, f, lr, lc, _ in queue]
+        groups: dict[tuple[int, int], list[int]] = {}
+        for k, item in enumerate(queue):
+            groups.setdefault(item[1].shape, []).append(k)
+        currents = np.empty(len(queue))
+        for (_, cols), members in groups.items():
+            forced = np.stack([queue[k][1] for k in members])
+            # a (k * rows, cols) view keeps ReadoutModel.conductances'
+            # own arithmetic for the whole stack
+            g = model.conductances(forced.reshape(-1, cols))
+            currents[members] = sense_currents(
+                g.reshape(forced.shape),
+                [queue[k][2] for k in members],
+                [queue[k][3] for k in members],
+                model.scheme,
+                model.v_read,
+            )
         for (slot, _, lr, lc, entry), value in zip(queue, currents):
             value = float(value)
             self.values[slot] = value
@@ -272,9 +272,7 @@ def run_electrical_batched(
     # Instances are independent (own state, memo, error stream and
     # result slots), so a chunk's instances run on parallel_map threads
     # and return their phase seconds; the counters are recorded here on
-    # the calling thread.  Other readout models may record telemetry
-    # inside their solves, so they run serially.
-    fast = type(readout.model) is ReadoutModel
+    # the calling thread.
     timed = obs.enabled()
     read_s = write_s = 0.0
     read_off = 0
@@ -454,11 +452,7 @@ def run_electrical_batched(
             # read phase: everything but the write segments
             return perf_counter() - t_inst - inst_write_s, inst_write_s
 
-        if fast:
-            phases = parallel_map(run_instance, range(inst))
-        else:
-            phases = [run_instance(i) for i in range(inst)]
-        for inst_read_s, inst_write_s in phases:
+        for inst_read_s, inst_write_s in parallel_map(run_instance, range(inst)):
             read_s += inst_read_s
             write_s += inst_write_s
         read_off += int(ar.size)

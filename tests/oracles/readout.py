@@ -1,8 +1,10 @@
 """Loop readout models: the per-cell stamping solvers, one solve per read.
 
-They subclass the product models, so ``type(model) is not ReadoutModel``
-and ``CrossbarArray`` and the electrical workload path send them down
-the per-cell reference path.
+They subclass the product models and plug in through the per-cell
+``read_current`` only: ``CrossbarArray.read_bit`` and ``read_margin``
+sense through it, so the workload loop oracle runs on these solvers,
+while the array's batched reads and the electrical engine keep the
+product's bank engine whatever model subclass they are given.
 """
 
 from __future__ import annotations

@@ -276,6 +276,53 @@ class TestOverrideValidation:
             point.resolved_spec()
 
 
+#: Non-physical readout technology / resolution values, as keyword
+#: arguments of an electrical WorkloadRequest.
+BAD_READOUT = [
+    {"r_on": float("nan")},
+    {"r_off": float("nan")},
+    {"v_read": float("nan")},
+    {"v_read": float("inf")},
+    {"r_on": -5.0},
+    {"r_on": 1e8},
+    {"resolution": 2.0},
+    {"resolution": float("nan")},
+]
+
+
+class TestReadoutValidation:
+    """Readout technology is checked where a request is built."""
+
+    @pytest.mark.parametrize("bad", BAD_READOUT)
+    def test_workload_request_rejects(self, bad):
+        with pytest.raises(ValueError):
+            api.WorkloadRequest("TC", 6, readout="float", **bad)
+        payload = api.WorkloadRequest("TC", 6, readout="float").to_dict()
+        payload.update(bad)
+        with pytest.raises(ValueError):
+            api.parse_request(payload)
+
+    @pytest.mark.parametrize("bad", BAD_READOUT)
+    def test_ideal_request_ignores_technology(self, bad):
+        """With readout off the knobs are not part of the request."""
+        req = api.WorkloadRequest("TC", 6, **bad)
+        assert req.to_dict() == api.WorkloadRequest("TC", 6).to_dict()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"ro_r_on": float("nan")},
+            {"ro_r_off": float("inf")},
+            {"ro_v_read": float("nan")},
+            {"ro_r_on": 1e8},
+            {"wl_resolution": 1.0},
+        ],
+    )
+    def test_sweep_params_reject(self, bad):
+        with pytest.raises(ValueError):
+            SweepParams(**bad)
+
+
 class TestKSigmaValidation:
     """``k_sigma`` must be finite and >= 0 wherever a request is built."""
 

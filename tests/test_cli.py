@@ -242,6 +242,37 @@ class TestKSigmaArgument:
         assert not job.exists()
 
 
+class TestReadoutTechnologyArgs:
+    """A non-physical readout technology ends as a one-line error with
+    exit 2 before any compute (it used to print NaN or negative margins,
+    or die with a traceback after the store lookup)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "readout --r-on 1e8",
+            "readout --r-on nan",
+            "readout --scheme all --r-off inf",
+            "memsim TC -M 6 --accesses 64 --instances 1 --readout --r-on nan "
+            "--format csv",
+            "memsim TC -M 6 --readout --r-on -5",
+            "memsim TC -M 6 --readout --resolution 2",
+            "memsim TC -M 6 --readout half_v --v-read inf",
+            "sweep --families TC --lengths 6 --metric readout --ro-r-on nan",
+            "sweep --families TC --lengths 6 --metric workload --wl-readout float "
+            "--wl-resolution 1",
+        ],
+    )
+    def test_rejected_with_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"repro {argv.split()[0]}: error: ")
+
+
 class TestPlatformKnobs:
     def test_platform_knobs_change_results(self, capsys):
         _, loose = run_cli(capsys, "evaluate", "TC", "-M", "6")

@@ -1,5 +1,7 @@
 """Unit tests for repro.crossbar.array — the end-to-end integration object."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,19 @@ class TestConstruction:
         assert 0 < s["accessible_fraction"] <= 1
         assert s["bank_wires"] == 40
         assert s["readout_scheme"] == "float"
+
+    def test_rejects_non_readout_model(self):
+        """The array senses through ReadoutModel alone; a distributed
+        line model used to pass here and break summary() later."""
+        from repro.crossbar.readout_distributed import DistributedReadout
+        from repro.crossbar.spec import CrossbarSpec
+
+        with pytest.raises(TypeError, match="ReadoutModel"):
+            CrossbarArray(
+                CrossbarSpec(raw_kilobytes=0.2),
+                make_code("TC", 2, 6),
+                readout=DistributedReadout(),
+            )
 
 
 class TestAddressing:
@@ -166,49 +181,132 @@ class TestWritePattern:
         assert array.stored_bit(r, c) is True  # last bit: index 8, even
 
 
-class _ZeroCurrentReadout:
-    """Duck-typed readout whose reference currents collapse to zero."""
-
-    def read_current(self, states, row, col):
-        return 0.0
-
-    def read_currents(self, states, cells):
-        return np.zeros(len(np.asarray(cells).reshape(-1, 2)))
-
-
 class TestReferenceCurrentGuards:
     """Regression: read_bit and read_bits must both reject a
     non-positive reference current, like read_margin(s) always did
-    (satellite bugfix)."""
+    (satellite bugfix).  The array takes a real ReadoutModel; the bank
+    engine underneath is patched to return zero currents."""
 
-    def make_dead_array(self):
+    @pytest.fixture
+    def dead(self, monkeypatch):
+        import repro.sim.readout as engine
         from repro.crossbar.spec import CrossbarSpec
 
-        dead = CrossbarArray(
+        def zeros(bank, scheme, v_read, cells, *rest):
+            return np.zeros(len(cells))
+
+        # per-cell solves (read_bit / read_margin) and the batched
+        # bank engine (read_bits / read_margins)
+        monkeypatch.setattr(
+            engine, "sense_currents", lambda g, rows, *rest: np.zeros(len(rows))
+        )
+        monkeypatch.setattr(engine.IdealBank, "read_currents", zeros)
+        monkeypatch.setattr(engine.IdealBank, "toggled_currents", zeros)
+        return CrossbarArray(
             CrossbarSpec(raw_kilobytes=0.2), make_code("TC", 2, 6), seed=3
         )
-        dead.readout = _ZeroCurrentReadout()
-        return dead
 
-    def test_read_bit_rejects_nonpositive_reference(self):
-        dead = self.make_dead_array()
+    def test_read_bit_rejects_nonpositive_reference(self, dead):
         r, c = accessible_cell(dead)
         with pytest.raises(AddressingFault, match="non-positive reference"):
             dead.read_bit(r, c)
 
-    def test_read_bits_rejects_nonpositive_reference(self):
-        dead = self.make_dead_array()
+    def test_read_bits_rejects_nonpositive_reference(self, dead):
         r, c = accessible_cell(dead)
         with pytest.raises(AddressingFault, match="non-positive reference"):
             dead.read_bits([r], [c])
 
-    def test_read_margin_paths_reject_nonpositive_reference(self):
-        dead = self.make_dead_array()
+    def test_read_margin_paths_reject_nonpositive_reference(self, dead):
         r, c = accessible_cell(dead)
         with pytest.raises(AddressingFault, match="non-positive reference"):
             dead.read_margin(r, c)
         with pytest.raises(AddressingFault, match="non-positive reference"):
             dead.read_margins([r], [c])
+
+
+def sha(a):
+    """sha256 of an array's dtype, shape and bytes."""
+    a = np.ascontiguousarray(a)
+    head = repr((a.dtype.str, a.shape)).encode()
+    return hashlib.sha256(head + a.tobytes()).hexdigest()
+
+
+def seeded_array(kilobytes, family, length, scheme):
+    """Seeded array with a random data background on every crosspoint."""
+    from repro.crossbar.spec import CrossbarSpec
+
+    arr = CrossbarArray(
+        CrossbarSpec(raw_kilobytes=kilobytes),
+        make_code(family, 2, length),
+        seed=3,
+        readout=ReadoutModel(scheme=scheme),
+    )
+    side = arr.shape[0]
+    rows, cols = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    bits = np.random.default_rng(11).random(side * side) < 0.5
+    arr.write_pattern(rows.ravel(), cols.ravel(), bits)
+    return arr
+
+
+class TestReadDigests:
+    """Exact bits of the four read paths, recorded before the per-cell
+    restamp path was removed from the array."""
+
+    #: scheme -> (read_bit sha256, read_margin sha256); every accessible
+    #: cell of a 41-wire TC M=6 array (256 cells), row-major
+    CELL = {
+        "float": (
+            "f33f5d0ac23d798478da08aefc5096258bd6edaf1a6cc9cd2c2878f79719122d",
+            "b857edf68abb34fcdf78ddbf145710bcc343a72b35d01d98f39376519c8f770d",
+        ),
+        "ground": (
+            "f33f5d0ac23d798478da08aefc5096258bd6edaf1a6cc9cd2c2878f79719122d",
+            "32e567d1c3f82367ea5a8c6dab1edb03c9271e9e4d330532e0cb24df48129f9b",
+        ),
+        "half_v": (
+            "f33f5d0ac23d798478da08aefc5096258bd6edaf1a6cc9cd2c2878f79719122d",
+            "59986a00f7f6dd0a5843d00062cce2fb750faced8c2832eb5f366b5c94a4d3f2",
+        ),
+    }
+    #: scheme -> (read_bits sha256, read_margins sha256); 2,400 distinct
+    #: accessible cells of a 91-wire BGC M=10 array (40-wire banks)
+    BATCH = {
+        "float": (
+            "14a53a5b219f595ee8c6e2a1ea06e9d4b09bfe6c20a5657bb8467eeb1801cfa4",
+            "4aed4af8aa785ea3f7c25a21f51942226e7976a305e562df88ba8e5e6ca9ec25",
+        ),
+        "ground": (
+            "14a53a5b219f595ee8c6e2a1ea06e9d4b09bfe6c20a5657bb8467eeb1801cfa4",
+            "3a17432d2ace80b94d8c9218e38bf6f765a790ddd325cd7b014e2b6f0dcbdbe8",
+        ),
+        "half_v": (
+            "14a53a5b219f595ee8c6e2a1ea06e9d4b09bfe6c20a5657bb8467eeb1801cfa4",
+            "7f4b818fe83cc03b715dd23393c8d117d288fc74fc2dd526ac9cef371508539a",
+        ),
+    }
+
+    @staticmethod
+    def accessible(arr):
+        return np.nonzero(np.outer(arr.defects.row_ok, arr.defects.col_ok))
+
+    @pytest.mark.parametrize("scheme", sorted(CELL))
+    def test_per_cell_reads(self, scheme):
+        arr = seeded_array(0.2, "TC", 6, scheme)
+        rr, cc = self.accessible(arr)
+        assert rr.size == 256
+        cells = list(zip(rr.tolist(), cc.tolist()))
+        bits = np.array([arr.read_bit(r, c) for r, c in cells])
+        margins = np.array([arr.read_margin(r, c) for r, c in cells])
+        assert (sha(bits), sha(margins)) == self.CELL[scheme]
+
+    @pytest.mark.parametrize("scheme", sorted(BATCH))
+    def test_batched_reads(self, scheme):
+        arr = seeded_array(1.0, "BGC", 10, scheme)
+        rr, cc = self.accessible(arr)
+        pick = np.random.default_rng(5).choice(rr.size, size=2400, replace=False)
+        bits = arr.read_bits(rr[pick], cc[pick])
+        margins = arr.read_margins(rr[pick], cc[pick])
+        assert (sha(bits), sha(margins)) == self.BATCH[scheme]
 
 
 class TestFleetDefectInjection:

@@ -31,6 +31,32 @@ class TestConstruction:
         with pytest.raises(ReadoutError):
             ReadoutModel(v_read=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"r_on": float("nan")},
+            {"r_off": float("nan")},
+            {"v_read": float("nan")},
+            {"v_read": float("inf")},
+            {"r_on": float("inf"), "r_off": float("inf")},
+        ],
+    )
+    def test_rejects_non_finite_technology(self, kwargs):
+        """Regression: NaN/inf used to pass and yield all-NaN margins."""
+        with pytest.raises(ReadoutError, match="finite"):
+            ReadoutModel(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"r_on": float("nan")}, {"v_read": float("inf")}, {"r_on": 1e8}],
+    )
+    def test_margin_sweep_checks_raw_technology(self, kwargs):
+        """The engine sweep takes raw floats, so it checks them itself."""
+        from repro.sim.readout import scheme_margin_sweep
+
+        with pytest.raises(ReadoutError):
+            scheme_margin_sweep((4,), **kwargs)
+
 
 class TestSingleCell:
     def test_isolated_cell_is_ohms_law(self, model):

@@ -216,6 +216,17 @@ class TestDaemon:
         assert reply["id"] == 9 and "result" not in reply
         assert "k_sigma must be finite" in reply["error"]
 
+    @pytest.mark.parametrize("bad", [{"r_on": float("nan")}, {"r_on": 1e8}])
+    def test_error_frame_for_bad_readout_technology(self, socket_path, bad):
+        payload = api.WorkloadRequest("TC", 6, readout="float").to_dict()
+        payload.update(bad)
+        with ReproServer(socket_path).running():
+            reply = raw_exchange(socket_path, request_frame("memsim", 4, payload))
+            assert raw_exchange(socket_path, request_frame("ping", 5))["ok"]
+        assert reply["ok"] is False and reply["frame"] == "error"
+        assert reply["id"] == 4 and "result" not in reply
+        assert "r_on" in reply["error"]
+
     def test_identical_inflight_requests_coalesce(
         self, socket_path, held_sweeps, wait_until
     ):

@@ -23,7 +23,7 @@ from repro.codes.registry import make_code
 from repro.crossbar.ecc import SecdedCode
 from repro.crossbar.readout import ReadoutError, ReadoutModel
 from repro.crossbar.spec import CrossbarSpec
-from repro.sim.readout import DistributedBank, IdealBank
+from repro.sim.readout import IdealBank
 from repro.workload import ELECTRICAL_METRICS, ElectricalReadout, prepare_workload
 from tests.oracles.readout import LoopReadoutModel
 from tests.oracles.workload import run_fleet_loop
@@ -142,13 +142,30 @@ class TestLoopEquivalence:
         loop = run_fleet_loop(fleet, trace, readout=ro, **COLLECT)
         assert_equal_runs(batched, loop)
 
-    def test_loop_model_method_byte_identical(self):
-        """A scalar-stamping readout model runs both engines identically."""
-        fleet, trace = small_fleet(accesses=60, seed=4)
-        ro = ElectricalReadout(model=LoopReadoutModel(), resolution=0.5)
-        batched = fleet.run(trace, chunk_size=19, readout=ro, **COLLECT)
-        loop = run_fleet_loop(fleet, trace, readout=ro, **COLLECT)
+    @pytest.mark.parametrize("ecc", (None, SecdedCode(3)), ids=("raw", "secded"))
+    @pytest.mark.parametrize("scheme", ("float", "ground", "half_v"))
+    def test_loop_oracle_byte_identical(self, scheme, ecc):
+        """The stacked engine against the per-cell stamping loop oracle."""
+        fleet, trace = small_fleet(accesses=60, seed=4, ecc=ecc)
+        batched = fleet.run(
+            trace,
+            chunk_size=19,
+            readout=ElectricalReadout(ReadoutModel(scheme=scheme), resolution=0.5),
+            **COLLECT,
+        )
+        loop = run_fleet_loop(
+            fleet,
+            trace,
+            readout=ElectricalReadout(LoopReadoutModel(scheme=scheme), resolution=0.5),
+            **COLLECT,
+        )
         assert_equal_runs(batched, loop)
+
+    def test_rejects_non_readout_model(self):
+        from repro.crossbar.readout_distributed import DistributedReadout
+
+        with pytest.raises(TypeError, match="ReadoutModel"):
+            ElectricalReadout(model=DistributedReadout())
 
     def test_chunk_size_invariance(self):
         fleet, trace = small_fleet()
@@ -354,12 +371,12 @@ class TestResolution:
 
 
 class TestShermanMorrison:
-    def toggled_vs_restamped(self, bank_cls, scheme, **kwargs):
+    def toggled_vs_restamped(self, scheme):
         rng = np.random.default_rng(12)
         model = ReadoutModel(scheme=scheme)
         states = rng.random((9, 9)) < 0.5
         g = model.conductances(states)
-        bank = bank_cls(g, **kwargs)
+        bank = IdealBank(g)
         cells = np.stack([rng.integers(9, size=14), rng.integers(9, size=14)], axis=1)
         measured = bank.read_currents(scheme, model.v_read, cells)
         delta = (1.0 / model.r_on - 1.0 / model.r_off) * np.where(
@@ -372,7 +389,7 @@ class TestShermanMorrison:
         for k, (r, c) in enumerate(cells):
             flipped = states.copy()
             flipped[r, c] = not flipped[r, c]
-            fresh[k] = bank_cls(model.conductances(flipped), **kwargs).read_currents(
+            fresh[k] = IdealBank(model.conductances(flipped)).read_currents(
                 scheme, model.v_read, [(int(r), int(c))]
             )[0]
         return updated, fresh
@@ -380,20 +397,8 @@ class TestShermanMorrison:
     @pytest.mark.parametrize("scheme", ("float", "ground", "half_v"))
     def test_ideal_matches_restamped(self, scheme):
         """The rank-1 closed form equals a full re-stamp, per scheme."""
-        updated, fresh = self.toggled_vs_restamped(IdealBank, scheme)
+        updated, fresh = self.toggled_vs_restamped(scheme)
         assert np.allclose(updated, fresh, rtol=1e-9)
-
-    def test_distributed_float_matches_restamped(self):
-        updated, fresh = self.toggled_vs_restamped(
-            DistributedBank, "float", row_segment_g=2.0e4, col_segment_g=2.0e4
-        )
-        assert np.allclose(updated, fresh, rtol=1e-6)
-
-    def test_distributed_biased_schemes_rejected(self):
-        bank = DistributedBank(np.full((3, 3), 1e-6), 1.0e4, 1.0e4)
-        measured = bank.read_currents("ground", 0.5, [(0, 0)])
-        with pytest.raises(ReadoutError):
-            bank.toggled_currents("ground", 0.5, [(0, 0)], measured, np.array([1e-7]))
 
     def test_array_dual_reference_uses_rank1(self):
         """read_bits agrees with scalar sensing on a live array (SM path)."""
