@@ -872,14 +872,18 @@ def _timing_payload() -> dict:
 
 
 def _spec_from_args(args: argparse.Namespace) -> CrossbarSpec:
-    base = CrossbarSpec(raw_kilobytes=args.raw_kb)
-    return spec_with(
-        base,
-        window_margin=args.window_margin,
-        sigma_t=args.sigma_t,
-        nanowires=args.nanowires,
-        contact_gap_factor=args.contact_gap,
-    )
+    """The platform spec of the global flags; a rejected one is exit 2."""
+    try:
+        return spec_with(
+            CrossbarSpec(raw_kilobytes=args.raw_kb),
+            window_margin=args.window_margin,
+            sigma_t=args.sigma_t,
+            nanowires=args.nanowires,
+            contact_gap_factor=args.contact_gap,
+        )
+    except ValueError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _cmd_info(spec: CrossbarSpec) -> str:

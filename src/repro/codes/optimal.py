@@ -42,13 +42,6 @@ class OptimalSearchError(RuntimeError):
     """Raised when the branch-and-bound exceeds its node budget."""
 
 
-def pattern_transition(a: Word, b: Word, space: CodeSpace) -> int:
-    """Digit transitions between the *pattern* forms of two raw words."""
-    pa = space.pattern_word(space.words.index(a))
-    pb = space.pattern_word(space.words.index(b))
-    return hamming_distance(pa, pb)
-
-
 def sigma_cost_of_order(space: CodeSpace, order: list[int]) -> int:
     """``||nu||_1`` (in sigma_T^2 units) of an arrangement, via the identity.
 

@@ -50,12 +50,18 @@ class CrossbarSpec:
     window_margin: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.raw_kilobytes <= 0:
-            raise ValueError("raw density must be positive")
+        if not (math.isfinite(self.raw_kilobytes) and self.raw_kilobytes > 0):
+            raise ValueError(
+                f"raw density must be finite and positive, got {self.raw_kilobytes}"
+            )
         if self.nanowires_per_half_cave < 1:
             raise ValueError("need at least one nanowire per half cave")
-        if self.sigma_t <= 0:
-            raise ValueError("sigma_T must be positive")
+        if not (math.isfinite(self.sigma_t) and self.sigma_t > 0):
+            raise ValueError(f"sigma_T must be finite and positive, got {self.sigma_t}")
+        if not 0 < self.window_margin <= 1:
+            raise ValueError(
+                f"window margin must be in (0, 1], got {self.window_margin}"
+            )
 
     @property
     def raw_bits(self) -> int:

@@ -11,20 +11,29 @@ We use the long-channel enhancement-mode MOS threshold equation
     phi_F(N_A) = (kT/q) * ln(N_A / n_i)
 
 which is monotonically increasing in the channel doping ``N_A`` and is
-inverted numerically (scipy.brentq) to obtain ``f``.  The gate stack
+inverted numerically (Brent's bracketed root finder, :func:`_brentq`) to
+obtain ``f``.  The gate stack
 (oxide thickness and flat-band voltage) is fitted once so the worked
 Example 1 of the paper is approximated; the decoder results only require
 monotonicity + non-linearity + bijectivity, all of which hold for any
 stack.
+
+:func:`_brentq` is a line-for-line Python port of SciPy's C
+``brentq`` (``scipy/optimize/Zeros/brentq.c``, with the default
+``xtol``/``rtol``/``maxiter`` of ``scipy.optimize.brentq``): the same
+IEEE-754 operations in the same order, so it returns the same bits.
+Keeping it in-tree takes ``scipy.optimize`` off the ``import repro``
+path; ``tests/test_device_brentq.py`` pins the port bit for bit against
+SciPy over the whole achievable VT range.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.device.materials import (
     ELEMENTARY_CHARGE,
@@ -42,6 +51,69 @@ class PhysicsError(ValueError):
 #: Doping bracket within which the model is inverted [cm^-3].
 DOPING_MIN = 1e15
 DOPING_MAX = 1e21
+
+#: ``scipy.optimize.brentq``'s default tolerances and iteration cap.
+_BRENT_XTOL = 2e-12
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xa: float, xb: float) -> float:
+    """Root of ``f`` in the sign-changing bracket ``[xa, xb]`` (Brent 1973).
+
+    Port of SciPy's C ``brentq``: every assignment, comparison and
+    rounding step below mirrors the C source, so for the same ``f`` the
+    result is bit-identical to ``scipy.optimize.brentq(f, xa, xb)``.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (
+            math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+        ):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (
+                    dblk * dpre * (fblk - fpre)
+                )
+            # C's MIN(a, b) is ``a < b ? a : b``
+            a, b = abs(spre), 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (a if a < b else b):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"failed to converge after {_BRENT_MAXITER} iterations")
 
 
 @dataclass(frozen=True)
@@ -92,7 +164,7 @@ class ThresholdModel:
                 f"VT {vt:.3f} V outside achievable range "
                 f"[{vt_lo:.3f}, {vt_hi:.3f}] V for this gate stack"
             )
-        return float(brentq(lambda na: self.vt_from_doping(na) - vt, lo, hi))
+        return _brentq(lambda na: self.vt_from_doping(na) - vt, lo, hi)
 
     def vt_range(self) -> tuple[float, float]:
         """Threshold voltages achievable within the doping bracket."""

@@ -14,7 +14,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf
 
 #: The paper's threshold-voltage variability per doping operation [V].
 DEFAULT_SIGMA_T = 0.050
@@ -54,6 +53,10 @@ def window_pass_probability(
     """
     if halfwidth <= 0:
         raise ValueError(f"window halfwidth must be positive, got {halfwidth}")
+    # scipy's erf, not math.erf (they differ in the last ulps), imported
+    # on first use so `import repro` does not load scipy
+    from scipy.special import erf
+
     std = np.asarray(std, dtype=float)
     out = np.ones_like(std)
     nz = std > 0

@@ -11,7 +11,7 @@ shipped to worker processes, and tagged onto result rows uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.codes.base import CodeError, CodeSpace
 from repro.codes.registry import ALL_FAMILIES, make_code
@@ -118,9 +118,3 @@ def design_grid(
             for combo in combos:
                 points.append(DesignPoint.make(family, length, n, **combo))
     return points
-
-
-def iter_labels(points: Iterable[DesignPoint]) -> Iterator[str]:
-    """Display labels of ``points`` in order (convenience for reports)."""
-    for point in points:
-        yield point.label

@@ -25,7 +25,10 @@ engine behind :mod:`repro.crossbar.readout` and
     (:func:`scipy.linalg.lu_factor` for the small dense ideal banks,
     :func:`scipy.sparse.linalg.splu` for distributed banks) solved
     against a block of basis vectors — one column per distinct line
-    node the cell batch touches;
+    node the cell batch touches.  scipy is imported inside the
+    functions that factorize, so importing this module (and
+    :func:`sense_currents`, which uses ``np.linalg`` only) loads no
+    scipy;
   - ``ground`` / ``half_v`` schemes: the ideal bank is fully
     constrained (closed-form currents), and the distributed bank shares
     one free-node set across all cells, so the per-cell bias patterns
@@ -52,9 +55,6 @@ from collections import OrderedDict
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import splu
 
 from repro import obs
 
@@ -247,6 +247,8 @@ def distributed_laplacian(
     data = np.concatenate([w, w, -w, -w])
     i = np.concatenate([a, b, a, b])
     j = np.concatenate([a, b, b, a])
+    from scipy.sparse import coo_matrix
+
     return coo_matrix((data, (i, j)), shape=(n, n)).tocsr()
 
 
@@ -345,6 +347,8 @@ class IdealBank:
 
     def _green_columns(self, nodes: np.ndarray) -> np.ndarray:
         """Green's-function columns (gauge: node 0 grounded) for ``nodes``."""
+        from scipy.linalg import lu_factor, lu_solve
+
         if self._lu is None:
             self._lu = lu_factor(self.lap[1:, 1:])
             obs.counter("readout.factorizations.lu")
@@ -465,6 +469,8 @@ class DistributedBank:
     def _green_columns(self, nodes: np.ndarray) -> np.ndarray:
         """Green's-function columns (gauge: node 0 grounded) for ``nodes``."""
         if self._green is None:
+            from scipy.sparse.linalg import splu
+
             self._green = splu(self.lap[1:, :][:, 1:].tocsc())
             obs.counter("readout.factorizations.splu")
         rhs = np.zeros((self.n_nodes - 1, nodes.size))
@@ -490,6 +496,8 @@ class DistributedBank:
             free_mask[fixed] = False
             free = np.nonzero(free_mask)[0]
             reduced = self.lap[free, :]
+            from scipy.sparse.linalg import splu
+
             lu = splu(reduced[:, free].tocsc()) if free.size else None
             if lu is not None:
                 obs.counter("readout.factorizations.splu")

@@ -341,3 +341,46 @@ class TestKSigmaValidation:
     def test_sweep_params_reject(self, k_sigma):
         with pytest.raises(ValueError, match="k_sigma must be finite"):
             SweepParams(k_sigma=k_sigma)
+
+
+#: How each validated spec field is named in its error message.
+SPEC_FIELD_WORDS = {
+    "sigma_t": "sigma_T",
+    "raw_kilobytes": "raw density",
+    "window_margin": "window margin",
+}
+
+
+class TestSpecValidation:
+    """A non-finite or out-of-range platform spec is rejected wherever a
+    request is rebuilt (it used to hash, compute and print NaN-derived
+    yields)."""
+
+    BAD = [
+        {"sigma_t": float("nan")},
+        {"sigma_t": float("inf")},
+        {"raw_kilobytes": float("nan")},
+        {"raw_kilobytes": float("inf")},
+        {"window_margin": float("nan")},
+        {"window_margin": 0.0},
+        {"window_margin": 1.5},
+        {"window_margin": -1.0},
+    ]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_crossbar_spec_rejects(self, bad):
+        with pytest.raises(ValueError, match=SPEC_FIELD_WORDS[next(iter(bad))]):
+            CrossbarSpec(**bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_parse_request_rejects(self, bad):
+        requests = [
+            small_sweep_request(),
+            api.McRequest("marginmc", "BGC", 8, samples=64),
+            api.WorkloadRequest("TC", 6),
+        ]
+        for request in requests:
+            payload = json.loads(request.canonical())
+            payload["spec"].update(bad)
+            with pytest.raises(ValueError):
+                api.parse_request(payload)

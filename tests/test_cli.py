@@ -280,6 +280,38 @@ class TestPlatformKnobs:
         assert loose != tight
 
 
+class TestPlatformKnobValidation:
+    """A rejected platform spec ends as a one-line error with exit 2 (it
+    used to print NaN-derived results with exit 0, or die with a
+    traceback)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "--sigma-t nan fig7",
+            "--sigma-t nan info",
+            "--sigma-t nan headline",
+            "--sigma-t nan evaluate BGC -M 8",
+            "--sigma-t inf simulate BGC -M 8 --samples 200",
+            "--window-margin nan headline",
+            "--window-margin 1.5 info",
+            "--sigma-t -0.05 fig7",
+            "--raw-kb 0 fig8",
+            "--raw-kb nan info",
+            "--contact-gap -3 fig8",
+            "--nanowires -4 info",
+        ],
+    )
+    def test_rejected_with_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("repro: error: ")
+
+
 class TestSharedOptions:
     """Golden agreement of the shared option layer across subcommands."""
 

@@ -227,6 +227,24 @@ class TestDaemon:
         assert reply["id"] == 4 and "result" not in reply
         assert "r_on" in reply["error"]
 
+    @pytest.mark.parametrize(
+        "field, value, word",
+        [
+            ("sigma_t", float("nan"), "sigma_T"),
+            ("raw_kilobytes", float("inf"), "raw density"),
+            ("window_margin", 2, "window margin"),
+        ],
+    )
+    def test_error_frame_for_bad_spec(self, socket_path, field, value, word):
+        payload = api.McRequest("cavemc", "BGC", 8, samples=64).to_dict()
+        payload["spec"][field] = value
+        with ReproServer(socket_path).running():
+            reply = raw_exchange(socket_path, request_frame("simulate", 6, payload))
+            assert raw_exchange(socket_path, request_frame("ping", 7))["ok"]
+        assert reply["ok"] is False and reply["frame"] == "error"
+        assert reply["id"] == 6 and "result" not in reply
+        assert word in reply["error"]
+
     def test_identical_inflight_requests_coalesce(
         self, socket_path, held_sweeps, wait_until
     ):
