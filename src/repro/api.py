@@ -25,10 +25,13 @@ The result store is consulted in one place: :func:`lookup` and
 Canonical form and content addressing
 -------------------------------------
 Every request round-trips through :meth:`to_dict` / :meth:`from_dict`
-and serialises to **canonical JSON** (sorted keys, no whitespace,
-shortest-round-trip floats).  :func:`request_digest` is the sha256 of
-that canonical text — the content address the result store
-(:mod:`repro.store`) and the daemon key on.  Only *result-determining*
+(for the Monte-Carlo and workload requests, one generic pair driven by
+the field declarations of :mod:`repro.schema`, which also validates
+every field at construction) and serialises to **canonical JSON**
+(sorted keys, no whitespace, shortest-round-trip floats).
+:func:`request_digest` is the sha256 of that canonical text — the
+content address the result store (:mod:`repro.store`) and the daemon
+key on.  Only *result-determining*
 fields enter the canonical payload: execution knobs (``jobs``,
 ``chunk_size``) never change result bytes (asserted across the test
 suite) and are therefore passed to the facade functions separately,
@@ -43,6 +46,8 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
+from repro import schema
+from repro.codes.registry import ALL_FAMILIES
 from repro.crossbar.montecarlo import (
     MonteCarloMarginYield,
     MonteCarloYield,
@@ -50,30 +55,33 @@ from repro.crossbar.montecarlo import (
     simulate_margin_yield,
     yield_kernel,
 )
-from repro.crossbar.readout import check_resolution, check_technology
-from repro.crossbar.spec import CrossbarSpec
+from repro.crossbar.readout import SCHEMES
+from repro.crossbar.spec import CrossbarSpec, spec_with
 from repro.durable import canonical_json
 from repro.exp.designpoint import DesignPoint
-from repro.exp.pipeline import SweepParams, resolve_metrics, run_sweep
+from repro.exp.pipeline import (
+    READOUT_KINDS,
+    SEED_HELP,
+    TRACE_KINDS,
+    SweepParams,
+    resolve_metrics,
+    run_sweep,
+)
 from repro.exp.results import Record, SweepResult
 from repro.fabrication.lithography import LithographyRules
-from repro.sim.batch import (
-    DEFAULT_MAX_TRIALS_PER_CHUNK,
-    DEFAULT_STREAM_BLOCK,
-    validate_chunk,
-    validate_k_sigma,
-)
+from repro.sim.batch import DEFAULT_MAX_TRIALS_PER_CHUNK, DEFAULT_STREAM_BLOCK
 
 #: Version stamp embedded in every canonical request payload.  Bump on
 #: any change that alters the canonical form of an existing request —
 #: digests then change, so stale store entries simply stop matching.
 API_SCHEMA_VERSION = 1
 
-#: Trace kinds the workload engine accepts.
-TRACE_KINDS = ("uniform", "sequential", "zipfian", "bursty")
+#: The Monte-Carlo request kinds.
+MC_KINDS = ("cavemc", "marginmc")
 
-#: Electrical readout schemes plus the ideal-lookup sentinel.
-READOUT_KINDS = ("off", "float", "ground", "half_v")
+#: The execution knob of :func:`simulate` and :func:`memsim`: not part
+#: of any request, but declared and checked like a request field.
+CHUNK_SIZE = schema.Knob(int, ge=1, label="chunk size", flags=("--chunk-size",))
 
 
 def request_digest(request: "SweepRequest | McRequest | WorkloadRequest") -> str:
@@ -112,6 +120,28 @@ def _point_from_dict(payload: Mapping) -> DesignPoint:
     )
 
 
+def _family():
+    return schema.knob(
+        str, choices=ALL_FAMILIES, label="code family", flags=("family",)
+    )
+
+
+def _length():
+    return schema.knob(
+        int, ge=1, flags=("-M", "--length"), help="total code length (doping regions)"
+    )
+
+
+def _valence():
+    return schema.knob(
+        2, ge=2, flags=("-n", "--valence"), help="logic valence (default 2)"
+    )
+
+
+def _seed():
+    return schema.knob(0, ge=0, flags=("--seed",), help=SEED_HELP)
+
+
 def _normalize_spec(request) -> None:
     """Resolve ``spec=None`` to the calibrated defaults at construction.
 
@@ -124,11 +154,33 @@ def _normalize_spec(request) -> None:
         object.__setattr__(request, "spec", CrossbarSpec())
 
 
+class _Request:
+    """Canonical payload round-trip of a request, driven by its declared fields."""
+
+    def to_dict(self) -> dict:
+        """The canonical JSON-safe payload (result-determining fields)."""
+        return {
+            "v": API_SCHEMA_VERSION,
+            "kind": self.kind,
+            "spec": dataclasses.asdict(self.spec),
+            **schema.payload(self),
+        }
+
+    @classmethod
+    def from_dict(cls, payload: Mapping):
+        _check_payload(payload, cls)
+        spec = _spec_from_dict(payload.get("spec"))
+        return cls(**schema.values(cls, payload), spec=spec)
+
+    def canonical(self) -> str:
+        return canonical_json(self.to_dict())
+
+
 # -- sweep ---------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SweepRequest:
+class SweepRequest(_Request):
     """A design-space sweep: points x metrics on one platform spec.
 
     Parameters
@@ -160,9 +212,14 @@ class SweepRequest:
         if not self.points:
             raise ValueError("a sweep request needs at least one design point")
         resolve_metrics(self.metrics)
+        # every perturbed spec must be valid before anything is computed
+        for overrides in dict.fromkeys(p.overrides for p in self.points):
+            try:
+                spec_with(self.spec, **dict(overrides))
+            except schema.SchemaError as exc:
+                raise schema.SchemaError(exc.field, str(exc), ("--axis",)) from None
 
     def to_dict(self) -> dict:
-        """The canonical JSON-safe payload (result-determining fields)."""
         return {
             "v": API_SCHEMA_VERSION,
             "kind": self.kind,
@@ -182,189 +239,197 @@ class SweepRequest:
             params=SweepParams(**payload["params"]),
         )
 
-    def canonical(self) -> str:
-        return canonical_json(self.to_dict())
-
 
 # -- Monte-Carlo ---------------------------------------------------------------
 
 
+def _marginmc(request) -> bool:
+    return request.kind == "marginmc"
+
+
 @dataclass(frozen=True)
-class McRequest:
+class McRequest(_Request):
     """One Monte-Carlo job: cave yield or k-sigma margin yield.
 
     ``stream_block`` is part of the reproducibility contract (it fixes
     the per-block child streams a run spawns), so it is a
     result-determining field; the chunk size is not (results are
     chunk-size-invariant) and stays an execution knob of
-    :func:`simulate`.  ``k_sigma`` only enters the canonical payload
-    for ``marginmc`` — a cave-yield estimate does not depend on it.
+    :func:`simulate`.  ``k_sigma`` is active only for ``marginmc`` — a
+    cave-yield estimate does not depend on it, so it is neither checked
+    nor hashed there.
     """
 
-    kind: str
-    family: str
-    total_length: int
-    n: int = 2
-    samples: int = 256
-    seed: int = 0
-    k_sigma: float = 3.0
-    stream_block: int = DEFAULT_STREAM_BLOCK
+    kind: str = schema.knob(str, choices=MC_KINDS, label="MC request kind")
+    family: str = _family()
+    total_length: int = _length()
+    n: int = _valence()
+    samples: int = schema.knob(
+        256,
+        ge=1,
+        flags=("--samples",),
+        help="Monte-Carlo trials (batched engine scales to millions; "
+        "default %(default)s)",
+    )
+    seed: int = _seed()
+    k_sigma: float = schema.knob(
+        3.0,
+        ge=0,
+        active=_marginmc,
+        flags=("--k-sigma",),
+        help="margin criterion strictness k (default 3.0)",
+    )
+    stream_block: int = schema.knob(
+        DEFAULT_STREAM_BLOCK,
+        ge=1,
+        flags=("--stream-block",),
+        help="trials per child random stream (default %(default)s; "
+        "part of the reproducibility contract)",
+    )
     spec: CrossbarSpec | None = None
 
     def __post_init__(self) -> None:
         _normalize_spec(self)
-        if self.kind not in _kinds_of(McRequest):
-            raise ValueError(
-                f"unknown MC request kind {self.kind!r}; "
-                f"expected one of {_kinds_of(McRequest)}"
-            )
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        validate_k_sigma(self.k_sigma)
-
-    def to_dict(self) -> dict:
-        payload = {
-            "v": API_SCHEMA_VERSION,
-            "kind": self.kind,
-            "spec": dataclasses.asdict(self.spec),
-            "family": self.family,
-            "total_length": self.total_length,
-            "n": self.n,
-            "samples": self.samples,
-            "seed": self.seed,
-            "stream_block": self.stream_block,
-        }
-        if self.kind == "marginmc":
-            payload["k_sigma"] = self.k_sigma
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "McRequest":
-        _check_payload(payload, cls)
-        return cls(
-            kind=payload["kind"],
-            family=payload["family"],
-            total_length=int(payload["total_length"]),
-            n=int(payload.get("n", 2)),
-            samples=int(payload["samples"]),
-            seed=int(payload["seed"]),
-            k_sigma=float(payload.get("k_sigma", 3.0)),
-            stream_block=int(payload.get("stream_block", DEFAULT_STREAM_BLOCK)),
-            spec=_spec_from_dict(payload.get("spec")),
-        )
-
-    def canonical(self) -> str:
-        return canonical_json(self.to_dict())
+        schema.check(self)
 
 
 # -- workload ------------------------------------------------------------------
 
 
+def _electrical(request) -> bool:
+    return request.readout != "off"
+
+
 @dataclass(frozen=True)
-class WorkloadRequest:
+class WorkloadRequest(_Request):
     """One trace-driven memory-fleet job, optionally read electrically.
 
-    ``parity_bits=0`` means no ECC; any positive value enables SECDED
-    with that many parity bits.  ``readout="off"`` keeps ideal lookups;
-    the ``r_on``/``r_off``/``v_read``/``resolution`` technology knobs
-    are validated and enter the canonical payload for electrical runs
-    only.
+    ``parity_bits=0`` means no ECC; any other value enables SECDED with
+    that many parity bits, at least 2 and small enough that one code
+    block fits the array.  ``readout="off"`` keeps ideal lookups; the
+    ``r_on``/``r_off``/``v_read``/``resolution`` technology knobs are
+    active (checked and hashed) for electrical runs only.
     ``address_space=0`` sizes the logical space from the analytic
     effective-bits figure (the shared sizing rule of
     :func:`repro.workload.prepare_workload`).
     """
 
-    family: str
-    total_length: int
-    n: int = 2
-    trace: str = "zipfian"
-    accesses: int = 4096
-    instances: int = 4
-    write_fraction: float = 0.5
-    seed: int = 0
-    parity_bits: int = 0
-    error_rate: float = 0.0
-    address_space: int = 0
-    readout: str = "off"
-    r_on: float = 1.0e5
-    r_off: float = 1.0e7
-    v_read: float = 0.5
-    resolution: float = 0.0
+    family: str = _family()
+    total_length: int = _length()
+    n: int = _valence()
+    trace: str = schema.knob(
+        "zipfian",
+        choices=TRACE_KINDS,
+        label="trace kind",
+        flags=("--trace",),
+        help="synthetic trace kind (default %(default)s)",
+    )
+    accesses: int = schema.knob(
+        4096,
+        ge=1,
+        flags=("--accesses",),
+        help="trace length in accesses (default %(default)s)",
+    )
+    instances: int = schema.knob(
+        4,
+        ge=1,
+        flags=("--instances",),
+        help="sampled crossbar instances in the fleet (default %(default)s)",
+    )
+    write_fraction: float = schema.knob(
+        0.5,
+        ge=0,
+        le=1,
+        flags=("--write-fraction",),
+        help="fraction of write accesses (default %(default)s)",
+    )
+    seed: int = _seed()
+    parity_bits: int = schema.knob(
+        0,
+        ge=0,
+        flags=("--parity-bits",),
+        help="SECDED parity bits r; block 2**r (default %(default)s)",
+    )
+    error_rate: float = schema.knob(
+        0.0,
+        ge=0,
+        le=1,
+        flags=("--error-rate",),
+        help="per-stored-bit flip probability at write time",
+    )
+    address_space: int = schema.knob(
+        0,
+        ge=0,
+        flags=("--address-space",),
+        help="logical address space; 0 (default) sizes it from the analytic "
+        "effective-bits figure, so capacity shortfalls appear as access failures",
+    )
+    readout: str = schema.knob(
+        "off",
+        choices=READOUT_KINDS,
+        label="readout scheme",
+        flags=("--readout",),
+        # a bare --readout means float; leaving it out means off
+        cli={"nargs": "?", "const": "float", "default": None, "choices": SCHEMES},
+        help="resolve reads electrically through the sneak-path solver under "
+        "this biasing scheme (bare --readout means float); adds "
+        "misread/margin/ECC-masking metrics and the bank-cache statistics",
+    )
+    r_on: float = schema.knob(
+        1.0e5,
+        gt=0,
+        active=_electrical,
+        flags=("--r-on",),
+        help="crosspoint ON resistance for --readout [ohm] (default 1e5)",
+    )
+    r_off: float = schema.knob(
+        1.0e7,
+        gt=0,
+        active=_electrical,
+        flags=("--r-off",),
+        help="crosspoint OFF resistance for --readout [ohm] (default 1e7)",
+    )
+    v_read: float = schema.knob(
+        0.5,
+        gt=0,
+        active=_electrical,
+        flags=("--v-read",),
+        help="read voltage for --readout [V] (default 0.5)",
+    )
+    resolution: float = schema.knob(
+        0.0,
+        ge=0,
+        lt=1,
+        active=_electrical,
+        label="sense resolution",
+        flags=("--resolution",),
+        help="sense-amplifier resolution for --readout as a relative margin "
+        "floor in [0, 1); stored bits whose margin falls below it misread "
+        "(default 0, ideal)",
+    )
     spec: CrossbarSpec | None = None
 
     kind = "memsim"
 
     def __post_init__(self) -> None:
         _normalize_spec(self)
-        if self.trace not in TRACE_KINDS:
-            raise ValueError(
-                f"unknown trace kind {self.trace!r}; expected one of {TRACE_KINDS}"
+        schema.check(self)
+        if _electrical(self) and not self.r_off > self.r_on:
+            raise schema.error(
+                self,
+                "r_on",
+                f"r_off must exceed r_on, got r_off={self.r_off}, r_on={self.r_on}",
             )
-        if self.readout not in READOUT_KINDS:
-            raise ValueError(
-                f"unknown readout scheme {self.readout!r}; "
-                f"expected one of {READOUT_KINDS}"
+        # 2**r <= raw_bits: one SECDED block must fit the array
+        most = self.spec.raw_bits.bit_length() - 1
+        if self.parity_bits and not 2 <= self.parity_bits <= most:
+            raise schema.error(
+                self,
+                "parity_bits",
+                f"parity_bits must be 0 (no ECC) or in [2, {most}] so a SECDED "
+                f"block fits the {self.spec.raw_bits}-bit array, "
+                f"got {self.parity_bits}",
             )
-        if self.accesses < 1:
-            raise ValueError(f"accesses must be >= 1, got {self.accesses}")
-        if self.instances < 1:
-            raise ValueError(f"instances must be >= 1, got {self.instances}")
-        if self.readout != "off":
-            check_technology(self.r_on, self.r_off, self.v_read)
-            check_resolution(self.resolution)
-
-    def to_dict(self) -> dict:
-        payload = {
-            "v": API_SCHEMA_VERSION,
-            "kind": self.kind,
-            "spec": dataclasses.asdict(self.spec),
-            "family": self.family,
-            "total_length": self.total_length,
-            "n": self.n,
-            "trace": self.trace,
-            "accesses": self.accesses,
-            "instances": self.instances,
-            "write_fraction": self.write_fraction,
-            "seed": self.seed,
-            "parity_bits": self.parity_bits,
-            "error_rate": self.error_rate,
-            "address_space": self.address_space,
-            "readout": self.readout,
-        }
-        if self.readout != "off":
-            payload.update(
-                r_on=self.r_on,
-                r_off=self.r_off,
-                v_read=self.v_read,
-                resolution=self.resolution,
-            )
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "WorkloadRequest":
-        _check_payload(payload, cls)
-        return cls(
-            family=payload["family"],
-            total_length=int(payload["total_length"]),
-            n=int(payload.get("n", 2)),
-            trace=payload["trace"],
-            accesses=int(payload["accesses"]),
-            instances=int(payload["instances"]),
-            write_fraction=float(payload["write_fraction"]),
-            seed=int(payload["seed"]),
-            parity_bits=int(payload.get("parity_bits", 0)),
-            error_rate=float(payload.get("error_rate", 0.0)),
-            address_space=int(payload.get("address_space", 0)),
-            readout=payload.get("readout", "off"),
-            r_on=float(payload.get("r_on", 1.0e5)),
-            r_off=float(payload.get("r_off", 1.0e7)),
-            v_read=float(payload.get("v_read", 0.5)),
-            resolution=float(payload.get("resolution", 0.0)),
-            spec=_spec_from_dict(payload.get("spec")),
-        )
-
-    def canonical(self) -> str:
-        return canonical_json(self.to_dict())
 
 
 @dataclass(frozen=True)
@@ -476,8 +541,7 @@ _MC_CODEC = _Codec(
 #: Entry payloads are the byte format existing stores hold.
 KINDS: dict[str, _Codec] = {
     "sweep": _Codec(SweepRequest, sweep_result_to_dict, sweep_result_from_dict),
-    "cavemc": _MC_CODEC,
-    "marginmc": _MC_CODEC,
+    **{kind: _MC_CODEC for kind in MC_KINDS},
     "memsim": _Codec(
         WorkloadRequest,
         lambda result: {"workload": result.to_dict()},
@@ -601,7 +665,7 @@ def simulate(
     store entries are shared across chunk sizes.  It is validated
     before the store is read, so a bad value fails hit or miss.
     """
-    validate_chunk(chunk_size)
+    CHUNK_SIZE.check("chunk_size", chunk_size)
     return _through_store(
         store,
         request,
@@ -664,7 +728,7 @@ def memsim(
     read; only the ``cache`` statistics section reflects the run that
     populated the store.
     """
-    validate_chunk(chunk_size)
+    CHUNK_SIZE.check("chunk_size", chunk_size)
     return _through_store(
         store,
         request,

@@ -13,8 +13,9 @@ The cave count and nanowires per half cave follow from ``D_RAW``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from repro import schema
 from repro.device.variability import DEFAULT_SIGMA_T
 from repro.fabrication.lithography import LithographyRules
 
@@ -43,25 +44,44 @@ class CrossbarSpec:
         Addressability-window margin passed to the VT level scheme.
     """
 
-    raw_kilobytes: float = DEFAULT_RAW_KILOBYTES
-    nanowires_per_half_cave: int = DEFAULT_NANOWIRES_PER_HALF_CAVE
+    # at least one raw bit, and raw_bits exact in a double (<= 2**53)
+    raw_kilobytes: float = schema.knob(
+        DEFAULT_RAW_KILOBYTES,
+        ge=1 / 8192,
+        le=2.0**40,
+        label="raw density",
+        flags=("--raw-kb",),
+        help="raw crossbar density in kB (default 16)",
+    )
+    nanowires_per_half_cave: int = schema.knob(
+        DEFAULT_NANOWIRES_PER_HALF_CAVE,
+        ge=1,
+        label="nanowires per half cave",
+        flags=("--nanowires",),
+        help="nanowires per half cave (default 20)",
+        override="nanowires",
+    )
     rules: LithographyRules = field(default_factory=LithographyRules)
-    sigma_t: float = DEFAULT_SIGMA_T
-    window_margin: float = 1.0
+    sigma_t: float = schema.knob(
+        DEFAULT_SIGMA_T,
+        gt=0,
+        label="sigma_T",
+        flags=("--sigma-t",),
+        help="per-dose VT std deviation in V (default 0.05)",
+        override="sigma_t",
+    )
+    window_margin: float = schema.knob(
+        1.0,
+        gt=0,
+        le=1,
+        label="window margin",
+        flags=("--window-margin",),
+        help="addressability window margin (default 1.0)",
+        override="window_margin",
+    )
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.raw_kilobytes) and self.raw_kilobytes > 0):
-            raise ValueError(
-                f"raw density must be finite and positive, got {self.raw_kilobytes}"
-            )
-        if self.nanowires_per_half_cave < 1:
-            raise ValueError("need at least one nanowire per half cave")
-        if not (math.isfinite(self.sigma_t) and self.sigma_t > 0):
-            raise ValueError(f"sigma_T must be finite and positive, got {self.sigma_t}")
-        if not 0 < self.window_margin <= 1:
-            raise ValueError(
-                f"window margin must be in (0, 1], got {self.window_margin}"
-            )
+        schema.check(self)
 
     @property
     def raw_bits(self) -> int:
@@ -82,3 +102,46 @@ class CrossbarSpec:
     def caves_per_layer(self) -> int:
         """Caves per layer (two half caves each)."""
         return math.ceil(self.half_caves_per_layer / 2)
+
+
+_SPEC_OVERRIDES = schema.overrides(CrossbarSpec)
+_RULE_OVERRIDES = schema.overrides(LithographyRules)
+
+#: Every spec parameter a design point may override, as the schema names
+#: them; ``DesignPoint.make`` and :func:`spec_with` validate against it.
+SPEC_OVERRIDE_KEYS = (*_SPEC_OVERRIDES, *_RULE_OVERRIDES)
+
+
+def validate_override_keys(keys) -> None:
+    """Raise ``ValueError`` for any name outside :data:`SPEC_OVERRIDE_KEYS`."""
+    unknown = sorted(set(keys) - set(SPEC_OVERRIDE_KEYS))
+    if unknown:
+        raise ValueError(
+            f"unknown spec override(s) {unknown}; expected a subset of "
+            f"{sorted(SPEC_OVERRIDE_KEYS)}"
+        )
+
+
+def spec_with(base: CrossbarSpec | None = None, **overrides) -> CrossbarSpec:
+    """``base`` (default: the calibrated spec) with spec overrides applied.
+
+    The one override path: the ablation benches, the memoized
+    :func:`repro.exp.cache.cached_spec` of every design point and the
+    sweep request's check all land here.  ``None`` leaves a knob alone;
+    the rebuilt spec checks every value.
+    """
+    validate_override_keys(overrides)
+    base = base or CrossbarSpec()
+    changes = {
+        _SPEC_OVERRIDES[k]: v
+        for k, v in overrides.items()
+        if k in _SPEC_OVERRIDES and v is not None
+    }
+    rules = {
+        _RULE_OVERRIDES[k]: v
+        for k, v in overrides.items()
+        if k in _RULE_OVERRIDES and v is not None
+    }
+    if rules:
+        changes["rules"] = replace(base.rules, **rules)
+    return replace(base, **changes) if changes else base

@@ -20,7 +20,7 @@ from repro.dist.manifest import (
     write_job,
 )
 from repro.dist.merge import job_telemetry, merge_results
-from repro.dist.planner import plan_mc_shards, plan_sweep_shards
+from repro.dist.planner import plan_mc_shards, plan_request, plan_sweep_shards
 from repro.dist.runner import run_shard, run_shard_file
 from repro.dist.spec import (
     ShardPlan,
@@ -46,6 +46,7 @@ __all__ = [
     "merge_results",
     "pending_shards",
     "plan_mc_shards",
+    "plan_request",
     "plan_sweep_shards",
     "record_completion",
     "run_shard",

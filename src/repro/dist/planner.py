@@ -30,18 +30,22 @@ from repro.api import McRequest, SweepRequest
 from repro.crossbar.spec import CrossbarSpec
 from repro.exp.designpoint import DesignPoint
 from repro.exp.pipeline import SweepParams
-from repro.sim.batch import (
-    DEFAULT_STREAM_BLOCK,
-    total_blocks,
-    validate_samples,
-    validate_stream_block,
-)
+from repro.sim.batch import DEFAULT_STREAM_BLOCK, total_blocks
 
 from repro.dist.spec import ShardPlan, ShardSpec, content_key, split_even
 
 
-def _plan(request: SweepRequest | McRequest, units: int, shards: int) -> ShardPlan:
-    """Split ``units`` rows or blocks of ``request`` into contiguous shards."""
+def plan_request(request: SweepRequest | McRequest, *, shards: int) -> ShardPlan:
+    """Split a sweep's rows or an MC request's stream blocks into shards.
+
+    ``shards`` is a ceiling: a job with fewer units than the requested
+    shard count plans one shard per unit, so a shard never splits a
+    design point or a stream block (the reproducibility unit).
+    """
+    if isinstance(request, SweepRequest):
+        units = len(request.points)
+    else:
+        units = total_blocks(request.samples, request.stream_block)
     payload = request.to_dict()
     ranges = split_even(units, shards)
     key = content_key({"request": payload, "shards": len(ranges)})
@@ -62,15 +66,11 @@ def plan_sweep_shards(
     spec: CrossbarSpec | None = None,
     params: SweepParams = SweepParams(),
 ) -> ShardPlan:
-    """Split a design-point grid into contiguous row-run shards.
-
-    ``shards`` is a ceiling: a grid smaller than the requested shard
-    count plans one shard per point.
-    """
+    """Split a design-point grid into contiguous row-run shards."""
     request = SweepRequest(
         points=tuple(points), metrics=metrics, spec=spec, params=params
     )
-    return _plan(request, len(request.points), shards)
+    return plan_request(request, shards=shards)
 
 
 def plan_mc_shards(
@@ -89,19 +89,17 @@ def plan_mc_shards(
     """Split one design's MC trial budget into stream-block-range shards.
 
     ``kind`` is ``"marginmc"`` (k-sigma margin yield) or ``"cavemc"``
-    (cave yield).  ``shards`` is a ceiling: a budget spanning fewer
-    stream blocks than the requested shard count plans one shard per
-    block, so a shard never splits a block (the reproducibility unit).
+    (cave yield).
     """
     request = McRequest(
         kind=kind,
         family=family.strip().upper(),
         total_length=int(total_length),
         n=int(n),
-        samples=validate_samples(samples),
+        samples=int(samples),
         seed=int(seed),
         k_sigma=float(k_sigma),
-        stream_block=validate_stream_block(stream_block),
+        stream_block=int(stream_block),
         spec=spec,
     )
-    return _plan(request, total_blocks(request.samples, request.stream_block), shards)
+    return plan_request(request, shards=shards)

@@ -10,14 +10,13 @@ memoized construction (:mod:`repro.exp.cache`) and a columnar
 pipeline").
 """
 
+from repro.crossbar.spec import SPEC_OVERRIDE_KEYS, validate_override_keys
 from repro.exp.cache import (
     cache_stats,
     cached_spec,
     clear_caches,
-    validate_override_keys,
 )
 from repro.exp.designpoint import (
-    SPEC_OVERRIDE_KEYS,
     DesignPoint,
     design_grid,
 )

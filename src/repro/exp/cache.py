@@ -26,47 +26,13 @@ across worker processes and shards).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import lru_cache
 
 from repro import obs
 from repro.codes.registry import make_code
-from repro.crossbar.spec import CrossbarSpec
+from repro.crossbar.spec import CrossbarSpec, spec_with
 from repro.crossbar.yield_model import decoder_for
 from repro.decoder.decoder import FABRICATION_CACHES
-
-#: Override names living on the lithography-rules sub-spec.
-_RULE_FIELDS = ("contact_gap_factor", "alignment_tolerance_nm")
-
-#: Override name -> CrossbarSpec field for the remaining knobs.
-_SPEC_FIELDS = {
-    "window_margin": "window_margin",
-    "sigma_t": "sigma_t",
-    "nanowires": "nanowires_per_half_cave",
-}
-
-#: Every spec parameter a design point may override — the single source
-#: of truth; ``DesignPoint.make`` validates against this tuple, and the
-#: knob set mirrors :func:`repro.analysis.sweeps.spec_with` (which sits
-#: above this layer).
-SPEC_OVERRIDE_KEYS = (*_SPEC_FIELDS, *_RULE_FIELDS)
-
-
-def validate_override_keys(keys) -> None:
-    """Raise ``ValueError`` for any name outside :data:`SPEC_OVERRIDE_KEYS`.
-
-    The one validation (and one error message) shared by every
-    override entry point: ``DesignPoint.make``, the :func:`cached_spec`
-    lru boundary (which deserialised points from shard files or api
-    payloads reach without going through ``make``), and anything else
-    accepting override mappings.
-    """
-    unknown = sorted(set(keys) - set(SPEC_OVERRIDE_KEYS))
-    if unknown:
-        raise ValueError(
-            f"unknown spec override(s) {unknown}; expected a subset of "
-            f"{sorted(SPEC_OVERRIDE_KEYS)}"
-        )
 
 
 @lru_cache(maxsize=1024)
@@ -76,23 +42,16 @@ def cached_spec(
 ) -> CrossbarSpec:
     """The base spec with a design point's overrides applied, memoized.
 
-    Matches ``repro.analysis.sweeps.spec_with`` (which sits above this
-    layer) knob for knob.  A grid typically crosses a handful of spec
+    :func:`repro.crossbar.spec.spec_with` applies (and validates) the
+    overrides.  A grid typically crosses a handful of spec
     perturbations with many code points, so every perturbed spec is
     requested once per code — memoizing keeps one canonical instance
     per perturbation, which in turn makes the decoder cache key
-    identical across those requests.  Overrides are validated here as
-    well as in ``DesignPoint.make`` — points built directly (shard
-    files, api payloads) hit this lru boundary first.
+    identical across those requests.  Points built directly (shard
+    files, api payloads) reach this lru boundary without going through
+    ``DesignPoint.make``, so unknown names fail here too.
     """
-    if not overrides:
-        return base
-    validate_override_keys(k for k, _ in overrides)
-    rule_changes = {k: v for k, v in overrides if k in _RULE_FIELDS}
-    spec_changes = {_SPEC_FIELDS[k]: v for k, v in overrides if k in _SPEC_FIELDS}
-    if rule_changes:
-        spec_changes["rules"] = replace(base.rules, **rule_changes)
-    return replace(base, **spec_changes)
+    return spec_with(base, **dict(overrides)) if overrides else base
 
 
 def cache_stats() -> dict[str, dict[str, int]]:

@@ -15,8 +15,8 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.codes.base import CodeError, CodeSpace
 from repro.codes.registry import ALL_FAMILIES, make_code
-from repro.crossbar.spec import CrossbarSpec
-from repro.exp.cache import SPEC_OVERRIDE_KEYS, cached_spec, validate_override_keys
+from repro.crossbar.spec import CrossbarSpec, validate_override_keys
+from repro.exp.cache import cached_spec
 
 
 @dataclass(frozen=True, order=True)
@@ -33,8 +33,8 @@ class DesignPoint:
         Logic valence.
     overrides:
         Sorted ``(name, value)`` pairs of spec parameters this point
-        perturbs (see :data:`SPEC_OVERRIDE_KEYS`); kept as a tuple so
-        the point stays hashable.
+        perturbs (see :data:`repro.crossbar.spec.SPEC_OVERRIDE_KEYS`);
+        kept as a tuple so the point stays hashable.
     """
 
     family: str

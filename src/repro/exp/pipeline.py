@@ -26,15 +26,26 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from repro import obs
+from repro import obs, schema
 from repro.codes.base import CodeSpace
 from repro.crossbar.area import effective_bit_area
-from repro.crossbar.readout import check_resolution, check_technology
+from repro.crossbar.readout import SCHEMES
 from repro.crossbar.spec import CrossbarSpec
 from repro.crossbar.yield_model import crossbar_yield, decoder_for
 from repro.exp.designpoint import DesignPoint
 from repro.exp.results import Record, SweepResult
-from repro.sim.batch import validate_k_sigma
+
+#: Trace kinds the workload engine accepts.
+TRACE_KINDS = ("uniform", "sequential", "zipfian", "bursty")
+
+#: Electrical readout schemes plus the ideal-lookup sentinel.
+READOUT_KINDS = ("off", *SCHEMES)
+
+#: The one help string of every ``--seed`` option.
+SEED_HELP = (
+    "root seed; results are deterministic per seed and independent "
+    "of --jobs and --chunk-size"
+)
 
 
 @dataclass(frozen=True)
@@ -54,30 +65,114 @@ class SweepParams:
     sense-amplifier floor.
     """
 
-    mc_samples: int = 256
-    mc_seed: int = 0
-    mc_chunk: int = 65_536
-    k_sigma: float = 3.0
-    wl_trace: str = "zipfian"
-    wl_accesses: int = 4096
-    wl_instances: int = 4
-    wl_write_fraction: float = 0.5
-    wl_seed: int = 0
-    wl_ecc: bool = False
-    wl_error_rate: float = 0.0
-    wl_address_space: int = 0
-    wl_readout: str = "off"
-    wl_resolution: float = 0.0
-    ro_r_on: float = 1.0e5
-    ro_r_off: float = 1.0e7
-    ro_v_read: float = 0.5
-    ro_min_margin: float = 0.5
-    ro_bank_limit: int = 256
+    mc_samples: int = schema.knob(
+        256,
+        ge=1,
+        flags=("--mc-samples",),
+        help="trials per point for the montecarlo and marginmc metrics",
+    )
+    mc_seed: int = schema.knob(
+        0,
+        ge=0,
+        flags=("--mc-seed",),
+        cli={"default": None},
+        help="override the montecarlo root seed (default: --seed)",
+    )
+    mc_chunk: int = schema.knob(65_536, ge=1)
+    k_sigma: float = schema.knob(
+        3.0,
+        ge=0,
+        flags=("--k-sigma",),
+        help="criterion strictness k for the margins and marginmc metrics "
+        "(default 3.0)",
+    )
+    wl_trace: str = schema.knob(
+        "zipfian",
+        choices=TRACE_KINDS,
+        label="trace kind",
+        flags=("--wl-trace",),
+        help="trace kind for the workload metric (default zipfian)",
+    )
+    wl_accesses: int = schema.knob(
+        4096,
+        ge=1,
+        flags=("--wl-accesses",),
+        help="trace length per point for the workload metric",
+    )
+    wl_instances: int = schema.knob(
+        4,
+        ge=1,
+        flags=("--wl-instances",),
+        help="sampled crossbar instances per point for the workload metric",
+    )
+    wl_write_fraction: float = schema.knob(0.5, ge=0, le=1)
+    wl_seed: int = schema.knob(0, ge=0, flags=("--seed",), help=SEED_HELP)
+    wl_ecc: bool = schema.knob(
+        False,
+        flags=("--wl-ecc",),
+        help="protect the workload metric's payloads with SECDED",
+    )
+    wl_error_rate: float = schema.knob(
+        0.0,
+        ge=0,
+        le=1,
+        flags=("--wl-error-rate",),
+        help="per-stored-bit write-error probability for the workload metric "
+        "(pairs with --wl-ecc to exercise corrected/uncorrectable counts)",
+    )
+    wl_address_space: int = schema.knob(0, ge=0)
+    wl_readout: str = schema.knob(
+        "off",
+        choices=READOUT_KINDS,
+        label="readout scheme",
+        flags=("--wl-readout",),
+        help="resolve the workload metric's reads electrically under this "
+        "biasing scheme (default off: ideal lookups); reuses the "
+        "--ro-r-on/--ro-r-off crosspoint technology",
+    )
+    wl_resolution: float = schema.knob(
+        0.0,
+        ge=0,
+        lt=1,
+        label="sense resolution",
+        flags=("--wl-resolution",),
+        help="sense-amplifier resolution for --wl-readout as a relative margin "
+        "floor in [0, 1) (default 0)",
+    )
+    ro_r_on: float = schema.knob(
+        1.0e5,
+        gt=0,
+        flags=("--ro-r-on",),
+        help="crosspoint ON resistance for the readout metric [ohm] (default 1e5)",
+    )
+    ro_r_off: float = schema.knob(
+        1.0e7,
+        gt=0,
+        flags=("--ro-r-off",),
+        help="crosspoint OFF resistance for the readout metric [ohm] "
+        "(default 1e7)",
+    )
+    ro_v_read: float = schema.knob(0.5, gt=0)
+    ro_min_margin: float = schema.knob(
+        0.5,
+        gt=0,
+        lt=1,
+        label="margin floor",
+        flags=("--ro-min-margin",),
+        help="sense-margin floor for the readout metric's max-bank-size figure "
+        "(default 0.5)",
+    )
+    ro_bank_limit: int = schema.knob(256, ge=1)
 
     def __post_init__(self) -> None:
-        validate_k_sigma(self.k_sigma)
-        check_technology(self.ro_r_on, self.ro_r_off, self.ro_v_read)
-        check_resolution(self.wl_resolution)
+        schema.check(self)
+        if not self.ro_r_off > self.ro_r_on:
+            raise schema.error(
+                self,
+                "ro_r_on",
+                f"r_off must exceed r_on, got r_off={self.ro_r_off}, "
+                f"r_on={self.ro_r_on}",
+            )
 
 
 #: Evaluator signature: (spec, code, params) -> metric columns.

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro import schema
+
 #: The paper's lithography pitch [nm].
 DEFAULT_LITHO_PITCH_NM = 32.0
 
@@ -46,24 +48,29 @@ class LithographyRules:
         widens the ambiguous zone by this much on each side of a gap.
     """
 
-    litho_pitch_nm: float = DEFAULT_LITHO_PITCH_NM
-    nanowire_pitch_nm: float = DEFAULT_NANOWIRE_PITCH_NM
-    min_contact_width_factor: float = MIN_CONTACT_WIDTH_FACTOR
-    contact_gap_factor: float = 1.0
-    alignment_tolerance_nm: float = 5.0
+    litho_pitch_nm: float = schema.knob(DEFAULT_LITHO_PITCH_NM, gt=0)
+    nanowire_pitch_nm: float = schema.knob(DEFAULT_NANOWIRE_PITCH_NM, gt=0)
+    min_contact_width_factor: float = schema.knob(MIN_CONTACT_WIDTH_FACTOR, gt=0)
+    contact_gap_factor: float = schema.knob(
+        1.0,
+        ge=0,
+        flags=("--contact-gap",),
+        help="contact dead gap in litho pitches (default 1.0)",
+        override="contact_gap_factor",
+    )
+    alignment_tolerance_nm: float = schema.knob(
+        5.0, ge=0, override="alignment_tolerance_nm"
+    )
 
     def __post_init__(self) -> None:
-        if self.litho_pitch_nm <= 0 or self.nanowire_pitch_nm <= 0:
-            raise ValueError("pitches must be positive")
+        schema.check(self)
         if self.nanowire_pitch_nm > self.litho_pitch_nm:
-            raise ValueError(
+            raise schema.error(
+                self,
+                "nanowire_pitch_nm",
                 "nanowire pitch must not exceed the lithographic pitch "
-                f"({self.nanowire_pitch_nm} > {self.litho_pitch_nm} nm)"
+                f"({self.nanowire_pitch_nm} > {self.litho_pitch_nm} nm)",
             )
-        if self.min_contact_width_factor <= 0 or self.contact_gap_factor < 0:
-            raise ValueError("contact width/gap factors must be non-negative")
-        if self.alignment_tolerance_nm < 0:
-            raise ValueError("alignment tolerance must be non-negative")
 
     @property
     def min_contact_width_nm(self) -> float:
