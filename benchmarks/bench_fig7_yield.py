@@ -14,7 +14,7 @@ import pytest
 from repro.analysis.figures import fig7_crossbar_yield
 from repro.analysis.report import render_table
 from repro.codes import make_code
-from repro.sim import simulate_cave_yield_batched
+from repro.crossbar.montecarlo import simulate_cave_yield
 
 
 def test_fig7_yield(benchmark, emit, spec):
@@ -57,7 +57,7 @@ def test_fig7_points_match_batched_montecarlo(emit, spec):
     for family, length in [("TC", 8), ("BGC", 10), ("AHC", 6)]:
         code = make_code(family, 2, length)
         analytic = dict(curves[family])[length]
-        mc = simulate_cave_yield_batched(spec, code, samples=20_000, seed=29)
+        mc = simulate_cave_yield(spec, code, samples=20_000, seed=29)
         rows.append(
             [
                 f"{family}/{length}",

@@ -37,10 +37,10 @@ import pytest
 
 from repro.analysis.report import render_table
 from repro.codes import make_code
+from repro.crossbar.montecarlo import simulate_cave_yield
 from repro.crossbar.yield_model import crossbar_yield, decoder_for
 from repro.decoder.addressing import sampled_addressable_mask
 from repro.device.variability import sample_region_vt
-from repro.sim import simulate_cave_yield_batched
 from tests.oracles.montecarlo import simulate_cave_yield_loop
 
 TRIALS = int(os.environ.get("SIM_BENCH_TRIALS", 100_000))
@@ -121,7 +121,7 @@ def _interleaved_rates(spec, code):
         loop_time += time.perf_counter() - start
         loop_done += seg
         start = time.perf_counter()
-        simulate_cave_yield_batched(spec, code, samples=TRIALS, seed=0)
+        simulate_cave_yield(spec, code, samples=TRIALS, seed=0)
         batched_time += time.perf_counter() - start
         batched_done += TRIALS
     return loop_done / loop_time, batched_done / batched_time
@@ -131,7 +131,7 @@ def _measure_point(spec, family, length, loop_trials, interleaved=False):
     """One comparison row: seed loop, hoisted loop, batched engine."""
     code = make_code(family, 2, length)
     # warm-up both paths (imports, allocator, caches)
-    simulate_cave_yield_batched(spec, code, samples=1000, seed=0)
+    simulate_cave_yield(spec, code, samples=1000, seed=0)
     _seed_simulate_cave_yield(spec, code, min(200, loop_trials), seed=0)
 
     if interleaved:
@@ -142,7 +142,7 @@ def _measure_point(spec, family, length, loop_trials, interleaved=False):
             loop_trials,
         )
         batched_rate = _best_rate(
-            lambda: simulate_cave_yield_batched(
+            lambda: simulate_cave_yield(
                 spec, code, samples=TRIALS, seed=0
             ),
             TRIALS,
@@ -153,7 +153,7 @@ def _measure_point(spec, family, length, loop_trials, interleaved=False):
         ),
         min(loop_trials, 4_000),
     )
-    mc = simulate_cave_yield_batched(spec, code, samples=TRIALS, seed=0)
+    mc = simulate_cave_yield(spec, code, samples=TRIALS, seed=0)
     return {
         "loop_trials": loop_trials,
         "loop_trials_per_s": loop_rate,

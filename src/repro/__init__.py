@@ -57,11 +57,7 @@ from repro.crossbar import (
 from repro.decoder import HalfCaveDecoder
 from repro.exp import DesignPoint, SweepResult, design_grid, run_sweep
 from repro.fabrication import DopingPlan, ProcessFlow, fabrication_complexity
-from repro.sim import (
-    MonteCarloEngine,
-    StreamingMoments,
-    simulate_cave_yield_batched,
-)
+from repro.sim import MonteCarloEngine, StreamingMoments
 from repro.workload import MemoryFleet, Trace, make_trace
 
 __version__ = "1.0.0"
@@ -97,5 +93,4 @@ __all__ = [
     "run_sweep",
     "sample_defect_map",
     "simulate_cave_yield",
-    "simulate_cave_yield_batched",
 ]

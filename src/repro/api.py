@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from repro import schema
-from repro.codes.registry import ALL_FAMILIES
+from repro.codes.registry import ALL_FAMILIES, design_error, make_code
 from repro.crossbar.montecarlo import (
     MonteCarloMarginYield,
     MonteCarloYield,
@@ -212,6 +212,10 @@ class SweepRequest(_Request):
         if not self.points:
             raise ValueError("a sweep request needs at least one design point")
         resolve_metrics(self.metrics)
+        for p in self.points:
+            if why := design_error(p.family, p.n, p.total_length):
+                message = f"design point {p.label} (n={p.n}): {why}"
+                raise schema.SchemaError("total_length", message, ("--lengths",))
         # every perturbed spec must be valid before anything is computed
         for overrides in dict.fromkeys(p.overrides for p in self.points):
             try:
@@ -291,6 +295,9 @@ class McRequest(_Request):
     def __post_init__(self) -> None:
         _normalize_spec(self)
         schema.check(self)
+        if why := design_error(self.family, self.n, self.total_length):
+            # cross-field rule: the family must realise the design
+            raise schema.error(self, "total_length", why)
 
 
 # -- workload ------------------------------------------------------------------
@@ -414,6 +421,9 @@ class WorkloadRequest(_Request):
     def __post_init__(self) -> None:
         _normalize_spec(self)
         schema.check(self)
+        if why := design_error(self.family, self.n, self.total_length):
+            # cross-field rule: the family must realise the design
+            raise schema.error(self, "total_length", why)
         if _electrical(self) and not self.r_off > self.r_on:
             raise schema.error(
                 self,
@@ -680,8 +690,6 @@ def mc_kernel(request: McRequest):
     behind :func:`simulate`; the :mod:`repro.dist` shard runner feeds
     its stream blocks to this kernel and the merger summarises with it.
     """
-    from repro.codes.registry import make_code
-
     code = make_code(request.family, request.n, request.total_length)
     k_sigma = request.k_sigma if request.kind == "marginmc" else None
     return yield_kernel(request.spec, code, k_sigma)
@@ -690,8 +698,6 @@ def mc_kernel(request: McRequest):
 def _simulate_direct(
     request: McRequest, *, chunk_size: int
 ) -> MonteCarloYield | MonteCarloMarginYield:
-    from repro.codes.registry import make_code
-
     spec = request.spec
     code = make_code(request.family, request.n, request.total_length)
     if request.kind == "marginmc":
@@ -737,7 +743,6 @@ def memsim(
 
 
 def _memsim_direct(request: WorkloadRequest, *, chunk_size: int) -> WorkloadResult:
-    from repro.codes.registry import make_code
     from repro.crossbar.ecc import SecdedCode
     from repro.workload import (
         ELECTRICAL_METRICS,

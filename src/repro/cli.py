@@ -1081,8 +1081,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     streams the events as JSONL.  stdout is never touched by telemetry.
     A request field the schema rejects or a non-physical readout
     technology ends as one ``repro[ <cmd>]: error:`` line with exit 2,
-    before any store access or compute.  A design its code family cannot
-    realise (``TC -M 5``) ends the same way once the engine builds it.
+    before any store access or compute; so does a design its code family
+    cannot realise (``TC -M 5``).
     """
     parser = build_parser()
     args = parser.parse_args(argv)

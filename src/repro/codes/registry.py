@@ -55,12 +55,32 @@ def make_code(family: str, n: int, total_length: int) -> CodeSpace:
         families require it even (reflection); hot families require it to
         be a multiple of ``n``.
     """
+    why = design_error(family, n, total_length)
+    if why is not None:
+        raise CodeError(why)
+    return _build_code(family.strip().upper(), int(n), int(total_length))
+
+
+def design_error(family: str, n: int, total_length: int) -> str | None:
+    """Why ``family`` cannot realise a valence-``n`` code of length ``M``,
+    or None — decided without building the code.
+
+    The builders' admissibility rule: tree-derived families are used in
+    reflected form, so ``M`` must be even; hot families need ``n | M``.
+    Building is no check for a request (a BGC code of ``M = 12`` takes
+    seconds, ``M = 2**70`` never finishes); a design that passes can
+    still fail in a builder's bounded search, far beyond the paper's
+    code sizes.
+    """
     key = family.strip().upper()
     if key not in _BUILDERS:
-        raise CodeError(
-            f"unknown code family {family!r}; expected one of {ALL_FAMILIES}"
-        )
-    return _build_code(key, int(n), int(total_length))
+        return f"unknown code family {family!r}; expected one of {ALL_FAMILIES}"
+    if key in TREE_FAMILIES and total_length % 2:
+        kind = "tree" if key == "TC" else "Gray"
+        return f"reflected {kind} codes need an even total length, got {total_length}"
+    if key in HOT_FAMILIES and total_length % n:
+        return f"hot codes need M divisible by n, got M={total_length}, n={n}"
+    return None
 
 
 @lru_cache(maxsize=None)

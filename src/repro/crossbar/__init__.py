@@ -31,7 +31,6 @@ from repro.crossbar.montecarlo import (
     sample_electrical_mask,
     sample_geometric_mask,
     simulate_cave_yield,
-    simulate_halfcave_yield,
     simulate_margin_yield,
 )
 from repro.crossbar.wire_test import (
@@ -92,6 +91,5 @@ __all__ = [
     "sample_geometric_mask",
     "sample_layer_mask",
     "simulate_cave_yield",
-    "simulate_halfcave_yield",
     "simulate_margin_yield",
 ]

@@ -23,12 +23,7 @@ from repro.codes.base import CodeSpace
 from repro.crossbar.spec import CrossbarSpec
 from repro.crossbar.yield_model import decoder_for
 from repro.decoder.decoder import HalfCaveDecoder
-from repro.sim.batch import (
-    DEFAULT_MAX_TRIALS_PER_CHUNK,
-    DEFAULT_STREAM_BLOCK,
-    validate_chunk,
-    validate_samples,
-)
+from repro.sim.batch import DEFAULT_MAX_TRIALS_PER_CHUNK, DEFAULT_STREAM_BLOCK
 
 
 @dataclass(frozen=True)
@@ -131,6 +126,21 @@ def sample_geometric_mask(
     return masks[0] if trials is None else masks
 
 
+def _simulate_yield(
+    kernel, samples, seed, max_trials_per_chunk, stream_block
+) -> MonteCarloYield | MonteCarloMarginYield:
+    """Run a :func:`yield_kernel` on the chunked engine; its result object."""
+    from repro.sim.engine import MonteCarloEngine
+
+    engine = MonteCarloEngine(
+        kernel,
+        max_trials_per_chunk=max_trials_per_chunk,
+        stream_block=stream_block,
+    )
+    result = engine.run(samples, seed)
+    return yield_result(kernel, result.samples, result.metrics)
+
+
 def simulate_cave_yield(
     spec: CrossbarSpec,
     space: CodeSpace,
@@ -142,42 +152,17 @@ def simulate_cave_yield(
 ) -> MonteCarloYield:
     """Monte-Carlo estimate of the half-cave yield for one code.
 
-    Runs the chunked engine
-    (:func:`repro.sim.engine.simulate_cave_yield_batched`).  The seed's
-    per-trial loop, which draws from a single ``default_rng(seed)``
-    stream, is kept with the test oracles as a golden fixture: the two
-    agree within Monte-Carlo error but use different stream layouts.
+    Runs the decoder's :class:`repro.sim.engine.CaveYieldKernel` on the
+    chunked engine: results are reproducible for a given ``(seed,
+    stream_block)`` independent of ``max_trials_per_chunk``.  The
+    seed's per-trial loop, which draws from a single
+    ``default_rng(seed)`` stream, is kept with the test oracles as a
+    golden fixture: the two agree within Monte-Carlo error but use
+    different stream layouts.
     """
-    from repro.sim.engine import simulate_cave_yield_batched
-
-    validate_samples(samples)
-    validate_chunk(max_trials_per_chunk)
-    return simulate_cave_yield_batched(
-        spec,
-        space,
-        samples=samples,
-        seed=seed,
-        max_trials_per_chunk=max_trials_per_chunk,
-        stream_block=stream_block,
+    return _simulate_yield(
+        yield_kernel(spec, space), samples, seed, max_trials_per_chunk, stream_block
     )
-
-
-def simulate_halfcave_yield(
-    spec: CrossbarSpec,
-    space: CodeSpace,
-    samples: int = 200,
-    seed: int = 0,
-    **kwargs,
-) -> MonteCarloYield:
-    """Alias for the half-cave yield simulation.
-
-    A half cave is the unit the cave-yield Monte-Carlo samples, so
-    both names are accepted.  The call is routed straight through
-    :func:`simulate_cave_yield`: the default execution path, the
-    stderr/SEM guards (``stderr == 0.0`` at one sample) and the
-    seeding semantics are exactly those of :func:`simulate_cave_yield`.
-    """
-    return simulate_cave_yield(spec, space, samples=samples, seed=seed, **kwargs)
 
 
 # -- k-sigma margin yield (sense-margin criterion of ref [2]) ------------------
@@ -233,15 +218,10 @@ def simulate_margin_yield(
     oracle, so the two produce *identical* sampled yields, and neither
     depends on ``max_trials_per_chunk``.
     """
-    from repro.sim.engine import MonteCarloEngine
-
-    validate_samples(samples)
-    validate_chunk(max_trials_per_chunk)
-    kernel = yield_kernel(spec, space, k_sigma)
-    engine = MonteCarloEngine(
-        kernel,
-        max_trials_per_chunk=max_trials_per_chunk,
-        stream_block=stream_block,
+    return _simulate_yield(
+        yield_kernel(spec, space, k_sigma),
+        samples,
+        seed,
+        max_trials_per_chunk,
+        stream_block,
     )
-    result = engine.run(samples, seed)
-    return yield_result(kernel, result.samples, result.metrics)

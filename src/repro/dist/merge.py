@@ -10,10 +10,9 @@ The merge contract is **byte identity**, not statistical agreement:
   constructor fed the same records in the same order.
 * **marginmc / cavemc** — shard files store one ``(count, mean, M2)``
   moment state per stream block.  The merger folds the states in
-  global block order with :meth:`StreamingMoments.merge`, which is the
-  identical ``_combine`` call sequence a single-host
-  :class:`repro.sim.engine.MonteCarloEngine` run performs (one
-  combine per block batch).  Chan's combine is not reordering-exact in
+  global block order with :meth:`MomentSet.fold`, the call a
+  single-host :class:`repro.sim.engine.MonteCarloEngine` run folds the
+  same block states with.  Chan's combine is not reordering-exact in
   floating point, so per-block granularity — not per-shard aggregates —
   is what makes the merged mean/std bit-equal for *any* shard count.
   The result object comes from
@@ -29,7 +28,7 @@ from pathlib import Path
 from repro import api
 from repro.crossbar.montecarlo import yield_result
 from repro.exp.results import SweepResult
-from repro.sim.accumulators import StreamingMoments
+from repro.sim.accumulators import MomentSet
 
 from repro.dist.manifest import load_job, pending_shards, results_dir_for
 from repro.dist.spec import ShardPlan
@@ -100,12 +99,12 @@ def merge_results(job_dir: str | Path):
             [r for doc in results for r in doc["data"]["records"]]
         )
     kernel = api.mc_kernel(request)
-    acc = {name: StreamingMoments() for name in kernel.metrics}
+    acc = MomentSet(kernel.metrics)
     for doc in results:
-        for name in kernel.metrics:
-            for state in doc["data"]["metrics"][name]:
-                acc[name].merge(StreamingMoments.from_state(*state))
-    for name, moments in acc.items():
+        per_metric = [doc["data"]["metrics"][name] for name in kernel.metrics]
+        for states in zip(*per_metric):
+            acc.fold(dict(zip(kernel.metrics, states)))
+    for name, moments in acc.moments.items():
         if moments.count != request.samples:
             raise ValueError(
                 f"merged {name} covers {moments.count} trials, expected "

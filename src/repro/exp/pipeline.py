@@ -269,9 +269,9 @@ def _eval_montecarlo(
     only on (spec, code, params) — never on its position in the grid or
     on the executor; sweeps stay byte-reproducible at any ``jobs``.
     """
-    from repro.sim.engine import simulate_cave_yield_batched
+    from repro.crossbar.montecarlo import simulate_cave_yield
 
-    mc = simulate_cave_yield_batched(
+    mc = simulate_cave_yield(
         spec,
         space,
         samples=params.mc_samples,
@@ -519,10 +519,6 @@ def evaluate_points(
         return [evaluate_point(p, spec, metrics, params) for p in points]
 
 
-#: Backwards-compatible alias (pre-dist name of the worker entry point).
-_evaluate_chunk = evaluate_points
-
-
 def _evaluate_chunk_telemetry(
     points: Sequence[DesignPoint],
     spec: CrossbarSpec | None,
@@ -610,7 +606,7 @@ def run_sweep(
     with obs.span("exp.run_sweep", points=len(pts), jobs=jobs) as sp:
         if jobs == 1:
             record_chunks = [
-                _evaluate_chunk(chunk, spec, names, params) for chunk in chunks
+                evaluate_points(chunk, spec, names, params) for chunk in chunks
             ]
         else:
             with _pool(jobs) as pool:

@@ -16,7 +16,7 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -73,16 +73,6 @@ class SweepResult:
         return cls({f: _column_array([r[f] for r in records]) for f in fields})
 
     @classmethod
-    def from_json_string(cls, text: str) -> "SweepResult":
-        """Rebuild from :meth:`to_json_string` output, byte-exactly.
-
-        JSON floats round-trip through Python's shortest-repr exactly,
-        so ``from_json_string(r.to_json_string()) == r`` including
-        column dtypes — the property the shard transport relies on.
-        """
-        return cls.from_records(json.loads(text))
-
-    @classmethod
     def concat(cls, parts: Sequence["SweepResult"]) -> "SweepResult":
         """Concatenate results row-wise (same fields, in order)."""
         if not parts:
@@ -128,10 +118,6 @@ class SweepResult:
         """The row-dict form, with native Python scalar types."""
         lists = {f: col.tolist() for f, col in self._columns.items()}
         return [{f: lists[f][i] for f in self.fields} for i in range(len(self))]
-
-    def iter_rows(self) -> Iterator[Record]:
-        """Iterate rows as dicts (materialises via :meth:`to_records`)."""
-        return iter(self.to_records())
 
     def where(self, mask: np.ndarray) -> "SweepResult":
         """Row subset by boolean mask (e.g. one family's curve)."""

@@ -180,23 +180,16 @@ def estimate_position_sigma(
 
     Cross-validates the closed-form random-walk model in the tests.
 
-    Runs on the :mod:`repro.sim` trial axis: the sample budget is split
-    into the engine's chunk/stream-block plan, one child generator is
-    spawned per stream block from ``rng``, and per-spacer moments
-    accumulate through the Welford combiners — so results depend only
-    on ``(rng state, stream_block)``, never on the chunk bound.  The
-    one-geometry-per-iteration oracle in the tests samples the same
-    distribution from a different stream layout, so the two agree
-    statistically rather than draw-for-draw.
+    Runs on :class:`repro.sim.engine.MonteCarloEngine` with one metric
+    per spacer: one child generator is spawned per stream block from
+    ``rng``, so results depend only on ``(rng state, stream_block)``,
+    never on the chunk bound or the thread count.  ``None`` picks the
+    engine defaults.  The one-geometry-per-iteration oracle in the tests
+    samples the same distribution from a different stream layout, so
+    the two agree statistically rather than draw-for-draw.
     """
-    from repro.sim.accumulators import StreamingMoments
-    from repro.sim.batch import (
-        DEFAULT_MAX_TRIALS_PER_CHUNK,
-        DEFAULT_STREAM_BLOCK,
-        block_sizes,
-        plan_chunks,
-        spawn_block_streams,
-    )
+    from repro.sim.batch import DEFAULT_MAX_TRIALS_PER_CHUNK, DEFAULT_STREAM_BLOCK
+    from repro.sim.engine import MonteCarloEngine, TrialKernel
 
     if samples < 2:
         raise VariationError("need at least two samples")
@@ -206,14 +199,18 @@ def estimate_position_sigma(
         if max_samples_per_chunk is None
         else max_samples_per_chunk
     )
-    moments = [StreamingMoments() for _ in range(nanowires)]
-    for chunk in plan_chunks(samples, chunk_bound, block):
-        widths = block_sizes(chunk, block)
-        streams = spawn_block_streams(rng, len(widths))
-        for stream, width in zip(streams, widths):
+
+    class CentresKernel(TrialKernel):
+        metrics = tuple(range(nanowires))
+
+        def sample(self, rng: np.random.Generator, trials: int) -> dict:
             centres = sample_spacer_centres_batched(
-                recipe, variation, nanowires, stream, width
+                recipe, variation, nanowires, rng, trials
             )
-            for spacer, accumulator in enumerate(moments):
-                accumulator.update(centres[:, spacer])
-    return np.array([accumulator.std for accumulator in moments])
+            return {spacer: centres[:, spacer] for spacer in self.metrics}
+
+    engine = MonteCarloEngine(
+        CentresKernel(), max_trials_per_chunk=chunk_bound, stream_block=block
+    )
+    result = engine.run(samples, rng)
+    return np.array([result[spacer].std for spacer in range(nanowires)])

@@ -20,8 +20,8 @@ a field:
   :func:`repro.crossbar.spec.spec_with` takes its override names.
 
 Cross-field rules (``r_off > r_on``, a SECDED block that fits the
-array) stay hand-written next to ``check()`` in the owning class and
-raise through :func:`error`.  This module imports only the standard
+array, a design its code family can realise) stay hand-written next to
+``check()`` in the owning class and raise through :func:`error`.  This module imports only the standard
 library.
 """
 

@@ -34,7 +34,6 @@ from repro.sim.engine import (
     RandomContactsKernel,
     SimResult,
     TrialKernel,
-    simulate_cave_yield_batched,
 )
 from repro.sim.margins import (
     MarginYieldKernel,
@@ -78,7 +77,6 @@ __all__ = [
     "resolve_rng",
     "scheme_margin_sweep",
     "select_margins_batched",
-    "simulate_cave_yield_batched",
     "spawn_block_streams",
     "validate_chunk",
     "validate_k_sigma",

@@ -5,7 +5,14 @@ statistics are accumulated online.  :class:`StreamingMoments` keeps the
 running count, mean and centred second moment (M2) and folds in whole
 batches at a time using the Chan/Golub/LeVeque parallel-combine update —
 numerically stable at millions of trials, and mergeable across chunks
-(or, later, across shards).
+and shards.
+
+The unit of every fold is a batch's ``(count, mean, M2)`` state
+(:func:`batch_state`): a single-host engine run folds one state per
+stream block (:meth:`MomentSet.fold`), a shard writes the same states to
+its result file, and the shard merger folds them with the same call in
+the same block order — so a merged job equals the single-host run by
+construction, whatever the shard count.
 """
 
 from __future__ import annotations
@@ -13,6 +20,18 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+#: A batch's ``(count, mean, M2)``: the unit folded and shipped by shards.
+State = tuple[int, float, float]
+
+
+def batch_state(values: np.ndarray) -> State:
+    """The ``(count, mean, M2)`` state of one batch (any shape, flattened)."""
+    values = np.asarray(values, dtype=float).ravel()
+    if values.size == 0:
+        return (0, 0.0, 0.0)
+    mean = float(values.mean())
+    return (values.size, mean, float(((values - mean) ** 2).sum()))
 
 
 class StreamingMoments:
@@ -33,28 +52,26 @@ class StreamingMoments:
 
     def update(self, values: np.ndarray) -> None:
         """Fold one batch of per-trial values into the running moments."""
-        values = np.asarray(values, dtype=float).ravel()
-        n = values.size
-        if n == 0:
-            return
-        batch_mean = float(values.mean())
-        batch_m2 = float(((values - batch_mean) ** 2).sum())
-        self._combine(n, batch_mean, batch_m2)
+        self.fold(batch_state(values))
 
     def merge(self, other: "StreamingMoments") -> None:
         """Fold another accumulator into this one (sharding-friendly)."""
-        self._combine(other.count, other.mean, other._m2)
+        self.fold(other.state())
 
-    def state(self) -> tuple[int, float, float]:
+    def fold(self, state: State) -> None:
+        """Fold a ``(count, mean, M2)`` state (Chan/Golub/LeVeque combine)."""
+        n, mean, m2 = state
+        if n == 0:
+            return
+        total = self.count + n
+        delta = mean - self.mean
+        self.mean += delta * n / total
+        self._m2 += m2 + delta * delta * self.count * n / total
+        self.count = total
+
+    def state(self) -> State:
         """The ``(count, mean, M2)`` triple that fully determines this
-        accumulator — the serialisation unit of the shard-merge layer.
-
-        A fresh accumulator updated with one batch holds exactly that
-        batch's ``(n, batch_mean, batch_M2)``, so per-block states
-        written by a shard runner and re-folded in global block order
-        replay the byte-exact ``_combine`` sequence of a single-host
-        engine run (see :mod:`repro.dist.merge`).
-        """
+        accumulator."""
         return (self.count, self.mean, self._m2)
 
     @classmethod
@@ -65,15 +82,6 @@ class StreamingMoments:
         out.mean = float(mean)
         out._m2 = float(m2)
         return out
-
-    def _combine(self, n: int, mean: float, m2: float) -> None:
-        if n == 0:
-            return
-        total = self.count + n
-        delta = mean - self.mean
-        self.mean += delta * n / total
-        self._m2 += m2 + delta * delta * self.count * n / total
-        self.count = total
 
     @property
     def variance(self) -> float:
@@ -111,6 +119,11 @@ class MomentSet:
         """Fold a kernel's ``{metric: per-trial array}`` batch."""
         for name, values in batch.items():
             self.moments[name].update(values)
+
+    def fold(self, states: dict) -> None:
+        """Fold one block's ``{metric: (count, mean, M2)}`` states."""
+        for name, state in states.items():
+            self.moments[name].fold(state)
 
     def __getitem__(self, name: str) -> StreamingMoments:
         return self.moments[name]

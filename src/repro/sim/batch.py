@@ -124,21 +124,6 @@ def total_blocks(samples: int, stream_block: int = DEFAULT_STREAM_BLOCK) -> int:
     return -(-samples // block)
 
 
-def block_width(
-    index: int, samples: int, stream_block: int = DEFAULT_STREAM_BLOCK
-) -> int:
-    """Trials in global stream block ``index`` (the last may be partial)."""
-    blocks = total_blocks(samples, stream_block)
-    if not 0 <= index < blocks:
-        raise ValueError(
-            f"block index {index} out of range for {blocks} blocks "
-            f"({samples} samples / stream_block {stream_block})"
-        )
-    if index < blocks - 1:
-        return validate_stream_block(stream_block)
-    return samples - (blocks - 1) * validate_stream_block(stream_block)
-
-
 def block_sizes(chunk: Chunk, stream_block: int) -> list[int]:
     """Kernel-call widths for one chunk (whole blocks, last may be partial)."""
     sizes = []

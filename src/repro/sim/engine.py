@@ -23,10 +23,15 @@ Spawn-mode kernels (cave yield) draw from one child generator per
 fixed-size stream block, so results depend only on the seed and the
 ``stream_block`` — not on ``max_trials_per_chunk``, and not on how
 many threads evaluate a chunk's blocks (:func:`repro.sim.batch.
-parallel_map`; batches fold into the accumulators in block order).
-Shared-mode kernels draw from the caller's generator in trial order,
-so they are chunk-invariant *and* bit-compatible with the legacy loops
-for the same seed; they run serially.
+parallel_map`).  Every block is reduced to its per-metric ``(count,
+mean, M2)`` state by one helper, and the states fold in block order:
+:meth:`MonteCarloEngine.run` folds them as it goes, a shard
+(:func:`run_block_moments`) writes them, and :mod:`repro.dist.merge`
+folds the written states with the same call, so a merged job equals
+the single-host run by construction.  Shared-mode kernels draw from
+the caller's generator in trial order, so they are chunk-invariant
+*and* bit-compatible with the legacy loops for the same seed; they run
+serially.
 """
 
 from __future__ import annotations
@@ -38,18 +43,17 @@ from time import perf_counter
 import numpy as np
 
 from repro import obs
-from repro.sim.accumulators import MomentSet, StreamingMoments
+from repro.sim.accumulators import MomentSet, State, StreamingMoments, batch_state
 from repro.sim.batch import (
     DEFAULT_MAX_TRIALS_PER_CHUNK,
     DEFAULT_STREAM_BLOCK,
+    Chunk,
     block_sizes,
-    block_width,
     parallel_map,
     plan_chunks,
     resolve_rng,
     spawn_block_streams,
     total_blocks,
-    validate_samples,
 )
 
 # -- engine core ---------------------------------------------------------------
@@ -80,26 +84,47 @@ class TrialKernel:
         raise NotImplementedError
 
 
-def _sample_timed(
-    kernel: TrialKernel, rng: np.random.Generator, trials: int
-) -> tuple[dict, float]:
-    """One kernel batch and its wall seconds (timing never touches numerics)."""
+def _sample_block(
+    kernel: TrialKernel, keep: bool, rng: np.random.Generator, trials: int
+) -> tuple[dict[str, State], float, dict | None]:
+    """One block: its per-metric ``(count, mean, M2)`` states, the wall
+    seconds of its kernel call (timing never touches numerics), and its
+    raw batch when ``keep``."""
     t0 = perf_counter()
     batch = kernel.sample(rng, trials)
-    return batch, perf_counter() - t0
+    block_s = perf_counter() - t0
+    states = {name: batch_state(batch[name]) for name in kernel.metrics}
+    return states, block_s, batch if keep else None
 
 
-def _block_states(
-    kernel: TrialKernel, rng: np.random.Generator, trials: int
-) -> tuple[dict[str, tuple[int, float, float]], float]:
-    """Per-metric ``(count, mean, M2)`` of one block's batch, plus its seconds."""
-    batch, block_s = _sample_timed(kernel, rng, trials)
-    states = {}
-    for name in kernel.metrics:
-        moments = StreamingMoments()
-        moments.update(batch[name])
-        states[name] = moments.state()
-    return states, block_s
+def _run_chunk(
+    kernel: TrialKernel,
+    root: np.random.Generator,
+    chunk: Chunk,
+    stream_block: int,
+    keep: bool = False,
+) -> list[tuple[dict[str, State], float, dict | None]]:
+    """The blocks of one chunk, in block order (see :func:`_sample_block`).
+
+    A spawn-mode chunk spawns one child stream per block from ``root``
+    and runs the blocks on up to usable_cpus() threads; a shared-mode
+    chunk is one kernel call drawing from ``root`` itself.
+    """
+    if kernel.stream_mode == "shared":
+        return [_sample_block(kernel, keep, root, chunk.trials)]
+    widths = block_sizes(chunk, stream_block)
+    streams = spawn_block_streams(root, len(widths))
+    return parallel_map(partial(_sample_block, kernel, keep), streams, widths)
+
+
+def _record_blocks(block_seconds: list[float], trials: int, wall_s: float) -> None:
+    """Block telemetry of one run, recorded on the calling thread (the
+    registry is not locked)."""
+    for block_s in block_seconds:
+        obs.observe("sim.block_s", block_s)
+    obs.counter("sim.trials", trials)
+    obs.counter("sim.blocks", len(block_seconds))
+    obs.gauge("sim.trials_per_s", trials / max(wall_s, 1e-9))
 
 
 @dataclass(frozen=True)
@@ -173,45 +198,30 @@ class MonteCarloEngine:
         a ready :class:`numpy.random.Generator` (used as-is — required
         for bit-compatibility with the legacy shared-stream loops).
         """
-        samples = validate_samples(samples)
         chunks = plan_chunks(samples, self.max_trials_per_chunk, self.stream_block)
+        samples = chunks[-1].stop
         root = resolve_rng(rng)
         acc = MomentSet(self.kernel.metrics)
         raw: dict | None = (
             {name: [] for name in self.kernel.metrics} if collect else None
         )
-        # Spawn-mode blocks own their streams, so a chunk's blocks run on
-        # up to usable_cpus() threads; batches still fold into the
-        # accumulators in block order, and telemetry is recorded here on
-        # the calling thread (the registry is not locked).
-        timed = obs.enabled()
+        block_seconds = []
         with obs.span(
             "sim.engine.run", kernel=type(self.kernel).__name__, samples=samples
         ) as sp:
-            n_blocks = 0
             for chunk in chunks:
-                if self.kernel.stream_mode == "shared":
-                    widths = [chunk.trials]
-                    batches = [_sample_timed(self.kernel, root, chunk.trials)]
-                else:
-                    widths = block_sizes(chunk, self.stream_block)
-                    streams = spawn_block_streams(root, len(widths))
-                    batches = parallel_map(
-                        partial(_sample_timed, self.kernel), streams, widths
-                    )
-                n_blocks += len(widths)
-                for batch, block_s in batches:
-                    if timed:
-                        obs.observe("sim.block_s", block_s)
-                    acc.update(batch)
+                blocks = _run_chunk(
+                    self.kernel, root, chunk, self.stream_block, collect
+                )
+                for states, block_s, batch in blocks:
+                    block_seconds.append(block_s)
+                    acc.fold(states)
                     if raw is not None:
                         for name in self.kernel.metrics:
                             raw[name].append(np.asarray(batch[name]))
-        if timed:
-            obs.counter("sim.trials", samples)
-            obs.counter("sim.blocks", n_blocks)
+        if obs.enabled():
+            _record_blocks(block_seconds, samples, sp.wall_s)
             obs.counter("sim.chunks", len(chunks))
-            obs.gauge("sim.trials_per_s", samples / max(sp.wall_s, 1e-9))
 
         metrics = {
             name: MetricSummary.from_moments(acc[name])
@@ -230,23 +240,22 @@ def run_block_moments(
     block_start: int = 0,
     block_stop: int | None = None,
     stream_block: int = DEFAULT_STREAM_BLOCK,
-) -> list[dict[str, tuple[int, float, float]]]:
+) -> list[dict[str, State]]:
     """Per-block moment states of a contiguous stream-block range.
 
     The shard-execution primitive of :mod:`repro.dist`: a spawn-mode
     kernel's trials are owned by fixed stream blocks, so any shard can
     evaluate blocks ``[block_start, block_stop)`` of a ``samples``-trial
-    simulation and report, per block and per metric, the
-    ``(count, mean, M2)`` state of a fresh
-    :class:`~repro.sim.accumulators.StreamingMoments` fed exactly that
-    block's batch.  Folding the states of *all* blocks back together in
-    global block order replays the byte-exact accumulation sequence of
-    :meth:`MonteCarloEngine.run` on one host — for any shard count.
+    simulation and report, per block and per metric, the block's
+    ``(count, mean, M2)`` state — computed by the helper
+    :meth:`MonteCarloEngine.run` uses.  Folding the states of *all*
+    blocks in global block order is the fold of the single-host run,
+    for any shard count.
 
     ``Generator.spawn`` hands out children in spawn order, so the
-    shard spawns ``block_stop`` children from the root and discards the
-    first ``block_start``: block ``i`` draws from the same child stream
-    it would in a single-host run.  Shared-stream kernels draw
+    shard spawns and discards the first ``block_start`` children of the
+    root, then runs its blocks as one chunk: block ``i`` draws from the
+    same child stream it would in a single-host run.  Shared-stream kernels draw
     sequentially from one caller generator and therefore cannot be
     sharded; they are rejected.
     """
@@ -255,7 +264,6 @@ def run_block_moments(
             "only spawn-mode kernels can be sharded by stream block; "
             f"kernel {type(kernel).__name__} uses shared-stream draws"
         )
-    samples = validate_samples(samples)
     blocks = total_blocks(samples, stream_block)
     stop = blocks if block_stop is None else int(block_stop)
     start = int(block_start)
@@ -264,10 +272,10 @@ def run_block_moments(
             f"block range [{start}, {stop}) out of order or outside the "
             f"{blocks} blocks of {samples} samples"
         )
+    block = int(stream_block)
     root = resolve_rng(rng)
-    streams = spawn_block_streams(root, stop)[start:]
-    widths = [block_width(i, samples, stream_block) for i in range(start, stop)]
-    timed = obs.enabled()
+    spawn_block_streams(root, start)  # the streams of earlier shards' blocks
+    chunk = Chunk(start * block, min(stop * block, int(samples)) - start * block)
     with obs.span(
         "sim.run_block_moments",
         kernel=type(kernel).__name__,
@@ -276,14 +284,10 @@ def run_block_moments(
         # serial inside `shard launch` workers (usable_cpus() is 1 in a
         # multiprocessing child); a shard run on its own host uses its
         # CPUs like the single-host engine does
-        results = parallel_map(partial(_block_states, kernel), streams, widths)
-    if timed:
-        for _, block_s in results:
-            obs.observe("sim.block_s", block_s)
-        obs.counter("sim.trials", sum(widths))
-        obs.counter("sim.blocks", stop - start)
-        obs.gauge("sim.trials_per_s", sum(widths) / max(sp.wall_s, 1e-9))
-    return [states for states, _ in results]
+        results = _run_chunk(kernel, root, chunk, block)
+    if obs.enabled():
+        _record_blocks([block_s for _, block_s, _ in results], chunk.trials, sp.wall_s)
+    return [states for states, _, _ in results]
 
 
 # -- cave-yield kernel (Sec. 6.1 Monte-Carlo cross-check) ----------------------
@@ -397,35 +401,6 @@ class CaveYieldKernel(TrialKernel):
             "electrical": e_mask.mean(axis=1),
             "geometric": g_mask.mean(axis=1),
         }
-
-
-def simulate_cave_yield_batched(
-    spec,
-    space,
-    samples: int = 200,
-    seed: int | np.random.Generator | None = 0,
-    *,
-    max_trials_per_chunk: int = DEFAULT_MAX_TRIALS_PER_CHUNK,
-    stream_block: int = DEFAULT_STREAM_BLOCK,
-):
-    """Batched Monte-Carlo half-cave yield (engine-backed Sec. 6.1 check).
-
-    Same contract as :func:`repro.crossbar.montecarlo.simulate_cave_yield`
-    but evaluated on a leading trial axis: results are reproducible for
-    a given ``(seed, stream_block)`` independent of
-    ``max_trials_per_chunk``, and agree with the legacy loop within
-    Monte-Carlo error (the streams differ by design).
-    """
-    from repro.crossbar.montecarlo import yield_kernel, yield_result
-
-    kernel = yield_kernel(spec, space)
-    engine = MonteCarloEngine(
-        kernel,
-        max_trials_per_chunk=max_trials_per_chunk,
-        stream_block=stream_block,
-    )
-    result = engine.run(samples, seed)
-    return yield_result(kernel, result.samples, result.metrics)
 
 
 # -- stochastic-decoder baseline kernels ([6], [8]) ----------------------------

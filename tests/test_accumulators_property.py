@@ -9,7 +9,7 @@ Two layers of guarantee back the distributed merge:
   result files store *per-block* ``(count, mean, M2)`` states, and a
   fresh accumulator updated with one batch holds exactly that batch's
   state, so folding the states in global block order is bit-for-bit
-  the ``_combine`` sequence of a single-host engine run.  That
+  the ``fold`` sequence of a single-host engine run.  That
   property is exact, not approximate, and is asserted with ``==``.
 """
 

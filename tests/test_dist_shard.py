@@ -346,38 +346,45 @@ class TestShardCLI:
 
 
 class TestEnginePrimitives:
-    def test_total_blocks_and_block_width(self):
-        from repro.sim.batch import block_width, total_blocks
+    def test_total_blocks_and_block_sizes(self):
+        from repro.sim.batch import Chunk, block_sizes, total_blocks
 
         assert total_blocks(10_000, 1024) == 10
         assert total_blocks(1024, 1024) == 1
-        widths = [block_width(i, 10_000, 1024) for i in range(10)]
+        widths = block_sizes(Chunk(0, 10_000), 1024)
         assert widths[:9] == [1024] * 9 and widths[9] == 10_000 - 9 * 1024
         assert sum(widths) == 10_000
-        with pytest.raises(ValueError, match="out of range"):
-            block_width(10, 10_000, 1024)
+        with pytest.raises(ValueError, match="at least one sample"):
+            total_blocks(0, 1024)
 
     def test_run_block_moments_fold_equals_engine(self):
+        from repro.crossbar.montecarlo import yield_kernel
+        from repro.sim.accumulators import MomentSet, StreamingMoments
         from repro.sim.engine import MonteCarloEngine, run_block_moments
-        from repro.sim.margins import MarginYieldKernel
-        from repro.crossbar.yield_model import decoder_for
-        from repro.sim.accumulators import StreamingMoments
 
-        decoder = decoder_for(SPEC, make_code("BGC", 2, 8))
-        kernel = MarginYieldKernel(decoder, 3.0)
-        engine = MonteCarloEngine(kernel, stream_block=512)
-        single = engine.run(3000, 5)
+        # 3000 trials = 5 full blocks of 512 and a partial one of 440;
+        # the 1024-trial chunk bound runs them as three chunks
+        for k_sigma in (3.0, None):  # margin kernel, cave kernel
+            kernel = yield_kernel(SPEC, make_code("BGC", 2, 8), k_sigma)
+            engine = MonteCarloEngine(
+                kernel, max_trials_per_chunk=1024, stream_block=512
+            )
+            single = engine.run(3000, 5)
 
-        half = run_block_moments(
-            kernel, 3000, 5, block_start=0, block_stop=3, stream_block=512
-        )
-        rest = run_block_moments(
-            kernel, 3000, 5, block_start=3, stream_block=512
-        )
-        for name in kernel.metrics:
-            acc = StreamingMoments()
+            half = run_block_moments(
+                kernel, 3000, 5, block_start=0, block_stop=3, stream_block=512
+            )
+            rest = run_block_moments(kernel, 3000, 5, block_start=3, stream_block=512)
+            widths = [states[kernel.metrics[0]][0] for states in rest]
+            assert widths == [512, 512, 440]
+            folded = MomentSet(kernel.metrics)
             for states in (*half, *rest):
-                acc.merge(StreamingMoments.from_state(*states[name]))
-            assert acc.count == single.samples
-            assert acc.mean == single[name].mean
-            assert acc.std == single[name].std
+                folded.fold(states)
+            for name in kernel.metrics:
+                acc = StreamingMoments()
+                for states in (*half, *rest):
+                    acc.merge(StreamingMoments.from_state(*states[name]))
+                assert acc.state() == folded[name].state()
+                assert acc.count == single.samples
+                assert acc.mean == single[name].mean
+                assert acc.std == single[name].std

@@ -1,5 +1,7 @@
 """Unit tests for repro.fabrication.variation — MSPT process variation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -104,3 +106,31 @@ class TestEstimatePositionSigma:
     def test_requires_samples(self, recipe, variation, rng):
         with pytest.raises(VariationError):
             estimate_position_sigma(recipe, variation, 5, 1, rng)
+
+    @pytest.mark.parametrize("chunk", [450, 10**6])
+    def test_output_bytes_pinned(self, recipe, variation, chunk):
+        """1000 samples in stream blocks of 300 (the last one partial);
+        the 450-trial chunk bound is not a whole number of blocks."""
+        estimated = estimate_position_sigma(
+            recipe,
+            variation,
+            12,
+            1000,
+            np.random.default_rng(7),
+            stream_block=300,
+            max_samples_per_chunk=chunk,
+        )
+        assert hashlib.sha256(estimated.tobytes()).hexdigest() == (
+            "13d8181e842404640482de4d3d227645d7484d21d6da2c3433232f8fd0004a2a"
+        )
+
+    @pytest.mark.parametrize(
+        "bad, words",
+        [
+            ({"stream_block": 0}, "stream block must be >= 1"),
+            ({"max_samples_per_chunk": 0}, "chunk size must be >= 1"),
+        ],
+    )
+    def test_zero_block_or_chunk_rejected(self, recipe, variation, rng, bad, words):
+        with pytest.raises(ValueError, match=words):
+            estimate_position_sigma(recipe, variation, 5, 100, rng, **bad)

@@ -265,6 +265,59 @@ class TestFieldBounds:
                 bad()
 
 
+class TestUnrealisableDesign:
+    """A design its code family cannot realise (``TC -M 5``) is a rejected
+    request: a SchemaError on ``total_length``, before any store access."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: api.McRequest("cavemc", "TC", 5),
+            lambda: api.McRequest("marginmc", "HC", 5),
+            lambda: api.WorkloadRequest("TC", 5),
+        ],
+    )
+    def test_constructor_rejects(self, build):
+        with pytest.raises(schema.SchemaError, match="codes need") as exc:
+            build()
+        err = exc.value
+        assert (err.field, err.flags) == ("total_length", ("-M", "--length"))
+
+    @pytest.mark.parametrize("cls", [api.McRequest, api.WorkloadRequest])
+    def test_parse_request_rejects(self, cls):
+        with pytest.raises(schema.SchemaError) as exc:
+            api.parse_request({**base_payload(cls), "total_length": 5})
+        assert exc.value.field == "total_length"
+
+    def test_sweep_names_the_point(self):
+        points = (DesignPoint.make("TC", 6), DesignPoint.make("TC", 5))
+        with pytest.raises(schema.SchemaError, match="design point TC/5 ") as exc:
+            api.SweepRequest(points=points)
+        assert exc.value.field == "total_length"
+        payload = sweep_payload()
+        payload["points"][0]["total_length"] = 5
+        with pytest.raises(schema.SchemaError, match="design point TC/5 "):
+            api.parse_request(payload)
+
+    @pytest.mark.parametrize("op", ["simulate", "memsim", "evaluate"])
+    def test_daemon_answers_before_the_store(self, op, tmp_path):
+        from repro.store import ResultStore
+
+        if op == "evaluate":
+            payload = sweep_payload()
+            payload["points"][0]["total_length"] = 5
+        else:
+            cls = api.McRequest if op == "simulate" else api.WorkloadRequest
+            payload = {**base_payload(cls), "total_length": 5}
+        path = f"/tmp/repro-design-{uuid.uuid4().hex[:8]}.sock"
+        with ReproServer(path, store=ResultStore(tmp_path / "store")).running():
+            before = exchange(path, request_frame("stats", 1))["result"]["store"]
+            reply = assert_error_frame(path, op, payload)
+            after = exchange(path, request_frame("stats", 9))["result"]["store"]
+        assert "even total length" in reply["error"]
+        assert after == before  # no lookup, no compute, no commit
+
+
 class TestSpecOverrides:
     def test_one_override_path(self):
         from repro.analysis.sweeps import spec_with as public
@@ -333,6 +386,10 @@ BAD_ARGV = [
     "evaluate TC -M 6 -n 0",
     "shard plan marginmc {job} BGC -M 8 --samples 0",
     "shard plan marginmc {job} BGC -M 8 --stream-block 0",
+    # a design its code family cannot realise
+    "shard plan cavemc {job} TC -M 5 --samples 10",
+    "simulate TC -M 5",
+    "memsim TC -M 5",
 ]
 
 

@@ -41,7 +41,6 @@ from repro.sim import (
     RandomContactsKernel,
     StreamingMoments,
     plan_chunks,
-    simulate_cave_yield_batched,
 )
 from repro.sim.batch import block_sizes
 from tests.oracles.montecarlo import (
@@ -311,8 +310,8 @@ class TestCaveYieldEngine:
 
     def test_deterministic_for_a_seed(self, spec):
         code = make_code("TC", 2, 8)
-        a = simulate_cave_yield_batched(spec, code, samples=500, seed=3)
-        b = simulate_cave_yield_batched(spec, code, samples=500, seed=3)
+        a = simulate_cave_yield(spec, code, samples=500, seed=3)
+        b = simulate_cave_yield(spec, code, samples=500, seed=3)
         assert a == b
 
     def test_statistical_agreement_loop_vs_batched_vs_analytic(self, spec):

@@ -28,11 +28,7 @@ from hypothesis import strategies as st
 import repro.decoder.margins as margins_module
 from repro import api
 from repro.codes import make_code
-from repro.crossbar.montecarlo import (
-    simulate_cave_yield,
-    simulate_halfcave_yield,
-    simulate_margin_yield,
-)
+from repro.crossbar.montecarlo import simulate_margin_yield
 from repro.crossbar.spec import CrossbarSpec
 from repro.crossbar.yield_model import decoder_for
 from repro.decoder.margins import (
@@ -192,17 +188,6 @@ class TestMarginYieldMonteCarlo:
         for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="k_sigma"):
                 simulate_margin_yield(self.SPEC, code, samples=10, k_sigma=bad)
-
-    def test_halfcave_alias_routes_through_batched(self):
-        code = make_code("TC", 2, 6)
-        alias = simulate_halfcave_yield(self.SPEC, code, samples=50, seed=1)
-        assert alias == simulate_cave_yield(self.SPEC, code, samples=50, seed=1)
-        chunked = simulate_halfcave_yield(
-            self.SPEC, code, samples=50, seed=1, max_trials_per_chunk=7
-        )
-        assert chunked == simulate_cave_yield(
-            self.SPEC, code, samples=50, seed=1, max_trials_per_chunk=7
-        )
 
     def test_kernel_rejects_conflict_free_half_cave(self):
         class Degenerate:
