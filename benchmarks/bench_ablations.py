@@ -12,7 +12,7 @@ from repro.analysis.report import render_table
 from repro.analysis.sweeps import spec_with
 from repro.codes import make_code
 from repro.crossbar.yield_model import crossbar_yield
-from repro.decoder.margins import margin_yield
+from repro.decoder.margins import margin_report
 from repro.exp.pipeline import function_sweep
 
 BGC10 = make_code("BGC", 2, 10)
@@ -118,8 +118,8 @@ def test_ablation_margin_criterion(benchmark, emit):
         "k_sigma",
         (0.5, 1.0, 1.5, 2.0),
         lambda v: {
-            "bgc10_yield": margin_yield(BGC10, 20, k_sigma=v),
-            "tc6_yield": margin_yield(TC6, 20, k_sigma=v),
+            "bgc10_yield": margin_report(BGC10, 20, k_sigma=v).margin_yield,
+            "tc6_yield": margin_report(TC6, 20, k_sigma=v).margin_yield,
         },
     )
     emit(

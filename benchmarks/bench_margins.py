@@ -36,11 +36,7 @@ import numpy as np
 from repro.analysis.report import render_table
 from repro.codes import make_code
 from repro.crossbar.montecarlo import simulate_margin_yield
-from repro.decoder.margins import (
-    applied_voltages,
-    margin_report,
-    margin_yield,
-)
+from repro.decoder.margins import applied_voltages, margin_report
 from repro.decoder.pattern import pattern_matrix
 from repro.decoder.variability import dose_count_matrix
 from repro.device.threshold import LevelScheme
@@ -147,7 +143,7 @@ def run_margins(spec, codes):
     for family, code in codes.items():
         out[family] = (
             margin_report(code, NANOWIRES, k_sigma=3.0),
-            margin_yield(code, NANOWIRES, k_sigma=K_SIGMA),
+            margin_report(code, NANOWIRES, k_sigma=K_SIGMA).margin_yield,
             simulate_margin_yield(
                 spec, code, samples=TRIALS, seed=0, k_sigma=K_SIGMA
             ),

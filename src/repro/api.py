@@ -743,42 +743,33 @@ def memsim(
 
 
 def _memsim_direct(request: WorkloadRequest, *, chunk_size: int) -> WorkloadResult:
-    from repro.crossbar.ecc import SecdedCode
     from repro.workload import (
         ELECTRICAL_METRICS,
         FLEET_METRICS,
-        ElectricalReadout,
         exhausted_fraction,
-        prepare_workload,
+        run_workload,
     )
 
-    spec = request.spec
-    code = make_code(request.family, request.n, request.total_length)
-    fleet, trace = prepare_workload(
-        spec,
-        code,
+    fleet, trace, result = run_workload(
+        request.spec,
+        make_code(request.family, request.n, request.total_length),
         trace=request.trace,
         accesses=request.accesses,
         instances=request.instances,
         seed=request.seed,
         write_fraction=request.write_fraction,
-        ecc=SecdedCode(request.parity_bits) if request.parity_bits else None,
+        parity_bits=request.parity_bits,
         address_space=request.address_space,
+        error_rate=request.error_rate,
+        readout=request.readout,
+        r_on=request.r_on,
+        r_off=request.r_off,
+        v_read=request.v_read,
+        resolution=request.resolution,
+        chunk_size=chunk_size,
     )
-    readout = None
     readout_echo = None
     if request.readout != "off":
-        from repro.crossbar.readout import ReadoutModel
-
-        readout = ElectricalReadout(
-            model=ReadoutModel(
-                r_on=request.r_on,
-                r_off=request.r_off,
-                v_read=request.v_read,
-                scheme=request.readout,
-            ),
-            resolution=request.resolution,
-        )
         readout_echo = {
             "scheme": request.readout,
             "r_on": request.r_on,
@@ -786,13 +777,6 @@ def _memsim_direct(request: WorkloadRequest, *, chunk_size: int) -> WorkloadResu
             "v_read": request.v_read,
             "resolution": request.resolution,
         }
-    result = fleet.run(
-        trace,
-        chunk_size=chunk_size,
-        seed=request.seed,
-        write_error_rate=request.error_rate,
-        readout=readout,
-    )
     names = FLEET_METRICS + (ELECTRICAL_METRICS if result.electrical else ())
     return WorkloadResult(
         trace=trace.name,

@@ -56,7 +56,7 @@ from repro.analysis.report import paper_vs_measured, render_table
 from repro.analysis.stats import headline_summary
 from repro.codes.base import CodeError
 from repro.core.design import DecoderDesign
-from repro.core.optimizer import explore_designs
+from repro.core.optimizer import OBJECTIVES, explore_designs
 from repro.core.theorems import check_all
 from repro.crossbar.readout import ReadoutError
 from repro.crossbar.spec import CrossbarSpec
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--objective",
         default="bit_area",
-        choices=["complexity", "variability", "yield", "bit_area"],
+        choices=list(OBJECTIVES),
     )
     p.add_argument(
         "--jobs",
@@ -927,7 +927,7 @@ def _cmd_margins(spec: CrossbarSpec, args: argparse.Namespace) -> str:
     band).
     """
     from repro.codes.registry import make_code
-    from repro.decoder.margins import margin_report, margin_yield
+    from repro.decoder.margins import margin_report
 
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     if not families:
@@ -941,17 +941,19 @@ def _cmd_margins(spec: CrossbarSpec, args: argparse.Namespace) -> str:
     results = []
     for family, request in zip(families, requests):
         code = make_code(family, request.n, request.total_length)
-        group, k_sigma = spec.nanowires_per_half_cave, request.k_sigma
-        report = margin_report(code, group, sigma_t=spec.sigma_t, k_sigma=k_sigma)
+        report = margin_report(
+            code,
+            spec.nanowires_per_half_cave,
+            sigma_t=spec.sigma_t,
+            k_sigma=request.k_sigma,
+        )
         entry = {
             "family": family,
             "select_margin_v": report.select_margin_v,
             "block_margin_v": report.block_margin_v,
             "worst_margin_v": report.worst_margin_v,
             "passes": report.passes,
-            "margin_yield": margin_yield(
-                code, group, sigma_t=spec.sigma_t, k_sigma=k_sigma
-            ),
+            "margin_yield": report.margin_yield,
         }
         if args.samples > 0:
             # analytic figures above stay local; the sampled yield is a

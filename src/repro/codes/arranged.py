@@ -21,13 +21,11 @@ memoised per ``(n, k)``.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.codes.base import CodeError, CodeSpace, Word, hamming_distance
 from repro.codes.hot import hot_words
 from repro.codes.metrics import digit_transition_counts, is_distance_sequence
-
-
-class _SearchAbort(Exception):
-    """Internal: node budget exceeded for the current attempt."""
 
 
 def _swap_neighbours(word: Word) -> list[Word]:
@@ -56,7 +54,10 @@ def _arranged_path_search(
 
     Move ordering combines the Warnsdorff rule (fewest onward moves
     first) with a balance bias (prefer swaps touching digits with the
-    fewest transitions so far).
+    fewest transitions so far).  The depth-first search keeps an
+    explicit stack of move iterators, one per path word, so its depth
+    is not bounded by the interpreter's recursion limit.  Returns None
+    when no path exists or the node budget runs out.
     """
     space = set(words)
     m = len(start)
@@ -73,34 +74,38 @@ def _arranged_path_search(
         balance = sum(counts[j] for j in range(m) if word[j] != nxt[j])
         return (onward, balance)
 
-    def extend() -> bool:
-        nonlocal nodes
+    def ordered_moves(word: Word) -> Iterator[Word]:
+        return iter(sorted(legal_moves(word), key=lambda w: move_key(word, w)))
+
+    # stack[d] iterates the moves out of path[d]; changed[d] holds the
+    # digits the move to path[d + 1] swapped, to undo on backtrack
+    stack: list[Iterator[Word]] = []
+    changed: list[list[int]] = []
+    while True:
         if len(path) == len(words):
-            return True
+            return path
         nodes += 1
         if nodes > node_budget:
-            raise _SearchAbort
+            return None
+        stack.append(ordered_moves(path[-1]))
+        while True:
+            if len(changed) == len(stack):
+                for j in changed.pop():
+                    counts[j] -= 1
+                visited.remove(path.pop())
+            nxt = next(stack[-1], None)
+            if nxt is not None:
+                break
+            stack.pop()
+            if not stack:
+                return None
         word = path[-1]
-        for nxt in sorted(legal_moves(word), key=lambda w: move_key(word, w)):
-            changed = [j for j in range(m) if word[j] != nxt[j]]
-            visited.add(nxt)
-            path.append(nxt)
-            for j in changed:
-                counts[j] += 1
-            if extend():
-                return True
-            for j in changed:
-                counts[j] -= 1
-            path.pop()
-            visited.remove(nxt)
-        return False
-
-    try:
-        if extend():
-            return list(path)
-    except _SearchAbort:
-        return None
-    return None
+        swapped = [j for j in range(m) if word[j] != nxt[j]]
+        visited.add(nxt)
+        path.append(nxt)
+        for j in swapped:
+            counts[j] += 1
+        changed.append(swapped)
 
 
 _CACHE: dict[tuple[int, int], list[Word]] = {}

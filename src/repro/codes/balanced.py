@@ -28,12 +28,10 @@ factor small.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.codes.base import CodeError, CodeSpace, Word
 from repro.codes.metrics import digit_transition_counts, is_gray_sequence
-
-
-class _SearchAbort(Exception):
-    """Internal: node budget exceeded for the current cap/start."""
 
 
 def _balanced_path_search(
@@ -53,8 +51,10 @@ def _balanced_path_search(
     space restart the code, and a cycle keeps the wrap-around step a
     single-digit transition too.
 
-    Returns the path or None if none exists under ``cap``; raises
-    :class:`_SearchAbort` when the node budget runs out (inconclusive).
+    The depth-first search keeps an explicit stack of move iterators,
+    one per path word, so its depth is not bounded by the interpreter's
+    recursion limit.  Returns the path, or None if none exists under
+    ``cap`` or the node budget runs out (inconclusive).
     """
     size = n**length
     path: list[Word] = [start]
@@ -100,30 +100,33 @@ def _balanced_path_search(
     def is_gray_neighbour_of_start(word: Word) -> bool:
         return sum(1 for a, b in zip(word, start) if a != b) == 1
 
-    def extend() -> bool:
-        nonlocal nodes
-        if len(path) == size:
-            return not require_cycle or is_gray_neighbour_of_start(path[-1])
-        nodes += 1
-        if nodes > node_budget:
-            raise _SearchAbort
-        for j, nxt in candidate_moves(path[-1]):
-            visited.add(nxt)
-            path.append(nxt)
-            counts[j] += 1
-            if extend():
-                return True
-            counts[j] -= 1
-            path.pop()
-            visited.remove(nxt)
-        return False
-
-    try:
-        if extend():
-            return list(path)
-    except _SearchAbort:
-        return None
-    return None
+    # stack[d] iterates the moves out of path[d]; changed[d] is the
+    # digit the move to path[d + 1] stepped, to undo on backtrack
+    stack: list[Iterator[tuple[int, Word]]] = []
+    changed: list[int] = []
+    while True:
+        if len(path) < size:
+            nodes += 1
+            if nodes > node_budget:
+                return None
+            stack.append(iter(candidate_moves(path[-1])))
+        elif not require_cycle or is_gray_neighbour_of_start(path[-1]):
+            return path
+        while True:
+            if len(changed) == len(stack):
+                counts[changed.pop()] -= 1
+                visited.remove(path.pop())
+            move = next(stack[-1], None)
+            if move is not None:
+                break
+            stack.pop()
+            if not stack:
+                return None
+        j, nxt = move
+        visited.add(nxt)
+        path.append(nxt)
+        counts[j] += 1
+        changed.append(j)
 
 
 _CACHE: dict[tuple[int, int], list[Word]] = {}

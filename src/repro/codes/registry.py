@@ -65,8 +65,9 @@ def design_error(family: str, n: int, total_length: int) -> str | None:
     """Why ``family`` cannot realise a valence-``n`` code of length ``M``,
     or None — decided without building the code.
 
-    The builders' admissibility rule: tree-derived families are used in
-    reflected form, so ``M`` must be even; hot families need ``n | M``.
+    The builders' admissibility rule: ``n >= 2`` and ``M >= 1``;
+    tree-derived families are used in reflected form, so ``M`` must be
+    even; hot families need ``n | M``.
     Building is no check for a request (a BGC code of ``M = 12`` takes
     seconds, ``M = 2**70`` never finishes); a design that passes can
     still fail in a builder's bounded search, far beyond the paper's
@@ -75,6 +76,10 @@ def design_error(family: str, n: int, total_length: int) -> str | None:
     key = family.strip().upper()
     if key not in _BUILDERS:
         return f"unknown code family {family!r}; expected one of {ALL_FAMILIES}"
+    if n < 2:
+        return f"codes need a valence n >= 2, got n={n}"
+    if total_length < 1:
+        return f"codes need a total length M >= 1, got M={total_length}"
     if key in TREE_FAMILIES and total_length % 2:
         kind = "tree" if key == "TC" else "Gray"
         return f"reflected {kind} codes need an even total length, got {total_length}"

@@ -7,16 +7,9 @@ paper's propositions executable.
 """
 
 from repro.core.design import DecoderDesign
-from repro.core.objectives import (
-    OBJECTIVES,
-    bit_area_cost,
-    complexity_cost,
-    get_objective,
-    variability_cost,
-    yield_cost,
-)
 from repro.core.optimizer import (
     DEFAULT_LENGTHS,
+    OBJECTIVES,
     ExplorationPoint,
     ExplorationResult,
     explore_designs,
@@ -39,7 +32,6 @@ __all__ = [
     "ExplorationPoint",
     "ExplorationResult",
     "OBJECTIVES",
-    "bit_area_cost",
     "check_all",
     "check_arranged_hot_optimality",
     "check_prop1_bijection",
@@ -48,10 +40,6 @@ __all__ = [
     "check_prop4_gray_minimises_variability",
     "check_prop5_exact",
     "check_prop5_gray_minimises_complexity",
-    "complexity_cost",
     "explore_designs",
-    "get_objective",
     "optimize_design",
-    "variability_cost",
-    "yield_cost",
 ]

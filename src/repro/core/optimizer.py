@@ -14,22 +14,21 @@ from dataclasses import dataclass
 
 from repro.codes.registry import ALL_FAMILIES, make_code
 from repro.core.design import DecoderDesign
-from repro.core.objectives import get_objective
 from repro.crossbar.spec import CrossbarSpec
 
 #: Default length sweep of the paper's evaluation (total length M).
 DEFAULT_LENGTHS = (4, 6, 8, 10)
 
-#: Pipeline metric and result column backing each named objective,
-#: plus the sign turning the column into a lower-is-better cost.
-_OBJECTIVE_COLUMNS: dict[str, tuple[str, str, float]] = {
+#: The named objectives: Prop. 3's fabrication costs Phi and
+#: ``||Sigma||_1`` and the circuit-level cave yield and effective bit
+#: area.  Each maps to the pipeline metric and result column scoring
+#: it, plus the sign turning the column into a lower-is-better cost.
+OBJECTIVES: dict[str, tuple[str, str, float]] = {
     "complexity": ("complexity", "phi", 1.0),
     "variability": ("complexity", "sigma_norm_V2", 1.0),
     "yield": ("yield", "cave_yield", -1.0),
     "bit_area": ("area", "effective_bit_area_nm2", 1.0),
 }
-# every OBJECTIVES entry needs a pipeline column and vice versa;
-# tests/test_exp_pipeline.py asserts the two tables stay in sync
 
 
 @dataclass(frozen=True)
@@ -75,24 +74,21 @@ def explore_designs(
     Lengths that a family cannot realise (odd lengths for reflected
     codes, lengths not divisible by n for hot codes) are skipped.  The
     admissible grid is evaluated through the design-space pipeline
-    (:mod:`repro.exp`): named objectives map onto pipeline metric
-    columns, so scoring shares the memoized code/decoder construction
-    and parallelises with ``jobs``; unnamed (callable-registered)
-    objectives are not supported here — register a pipeline evaluator
-    instead.
+    (:mod:`repro.exp`): each of the :data:`OBJECTIVES` (names are
+    case-insensitive) maps onto a pipeline metric column, so scoring
+    shares the memoized code/decoder construction and parallelises
+    with ``jobs``.
     """
     from repro.exp.designpoint import design_grid
     from repro.exp.pipeline import run_sweep
 
     spec = spec or CrossbarSpec()
-    get_objective(objective)  # validate the name early, KeyError like before
     key = objective.strip().lower()
-    if key not in _OBJECTIVE_COLUMNS:
+    if key not in OBJECTIVES:
         raise KeyError(
-            f"objective {objective!r} has no pipeline column mapping; "
-            "register a pipeline evaluator and extend _OBJECTIVE_COLUMNS"
+            f"unknown objective {objective!r}; expected one of {sorted(OBJECTIVES)}"
         )
-    metric, column, sign = _OBJECTIVE_COLUMNS[key]
+    metric, column, sign = OBJECTIVES[key]
     grid = design_grid(families, lengths, n)
     if not grid:
         raise ValueError(

@@ -206,11 +206,11 @@ def simulate_margin_yield(
 ) -> MonteCarloMarginYield:
     """Monte-Carlo estimate of the k-sigma margin yield for one code.
 
-    The stochastic counterpart of
-    :func:`repro.decoder.margins.margin_yield`: threshold voltages are
-    realised per trial (``nominal + sigma_region * z``) and a wire
-    passes when its realised select and block margins both exceed the
-    sensing guard band ``k_sigma * sigma_T``.
+    The stochastic counterpart of the analytic
+    :attr:`repro.decoder.margins.MarginReport.margin_yield`: threshold
+    voltages are realised per trial (``nominal + sigma_region * z``)
+    and a wire passes when its realised select and block margins both
+    exceed the sensing guard band ``k_sigma * sigma_T``.
 
     The :class:`repro.sim.margins.MarginYieldKernel` runs on the
     chunked engine, drawing from the spawned per-block streams of

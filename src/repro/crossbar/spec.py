@@ -39,7 +39,7 @@ class CrossbarSpec:
     rules:
         Lithography rules (pitches, contact geometry).
     sigma_t:
-        Per-dose threshold-voltage standard deviation [V].
+        Per-dose threshold-voltage standard deviation [V], in (0, 1].
     window_margin:
         Addressability-window margin passed to the VT level scheme.
     """
@@ -62,9 +62,11 @@ class CrossbarSpec:
         override="nanowires",
     )
     rules: LithographyRules = field(default_factory=LithographyRules)
+    # within the 0..1 V supply range every LevelScheme spans
     sigma_t: float = schema.knob(
         DEFAULT_SIGMA_T,
         gt=0,
+        le=1,
         label="sigma_T",
         flags=("--sigma-t",),
         help="per-dose VT std deviation in V (default 0.05)",

@@ -24,10 +24,7 @@ from repro.decoder.decoder import HalfCaveDecoder
 from repro.decoder.margins import (
     MarginReport,
     applied_voltages,
-    block_margins,
     margin_report,
-    margin_yield,
-    select_margins,
 )
 from repro.decoder.pattern import (
     address_of_nanowire,
@@ -70,14 +67,11 @@ __all__ = [
     "MarginReport",
     "StochasticError",
     "applied_voltages",
-    "block_margins",
     "compare_with_deterministic",
     "expected_addressable_fraction",
     "margin_report",
-    "margin_yield",
     "random_contact_addressable_fraction",
     "required_code_space",
-    "select_margins",
     "signature_collision_probability",
     "simulate_random_codes",
     "simulate_random_contacts",

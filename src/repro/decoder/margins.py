@@ -37,20 +37,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.codes.base import CodeSpace
-from repro.decoder.pattern import pattern_matrix
-from repro.decoder.variability import dose_count_matrix
+from repro.decoder.decoder import HalfCaveDecoder
 from repro.device.threshold import LevelScheme
 from repro.device.variability import DEFAULT_SIGMA_T
-from repro.fabrication.doping import DopingPlan
 
 
 @dataclass(frozen=True)
 class MarginReport:
-    """Worst-case k-sigma sense margins of one half cave."""
+    """Worst-case k-sigma sense margins of one half cave.
+
+    ``margin_yield`` is the fraction of wires with positive select
+    *and* block margins: the conservative, margin-based counterpart of
+    the window-model electrical yield.  For the sampled (Monte-Carlo)
+    counterpart see
+    :func:`repro.crossbar.montecarlo.simulate_margin_yield`.
+    """
 
     select_margin_v: float
     block_margin_v: float
     k_sigma: float
+    margin_yield: float
 
     @property
     def worst_margin_v(self) -> float:
@@ -75,45 +81,6 @@ def applied_voltages(address: np.ndarray, scheme: LevelScheme) -> np.ndarray:
     return levels[address] + scheme.spacing / 2.0
 
 
-def select_margins(
-    patterns: np.ndarray,
-    nu: np.ndarray,
-    scheme: LevelScheme,
-    sigma_t: float = DEFAULT_SIGMA_T,
-    k_sigma: float = 3.0,
-) -> np.ndarray:
-    """k-sigma conduction margin of every wire under its own address.
-
-    For wire i the margin is ``min_j (VA_j - VT_ij - k * sigma_ij)``:
-    how far every region stays in conduction when its VT drifts k sigma
-    upward.
-    """
-    from repro.sim.margins import select_margins_batched
-
-    return select_margins_batched(patterns, nu, scheme, sigma_t, k_sigma)
-
-
-def block_margins(
-    patterns: np.ndarray,
-    nu: np.ndarray,
-    scheme: LevelScheme,
-    sigma_t: float = DEFAULT_SIGMA_T,
-    k_sigma: float = 3.0,
-) -> np.ndarray:
-    """k-sigma blocking margin of every wire's address vs the other wires.
-
-    When wire i is addressed, every other wire u must have at least one
-    region whose VT exceeds the applied voltage; the margin of the pair
-    is the *best* such region (only one needs to block) and the margin
-    of address i is the worst pair.  Wires with identical patterns
-    (copies in other contact groups) are skipped — the contact group
-    disambiguates them.
-    """
-    from repro.sim.margins import block_margins_batched
-
-    return block_margins_batched(patterns, nu, scheme, sigma_t, k_sigma)
-
-
 def margin_report(
     space: CodeSpace,
     nanowires: int,
@@ -121,39 +88,26 @@ def margin_report(
     sigma_t: float = DEFAULT_SIGMA_T,
     k_sigma: float = 3.0,
 ) -> MarginReport:
-    """Worst-case sense margins of a half cave patterned with ``space``."""
-    scheme = scheme or LevelScheme(space.n)
-    patterns = pattern_matrix(space, nanowires)
-    plan = DopingPlan.from_code(space, nanowires)
-    nu = dose_count_matrix(plan.steps)
-    select = select_margins(patterns, nu, scheme, sigma_t, k_sigma)
-    block = block_margins(patterns, nu, scheme, sigma_t, k_sigma)
+    """Sense margins and margin yield of a half cave patterned with ``space``.
+
+    For wire i the select margin is ``min_j (VA_j - VT_ij - k * sigma_ij)``:
+    how far every region stays in conduction when its VT drifts k sigma
+    upward.  Its block margin is the worst other wire u under address
+    i, each pair scored by u's *best* blocking region (only one needs
+    to block); pattern copies in other contact groups are skipped, as
+    the contact group disambiguates them.  Both margin vectors are
+    computed once on :mod:`repro.sim.margins` from the decoder's
+    memoized pattern and dose-count matrices.
+    """
+    from repro.sim.margins import block_margins_batched, select_margins_batched
+
+    decoder = HalfCaveDecoder(space, nanowires, scheme, sigma_t)
+    inputs = (decoder.patterns, decoder.nu, decoder.scheme, sigma_t, k_sigma)
+    select = select_margins_batched(*inputs)
+    block = block_margins_batched(*inputs)
     return MarginReport(
         select_margin_v=float(select.min()),
         block_margin_v=float(block.min()),
         k_sigma=k_sigma,
+        margin_yield=float(((select > 0) & (block > 0)).mean()),
     )
-
-
-def margin_yield(
-    space: CodeSpace,
-    nanowires: int,
-    scheme: LevelScheme | None = None,
-    sigma_t: float = DEFAULT_SIGMA_T,
-    k_sigma: float = 3.0,
-) -> float:
-    """Fraction of wires with positive select *and* block margins.
-
-    The conservative, margin-based counterpart of the window-model
-    electrical yield; used by the margin ablation bench.  For the
-    sampled (Monte-Carlo) counterpart see
-    :func:`repro.crossbar.montecarlo.simulate_margin_yield`.
-    """
-    scheme = scheme or LevelScheme(space.n)
-    patterns = pattern_matrix(space, nanowires)
-    plan = DopingPlan.from_code(space, nanowires)
-    nu = dose_count_matrix(plan.steps)
-    select = select_margins(patterns, nu, scheme, sigma_t, k_sigma)
-    block = block_margins(patterns, nu, scheme, sigma_t, k_sigma)
-    ok = (select > 0) & (block > 0)
-    return float(ok.mean())

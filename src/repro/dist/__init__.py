@@ -11,7 +11,6 @@ from repro.dist.lease import DEFAULT_LEASE_TTL_S, Lease
 from repro.dist.manifest import (
     LaunchReport,
     completed_keys,
-    launch,
     load_job,
     pending_shards,
     record_completion,
@@ -28,7 +27,7 @@ from repro.dist.spec import (
     content_key,
     split_even,
 )
-from repro.dist.supervisor import ShardFailure, ShardJobError
+from repro.dist.supervisor import ShardFailure, ShardJobError, launch
 
 __all__ = [
     "DEFAULT_LEASE_TTL_S",

@@ -173,22 +173,6 @@ class LaunchReport:
     quarantined: tuple[int, ...] = ()
 
 
-def launch(job_dir: str | Path, workers: int | None = None, **kwargs) -> LaunchReport:
-    """Run every pending shard of a job under local supervision.
-
-    Completed shards (per the checkpoint manifest) are skipped, which
-    is the whole resume story: re-launching an interrupted job re-runs
-    only the missing shards.  ``workers`` defaults to
-    ``min(pending, cpu_count)``.  Keyword arguments (``retries``,
-    ``backoff_s``, ``lease_ttl_s``) pass through to
-    :func:`repro.dist.supervisor.launch`, which owns failure detection,
-    capped retries and quarantine.
-    """
-    from repro.dist.supervisor import launch as supervised_launch
-
-    return supervised_launch(job_dir, workers, **kwargs)
-
-
 #: A completed shard whose elapsed time exceeds this multiple of the
 #: median completed-shard time is flagged as a straggler.
 STRAGGLER_FACTOR = 2.0

@@ -185,12 +185,16 @@ def launch(
     backoff_s: float = DEFAULT_BACKOFF_S,
     lease_ttl_s: float | None = None,
 ):
-    """Run every pending shard under supervision; the resume story plus
-    failure detection, capped retries and quarantine (module docstring).
+    """Run every pending shard of a job under local supervision: the
+    resume story plus failure detection, capped retries and quarantine
+    (module docstring).
 
-    Ready shards start the moment a worker slot is free; between
-    starts the supervisor blocks until a worker exits, a backoff
-    expires or a lease check (every ``lease_ttl_s / 4``) is due.
+    Completed shards (per the checkpoint manifest) are skipped, so
+    re-launching an interrupted job re-runs only the missing shards.
+    ``workers`` defaults to ``min(pending, cpu_count)``.  Ready shards
+    start the moment a worker slot is free; between starts the
+    supervisor blocks until a worker exits, a backoff expires or a
+    lease check (every ``lease_ttl_s / 4``) is due.
 
     Returns the job's :class:`~repro.dist.manifest.LaunchReport`
     (``ran``/``skipped`` exactly as before, plus ``retried`` and

@@ -26,7 +26,6 @@ from repro.exp.pipeline import (
     default_jobs,
     evaluate_point,
     function_sweep,
-    register_evaluator,
     resolve_metrics,
     run_sweep,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "design_grid",
     "evaluate_point",
     "function_sweep",
-    "register_evaluator",
     "resolve_metrics",
     "run_sweep",
     "validate_override_keys",

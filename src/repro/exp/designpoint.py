@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from repro.codes.base import CodeError, CodeSpace
-from repro.codes.registry import ALL_FAMILIES, make_code
+from repro.codes.registry import ALL_FAMILIES, design_error, make_code
 from repro.crossbar.spec import CrossbarSpec, validate_override_keys
 from repro.exp.cache import cached_spec
 
@@ -94,8 +94,10 @@ def design_grid(
 
     The cross product of ``families x lengths x axes`` values, with
     points a family cannot realise (odd lengths for reflected codes,
-    lengths not divisible by n for hot codes) silently skipped — the
-    same admissibility rule the optimizer has always used.  ``axes``
+    lengths not divisible by n for hot codes) silently skipped.
+    Admissibility is :func:`repro.codes.registry.design_error`, decided
+    without building a code: a point whose builder search fails stays
+    in the grid and fails with :class:`CodeError` when evaluated.  ``axes``
     maps spec-override names to value sequences, e.g.
     ``{"sigma_t": (0.03, 0.05)}``.
     """
@@ -111,9 +113,7 @@ def design_grid(
     points: list[DesignPoint] = []
     for family in families:
         for length in lengths:
-            try:
-                make_code(family, n, length)
-            except CodeError:
+            if design_error(family, n, length) is not None:
                 continue
             for combo in combos:
                 points.append(DesignPoint.make(family, length, n, **combo))

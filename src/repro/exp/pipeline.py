@@ -227,36 +227,24 @@ def _eval_margins(
 ) -> Mapping[str, object]:
     """Worst-case k-sigma sense margins of the half cave.
 
-    Runs on the broadcast margin engine (:mod:`repro.sim.margins`) —
-    byte-identical to the scalar pairwise loop — over the memoized
-    decoder's pattern/dose matrices (the same inputs
-    :func:`repro.decoder.margins.margin_report` derives from scratch),
-    so margin grids share the fabrication caches.
+    The figures of :func:`repro.decoder.margins.margin_report`, the one
+    margin computation behind ``repro margins`` too; it reads the
+    memoized pattern and dose-count matrices, so margin grids share
+    the fabrication caches.
     """
-    from repro.sim.margins import block_margins_batched, select_margins_batched
+    from repro.decoder.margins import margin_report
 
-    decoder = decoder_for(spec, space)
-    select = select_margins_batched(
-        decoder.patterns,
-        decoder.nu,
-        decoder.scheme,
-        spec.sigma_t,
-        params.k_sigma,
+    report = margin_report(
+        space,
+        spec.nanowires_per_half_cave,
+        sigma_t=spec.sigma_t,
+        k_sigma=params.k_sigma,
     )
-    block = block_margins_batched(
-        decoder.patterns,
-        decoder.nu,
-        decoder.scheme,
-        spec.sigma_t,
-        params.k_sigma,
-    )
-    select_v = float(select.min())
-    block_v = float(block.min())
     return {
-        "select_margin_v": select_v,
-        "block_margin_v": block_v,
-        "margin_yield": float(((select > 0) & (block > 0)).mean()),
-        "margin_passes": bool(select_v > 0 and block_v > 0),
+        "select_margin_v": report.select_margin_v,
+        "block_margin_v": report.block_margin_v,
+        "margin_yield": report.margin_yield,
+        "margin_passes": report.passes,
     }
 
 
@@ -325,14 +313,9 @@ def _eval_workload(
     the same root seed so results depend only on (spec, code, params)
     and sweeps stay byte-reproducible at any ``jobs``.
     """
-    from repro.crossbar.ecc import SecdedCode
-    from repro.workload import (
-        ElectricalReadout,
-        exhausted_fraction,
-        prepare_workload,
-    )
+    from repro.workload import exhausted_fraction, run_workload
 
-    fleet, trace = prepare_workload(
+    fleet, trace, r = run_workload(
         spec,
         space,
         trace=params.wl_trace,
@@ -340,28 +323,15 @@ def _eval_workload(
         instances=params.wl_instances,
         seed=params.wl_seed,
         write_fraction=params.wl_write_fraction,
-        ecc=SecdedCode() if params.wl_ecc else None,
+        parity_bits=6 if params.wl_ecc else 0,
         address_space=params.wl_address_space,
-    )
-    readout = None
-    if params.wl_readout != "off":
-        from repro.crossbar.readout import ReadoutModel
-
-        readout = ElectricalReadout(
-            model=ReadoutModel(
-                r_on=params.ro_r_on,
-                r_off=params.ro_r_off,
-                v_read=params.ro_v_read,
-                scheme=params.wl_readout,
-            ),
-            resolution=params.wl_resolution,
-        )
-    r = fleet.run(
-        trace,
+        error_rate=params.wl_error_rate,
+        readout=params.wl_readout,
+        r_on=params.ro_r_on,
+        r_off=params.ro_r_off,
+        v_read=params.ro_v_read,
+        resolution=params.wl_resolution,
         chunk_size=params.mc_chunk,
-        seed=params.wl_seed,
-        write_error_rate=params.wl_error_rate,
-        readout=readout,
     )
     columns = {
         "wl_trace": trace.name,
@@ -467,11 +437,6 @@ EVALUATORS: dict[str, Evaluator] = {
     "readout": _eval_readout,
     "workload": _eval_workload,
 }
-
-
-def register_evaluator(name: str, evaluator: Evaluator) -> None:
-    """Register a custom metric evaluator under ``name``."""
-    EVALUATORS[str(name)] = evaluator
 
 
 def resolve_metrics(metrics: Sequence[str]) -> tuple[str, ...]:

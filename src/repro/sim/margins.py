@@ -104,7 +104,7 @@ def select_margins_batched(
     sigma_t: float = DEFAULT_SIGMA_T,
     k_sigma: float = 3.0,
 ) -> np.ndarray:
-    """Broadcast form of :func:`repro.decoder.margins.select_margins`.
+    """k-sigma conduction margin of every wire under its own address.
 
     One ``(N, M)`` margin matrix ``VA - nominal - k sigma`` reduced
     over the region axis; byte-identical to the scalar per-wire loop.
@@ -157,7 +157,7 @@ def block_margins_batched(
     sigma_t: float = DEFAULT_SIGMA_T,
     k_sigma: float = 3.0,
 ) -> np.ndarray:
-    """Broadcast form of :func:`repro.decoder.margins.block_margins`.
+    """k-sigma blocking margin of every wire's address vs the other wires.
 
     Worst conflicting pair per address — the row-min of
     :func:`pair_block_matrix`; byte-identical to the scalar pairwise

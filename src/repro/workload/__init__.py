@@ -30,6 +30,7 @@ from repro.workload.memory_batch import (
     MemoryFleet,
     analytic_address_space,
     prepare_workload,
+    run_workload,
 )
 from repro.workload.metrics import (
     ELECTRICAL_METRICS,
@@ -66,6 +67,7 @@ __all__ = [
     "make_trace",
     "per_instance_metrics",
     "prepare_workload",
+    "run_workload",
     "sequential_trace",
     "summarize_fleet",
     "uniform_trace",

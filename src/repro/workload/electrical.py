@@ -76,6 +76,7 @@ from repro.crossbar.readout import ReadoutError, ReadoutModel, check_resolution
 from repro.decoder.addressmap import AddressMap
 from repro.sim.batch import parallel_map
 from repro.sim.readout import BankCache, sense_currents, state_digest
+from repro.workload.memory_batch import _draw_flips
 from repro.workload.traces import Trace
 
 #: Default number of histogram bins over the [0, 1] margin range.
@@ -314,12 +315,12 @@ def run_electrical_batched(
                 if code is None:
                     vals_w = vw.copy()
                     if err_streams[i] is not None and p > 0:
-                        vals_w ^= err_streams[i].random(n_w) < p
+                        vals_w ^= _draw_flips(err_streams[i], (n_w,), p)
                 else:
                     blocks_w = clean_blocks_w
                     if err_streams[i] is not None and p > 0:
-                        blocks_w = clean_blocks_w ^ (
-                            err_streams[i].random((n_w, bb)) < p
+                        blocks_w = clean_blocks_w ^ _draw_flips(
+                            err_streams[i], (n_w, bb), p
                         )
 
             remap = fleet._remaps[i]

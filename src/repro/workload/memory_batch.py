@@ -109,11 +109,10 @@ def prepare_workload(
 ) -> tuple["MemoryFleet", Trace]:
     """Sample a fleet and build its trace with the shared sizing rule.
 
-    The one construction sequence behind both ``repro memsim`` and the
-    ``workload`` sweep evaluator: sample ``instances`` crossbar
-    instances, size the logical address space from the analytic model
-    when ``address_space <= 0`` (see :func:`analytic_address_space`),
-    and generate the seeded trace.
+    The construction step of :func:`run_workload`: sample ``instances``
+    crossbar instances, size the logical address space from the
+    analytic model when ``address_space <= 0`` (see
+    :func:`analytic_address_space`), and generate the seeded trace.
     """
     from repro.workload.traces import make_trace
 
@@ -127,6 +126,70 @@ def prepare_workload(
         write_fraction=write_fraction,
         seed=seed,
     )
+
+
+def run_workload(
+    spec: CrossbarSpec,
+    space: CodeSpace,
+    *,
+    trace: str,
+    accesses: int,
+    instances: int,
+    seed: int,
+    write_fraction: float,
+    parity_bits: int,
+    address_space: int,
+    error_rate: float,
+    readout: str,
+    r_on: float,
+    r_off: float,
+    v_read: float,
+    resolution: float,
+    chunk_size: int,
+) -> tuple["MemoryFleet", Trace, "FleetResult"]:
+    """Sample a fleet, build its trace and replay it: one workload run.
+
+    The one run behind both ``repro memsim`` and the ``workload`` sweep
+    metric; each caller maps the returned ``(fleet, trace, result)``
+    onto its own output.  ``parity_bits`` 0 stores raw bits, otherwise
+    blocks of a ``SecdedCode(parity_bits)``.  ``readout`` ``"off"``
+    keeps reads ideal; a biasing scheme name resolves them electrically
+    with the ``r_on``/``r_off``/``v_read`` technology at sense
+    ``resolution``.
+
+    ``prepare_workload`` is looked up on the :mod:`repro.workload`
+    package and ``readout`` reaches :meth:`MemoryFleet.run` by keyword,
+    the two places perfbench's layer tracer wraps.
+    """
+    from repro import workload
+
+    fleet, trace_ = workload.prepare_workload(
+        spec,
+        space,
+        trace=trace,
+        accesses=accesses,
+        instances=instances,
+        seed=seed,
+        write_fraction=write_fraction,
+        ecc=SecdedCode(parity_bits) if parity_bits else None,
+        address_space=address_space,
+    )
+    electrical = None
+    if readout != "off":
+        from repro.crossbar.readout import ReadoutModel
+
+        electrical = workload.ElectricalReadout(
+            model=ReadoutModel(r_on=r_on, r_off=r_off, v_read=v_read, scheme=readout),
+            resolution=resolution,
+        )
+    result = fleet.run(
+        trace_,
+        chunk_size=chunk_size,
+        seed=seed,
+        write_error_rate=error_rate,
+        readout=electrical,
+    )
+    return fleet, trace_, result
 
 
 def analytic_address_space(

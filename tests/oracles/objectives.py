@@ -1,24 +1,20 @@
-"""Named decoder cost functions (paper Prop. 3 and Sec. 6 metrics).
+"""Design objectives as direct cost functions (paper Prop. 3 and Sec. 6).
 
 Proposition 3 defines two fabrication-time objectives — the technology
 complexity ``Phi`` and the reliability cost ``||Sigma||_1`` — and the
 evaluation adds two circuit-level ones: crossbar yield (to maximise) and
-effective bit area (to minimise).  All four are exposed here with one
-uniform "lower is better" signature so the optimiser can treat them
-interchangeably.
+effective bit area (to minimise).  Each is computed here straight from
+the decoder / yield / area models with one "lower is better"
+signature; the optimizer scores the same objectives through pipeline
+columns (``repro.core.optimizer.OBJECTIVES``) and must agree exactly.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from repro.codes.base import CodeSpace
 from repro.crossbar.area import effective_bit_area
 from repro.crossbar.spec import CrossbarSpec
 from repro.crossbar.yield_model import crossbar_yield, decoder_for
-
-#: Objective signature: (spec, code) -> cost, lower is better.
-Objective = Callable[[CrossbarSpec, CodeSpace], float]
 
 
 def complexity_cost(spec: CrossbarSpec, space: CodeSpace) -> float:
@@ -41,19 +37,10 @@ def bit_area_cost(spec: CrossbarSpec, space: CodeSpace) -> float:
     return effective_bit_area(spec, space).effective_bit_area_nm2
 
 
-OBJECTIVES: dict[str, Objective] = {
+#: Reference cost of each named objective.
+COSTS = {
     "complexity": complexity_cost,
     "variability": variability_cost,
     "yield": yield_cost,
     "bit_area": bit_area_cost,
 }
-
-
-def get_objective(name: str) -> Objective:
-    """Look up an objective by name."""
-    key = name.strip().lower()
-    if key not in OBJECTIVES:
-        raise KeyError(
-            f"unknown objective {name!r}; expected one of {sorted(OBJECTIVES)}"
-        )
-    return OBJECTIVES[key]

@@ -6,7 +6,7 @@ import pytest
 
 from repro import api
 from repro.cli import build_parser, main
-from repro.decoder import margins
+from repro.sim import margins
 from tests.oracles.margins import (
     block_margins_loop,
     select_margins_loop,
@@ -136,8 +136,8 @@ class TestSubcommands:
         )
         _, batched = run_cli(capsys, *args)
         # the same command on the scalar loop oracles
-        monkeypatch.setattr(margins, "select_margins", select_margins_loop)
-        monkeypatch.setattr(margins, "block_margins", block_margins_loop)
+        monkeypatch.setattr(margins, "select_margins_batched", select_margins_loop)
+        monkeypatch.setattr(margins, "block_margins_batched", block_margins_loop)
         monkeypatch.setattr(api, "simulate_margin_yield", simulate_margin_yield_loop)
         _, loop = run_cli(capsys, *args)
         lhs, rhs = json.loads(batched), json.loads(loop)
@@ -296,6 +296,7 @@ class TestPlatformKnobValidation:
             "--window-margin nan headline",
             "--window-margin 1.5 info",
             "--sigma-t -0.05 fig7",
+            "--sigma-t 1e308 fig7",
             "--raw-kb 0 fig8",
             "--raw-kb nan info",
             "--contact-gap -3 fig8",

@@ -1,5 +1,7 @@
 """Unit tests for repro.codes.arranged."""
 
+import sys
+
 import pytest
 
 from repro.codes.arranged import (
@@ -81,3 +83,15 @@ class TestArrangedHotCode:
     def test_digit_balance_diagnostics(self):
         info = ArrangedHotCode(2, 3).digit_balance()
         assert sum(info["per_digit"]) == 2 * (ArrangedHotCode(2, 3).size - 1)
+
+
+class TestDeepSearch:
+    def test_space_beyond_recursion_limit(self):
+        from repro.codes.arranged import _arranged_path_search
+
+        words = hot_words(3, 3)
+        assert len(words) > sys.getrecursionlimit()
+        path = _arranged_path_search(words, words[0], node_budget=2 * len(words))
+        if path is not None:
+            assert sorted(path) == sorted(words)
+            assert is_distance_sequence(path, 2)

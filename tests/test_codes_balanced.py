@@ -1,5 +1,7 @@
 """Unit tests for repro.codes.balanced."""
 
+import sys
+
 import pytest
 
 from repro.codes.balanced import BalancedGrayCode, balanced_gray_words
@@ -86,3 +88,21 @@ class TestBalancedGrayCode:
         tc_sigma = code_variability(TreeCode(2, 4), nanowires)
         # compare the dispersion of per-region variability
         assert np.std(np.sqrt(bgc_sigma)) < np.std(np.sqrt(tc_sigma))
+
+
+class TestDeepSearch:
+    @pytest.mark.parametrize("require_cycle", [False, True])
+    @pytest.mark.parametrize("order", ["balance", "warnsdorff"])
+    def test_space_beyond_recursion_limit(self, order, require_cycle):
+        from repro.codes.balanced import _balanced_path_search
+
+        n, m = 2, 11
+        size = n**m
+        assert size > sys.getrecursionlimit()
+        cap = -(-(size - 1) // m)
+        path = _balanced_path_search(
+            n, m, cap, (0,) * m, 2 * size, require_cycle, order
+        )
+        if path is not None:
+            assert sorted(path) == counting_words(n, m)
+            assert is_gray_sequence(path)

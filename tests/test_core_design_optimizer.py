@@ -1,11 +1,11 @@
-"""Unit tests for repro.core.design, objectives and optimizer."""
+"""Unit tests for repro.core.design and optimizer, and the objective registry."""
 
 import pytest
 
 from repro.codes import make_code
 from repro.core.design import DecoderDesign
-from repro.core.objectives import OBJECTIVES, get_objective
-from repro.core.optimizer import explore_designs, optimize_design
+from repro.core.optimizer import OBJECTIVES, explore_designs, optimize_design
+from tests.oracles.objectives import COSTS
 
 
 class TestDecoderDesign:
@@ -42,20 +42,33 @@ class TestObjectives:
     def test_registry_complete(self):
         assert set(OBJECTIVES) == {"complexity", "variability", "yield", "bit_area"}
 
-    def test_lookup_case_insensitive(self):
-        assert get_objective("Yield") is OBJECTIVES["yield"]
+    def test_lookup_case_insensitive(self, spec):
+        grid = {"families": ("BGC",), "lengths": (8,), "spec": spec}
+        mixed = explore_designs("Yield", **grid)
+        assert [p.cost for p in mixed.points] == [
+            p.cost for p in explore_designs("yield", **grid).points
+        ]
 
     def test_unknown_raises(self):
         with pytest.raises(KeyError):
-            get_objective("nope")
+            explore_designs("nope")
+
+    def test_cli_choices_come_from_registry(self):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command")
+        optimize = sub.choices["optimize"]
+        action = next(a for a in optimize._actions if a.dest == "objective")
+        assert action.choices == list(OBJECTIVES)
 
     def test_costs_match_design_figures(self, spec):
         code = make_code("BGC", 2, 8)
         design = DecoderDesign(space=code, spec=spec)
-        assert OBJECTIVES["complexity"](spec, code) == design.fabrication_complexity
-        assert OBJECTIVES["variability"](spec, code) == pytest.approx(design.sigma_norm)
-        assert OBJECTIVES["yield"](spec, code) == pytest.approx(-design.cave_yield)
-        assert OBJECTIVES["bit_area"](spec, code) == pytest.approx(design.bit_area_nm2)
+        assert COSTS["complexity"](spec, code) == design.fabrication_complexity
+        assert COSTS["variability"](spec, code) == pytest.approx(design.sigma_norm)
+        assert COSTS["yield"](spec, code) == pytest.approx(-design.cave_yield)
+        assert COSTS["bit_area"](spec, code) == pytest.approx(design.bit_area_nm2)
 
 
 class TestExploreDesigns:

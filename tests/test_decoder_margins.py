@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from repro.codes import make_code
-from repro.decoder.margins import (
-    applied_voltages,
-    block_margins,
-    margin_report,
-    margin_yield,
-    select_margins,
-)
+from repro.decoder.margins import applied_voltages, margin_report
 from repro.device.threshold import LevelScheme
+from repro.sim.margins import block_margins_batched, select_margins_batched
 
 
 @pytest.fixture
@@ -34,40 +29,41 @@ class TestAppliedVoltages:
 class TestSelectMargins:
     def test_zero_variability_gives_half_spacing(self, scheme):
         patterns = np.array([[0, 1], [1, 0]])
-        margins = select_margins(patterns, np.zeros((2, 2)), scheme)
+        margins = select_margins_batched(patterns, np.zeros((2, 2)), scheme)
         assert margins == pytest.approx([0.25, 0.25])
 
     def test_margins_shrink_with_variability(self, scheme):
         patterns = np.array([[0, 1]])
-        low = select_margins(patterns, np.ones((1, 2)), scheme, k_sigma=3.0)
-        high = select_margins(patterns, 9 * np.ones((1, 2)), scheme, k_sigma=3.0)
+        nu = np.ones((1, 2))
+        low = select_margins_batched(patterns, nu, scheme, k_sigma=3.0)
+        high = select_margins_batched(patterns, 9 * nu, scheme, k_sigma=3.0)
         assert high[0] < low[0]
 
     def test_k_sigma_scaling(self, scheme):
         patterns = np.array([[0, 1]])
         nu = 4 * np.ones((1, 2))
-        m1 = select_margins(patterns, nu, scheme, sigma_t=0.05, k_sigma=1.0)
-        m3 = select_margins(patterns, nu, scheme, sigma_t=0.05, k_sigma=3.0)
+        m1 = select_margins_batched(patterns, nu, scheme, sigma_t=0.05, k_sigma=1.0)
+        m3 = select_margins_batched(patterns, nu, scheme, sigma_t=0.05, k_sigma=3.0)
         assert m1[0] - m3[0] == pytest.approx(2 * 0.05 * 2.0)
 
 
 class TestBlockMargins:
     def test_distinct_patterns_have_finite_margin(self, scheme):
         patterns = np.array([[0, 1], [1, 0]])
-        margins = block_margins(patterns, np.zeros((2, 2)), scheme)
+        margins = block_margins_batched(patterns, np.zeros((2, 2)), scheme)
         assert np.isfinite(margins).all()
 
     def test_identical_copies_skipped(self, scheme):
         """Copies in other contact groups do not count as conflicts."""
         patterns = np.array([[0, 1], [0, 1]])
-        margins = block_margins(patterns, np.zeros((2, 2)), scheme)
+        margins = block_margins_batched(patterns, np.zeros((2, 2)), scheme)
         assert np.isinf(margins).all()
 
     def test_zero_variability_margin_value(self, scheme):
         """With VA = level + spacing/2, the blocking region sits
         spacing/2 above the applied voltage."""
         patterns = np.array([[0, 1], [1, 0]])
-        margins = block_margins(patterns, np.zeros((2, 2)), scheme)
+        margins = block_margins_batched(patterns, np.zeros((2, 2)), scheme)
         assert margins == pytest.approx([0.25, 0.25])
 
 
@@ -95,16 +91,16 @@ class TestMarginReport:
 
 class TestMarginYield:
     def test_bounds(self):
-        y = margin_yield(make_code("BGC", 2, 8), 20)
+        y = margin_report(make_code("BGC", 2, 8), 20).margin_yield
         assert 0.0 <= y <= 1.0
 
     def test_more_conservative_at_high_k(self):
         code = make_code("TC", 2, 10)
-        loose = margin_yield(code, 20, k_sigma=1.0)
-        tight = margin_yield(code, 20, k_sigma=4.0)
+        loose = margin_report(code, 20, k_sigma=1.0).margin_yield
+        tight = margin_report(code, 20, k_sigma=4.0).margin_yield
         assert tight <= loose
 
     def test_optimised_code_not_worse(self):
-        tc = margin_yield(make_code("TC", 2, 8), 20, k_sigma=2.0)
-        bgc = margin_yield(make_code("BGC", 2, 8), 20, k_sigma=2.0)
+        tc = margin_report(make_code("TC", 2, 8), 20, k_sigma=2.0).margin_yield
+        bgc = margin_report(make_code("BGC", 2, 8), 20, k_sigma=2.0).margin_yield
         assert bgc >= tc

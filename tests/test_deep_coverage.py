@@ -100,11 +100,11 @@ class TestFigureGeneratorsCorners:
 
 class TestMarginCorners:
     def test_margin_yield_extremes(self):
-        from repro.decoder.margins import margin_yield
+        from repro.decoder.margins import margin_report
 
         code = make_code("BGC", 2, 8)
-        assert margin_yield(code, 20, k_sigma=0.1) == 1.0
-        assert margin_yield(code, 20, k_sigma=50.0) == 0.0
+        assert margin_report(code, 20, k_sigma=0.1).margin_yield == 1.0
+        assert margin_report(code, 20, k_sigma=50.0).margin_yield == 0.0
 
     def test_ternary_margins(self):
         from repro.decoder.margins import margin_report

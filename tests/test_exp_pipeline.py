@@ -83,6 +83,26 @@ class TestDesignGrid:
         labels = [p.label for p in points]
         assert labels == ["TC/6", "TC/8", "HC/6", "HC/8"]
 
+    def test_admissibility_builds_no_code(self, monkeypatch):
+        import repro.codes.registry as registry
+        import repro.exp.designpoint as designpoint
+
+        expected = design_grid(families=("TC", "HC"), lengths=(5, 6, 7, 8))
+
+        def no_build(*args):
+            raise CodeError("builder search failed")
+
+        monkeypatch.setattr(designpoint, "make_code", no_build)
+        monkeypatch.setattr(registry, "_build_code", no_build)
+        assert design_grid(families=("TC", "HC"), lengths=(5, 6, 7, 8)) == expected
+        assert design_grid(axes=GRID_AXES) == [
+            DesignPoint.make(f, m, **{name: v})
+            for f in ("TC", "GC", "BGC", "HC", "AHC")
+            for m in (4, 6, 8, 10)
+            for name, values in GRID_AXES.items()
+            for v in values
+        ]
+
     def test_unknown_family_rejected_not_dropped(self):
         with pytest.raises(CodeError, match="unknown code family"):
             design_grid(families=("TC", "XYZ"), lengths=(6,))
@@ -213,12 +233,13 @@ class TestPipelineExecution:
 class TestCacheBehaviour:
     def test_sweep_hits_construction_caches(self, spec):
         clear_caches()
-        grid = design_grid(axes=GRID_AXES)  # warms make_code via admissibility
+        grid = design_grid(axes=GRID_AXES)  # admissibility builds no code
         run_sweep(grid, ("yield", "area"), spec=spec, jobs=1)
         stats = cache_stats()
-        # 20 unique (family, length) codes behind 60 grid points
+        # 20 unique (family, length) codes behind 60 grid points, each
+        # point resolving its code once
         assert stats["make_code"]["misses"] == 20
-        assert stats["make_code"]["hits"] >= 60
+        assert stats["make_code"]["hits"] == 40
         # one decoder per (spec, code) point; yield+area reuse it:
         # area's evaluator alone resolves it twice more per point
         assert stats["decoder_for"]["misses"] == 60
@@ -314,19 +335,19 @@ class TestGoldenEquivalence:
         ]
 
     def test_objective_tables_stay_in_sync(self):
-        from repro.core.objectives import OBJECTIVES
-        from repro.core.optimizer import _OBJECTIVE_COLUMNS
+        from repro.core.optimizer import OBJECTIVES
+        from tests.oracles.objectives import COSTS
 
-        assert set(_OBJECTIVE_COLUMNS) == set(OBJECTIVES)
+        assert set(COSTS) == set(OBJECTIVES)
 
     @pytest.mark.parametrize(
         "objective", ["complexity", "variability", "yield", "bit_area"]
     )
     def test_optimizer_costs_match_objective_functions(self, spec, objective):
-        from repro.core.objectives import get_objective
         from repro.core.optimizer import explore_designs
+        from tests.oracles.objectives import COSTS
 
-        score = get_objective(objective)
+        score = COSTS[objective]
         result = explore_designs(objective, spec=spec, jobs=2)
         for point in result.points:
             assert point.cost == score(spec, point.design.space)
@@ -363,6 +384,20 @@ class TestSweepCLI:
     def run(self, capsys, *argv):
         code = main(list(argv))
         return code, capsys.readouterr().out
+
+    def test_failed_builder_search_is_one_error_line(self, capsys, monkeypatch):
+        import repro.codes.registry as registry
+
+        def failed(key, n, total_length):
+            raise CodeError(f"no {key} path found for n={n}, M={total_length}")
+
+        monkeypatch.setattr(registry, "_build_code", failed)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--families", "BGC", "--lengths", "8"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert err == "repro sweep: error: no BGC path found for n=2, M=8\n"
 
     def test_parallel_output_byte_identical_to_serial(self, capsys):
         code, serial = self.run(capsys, *self.GRID_ARGS, "--jobs", "1")
@@ -469,3 +504,89 @@ class TestSweepCLI:
     def test_empty_grid_exits(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--families", "TC", "--lengths", "5"])
+
+
+class TestOneImplementationPerFigure:
+    """A design figure reads the same through every surface that reports
+    it: the sweep's ``workload`` columns equal ``api.memsim``, and its
+    ``margins`` columns equal ``repro margins``."""
+
+    #: (SweepParams knobs, the matching WorkloadRequest fields)
+    WORKLOAD_SETTINGS = {
+        "ideal": ({}, {}),
+        "ecc": (
+            {"wl_ecc": True, "wl_error_rate": 1e-3},
+            {"parity_bits": 6, "error_rate": 1e-3},
+        ),
+        "float": (
+            {"wl_readout": "float", "wl_resolution": 0.3},
+            {"readout": "float", "resolution": 0.3},
+        ),
+        "ground": ({"wl_readout": "ground"}, {"readout": "ground"}),
+    }
+
+    @pytest.mark.parametrize("setting", WORKLOAD_SETTINGS)
+    def test_workload_columns_equal_memsim(self, spec, setting):
+        from repro import api
+
+        knobs, fields = self.WORKLOAD_SETTINGS[setting]
+        params = SweepParams(wl_accesses=600, wl_instances=2, wl_seed=5, **knobs)
+        points = [DesignPoint.make("TC", 6), DesignPoint.make("BGC", 8)]
+        sweep = run_sweep(points, ("workload",), spec=spec, params=params)
+        for point, row in zip(points, sweep.to_records()):
+            result = api.memsim(
+                api.WorkloadRequest(
+                    point.family,
+                    point.total_length,
+                    accesses=600,
+                    instances=2,
+                    seed=5,
+                    spec=spec,
+                    **fields,
+                )
+            )
+            mean = {name: m["mean"] for name, m in result.metrics.items()}
+            expected = {
+                "wl_trace": result.trace,
+                "wl_accesses": result.accesses,
+                "wl_instances": result.instances,
+                "wl_address_space": result.address_space,
+                "wl_capacity_mean": mean["effective_capacity_bits"],
+                "wl_capacity_std": result.metrics["effective_capacity_bits"]["std"],
+                "wl_efficiency_mean": mean["efficiency"],
+                "wl_failure_rate_mean": mean["failure_rate"],
+                "wl_first_failure_mean": mean["first_failure_index"],
+                "wl_exhausted_fraction": result.exhausted_fraction,
+                "wl_corrected_mean": mean["corrected"],
+                "wl_uncorrectable_mean": mean["uncorrectable"],
+            }
+            if result.electrical:
+                expected.update(
+                    {
+                        "wl_readout": result.readout["scheme"],
+                        "wl_misread_rate_mean": mean["misread_rate"],
+                        "wl_margin_mean": mean["margin_mean"],
+                        "wl_margin_min_mean": mean["margin_min"],
+                        "wl_ecc_masked_mean": mean["ecc_masked_misreads"],
+                        "wl_cache_hit_rate": result.cache["hit_rate"],
+                    }
+                )
+            assert result.electrical == (setting in ("float", "ground"))
+            assert {k: v for k, v in row.items() if k.startswith("wl_")} == expected
+
+    def test_margin_columns_equal_margins_command(self, capsys, spec):
+        families = ("TC", "GC", "BGC", "HC", "AHC")
+        argv = ["margins", "--family", ",".join(families), "-M", "8"]
+        assert main([*argv, "--k-sigma", "2", "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        header = lines[0].split(",")
+        cli = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        points = [DesignPoint.make(f, 8) for f in families]
+        params = SweepParams(k_sigma=2.0)
+        sweep = run_sweep(points, ("margins",), spec=spec, params=params)
+        for family, want, row in zip(families, cli, sweep.to_records()):
+            assert want["family"] == row["family"] == family
+            assert repr(row["select_margin_v"]) == want["select_margin_v"]
+            assert repr(row["block_margin_v"]) == want["block_margin_v"]
+            assert repr(row["margin_yield"]) == want["margin_yield"]
+            assert str(row["margin_passes"]) == want["passes"]

@@ -25,19 +25,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.decoder.margins as margins_module
+import repro.sim.margins as margins_module
 from repro import api
 from repro.codes import make_code
 from repro.crossbar.montecarlo import simulate_margin_yield
 from repro.crossbar.spec import CrossbarSpec
 from repro.crossbar.yield_model import decoder_for
-from repro.decoder.margins import (
-    applied_voltages,
-    block_margins,
-    margin_report,
-    margin_yield,
-    select_margins,
-)
+from repro.decoder.margins import applied_voltages, margin_report
 from repro.decoder.pattern import pattern_matrix
 from repro.decoder.variability import dose_count_matrix
 from repro.device.threshold import LevelScheme
@@ -45,8 +39,10 @@ from repro.fabrication.doping import DopingPlan
 from repro.sim.margins import (
     MarginYieldKernel,
     applied_voltage_matrix,
+    block_margins_batched,
     conflict_matrix,
     pair_block_matrix,
+    select_margins_batched,
 )
 from tests.oracles.margins import (
     block_margins_loop,
@@ -81,21 +77,23 @@ class TestAnalyticEquivalence:
         _, patterns, nu, scheme = margin_inputs(family, n, length, nanowires)
         for k_sigma in (0.0, 1.0, 3.0):
             loop = select_margins_loop(patterns, nu, scheme, k_sigma=k_sigma)
-            batched = select_margins(patterns, nu, scheme, k_sigma=k_sigma)
+            batched = select_margins_batched(patterns, nu, scheme, k_sigma=k_sigma)
             assert np.array_equal(loop, batched)
             loop = block_margins_loop(patterns, nu, scheme, k_sigma=k_sigma)
-            batched = block_margins(patterns, nu, scheme, k_sigma=k_sigma)
+            batched = block_margins_batched(patterns, nu, scheme, k_sigma=k_sigma)
             assert np.array_equal(loop, batched)
 
     @pytest.mark.parametrize("family,n,length", DESIGNS)
     def test_byte_identical_reports_and_yields(self, family, n, length, monkeypatch):
         space = make_code(family, n, length)
         report = margin_report(space, 20)
-        myield = margin_yield(space, 20, k_sigma=1.5)
-        monkeypatch.setattr(margins_module, "select_margins", select_margins_loop)
-        monkeypatch.setattr(margins_module, "block_margins", block_margins_loop)
+        myield = margin_report(space, 20, k_sigma=1.5).margin_yield
+        monkeypatch.setattr(
+            margins_module, "select_margins_batched", select_margins_loop
+        )
+        monkeypatch.setattr(margins_module, "block_margins_batched", block_margins_loop)
         assert margin_report(space, 20) == report
-        assert margin_yield(space, 20, k_sigma=1.5) == myield
+        assert margin_report(space, 20, k_sigma=1.5).margin_yield == myield
 
     def test_unknown_method_rejected(self):
         # the scalar loops are test oracles now, not a method knob
@@ -207,13 +205,13 @@ class TestMarginYieldMonteCarlo:
         select, block = kernel.realised_margins(kernel.nominal)
         assert np.array_equal(
             select,
-            select_margins(
+            select_margins_batched(
                 decoder.patterns, decoder.nu, decoder.scheme, k_sigma=0.0
             ),
         )
         assert np.array_equal(
             block,
-            block_margins(
+            block_margins_batched(
                 decoder.patterns, decoder.nu, decoder.scheme, k_sigma=0.0
             ),
         )
@@ -387,11 +385,11 @@ class TestKSigmaProperty:
         if k_lo > k_hi:
             k_lo, k_hi = k_hi, k_lo
         _, patterns, nu, scheme = margin_inputs("BGC", 2, 8, 20)
-        loose_select = select_margins(patterns, nu, scheme, k_sigma=k_lo)
-        tight_select = select_margins(patterns, nu, scheme, k_sigma=k_hi)
+        loose_select = select_margins_batched(patterns, nu, scheme, k_sigma=k_lo)
+        tight_select = select_margins_batched(patterns, nu, scheme, k_sigma=k_hi)
         assert (tight_select <= loose_select).all()
-        loose_block = block_margins(patterns, nu, scheme, k_sigma=k_lo)
-        tight_block = block_margins(patterns, nu, scheme, k_sigma=k_hi)
+        loose_block = block_margins_batched(patterns, nu, scheme, k_sigma=k_lo)
+        tight_block = block_margins_batched(patterns, nu, scheme, k_sigma=k_hi)
         assert (tight_block <= loose_block).all()
 
     @given(k=st.floats(min_value=0.0, max_value=10.0))
@@ -400,5 +398,5 @@ class TestKSigmaProperty:
         _, patterns, nu, scheme = margin_inputs("GC", 2, 6, 12)
         assert np.array_equal(
             block_margins_loop(patterns, nu, scheme, k_sigma=k),
-            block_margins(patterns, nu, scheme, k_sigma=k),
+            block_margins_batched(patterns, nu, scheme, k_sigma=k),
         )
