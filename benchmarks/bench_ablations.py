@@ -9,7 +9,7 @@ sensitive and which are structural.
 """
 
 from repro.analysis.report import render_table
-from repro.analysis.sweeps import spec_with
+from repro.crossbar.spec import spec_with
 from repro.codes import make_code
 from repro.crossbar.yield_model import crossbar_yield
 from repro.decoder.margins import margin_report

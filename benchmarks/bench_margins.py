@@ -36,11 +36,12 @@ import numpy as np
 from repro.analysis.report import render_table
 from repro.codes import make_code
 from repro.crossbar.montecarlo import simulate_margin_yield
-from repro.decoder.margins import applied_voltages, margin_report
+from repro.decoder.margins import margin_report
 from repro.decoder.pattern import pattern_matrix
 from repro.decoder.variability import dose_count_matrix
 from repro.device.threshold import LevelScheme
 from repro.fabrication.doping import DopingPlan
+from tests.oracles.margins import applied_voltages
 
 TRIALS = int(os.environ.get("MARGINS_BENCH_TRIALS", 20_000))
 LOOP_TRIALS = max(1, int(os.environ.get("MARGINS_BENCH_LOOP_TRIALS", 1_000)))

@@ -1,9 +1,10 @@
-"""Analysis layer: figure data generators, headline statistics, sweeps.
+"""Analysis layer: figure data generators, headline statistics, reports.
 
 One generator per paper figure (:mod:`repro.analysis.figures`), one
-measurable function per textual claim (:mod:`repro.analysis.stats`), a
-platform-spec perturbation helper (:mod:`repro.analysis.sweeps`) and
-plain-text reporting (:mod:`repro.analysis.report`).
+measurable function per textual claim (:mod:`repro.analysis.stats`) and
+plain-text reporting (:mod:`repro.analysis.report`).  The platform-spec
+perturbation helper :func:`~repro.crossbar.spec.spec_with` and the
+sweep ``Record`` type are re-exported for the ablation studies.
 """
 
 from repro.analysis.figures import (
@@ -58,7 +59,8 @@ from repro.analysis.stats import (
     tc_area_saving,
     tc_yield_gain,
 )
-from repro.analysis.sweeps import Record, spec_with
+from repro.crossbar.spec import spec_with
+from repro.exp.results import Record
 
 __all__ = [
     "CalibrationPoint",

@@ -26,8 +26,7 @@ from repro.analysis.stats import (
     tc_area_saving,
     tc_yield_gain,
 )
-from repro.analysis.sweeps import spec_with
-from repro.crossbar.spec import CrossbarSpec
+from repro.crossbar.spec import CrossbarSpec, spec_with
 
 #: The paper's calibration-sensitive targets.
 PAPER_TARGETS: dict[str, float] = {

@@ -61,7 +61,7 @@ from repro.core.theorems import check_all
 from repro.crossbar.readout import ReadoutError
 from repro.crossbar.spec import CrossbarSpec
 from repro.decoder.stochastic import compare_with_deterministic
-from repro.exp.pipeline import SEED_HELP, SweepParams
+from repro.exp.pipeline import SEED_HELP, SweepParams, resolve_jobs
 from repro.fabrication.lithography import LithographyRules
 
 __all__ = ["CHUNK_HELP", "FORMAT_HELP", "SEED_HELP", "VIA_HELP", "build_parser", "main"]
@@ -104,6 +104,20 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+class _UsageError(ValueError):
+    """A bad command line only a handler can see (an empty grid, a job
+    directory that is not one); :func:`main` reports it like an argparse
+    error.  ``flags`` names the argument(s) at fault."""
+
+    def __init__(self, message: str, *flags: str):
+        super().__init__(message)
+        self.flags = flags
+
+
+#: ``shard status --interval``: checked before the first poll.
+_INTERVAL = schema.Knob(float, gt=0, label="interval", flags=("--interval",))
 
 
 def _dest(flags: tuple[str, ...]) -> str:
@@ -398,16 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, _cmd_store, "maintain a content-addressed result store")
     store_sub = p.add_subparsers(dest="store_command", required=True)
-    for name, blurb in (
-        ("gc", "compact manifest.jsonl to live entries"),
-        ("verify", "digest-verify every object in the store"),
-    ):
-        ps = store_sub.add_parser(name, help=blurb)
-        ps.add_argument(
-            "root",
-            nargs="?",
-            help="store directory (default: global --store / $REPRO_STORE)",
-        )
+    ps = store_sub.add_parser("verify", help="digest-verify every object in the store")
+    ps.add_argument(
+        "root",
+        nargs="?",
+        help="store directory (default: global --store / $REPRO_STORE)",
+    )
     ps.add_argument(
         "--quarantine",
         action="store_true",
@@ -631,28 +641,38 @@ def _number(text: str) -> float:
 
 def _grid_from_args(args: argparse.Namespace) -> list:
     """The design-point grid an ``_add_sweep_args`` namespace describes."""
+    from repro.codes.registry import design_error
     from repro.exp.designpoint import design_grid
 
     axes = {}
     for item in args.axis:
         name, _, values = item.partition("=")
         if not values:
-            raise SystemExit(f"--axis expects NAME=V1,V2,..., got {item!r}")
+            raise _UsageError(f"expects NAME=V1,V2,..., got {item!r}", "--axis")
         try:
             axes[name.strip()] = tuple(_number(v.strip()) for v in values.split(","))
         except ValueError:
-            raise SystemExit(f"--axis has a malformed value list: {item!r}")
+            raise _UsageError(f"malformed value list {item!r}", "--axis") from None
+    families = tuple(f.strip() for f in args.families.split(",") if f.strip())
     try:
-        points = design_grid(
-            families=tuple(f.strip() for f in args.families.split(",") if f.strip()),
-            lengths=tuple(int(m) for m in args.lengths.split(",") if m.strip()),
-            n=args.valence,
-            axes=axes,
-        )
-    except ValueError as exc:  # e.g. an unknown --axis override name
-        raise SystemExit(str(exc))
+        lengths = tuple(int(m) for m in args.lengths.split(",") if m.strip())
+    except ValueError:
+        message = f"malformed length list {args.lengths!r}"
+        raise _UsageError(message, "--lengths") from None
+    try:
+        points = design_grid(families, lengths, n=args.valence, axes=axes)
+    except CodeError:  # an unknown family: main reports it as it is
+        raise
+    except ValueError as exc:  # an unknown --axis override name
+        raise _UsageError(str(exc), "--axis") from None
     if not points:
-        raise SystemExit("the requested grid has no admissible design points")
+        reasons = [
+            f" ({f} M={m}: {design_error(f, args.valence, m)})"
+            for f in families
+            for m in lengths
+        ]
+        message = "the requested grid has no admissible design points"
+        raise _UsageError(message + (reasons[0] if reasons else ""))
     return points
 
 
@@ -708,10 +728,9 @@ def _cmd_sweep(spec: CrossbarSpec, args: argparse.Namespace) -> str:
     through the parallel, cached exp pipeline and print a columnar result.
     """
     from repro.exp.cache import cache_stats
-    from repro.exp.pipeline import default_jobs
 
+    jobs = resolve_jobs(args.jobs)
     request = _sweep_request(spec, args)
-    jobs = args.jobs if args.jobs >= 1 else default_jobs()
     result = _run_request(args, "evaluate", request, jobs=jobs)
     if args.format == "json":
         payload = {"design_points": len(result), "cache": cache_stats()}
@@ -727,8 +746,15 @@ def _cmd_shard(spec: CrossbarSpec, args: argparse.Namespace) -> str:
     byte-identically to the single-host run.
     """
     from repro import dist
+    from repro.dist.manifest import JOB_FILE
     from repro.exp.results import SweepResult
 
+    if args.shard_command == "run" and not Path(args.spec_file).is_file():
+        raise _UsageError(f"no shard spec file {args.spec_file!r}", "spec_file")
+    if args.shard_command in ("launch", "status", "merge"):
+        if not (Path(args.job_dir) / JOB_FILE).is_file():
+            message = f"{args.job_dir!r} is not a shard job directory (no {JOB_FILE})"
+            raise _UsageError(message, "job_dir")
     if args.shard_command == "plan":
         if args.plan_kind == "sweep":
             request = _sweep_request(spec, args)
@@ -771,6 +797,7 @@ def _cmd_shard(spec: CrossbarSpec, args: argparse.Namespace) -> str:
             out += f"\nretried: {retries}"
         return out
     if args.shard_command == "status":
+        _INTERVAL.check("interval", args.interval)
         while args.watch:
             st = dist.status(args.job_dir)
             rate, eta, stragglers = st["units_per_s"], st["eta_s"], st["stragglers"]
@@ -787,7 +814,10 @@ def _cmd_shard(spec: CrossbarSpec, args: argparse.Namespace) -> str:
             time.sleep(args.interval)
         return _json(dist.status(args.job_dir))
 
-    merged = dist.merge_results(args.job_dir)
+    try:
+        merged = dist.merge_results(args.job_dir)
+    except (OSError, ValueError) as exc:  # an incomplete or damaged job
+        raise SystemExit(str(exc)) from exc
     # fold shard telemetry into this process's registry so --profile
     # renders the whole job's span tree, not just the merge step
     obs.absorb(dist.job_telemetry(args.job_dir))
@@ -805,10 +835,7 @@ def _cmd_shard(spec: CrossbarSpec, args: argparse.Namespace) -> str:
 
 
 def _cmd_optimize(spec: CrossbarSpec, args: argparse.Namespace) -> str:
-    from repro.exp.pipeline import default_jobs
-
-    jobs = args.jobs if args.jobs >= 1 else default_jobs()
-    result = explore_designs(args.objective, spec=spec, jobs=jobs)
+    result = explore_designs(args.objective, spec=spec, jobs=resolve_jobs(args.jobs))
     rows = [
         [p.label, p.cost, f"{100 * p.design.cave_yield:.1f}%"]
         + [f"{p.design.bit_area_nm2:.0f}"]
@@ -931,7 +958,7 @@ def _cmd_margins(spec: CrossbarSpec, args: argparse.Namespace) -> str:
 
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     if not families:
-        raise SystemExit("--family expects at least one family name")
+        raise _UsageError("expects at least one family name", "--family")
     # one marginmc request per family checks every flag before any
     # compute; only --samples > 0 runs it
     fixed = {"kind": "marginmc", "samples": max(args.samples, 1), "spec": spec}
@@ -996,11 +1023,10 @@ def _cmd_readout(spec: CrossbarSpec, args: argparse.Namespace) -> str:
     try:
         sizes = tuple(int(s) for s in args.sizes.split(",") if s.strip())
     except ValueError:
-        raise SystemExit(f"--sizes has a malformed value list: {args.sizes!r}")
-    if not sizes:
-        raise SystemExit("--sizes expects at least one bank size")
-    if min(sizes) < 1:
-        raise SystemExit(f"--sizes expects positive bank sizes, got {args.sizes!r}")
+        raise _UsageError(f"malformed value list {args.sizes!r}", "--sizes") from None
+    if not sizes or min(sizes) < 1:
+        message = f"expects one or more positive bank sizes, got {args.sizes!r}"
+        raise _UsageError(message, "--sizes")
     schemes = SCHEMES if args.scheme == "all" else (args.scheme,)
     # one engine sweep: each bank size's stamped Laplacians are shared
     # across every requested scheme; a non-physical technology raises
@@ -1039,22 +1065,19 @@ def _cmd_serve(spec: CrossbarSpec, args: argparse.Namespace) -> str:
 
 
 def _cmd_store(spec: CrossbarSpec, args: argparse.Namespace) -> str:
-    """Maintenance for a result store directory: compact the append-only manifest to
-    live entries (gc) or digest-verify every object file (verify). The root comes from
-    the positional argument, the global --store, or $REPRO_STORE.
+    """Maintenance for a result store directory: digest-verify every object file
+    (verify). The root comes from the positional argument, the global --store, or
+    $REPRO_STORE.
     """
     from repro.store import default_store
 
     store = default_store(args.root or args.store)
     if store is None:
-        raise SystemExit(
-            "repro store: no store directory given (pass one as an "
-            "argument, via --store, or set $REPRO_STORE)"
+        raise _UsageError(
+            "no store directory given (pass one as an argument, via "
+            "--store, or set $REPRO_STORE)"
         )
-    if args.store_command == "gc":
-        report = store.gc()
-    else:
-        report = store.verify(quarantine=args.quarantine)
+    report = store.verify(quarantine=args.quarantine)
     return json.dumps({"root": str(store.root), **report}, indent=2)
 
 
@@ -1081,10 +1104,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     instrumented layers aggregate into one registry, ``--profile``
     renders the tree to stderr afterwards, and ``--telemetry-out``
     streams the events as JSONL.  stdout is never touched by telemetry.
-    A request field the schema rejects or a non-physical readout
-    technology ends as one ``repro[ <cmd>]: error:`` line with exit 2,
-    before any store access or compute; so does a design its code family
-    cannot realise (``TC -M 5``).
+    A request field or execution flag the schema rejects, a non-physical
+    readout technology and any other bad command line end as one
+    ``repro[ <cmd>]: error:`` line with exit 2, before any store access
+    or compute; so does a design its code family cannot realise
+    (``TC -M 5``).  A shard job that fails or cannot be merged ends as
+    one line with exit 1.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -1115,7 +1140,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             snap = obs.finish()
             if args.profile and snap is not None:
                 print(obs.render_profile(snap), file=sys.stderr)
-    except (schema.SchemaError, ReadoutError, CodeError) as exc:
+    except (schema.SchemaError, _UsageError, ReadoutError, CodeError) as exc:
         flags = getattr(exc, "flags", ())
         where = f"argument {'/'.join(flags)}: " if flags else ""
         parser.exit(2, f"{prog}: error: {where}{exc}\n")

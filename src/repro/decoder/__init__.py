@@ -21,11 +21,7 @@ from repro.decoder.contact_groups import (
 from repro.decoder.addressmap import AddressError, AddressMap, WireAddress
 from repro.decoder.cave import FullCaveDecoder
 from repro.decoder.decoder import HalfCaveDecoder
-from repro.decoder.margins import (
-    MarginReport,
-    applied_voltages,
-    margin_report,
-)
+from repro.decoder.margins import MarginReport, margin_report
 from repro.decoder.pattern import (
     address_of_nanowire,
     group_local_indices,
@@ -66,7 +62,6 @@ __all__ = [
     "HalfCaveDecoder",
     "MarginReport",
     "StochasticError",
-    "applied_voltages",
     "compare_with_deterministic",
     "expected_addressable_fraction",
     "margin_report",

@@ -34,8 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.codes.base import CodeSpace
 from repro.decoder.decoder import HalfCaveDecoder
 from repro.device.threshold import LevelScheme
@@ -67,18 +65,6 @@ class MarginReport:
     def passes(self) -> bool:
         """True when both margins stay positive at k sigma."""
         return self.worst_margin_v > 0.0
-
-
-def applied_voltages(address: np.ndarray, scheme: LevelScheme) -> np.ndarray:
-    """Per-region gate voltages that select pattern ``address``.
-
-    Each mesowire is driven half a level spacing above the addressed
-    digit's nominal VT: high enough to turn that level on, low enough to
-    keep the next level off.
-    """
-    address = np.asarray(address)
-    levels = np.asarray(scheme.levels)
-    return levels[address] + scheme.spacing / 2.0
 
 
 def margin_report(

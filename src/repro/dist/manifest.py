@@ -135,9 +135,9 @@ def pending_shards(job_dir: str | Path, plan: ShardPlan | None = None) -> list:
 def validate_result(job_dir: str | Path, shard: ShardSpec) -> str | None:
     """Why a shard's result file cannot be merged, or None if it can.
 
-    The checks mirror what :func:`repro.dist.merge.load_results` would
-    reject, so a supervisor can catch a truncated or mismatched result
-    (and re-run the shard) *before* a merge trips over it.
+    The one result check: :func:`repro.dist.merge.load_results` refuses
+    a file it rejects, and the supervisor catches a truncated or
+    mismatched result (and re-runs the shard) *before* a merge would.
     """
     path = results_dir_for(job_dir) / shard.file_name
     if not path.exists():

@@ -30,17 +30,24 @@ from repro.crossbar.montecarlo import yield_result
 from repro.exp.results import SweepResult
 from repro.sim.accumulators import MomentSet
 
-from repro.dist.manifest import load_job, pending_shards, results_dir_for
+from repro.dist.manifest import (
+    load_job,
+    pending_shards,
+    results_dir_for,
+    validate_result,
+)
 from repro.dist.spec import ShardPlan
 
 
 def load_results(job_dir: str | Path, plan: ShardPlan | None = None) -> list[dict]:
     """All shard result documents in shard-index order, validated.
 
-    Raises if any shard is incomplete (listing the missing indices) or
-    if a result file does not belong to this job/shard — content keys
-    make mixing two jobs in one directory a hard error, not a silent
-    wrong answer.
+    Raises :class:`FileNotFoundError` if any shard is incomplete
+    (listing the missing indices) and :class:`ValueError` naming the
+    shard and the reason if a result file fails
+    :func:`~repro.dist.manifest.validate_result` — truncated, or
+    belonging to another job or shard: content keys make mixing two
+    jobs in one directory a hard error, not a silent wrong answer.
     """
     job_dir = Path(job_dir)
     plan = plan if plan is not None else load_job(job_dir)
@@ -52,13 +59,13 @@ def load_results(job_dir: str | Path, plan: ShardPlan | None = None) -> list[dic
         )
     results = []
     for shard in plan.shards:
-        doc = json.loads((results_dir_for(job_dir) / shard.file_name).read_text())
-        if doc["job_key"] != plan.key or doc["shard_key"] != shard.key:
+        reason = validate_result(job_dir, shard)
+        if reason is not None:
             raise ValueError(
-                f"result file {shard.file_name} does not match shard "
-                f"{shard.index} of job {plan.key}"
+                f"shard {shard.index} of job {plan.key} cannot be merged: {reason}"
             )
-        results.append(doc)
+        path = results_dir_for(job_dir) / shard.file_name
+        results.append(json.loads(path.read_text()))
     return results
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from repro import schema
 from repro.api import McRequest, SweepRequest
 from repro.crossbar.spec import CrossbarSpec
 from repro.exp.designpoint import DesignPoint
@@ -35,6 +36,10 @@ from repro.sim.batch import DEFAULT_STREAM_BLOCK, total_blocks
 from repro.dist.spec import ShardPlan, ShardSpec, content_key, split_even
 
 
+#: The ``shard plan --shards`` knob, checked before anything is planned.
+SHARDS = schema.Knob(int, ge=1, label="shard count", flags=("--shards",))
+
+
 def plan_request(request: SweepRequest | McRequest, *, shards: int) -> ShardPlan:
     """Split a sweep's rows or an MC request's stream blocks into shards.
 
@@ -42,6 +47,7 @@ def plan_request(request: SweepRequest | McRequest, *, shards: int) -> ShardPlan
     shard count plans one shard per unit, so a shard never splits a
     design point or a stream block (the reproducibility unit).
     """
+    SHARDS.check("shards", shards)
     if isinstance(request, SweepRequest):
         units = len(request.points)
     else:

@@ -52,7 +52,7 @@ import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro import faults, obs
+from repro import faults, obs, schema
 from repro.dist.lease import lease_is_stale, lease_path_for
 from repro.dist.spec import ShardSpec
 from repro.durable import append_line, atomic_write
@@ -65,6 +65,13 @@ DEFAULT_RETRIES = 2
 
 #: Base of the exponential re-queue backoff (``backoff * 2**(n-1)``).
 DEFAULT_BACKOFF_S = 0.5
+
+#: The execution knobs of :func:`launch` (``shard launch`` flags),
+#: checked before the job directory is read.
+WORKERS = schema.Knob(int, ge=1, label="workers", flags=("--workers",))
+RETRIES = schema.Knob(int, ge=0, label="retries", flags=("--retries",))
+BACKOFF = schema.Knob(float, ge=0, label="backoff", flags=("--backoff",))
+LEASE_TTL = schema.Knob(float, gt=0, label="lease TTL", flags=("--lease-ttl",))
 
 
 def quarantine_dir_for(job_dir: str | Path) -> Path:
@@ -199,7 +206,9 @@ def launch(
     Returns the job's :class:`~repro.dist.manifest.LaunchReport`
     (``ran``/``skipped`` exactly as before, plus ``retried`` and
     ``quarantined``); raises :class:`ShardJobError` if any shard
-    exhausted its attempts.
+    exhausted its attempts, and :class:`repro.schema.SchemaError` (a
+    ``ValueError``) before any work if a knob is out of range
+    (``workers < 1``, ``lease_ttl_s <= 0``, negative retries or backoff).
     """
     from multiprocessing.connection import wait
 
@@ -214,6 +223,12 @@ def launch(
         validate_result,
     )
 
+    if workers is not None:
+        WORKERS.check("workers", workers)
+    if lease_ttl_s is not None:
+        LEASE_TTL.check("lease_ttl_s", lease_ttl_s)
+    RETRIES.check("retries", retries)
+    BACKOFF.check("backoff_s", backoff_s)
     job_dir = Path(job_dir)
     plan = load_job(job_dir)
     todo = pending_shards(job_dir, plan)

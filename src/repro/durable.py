@@ -1,9 +1,9 @@
 """Durable commits: the one place a file is replaced or a line appended.
 
-Every on-disk commit of the stack — result-store entries and manifest
-lines, shard spec/result/lease files, the checkpoint manifest and the
-supervision log — goes through the two primitives here, so the commit
-protocol is written once:
+Every on-disk commit of the stack — result-store entries, shard
+spec/result/lease files, the checkpoint manifest and the supervision
+log — goes through the two primitives here, so the commit protocol is
+written once:
 
 * :func:`atomic_write` writes the new text to a temp file with a
   unique name in the target's directory, then :func:`os.replace`-s it

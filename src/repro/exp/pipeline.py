@@ -598,6 +598,19 @@ def default_jobs() -> int:
     return max(1, min(8, os.cpu_count() or 1))
 
 
+#: The ``--jobs`` flag of ``sweep``, ``optimize`` and ``serve``: a
+#: worker count, 0 for auto.  An execution knob: never part of a request.
+JOBS = schema.Knob(int, ge=0, label="jobs", flags=("--jobs",))
+
+
+def resolve_jobs(jobs: int) -> int:
+    """The worker count a ``--jobs`` value asks for: ``jobs``, or
+    :func:`default_jobs` for 0.  A negative value raises
+    :class:`repro.schema.SchemaError`."""
+    JOBS.check("jobs", jobs)
+    return jobs or default_jobs()
+
+
 def function_sweep(
     axes: Mapping[str, Iterable[object]],
     evaluate: Callable[..., Mapping[str, object]],

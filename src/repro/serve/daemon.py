@@ -51,7 +51,8 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
-from repro import api, faults, obs
+from repro import api, faults, obs, schema
+from repro.exp.pipeline import resolve_jobs
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     decode_frame,
@@ -66,6 +67,11 @@ DEFAULT_DEADLINE_S = 300.0
 
 #: Default bound on concurrently computing (in-flight) requests.
 DEFAULT_MAX_PENDING = 64
+
+#: The ``--deadline`` and ``--max-pending`` execution knobs, checked when
+#: a daemon is constructed (``jobs`` is :data:`repro.exp.pipeline.JOBS`).
+DEADLINE = schema.Knob(float, ge=0, label="deadline", flags=("--deadline",))
+MAX_PENDING = schema.Knob(int, ge=1, label="max pending", flags=("--max-pending",))
 
 #: Back-off hint a ``busy`` error frame carries, in seconds.
 RETRY_AFTER_S = 0.5
@@ -93,10 +99,12 @@ class _DeadlineError(Exception):
 class ReproServer:
     """Dispatches protocol frames onto the :mod:`repro.api` facade.
 
-    ``jobs`` is forwarded to sweep evaluation (the exp pipeline's
-    process pool) and sizes the compute executor; ``deadline_s`` and
-    ``max_pending`` bound each request's wait and the number of
-    distinct computations in flight.
+    ``jobs`` (0 = auto) is forwarded to sweep evaluation (the exp
+    pipeline's process pool) and sizes the compute executor;
+    ``deadline_s`` (None or 0 disables it) and ``max_pending`` bound each
+    request's wait and the number of distinct computations in flight.
+    A knob out of range raises :class:`repro.schema.SchemaError` before
+    anything is bound or started.
     """
 
     def __init__(
@@ -108,9 +116,12 @@ class ReproServer:
         deadline_s: float | None = DEFAULT_DEADLINE_S,
         max_pending: int = DEFAULT_MAX_PENDING,
     ):
+        if deadline_s is not None:
+            DEADLINE.check("deadline_s", deadline_s)
+        MAX_PENDING.check("max_pending", max_pending)
         self.socket_path = Path(socket_path)
         self.store = store
-        self.jobs = jobs
+        self.jobs = resolve_jobs(jobs)
         self.deadline_s = deadline_s
         self.max_pending = max_pending
         self.counters = {
@@ -129,7 +140,7 @@ class ReproServer:
         self._draining = False
         self._server: asyncio.AbstractServer | None = None
         self._stop = None  # asyncio.Event, created on the serving loop
-        self._executor = ThreadPoolExecutor(max_workers=max(jobs, 1))
+        self._executor = ThreadPoolExecutor(max_workers=self.jobs)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -388,7 +399,7 @@ class ReproServer:
         future through ``asyncio.shield``, so a leader or follower
         timing out never kills the engine call.
         """
-        if not self.deadline_s or self.deadline_s <= 0:
+        if not self.deadline_s:
             await coro
             return
         try:

@@ -77,9 +77,10 @@ _TRIAL_SLAB_ELEMENTS = 102_400
 def applied_voltage_matrix(patterns: np.ndarray, scheme: LevelScheme) -> np.ndarray:
     """``(N, M)`` applied-voltage grid: every wire's own address at once.
 
-    Row ``i`` is :func:`repro.decoder.margins.applied_voltages` of
-    pattern ``i`` — the per-region gate voltages half a level spacing
-    above the addressed digit's nominal VT.
+    Row ``i`` holds the per-region gate voltages that select pattern
+    ``i``: each mesowire is driven half a level spacing above the
+    addressed digit's nominal VT, high enough to turn that level on and
+    low enough to keep the next level off.
     """
     patterns = np.asarray(patterns)
     levels = np.asarray(scheme.levels)

@@ -9,7 +9,6 @@ from repro.crossbar.montecarlo import (
     yield_kernel,
     yield_result,
 )
-from repro.decoder.margins import applied_voltages
 from repro.device.threshold import LevelScheme
 from repro.device.variability import DEFAULT_SIGMA_T
 from repro.sim.accumulators import MomentSet
@@ -23,6 +22,15 @@ from repro.sim.batch import (
     validate_chunk,
     validate_samples,
 )
+
+
+def applied_voltages(address: np.ndarray, scheme: LevelScheme) -> np.ndarray:
+    """Per-address reference of :func:`repro.sim.margins.applied_voltage_matrix`:
+    the per-region gate voltages that select pattern ``address``, half a
+    level spacing above the addressed digit's nominal VT."""
+    address = np.asarray(address)
+    levels = np.asarray(scheme.levels)
+    return levels[address] + scheme.spacing / 2.0
 
 
 def select_margins_loop(

@@ -9,8 +9,7 @@ from repro.analysis.report import (
     paper_vs_measured,
     render_table,
 )
-from repro.analysis.sweeps import spec_with
-from repro.crossbar.spec import CrossbarSpec
+from repro.crossbar.spec import CrossbarSpec, spec_with
 from repro.exp.pipeline import function_sweep
 
 

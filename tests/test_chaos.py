@@ -501,20 +501,7 @@ class TestStoreChaos:
         assert not path.exists()
         assert path.with_suffix(".corrupt").exists()
 
-    def test_gc_compacts_manifest_to_live_entries(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        digests = [f"{i:02d}" * 32 for i in range(3)]
-        for i, digest in enumerate(digests):
-            self.put_simple(store, digest, n=i)
-        self.put_simple(store, digests[0], n=0)  # duplicate manifest line
-        store.object_path(digests[1]).unlink()  # dead entry
-        report = store.gc()
-        assert report == {"manifest_lines": 4, "live": 2, "pruned": 2}
-        assert store.live_digests() == [digests[2], digests[0]]
-        # idempotent: a second pass prunes nothing
-        assert store.gc() == {"manifest_lines": 2, "live": 2, "pruned": 0}
-
-    def test_cli_store_gc_and_verify(self, tmp_path, capsys):
+    def test_cli_store_verify(self, tmp_path, capsys):
         root = tmp_path / "store"
         store = ResultStore(root)
         self.put_simple(store, "ef" * 32, n=3)
@@ -524,15 +511,24 @@ class TestStoreChaos:
         report = json.loads(capsys.readouterr().out)
         assert report["checked"] == 1 and len(report["corrupt"]) == 1
         assert main(["store", "verify", str(root), "--quarantine"]) == 0
-        capsys.readouterr()
-        assert main(["store", "gc", str(root)]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["live"] == 0 and report["pruned"] == 1
+        assert report["quarantined"] == 1
+        assert path.with_suffix(".corrupt").exists()
 
-    def test_cli_store_requires_a_root(self, monkeypatch):
+    def test_cli_store_requires_a_root(self, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_STORE", raising=False)
-        with pytest.raises(SystemExit, match="no store directory"):
+        with pytest.raises(SystemExit) as exc:
+            main(["store", "verify"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro store: error: no store directory")
+        assert err.count("\n") == 1
+
+    def test_cli_store_gc_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["store", "gc"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'gc'" in capsys.readouterr().err
 
 
 class TestClientLifecycle:

@@ -411,3 +411,59 @@ class TestViaDaemon:
         with ReproServer(sock).running():
             _, served = run_cli(capsys, *args, "--via", sock)
         assert served == direct
+
+
+class TestUsageErrors:
+    """An execution flag out of range is one ``repro <cmd>: error:`` line
+    with exit 2 and no stdout, before any store, job file or worker is
+    touched (the argv that need no job directory are in
+    ``tests/test_schema.py``'s ``BAD_ARGV``)."""
+
+    @pytest.fixture
+    def job(self, tmp_path):
+        from repro import dist
+
+        request = api.McRequest("marginmc", "BGC", 6, samples=2048, stream_block=1024)
+        job = tmp_path / "job"
+        dist.write_job(job, dist.plan_request(request, shards=2))
+        return job
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("shard launch {job} --workers -1", "argument --workers: workers must"),
+            ("shard launch {job} --lease-ttl 0", "argument --lease-ttl: lease TTL"),
+            ("shard launch {job} --retries -1", "argument --retries: retries must"),
+            ("shard launch {job} --backoff -1", "argument --backoff: backoff must"),
+            ("shard status {job} --watch --interval -1", "argument --interval: "),
+        ],
+    )
+    def test_one_line_exit_2(self, capsys, tmp_path, job, argv, message):
+        store = tmp_path / "store"
+        before = sorted(p.relative_to(job) for p in job.rglob("*"))
+        with pytest.raises(SystemExit) as exc:
+            main(["--store", str(store), *argv.format(job=job).split()])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2, err
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("repro shard: error: ")
+        assert message in err
+        assert not store.exists()
+        assert sorted(p.relative_to(job) for p in job.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ("--max-pending 0", "argument --max-pending: max pending must be >= 1"),
+            ("--deadline -1", "argument --deadline: deadline must be"),
+            ("--jobs -1", "argument --jobs: jobs must be >= 0"),
+        ],
+    )
+    def test_serve_knobs_checked_before_binding(self, capsys, tmp_path, flags, message):
+        sock, store = tmp_path / "serve.sock", tmp_path / "store"
+        with pytest.raises(SystemExit) as exc:
+            main(["--store", str(store), "serve", "--socket", str(sock), *flags.split()])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and err.count("\n") == 1
+        assert err.startswith("repro serve: error: ") and message in err
+        assert not sock.exists() and not store.exists()

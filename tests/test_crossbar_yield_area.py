@@ -82,7 +82,7 @@ class TestEffectiveBitArea:
         assert [r.code_length for r in reports] == [4, 6, 8]
 
     def test_zero_yield_design_raises(self):
-        from repro.analysis.sweeps import spec_with
+        from repro.crossbar.spec import spec_with
 
         dead = spec_with(contact_gap_factor=50.0)
         with pytest.raises(ValueError):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.codes import make_code
-from repro.decoder.margins import applied_voltages, margin_report
+from repro.decoder.margins import margin_report
 from repro.device.threshold import LevelScheme
 from repro.sim.margins import block_margins_batched, select_margins_batched
+from tests.oracles.margins import applied_voltages
 
 
 @pytest.fixture

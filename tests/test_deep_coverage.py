@@ -88,7 +88,7 @@ class TestFigureGeneratorsCorners:
 
     def test_fig7_with_custom_spec(self):
         from repro.analysis.figures import fig7_crossbar_yield
-        from repro.analysis.sweeps import spec_with
+        from repro.crossbar.spec import spec_with
 
         harsh = fig7_crossbar_yield(spec_with(sigma_t=0.10))
         mild = fig7_crossbar_yield(spec_with(sigma_t=0.03))

@@ -193,6 +193,33 @@ class TestSupervisorScheduling:
             k_sigma=2.5, stream_block=1024,
         )
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"workers": 0},
+            {"workers": -1},
+            {"lease_ttl_s": 0.0},
+            {"lease_ttl_s": -5.0},
+            {"retries": -1},
+            {"backoff_s": -0.5},
+        ],
+    )
+    def test_bad_knobs_rejected_before_any_work(self, tmp_path, knobs):
+        """``workers=-1`` used to start nothing and never return;
+        ``lease_ttl_s=0`` killed healthy workers as hung."""
+        plan = plan_mc_shards("marginmc", "BGC", 6, shards=2, samples=2048,
+                              spec=SPEC, stream_block=1024)
+        job = tmp_path / "job"
+        write_job(job, plan)
+        before = sorted(job.rglob("*"))
+        with pytest.raises(ValueError, match="must be"):
+            launch(job, **knobs)
+        assert sorted(job.rglob("*")) == before
+
+    def test_plan_rejects_a_shard_count_below_one(self):
+        with pytest.raises(ValueError, match="shard count must be >= 1"):
+            plan_mc_shards("cavemc", "TC", 6, shards=0, samples=100, spec=SPEC)
+
 
 class TestCheckpointResume:
     def make_job(self, tmp_path, shards=3):
@@ -255,7 +282,15 @@ class TestCheckpointResume:
         doc = json.loads(path.read_text())
         doc["shard_key"] = "000000000000"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="does not match shard"):
+        with pytest.raises(ValueError, match="shard 0 of job .* shard key mismatch"):
+            merge_results(job)
+
+    def test_truncated_result_fails_merge_naming_the_shard(self, tmp_path):
+        job, plan = self.make_job(tmp_path)
+        launch(job, workers=1)
+        path = results_dir_for(job) / plan.shards[1].file_name
+        path.write_text(path.read_text()[:40])
+        with pytest.raises(ValueError, match="shard 1 of job .* truncated"):
             merge_results(job)
 
 

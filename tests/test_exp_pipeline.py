@@ -221,6 +221,15 @@ class TestPipelineExecution:
         with pytest.raises(ValueError):
             run_sweep(design_grid(), ("yield",), spec=spec, jobs=0)
 
+    def test_resolve_jobs(self):
+        from repro import schema
+        from repro.exp.pipeline import default_jobs, resolve_jobs
+
+        assert resolve_jobs(0) == default_jobs()
+        assert resolve_jobs(3) == 3
+        with pytest.raises(schema.SchemaError, match="jobs must be >= 0, got -3"):
+            resolve_jobs(-3)
+
     def test_mixed_override_sets_rejected(self, spec):
         points = [
             DesignPoint.make("TC", 6),
@@ -491,19 +500,33 @@ class TestSweepCLI:
             < json.loads(mild)["records"][0]["cave_yield"]
         )
 
-    def test_bad_axis_spec_exits(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--axis", "sigma_t"])
-        with pytest.raises(SystemExit, match="unknown spec override"):
-            main(["sweep", "--axis", "bogus=1,2"])
-        with pytest.raises(SystemExit, match="malformed value list"):
-            main(["sweep", "--axis", "sigma_t=0.03,"])
-        with pytest.raises(SystemExit, match="unknown code family"):
-            main(["sweep", "--families", "TC,XYZ", "--lengths", "6"])
+    @staticmethod
+    def usage_error(capsys, *argv) -> str:
+        """The one stderr line of a command line rejected with exit 2."""
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("repro sweep: error: ")
+        return captured.err
 
-    def test_empty_grid_exits(self):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--families", "TC", "--lengths", "5"])
+    def test_bad_axis_spec_exits(self, capsys):
+        err = self.usage_error(capsys, "sweep", "--axis", "sigma_t")
+        assert "argument --axis: expects NAME=V1,V2,..." in err
+        err = self.usage_error(capsys, "sweep", "--axis", "bogus=1,2")
+        assert "unknown spec override" in err
+        err = self.usage_error(capsys, "sweep", "--axis", "sigma_t=0.03,")
+        assert "malformed value list" in err
+        err = self.usage_error(capsys, "sweep", "--families", "TC,XYZ", "--lengths", "6")
+        assert "unknown code family" in err
+
+    def test_empty_grid_exits(self, capsys):
+        err = self.usage_error(capsys, "sweep", "--families", "TC", "--lengths", "5")
+        assert "no admissible design points (TC M=5: " in err
+        assert "need an even total length" in err
+        err = self.usage_error(capsys, "sweep", "--lengths", "0")
+        assert "total length M >= 1" in err
 
 
 class TestOneImplementationPerFigure:

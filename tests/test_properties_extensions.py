@@ -134,7 +134,7 @@ def test_grounding_never_reads_lower_than_isolated_cell(states):
 @given(st.sampled_from(["TC", "GC", "BGC", "HC", "AHC"]), st.integers(10, 30))
 @settings(max_examples=12, deadline=None)
 def test_address_map_bijective_over_families_and_sizes(family, nanowires):
-    from repro.analysis.sweeps import spec_with
+    from repro.crossbar.spec import spec_with
     from repro.codes.registry import make_code
     from repro.decoder.addressmap import AddressMap
 

@@ -320,7 +320,7 @@ class TestUnrealisableDesign:
 
 class TestSpecOverrides:
     def test_one_override_path(self):
-        from repro.analysis.sweeps import spec_with as public
+        from repro.analysis import spec_with as public
         from repro.exp.cache import cached_spec
 
         assert public is spec_with
@@ -390,6 +390,20 @@ BAD_ARGV = [
     "shard plan cavemc {job} TC -M 5 --samples 10",
     "simulate TC -M 5",
     "memsim TC -M 5",
+    # command lines only a handler can judge, and execution flags
+    "sweep --axis sigma_t",
+    "sweep --axis bogus=1",
+    "sweep --lengths 6,x",
+    "readout --sizes 0",
+    "readout --sizes 4,x",
+    "margins --family ,",
+    "sweep --jobs -3 --families TC --lengths 6",
+    "optimize --jobs -2",
+    "shard plan marginmc {job} BGC -M 8 --samples 1000 --shards 0",
+    "shard status {job}",
+    "shard merge {job}",
+    "shard launch {job}",
+    "shard run {job}/shards/0000.json",
 ]
 
 

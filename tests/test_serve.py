@@ -60,6 +60,22 @@ class TestProtocol:
             decode_frame(b"[1,2,3]\n")
 
 
+class TestDaemonKnobs:
+    @pytest.mark.parametrize(
+        "knobs", [{"max_pending": 0}, {"deadline_s": -1.0}, {"jobs": -2}]
+    )
+    def test_rejected_at_construction(self, socket_path, knobs):
+        """``max_pending=0`` used to refuse every computation as busy."""
+        with pytest.raises(ValueError, match="must be"):
+            ReproServer(socket_path, **knobs)
+
+    def test_jobs_zero_is_auto(self, socket_path):
+        from repro.exp.pipeline import default_jobs
+
+        server = ReproServer(socket_path, jobs=0, deadline_s=0)
+        assert server.jobs == default_jobs()
+
+
 class TestDaemon:
     def test_ping_stats_shutdown(self, socket_path):
         server = ReproServer(socket_path)

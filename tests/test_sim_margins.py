@@ -31,7 +31,7 @@ from repro.codes import make_code
 from repro.crossbar.montecarlo import simulate_margin_yield
 from repro.crossbar.spec import CrossbarSpec
 from repro.crossbar.yield_model import decoder_for
-from repro.decoder.margins import applied_voltages, margin_report
+from repro.decoder.margins import margin_report
 from repro.decoder.pattern import pattern_matrix
 from repro.decoder.variability import dose_count_matrix
 from repro.device.threshold import LevelScheme
@@ -45,6 +45,7 @@ from repro.sim.margins import (
     select_margins_batched,
 )
 from tests.oracles.margins import (
+    applied_voltages,
     block_margins_loop,
     margin_trial_loop,
     realised_margins_loop,

@@ -22,8 +22,8 @@ def _fresh_counters():
     reset_store_counters()
 
 
-def make_store(tmp_path, **kw):
-    return ResultStore(tmp_path / "store", **kw)
+def make_store(tmp_path):
+    return ResultStore(tmp_path / "store")
 
 
 def put_entry(store, tag="a", result=None):
@@ -63,7 +63,7 @@ class TestRoundTrip:
         digest = put_entry(make_store(tmp_path))
         store = make_store(tmp_path)
         assert store.stats()["entries"] == 1
-        assert store.live_digests() == [digest]
+        assert store.get(digest) == {"rows": ["a"]}
 
 
 class TestCorruption:
@@ -123,18 +123,9 @@ class TestCorruption:
     def test_manifest_line_without_file_is_not_live(self, tmp_path):
         store = make_store(tmp_path)
         digest = put_entry(store)
-        store.object_path(digest).unlink()  # simulates kill between steps
-        assert store.live_digests() == []
+        store.object_path(digest).unlink()  # an object file removed by hand
         assert store.stats()["entries"] == 0
         assert store.get(digest) is None
-
-    def test_malformed_manifest_lines_skipped(self, tmp_path):
-        store = make_store(tmp_path)
-        digest = put_entry(store)
-        with open(store.root / "manifest.jsonl", "a") as fh:
-            fh.write("{truncated\n\n[1,2]\n")
-        assert store.live_digests() == [digest]
-        assert store.get(digest) is not None
 
     def test_stray_tmp_debris_is_inert(self, tmp_path):
         store = make_store(tmp_path)
@@ -172,23 +163,75 @@ class TestConcurrentCommits:
         assert not list(store.object_path(digest).parent.glob("*.tmp*"))
 
 
-class TestEviction:
-    def test_oldest_entries_evicted_over_limit(self, tmp_path):
-        store = make_store(tmp_path, max_entries=2)
-        first = put_entry(store, "a")
-        second = put_entry(store, "b")
-        third = put_entry(store, "c")
-        assert store.live_digests() == [second, third]
-        assert store.get(first) is None
-        assert store_counters()["evictions"] == 1
+class TestObjectFilesAreTheStore:
+    """The object files decide everything; nothing else is read or written."""
 
-    def test_reput_after_eviction(self, tmp_path):
-        store = make_store(tmp_path, max_entries=1)
-        first = put_entry(store, "a")
-        put_entry(store, "b")
-        assert store.get(first) is None
-        store.put(first, "sweep", {"tag": "a"}, {"rows": ["a"]})
-        assert store.get(first) == {"rows": ["a"]}
+    def write_manifest_layout(self, root, n=3):
+        """A store as the manifest layout left it: hand-written object
+        files plus a ``manifest.jsonl`` with duplicate and malformed lines."""
+        import hashlib
+
+        from repro.durable import canonical_json
+
+        results = {}
+        lines = []
+        for i in range(n):
+            request = {"v": 1, "kind": "sweep", "tag": f"old{i}"}
+            digest = hashlib.sha256(canonical_json(request).encode()).hexdigest()
+            result = {"rows": [i, 0.1 * i]}
+            entry = {
+                "v": 1,
+                "digest": digest,
+                "kind": "sweep",
+                "request": request,
+                "result": result,
+                "result_sha256": hashlib.sha256(
+                    canonical_json(result).encode()
+                ).hexdigest(),
+            }
+            path = root / "objects" / digest[:2] / f"{digest}.json"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(entry, indent=2, sort_keys=True) + "\n")
+            results[digest] = result
+            lines.append(canonical_json({"digest": digest, "kind": "sweep"}))
+        lines += [lines[0], "{truncated", "", "[1,2]", lines[-1]]
+        (root / "manifest.jsonl").write_text("\n".join(lines) + "\n")
+        return results
+
+    def test_manifest_layout_store_serves_every_entry(self, tmp_path):
+        root = tmp_path / "store"
+        results = self.write_manifest_layout(root)
+        manifest = (root / "manifest.jsonl").read_bytes()
+        store = ResultStore(root)
+        for digest, result in results.items():
+            assert store.contains(digest)
+            assert store.get(digest) == result
+        assert store_counters()["hits"] == len(results)
+        assert store.stats()["entries"] == len(results)
+        assert store.verify()["ok"] == len(results)
+        put_entry(store, "new")
+        assert store.stats()["entries"] == len(results) + 1
+        # the leftover manifest is neither read nor written
+        assert (root / "manifest.jsonl").read_bytes() == manifest
+
+    def test_no_manifest_is_written(self, tmp_path):
+        store = make_store(tmp_path)
+        put_entry(store)
+        assert sorted(p.name for p in store.root.iterdir()) == ["objects"]
+
+    def test_entries_count_object_files_without_a_manifest(self, tmp_path):
+        store = make_store(tmp_path)
+        digests = [put_entry(store, tag) for tag in "abc"]
+        (store.root / "manifest.jsonl").unlink(missing_ok=True)
+        assert store.stats()["entries"] == 3
+        assert all(store.get(d) is not None for d in digests)
+
+    def test_constructor_takes_only_the_root(self, tmp_path):
+        with pytest.raises(TypeError):
+            ResultStore(tmp_path / "store", max_entries=2)
+        store = make_store(tmp_path)
+        for name in ("gc", "live_digests", "manifest_entries", "max_entries"):
+            assert not hasattr(store, name)
 
 
 class TestDefaultStore:
@@ -209,5 +252,5 @@ class TestDefaultStore:
 
     def test_counter_contract(self):
         counters = store_counters()
-        assert set(counters) == {"hits", "misses", "puts", "evictions", "corrupt"}
+        assert set(counters) == {"hits", "misses", "puts", "corrupt"}
         assert all(isinstance(v, int) for v in counters.values())
