@@ -1,12 +1,12 @@
 """Calibration of the two free model parameters against the paper.
 
 The paper does not print the numeric addressability window of [2] nor
-the exact contact-boundary geometry; DESIGN.md items 2-3 describe the
-substituted models, each with one free parameter (window margin; dead
-gap, plus an alignment tolerance).  This module scores any candidate
-setting against the paper's quantitative claims and exposes the grid
-search whose outcome — keep the physical defaults — is recorded in
-EXPERIMENTS.md.
+the exact contact-boundary geometry; the substituted models
+(:mod:`repro.device.threshold`, :mod:`repro.fabrication.lithography`)
+each have one free parameter (window margin; dead gap, plus an
+alignment tolerance).  This module scores any candidate setting against
+the paper's quantitative claims and exposes the grid search whose
+outcome is to keep the physical defaults (``repro calibrate``).
 
 The score is the mean relative error across the six claims that depend
 on the platform calibration (the purely structural claims, such as the
@@ -107,9 +107,7 @@ def grid_search(
 ) -> list[CalibrationPoint]:
     """Score a full calibration grid, best first.
 
-    The default 27-point grid brackets the shipped defaults; the
-    EXPERIMENTS.md record used a denser 72-point version of the same
-    search.
+    The default 27-point grid brackets the shipped defaults.
     """
     points = [
         evaluate_point(margin, gap, tol)

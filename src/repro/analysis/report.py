@@ -1,4 +1,4 @@
-"""Plain-text table rendering for benches and EXPERIMENTS.md.
+"""Plain-text table rendering for the CLI and the benchmarks.
 
 The benchmark harness prints the same rows/series the paper's figures
 report; these helpers keep that output consistent and diff-friendly.

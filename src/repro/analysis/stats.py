@@ -3,7 +3,7 @@
 Every textual claim of the paper's evaluation gets one function
 returning the measured figure on our platform, plus
 :func:`headline_summary` bundling them with the paper's reported values
-for the EXPERIMENTS.md paper-vs-measured table.
+for the paper-vs-measured table of ``repro headline``.
 """
 
 from __future__ import annotations

@@ -1077,6 +1077,10 @@ def _cmd_store(spec: CrossbarSpec, args: argparse.Namespace) -> str:
             "no store directory given (pass one as an argument, via "
             "--store, or set $REPRO_STORE)"
         )
+    if not store.root.is_dir():
+        # a mistyped root must not read as a clean, empty store
+        source = ("root",) if args.root else ("--store",) if args.store else ()
+        raise _UsageError(f"no store directory {str(store.root)!r}", *source)
     report = store.verify(quarantine=args.quarantine)
     return json.dumps({"root": str(store.root), **report}, indent=2)
 
@@ -1107,26 +1111,26 @@ def main(argv: Sequence[str] | None = None) -> int:
     A request field or execution flag the schema rejects, a non-physical
     readout technology and any other bad command line end as one
     ``repro[ <cmd>]: error:`` line with exit 2, before any store access
-    or compute; so does a design its code family cannot realise
-    (``TC -M 5``).  A shard job that fails or cannot be merged ends as
-    one line with exit 1.
+    or compute; so do a bad ``--faults`` plan and a design its code
+    family cannot realise (``TC -M 5``).  A shard job that fails or
+    cannot be merged ends as one line with exit 1.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     prog = parser.prog
     try:
         spec = _build(args, CrossbarSpec, rules=_build(args, LithographyRules))
-        prog = f"{prog} {args.command}"
         if args.faults:
             from repro import faults
 
             try:
                 faults.FaultPlan.parse(args.faults)
             except ValueError as exc:
-                raise SystemExit(f"repro --faults: {exc}") from exc
+                raise _UsageError(str(exc), "--faults") from exc
             # exported (not just activated) so forked shard workers and the
             # serve daemon's executor threads all see the same plan
             os.environ[faults.ENV_VAR] = args.faults
+        prog = f"{prog} {args.command}"
 
         sinks = []
         if args.telemetry_out:

@@ -2,7 +2,7 @@
 
 A crosspoint is usable only if both its row wire and its column wire are
 uniquely addressable; the paper does not simulate crosspoint-material
-defects (neither do we — DESIGN.md out-of-scope), so a defect map is
+defects (neither do we — out of scope), so a defect map is
 fully described by the two per-layer addressability vectors.
 """
 

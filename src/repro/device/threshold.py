@@ -8,8 +8,8 @@ within a small range" (after the paper's reference [2]).
 Levels are placed at the centres of ``n`` equal sub-bands of the supply
 range, so every level has the same guard band on both sides; the
 addressability window is that guard band scaled by a calibration margin
-(the exact numeric window of [2] is not reprinted in the paper — see
-DESIGN.md item 2).
+(the exact numeric window of [2] is not reprinted in the paper; the
+margin is calibrated in :mod:`repro.analysis.calibration`).
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 The platform fixes the lithographic pitch at ``P_L = 32 nm`` and the
 nanowire pitch at ``P_N = 10 nm``, and requires every ohmic contact group
 to be at least ``1.5 x P_L`` wide.  This module bundles those rules plus
-the two geometric parameters our contact-group model adds (see DESIGN.md
-item 3): the dead gap separating adjacent contacts and the overlay
-(alignment) tolerance of the contact edge relative to the nanowires.
+the two geometric parameters our contact-group model adds, because the
+paper does not print the exact contact-boundary geometry: the dead gap
+separating adjacent contacts and the overlay (alignment) tolerance of
+the contact edge relative to the nanowires.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class LithographyRules:
         groups, as a multiple of P_L.  Nanowires under the gap touch no
         contact; nanowires at the gap edges may touch two contacts and
         are removed as ambiguous (Sec. 6.1 after [6]).  Calibrated
-        default: 1.0 (see EXPERIMENTS.md).
+        default: 1.0 (see :mod:`repro.analysis.calibration`).
     alignment_tolerance_nm:
         Overlay tolerance of a contact edge w.r.t. the nanowires [nm];
         widens the ambiguous zone by this much on each side of a gap.

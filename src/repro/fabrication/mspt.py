@@ -11,7 +11,7 @@ The nanowire pitch equals the deposited poly-Si plus SiO2 thickness and
 is independent of the lithography resolution — the paper demonstrates a
 few tens of nm pitch from 0.8 um lithography.  This module reproduces
 the *logical* process (geometry and step accounting); the SEM-validated
-physics (Fig. 3) is hardware and out of scope (DESIGN.md item 4).
+physics (Fig. 3) is hardware and out of scope.
 """
 
 from __future__ import annotations

@@ -524,6 +524,29 @@ class TestStoreChaos:
         assert err.startswith("repro store: error: no store directory")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("via", ["root", "--store", "env"])
+    def test_cli_store_verify_rejects_a_missing_root(
+        self, via, tmp_path, monkeypatch, capsys
+    ):
+        root = tmp_path / "typo"
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        argv = {
+            "root": ["store", "verify", str(root)],
+            "--store": ["--store", str(root), "store", "verify"],
+            "env": ["store", "verify"],
+        }[via]
+        if via == "env":
+            monkeypatch.setenv("REPRO_STORE", str(root))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("repro store: error: ")
+        assert f"no store directory {str(root)!r}" in err
+        assert err.count("\n") == 1
+        assert not root.exists()  # nothing created
+
     def test_cli_store_gc_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["store", "gc"])

@@ -181,8 +181,15 @@ class TestEnvInheritance:
         capsys.readouterr()
         assert os.environ[faults.ENV_VAR] == "dist.stall=@1"
 
-    def test_cli_rejects_bad_faults_spec(self):
+    def test_cli_rejects_bad_faults_spec(self, monkeypatch, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit, match="unknown fault site"):
+        monkeypatch.delenv(faults.ENV_VAR, raising=False)
+        with pytest.raises(SystemExit) as exc:
             main(["--faults", "dist.explode=@1", "info"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("repro: error: argument --faults: unknown fault site")
+        assert err.count("\n") == 1
+        assert faults.ENV_VAR not in os.environ  # a rejected plan is not exported
