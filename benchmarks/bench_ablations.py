@@ -1,8 +1,8 @@
 """ABL — ablations of the calibrated model parameters.
 
-DESIGN.md calls out two substituted model choices (the addressability
-window and the contact-boundary dead zone) plus the platform's sigma_T
-and N settings.  Each ablation sweeps one knob with everything else at
+The calibrated model rests on two substituted model choices (the
+addressability window and the contact-boundary dead zone) plus the
+platform's sigma_T and N settings.  Each ablation sweeps one knob with everything else at
 the calibrated defaults and records how the headline comparison
 (BGC/10 vs TC/6) responds — showing which conclusions are calibration-
 sensitive and which are structural.

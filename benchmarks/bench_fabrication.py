@@ -4,8 +4,8 @@ Two closures of the loop between the statistical models and the physical
 flow:
 
 * deposition-thickness jitter -> spacer-position random walk -> the
-  alignment tolerance used by the contact-group yield model (DESIGN.md
-  item 3 gets a physical justification);
+  alignment tolerance used by the contact-group yield model (which
+  gives that tolerance a physical justification);
 * the step-dose matrix -> per-event implanter settings (species, energy,
   split passes) that provably deliver the planned concentrations.
 """

@@ -1,6 +1,6 @@
 """HEADLINE — every textual claim of the abstract / Sec. 6.2.
 
-Regenerates the paper-vs-measured table recorded in EXPERIMENTS.md:
+Regenerates the paper-vs-measured table (``python -m repro headline``):
 complexity -17%, variability -18%, yield +40 points / +42% / +19%,
 area -51% / -13%, minimum bit area ~169-175 nm^2.
 """

@@ -3,7 +3,7 @@
 Every bench regenerates one paper artefact (figure or headline claim),
 times the underlying computation with pytest-benchmark, and writes the
 regenerated rows/series both to stdout and to ``benchmarks/output/`` so
-EXPERIMENTS.md can quote them verbatim.  Machine-readable numbers
+they can be quoted verbatim.  Machine-readable numbers
 (throughputs, speedups) additionally go to ``BENCH_<name>.json`` files
 via the ``emit_json`` fixture, so scripts like ``run_checks.sh`` can
 diff them across commits.

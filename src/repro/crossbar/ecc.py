@@ -18,6 +18,7 @@ gives the textbook (8, 4) code used in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,25 +108,95 @@ class SecdedCode:
 
 
 # -- vectorised block codecs (workload hot path) -------------------------------
+# Blocks are packed little-endian into ``uint64`` words: block bit j is
+# bit ``j % 64`` of word ``j // 64``.  Syndrome bit q < 6 selects
+# in-word bit positions, so it is the parity of the popcount of the
+# XOR-folded words under one mask; bit q >= 6 selects whole words (those
+# whose index has bit q - 6 set), so it is the parity of their popcounts.
 
 
-def parity_mask_matrix(code: SecdedCode) -> np.ndarray:
-    """``(parity_bits, block_bits)`` bool masks: row p covers bit-p positions.
+@lru_cache(maxsize=None)
+def _in_word_masks(parity_bits: int) -> tuple[np.uint64, ...]:
+    """``uint64`` masks of the in-word bit positions of syndrome bits q < 6."""
+    return tuple(
+        np.uint64(sum(1 << j for j in range(64) if (j >> q) & 1))
+        for q in range(min(parity_bits, 6))
+    )
 
-    Row ``p`` selects the block positions whose index has bit ``p`` set
-    — exactly the per-parity masks the scalar encode/decode loops build
-    one at a time.
+
+def block_words(code: SecdedCode) -> int:
+    """``uint64`` words per packed block: ``ceil(block_bits / 64)``."""
+    return -(-code.block_bits // 64)
+
+
+def pack_blocks(code: SecdedCode, blocks: np.ndarray) -> np.ndarray:
+    """Pack ``(k, block_bits)`` bool blocks into ``(k, words)`` ``uint64``."""
+    packed = np.packbits(blocks, axis=1, bitorder="little")
+    nbytes = 8 * block_words(code)
+    if packed.shape[1] != nbytes:
+        padded = np.zeros((packed.shape[0], nbytes), dtype=np.uint8)
+        padded[:, : packed.shape[1]] = packed
+        packed = padded
+    return packed.view("<u8").astype(np.uint64, copy=False)
+
+
+def unpack_blocks(code: SecdedCode, words: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`pack_blocks`: ``(k, block_bits)`` bool blocks."""
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(raw, axis=1, count=code.block_bits, bitorder="little")
+    return bits.view(bool)
+
+
+def block_syndromes(
+    code: SecdedCode, words: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(syndrome, overall)`` of ``(k, words)`` packed blocks.
+
+    ``syndrome`` is the ``(k,)`` int64 Hamming syndrome (the XOR of the
+    positions of the set bits) and ``overall`` the ``(k,)`` bool parity
+    of the whole block — the two quantities :meth:`SecdedCode.decode`
+    branches on.
     """
-    positions = np.arange(code.block_bits)
-    return ((positions[None, :] >> np.arange(code.parity_bits)[:, None]) & 1) == 1
+    folded = np.bitwise_xor.reduce(words, axis=1)
+    syndrome = np.zeros(words.shape[0], dtype=np.int64)
+    for q, mask in enumerate(_in_word_masks(code.parity_bits)):
+        syndrome |= (np.bitwise_count(folded & mask) & 1).astype(np.int64) << q
+    if code.parity_bits > 6:
+        word_parity = np.bitwise_count(words) & 1
+        index = np.arange(words.shape[1])
+        for q in range(6, code.parity_bits):
+            sel = (index >> (q - 6)) & 1 == 1
+            bit = np.bitwise_xor.reduce(word_parity[:, sel], axis=1)
+            syndrome |= bit.astype(np.int64) << q
+    overall = (np.bitwise_count(folded) & 1).astype(bool)
+    return syndrome, overall
+
+
+def decode_first_bits(
+    code: SecdedCode, words: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode only payload bit 0 of ``(k, words)`` packed blocks.
+
+    Returns ``(bits, corrected, uncorrectable)``, three ``(k,)`` bool
+    arrays: the corrected first payload bit (stored position 3, ``False``
+    on an uncorrectable block), whether a single error was repaired
+    (``corrected >= 0`` of :func:`decode_blocks`), and the detected
+    double errors.
+    """
+    syndrome, overall = block_syndromes(code, words)
+    uncorrectable = (syndrome != 0) & ~overall
+    bits = ((words[:, 0] >> np.uint64(3)) & np.uint64(1)).astype(bool)
+    bits ^= overall & (syndrome == 3)
+    bits[uncorrectable] = False
+    return bits, overall, uncorrectable
 
 
 def encode_blocks(code: SecdedCode, payloads: np.ndarray) -> np.ndarray:
     """Encode ``(k, data_bits)`` payloads into ``(k, block_bits)`` blocks.
 
-    Row-for-row identical to :meth:`SecdedCode.encode`; the parity sums
-    run as one integer matmul instead of ``k * parity_bits`` Python
-    loops.
+    Row-for-row identical to :meth:`SecdedCode.encode`.  Parity
+    positions are powers of two, each covered only by its own syndrome
+    bit, so the parities are the syndrome of the data-only block.
     """
     payloads = np.atleast_2d(np.asarray(payloads, dtype=bool))
     if payloads.shape[1] != code.data_bits:
@@ -134,13 +205,10 @@ def encode_blocks(code: SecdedCode, payloads: np.ndarray) -> np.ndarray:
         )
     blocks = np.zeros((payloads.shape[0], code.block_bits), dtype=bool)
     blocks[:, code._data_positions()] = payloads
-    masks = parity_mask_matrix(code)
-    # Parity positions are powers of two; a power of two has bit p set
-    # only for its own p, and its value is still zero when row p's sum
-    # is taken — so the parities are independent and one matmul suffices.
-    parity = (blocks.astype(np.uint8) @ masks.T.astype(np.uint8)) % 2
-    blocks[:, 1 << np.arange(code.parity_bits)] = parity == 1
-    blocks[:, 0] = blocks[:, 1:].sum(axis=1) % 2 == 1
+    syndrome, overall = block_syndromes(code, pack_blocks(code, blocks))
+    q = np.arange(code.parity_bits)
+    blocks[:, 1 << q] = (syndrome[:, None] >> q) & 1 == 1
+    blocks[:, 0] = overall ^ (np.bitwise_count(syndrome) & 1 == 1)
     return blocks
 
 
@@ -161,25 +229,13 @@ def decode_blocks(
         raise EccError(
             f"blocks must have {code.block_bits} bits, got {blocks.shape[1]}"
         )
-    masks = parity_mask_matrix(code)
-    u8 = blocks.astype(np.uint8)
-    syndrome_bits = (u8 @ masks.T.astype(np.uint8)) % 2
-    syndrome = (
-        syndrome_bits.astype(np.int64) << np.arange(code.parity_bits)
-    ).sum(axis=1)
-    overall = u8.sum(axis=1) % 2 == 1
-    corrected = np.full(blocks.shape[0], -1, dtype=np.int64)
-    uncorrectable = (syndrome != 0) & ~overall
-
-    single = (syndrome != 0) & overall
-    rows = np.flatnonzero(single)
+    syndrome, overall = block_syndromes(code, pack_blocks(code, blocks))
+    # odd overall parity: a single error at ``syndrome`` (position 0,
+    # the overall-parity bit itself, when the syndrome is zero)
+    rows = np.flatnonzero(overall)
     blocks[rows, syndrome[rows]] ^= True
-    corrected[rows] = syndrome[rows]
-
-    parity_only = (syndrome == 0) & overall
-    blocks[parity_only, 0] ^= True
-    corrected[parity_only] = 0
-
+    corrected = np.where(overall, syndrome, -1)
+    uncorrectable = (syndrome != 0) & ~overall
     return blocks[:, code._data_positions()], corrected, uncorrectable
 
 

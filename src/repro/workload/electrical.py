@@ -34,8 +34,9 @@ instance and chunk:
    queued misses go to :func:`~repro.sim.readout.sense_currents` as one
    stack: one ``np.linalg.solve`` call per slab instead of one per
    reference.
-4. **Classification.** Margins, misread counts and SECDED
-   ``decode_blocks`` run once over all of the chunk's reads.
+4. **Classification.** Margins, misread counts and the SECDED decode
+   of payload bit 0 (:func:`~repro.crossbar.ecc.decode_first_bits`)
+   run once over all of the chunk's reads.
 
 ``WorkloadResult.cache`` reports the memo: ``hits`` are references
 served without a solve, ``misses`` the solved ones, ``evictions`` the
@@ -71,7 +72,7 @@ import numpy as np
 
 from repro import obs
 from repro.crossbar.array import AddressingFault
-from repro.crossbar.ecc import decode_blocks
+from repro.crossbar.ecc import decode_first_bits, pack_blocks
 from repro.crossbar.readout import ReadoutError, ReadoutModel, check_resolution
 from repro.decoder.addressmap import AddressMap
 from repro.sim.batch import parallel_map
@@ -438,14 +439,10 @@ def run_electrical_batched(
                 n_mis = mis_b.sum(axis=1)
                 misread_bits[i] += int(mis_b.sum())
                 misread_reads[i] += int((n_mis > 0).sum())
-                payload, cpos, unc = decode_blocks(code, sensed_b)
-                corrected[i] += int((cpos >= 0).sum())
+                val, fixed, unc = decode_first_bits(code, pack_blocks(code, sensed_b))
+                corrected[i] += int(fixed.sum())
                 uncorrectable[i] += int(unc.sum())
-                val = payload[:, 0].copy()
-                val[unc] = False
-                payload_s, _, unc_s = decode_blocks(code, stored_b)
-                val_s = payload_s[:, 0].copy()
-                val_s[unc_s] = False
+                val_s = decode_first_bits(code, pack_blocks(code, stored_b))[0]
                 ecc_masked[i] += int(((n_mis > 0) & (val == val_s)).sum())
                 read_bits[i, ridx_v] = val
             if not timed:

@@ -18,9 +18,10 @@ too slow.  :class:`MemoryFleet` replaces that hot path:
   writes scatter through the remap table (deduplicated to the last
   write per address, preserving sequential semantics), reads gather
   from a pre-chunk snapshot with read-after-write forwarding resolved
-  by a single sort/searchsorted pass over the chunk.  Optional SECDED
-  repair uses the vectorised block codecs of
-  :mod:`repro.crossbar.ecc`.
+  by a single sort/searchsorted pass over the chunk.  Under SECDED an
+  instance holds its code blocks as packed ``uint64`` words, one row
+  per logical block, and a read decodes only the payload bit it returns
+  (:func:`repro.crossbar.ecc.decode_first_bits`).
 
 Equivalence contract
 --------------------
@@ -45,7 +46,13 @@ import numpy as np
 from repro import obs
 from repro.codes.base import CodeSpace
 from repro.crossbar.defects import DefectMap, sample_layer_mask
-from repro.crossbar.ecc import SecdedCode, decode_blocks
+from repro.crossbar.ecc import (
+    SecdedCode,
+    block_words,
+    decode_first_bits,
+    pack_blocks,
+    unpack_blocks,
+)
 from repro.crossbar.spec import CrossbarSpec
 from repro.sim.batch import (
     DEFAULT_MAX_TRIALS_PER_CHUNK,
@@ -307,22 +314,13 @@ class MemoryFleet:
         self._raw_bits = rows * cols
         self._capacity_bits = np.array([r.size for r in self._remaps], dtype=np.int64)
         if ecc is not None:
-            # (blocks, block_bits) physical crosspoints of every whole
-            # code block: one gather per access instead of building
-            # address * bb + offset index temporaries
-            bb = ecc.block_bits
-            small = self._raw_bits <= np.iinfo(np.int32).max
-            index_t = np.int32 if small else np.int64
-            self._block_remaps = [
-                r[: r.size // bb * bb].reshape(-1, bb).astype(index_t)
-                for r in self._remaps
-            ]
             self._enc = np.stack(
                 [
                     ecc.encode(np.zeros(ecc.data_bits, dtype=bool)),
                     ecc.encode(np.ones(ecc.data_bits, dtype=bool)),
                 ]
             )
+            self._enc_words = pack_blocks(ecc, self._enc)
 
     @classmethod
     def sample(
@@ -547,7 +545,13 @@ class MemoryFleet:
         code = self._ecc
         bb = 1 if code is None else code.block_bits
         caps = self.address_capacities
-        state = [np.zeros(self._raw_bits, dtype=bool) for _ in range(inst)]
+        # raw mode: one stored bit per crosspoint; ECC: one packed
+        # (W,) uint64 row per logical block
+        if code is None:
+            state = [np.zeros(self._raw_bits, dtype=bool) for _ in range(inst)]
+        else:
+            words = block_words(code)
+            state = [np.zeros((int(c), words), dtype=np.uint64) for c in caps]
         failures = np.zeros(inst, dtype=np.int64)
         first_fail = np.full(inst, n, dtype=np.int64)
         corrected = np.zeros(inst, dtype=np.int64)
@@ -603,7 +607,7 @@ class MemoryFleet:
                     if p == 0:
                         shared_vals_s = vw[order]
                 else:
-                    clean_blocks_w = np.where(vw[:, None], self._enc[1], self._enc[0])
+                    clean_blocks_w = self._enc_words[vw.astype(np.intp)]
                     if p == 0:
                         shared_blocks_s = clean_blocks_w[order]
             if timed:
@@ -631,7 +635,7 @@ class MemoryFleet:
                         vals_s = (vw ^ flips)[order]
                     else:
                         flips = _draw_flips(err_streams[i], (n_w, bb), p)
-                        blocks_s = (clean_blocks_w ^ flips)[order]
+                        blocks_s = (clean_blocks_w ^ pack_blocks(code, flips))[order]
 
                 # reads: pre-chunk snapshot gather + forwarding overrides
                 inst_read_s = inst_write_s = 0.0
@@ -649,15 +653,13 @@ class MemoryFleet:
                             else:
                                 val_v = snap
                         else:
-                            blocks_r = st[self._block_remaps[i][arv]]
+                            blocks_r = st[arv]
                             if n_w:
                                 h = np.flatnonzero(hit[rv])
                                 blocks_r[h] = blocks_s[idx[rv][h]]
-                            payload, cpos, unc = decode_blocks(code, blocks_r)
-                            corrected[i] += int((cpos >= 0).sum())
+                            val_v, fixed, unc = decode_first_bits(code, blocks_r)
+                            corrected[i] += int(fixed.sum())
                             uncorrectable[i] += int(unc.sum())
-                            val_v = payload[:, 0].copy()
-                            val_v[unc] = False
                         val[rv] = val_v
                     if read_bits is not None:
                         read_bits[i, read_off : read_off + n_r] = val
@@ -673,7 +675,7 @@ class MemoryFleet:
                         if code is None:
                             st[self._remaps[i][aw_s[wsel]]] = vals_s[wsel]
                         else:
-                            st[self._block_remaps[i][aw_s[wsel]]] = blocks_s[wsel]
+                            st[aw_s[wsel]] = blocks_s[wsel]
                     if timed:
                         inst_write_s = perf_counter() - t_write
                 return inst_read_s, inst_write_s
@@ -698,8 +700,20 @@ class MemoryFleet:
             corrected,
             uncorrectable,
             read_bits,
-            np.stack(state) if collect_state else None,
+            self._stored_bits(state) if collect_state else None,
         )
+
+    def _stored_bits(self, state: Sequence[np.ndarray]) -> np.ndarray:
+        """``(instances, raw_bits)`` stored-bit matrix of a batched state."""
+        if self._ecc is None:
+            return np.stack(state)
+        # logical block b occupies the b-th run of block_bits working
+        # crosspoints, exactly as the scalar memory lays out write_block
+        out = np.zeros((self.instances, self._raw_bits), dtype=bool)
+        for i, words in enumerate(state):
+            cells = self._remaps[i][: words.shape[0] * self._ecc.block_bits]
+            out[i, cells] = unpack_blocks(self._ecc, words).reshape(-1)
+        return out
 
     # -- aggregation -----------------------------------------------------------
 

@@ -60,7 +60,7 @@ class TestGridSearch:
         assert points[0].error <= points[1].error
 
     def test_defaults_are_competitive(self):
-        """The EXPERIMENTS.md conclusion: no grid point improves on the
+        """The calibration's conclusion: no grid point improves on the
         defaults by more than a small factor."""
         points = grid_search(
             margins=(0.9, 1.0), gaps=(0.75, 1.0), tolerances=(5.0,)

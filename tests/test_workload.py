@@ -10,12 +10,14 @@ The contract under test (see ``repro/workload/memory_batch.py``):
 * trace generators are pure functions of their arguments.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.codes import make_code
 from repro.crossbar.defects import DefectMap
-from repro.crossbar.ecc import SecdedCode, decode_blocks, encode_blocks
+from repro.crossbar.ecc import EccError, SecdedCode, decode_blocks, encode_blocks
 from repro.crossbar.spec import CrossbarSpec
 from repro.workload import (
     FLEET_METRICS,
@@ -126,21 +128,30 @@ class TestBlockCodecs:
 
     @pytest.mark.parametrize("errors", [0, 1, 2])
     def test_decode_matches_scalar(self, errors, rng):
-        code = SecdedCode(parity_bits=4)
-        payloads = rng.integers(0, 2, (50, code.data_bits)).astype(bool)
-        blocks = encode_blocks(code, payloads)
-        for row in blocks:
-            positions = rng.choice(code.block_bits, size=errors, replace=False)
-            row[positions] ^= True
-        decoded, corrected, uncorrectable = decode_blocks(code, blocks)
-        if errors == 0:
-            assert np.array_equal(decoded, payloads)
-            assert (corrected == -1).all() and not uncorrectable.any()
-        elif errors == 1:
-            assert np.array_equal(decoded, payloads)
-            assert (corrected >= 0).all() and not uncorrectable.any()
-        else:
-            assert uncorrectable.all()
+        for r in range(2, 9):
+            code = SecdedCode(parity_bits=r)
+            payloads = rng.integers(0, 2, (50, code.data_bits)).astype(bool)
+            blocks = encode_blocks(code, payloads)
+            for row in blocks:
+                positions = rng.choice(code.block_bits, size=errors, replace=False)
+                row[positions] ^= True
+            decoded, corrected, uncorrectable = decode_blocks(code, blocks)
+            if errors == 0:
+                assert np.array_equal(decoded, payloads)
+                assert (corrected == -1).all() and not uncorrectable.any()
+            elif errors == 1:
+                assert np.array_equal(decoded, payloads)
+                assert (corrected >= 0).all() and not uncorrectable.any()
+            else:
+                assert uncorrectable.all()
+            for row, data, pos in zip(blocks, decoded, corrected):
+                if errors == 2:
+                    with pytest.raises(EccError):
+                        code.decode(row)
+                else:
+                    expect, expect_pos = code.decode(row)
+                    assert np.array_equal(data, expect)
+                    assert pos == expect_pos
 
 
 # -- fleet construction --------------------------------------------------------
@@ -207,27 +218,28 @@ class TestEquivalence:
         assert_runs_equal(batched, loop)
 
     def test_ecc_mode_byte_identical(self):
-        fleet = small_fleet(ecc=SecdedCode(parity_bits=3))
-        space = fleet.suggested_address_space() + 10
-        trace = make_trace("uniform", 1500, space, seed=3)
-        for p in (0.0, 0.03):
-            batched = fleet.run(
-                trace,
-                chunk_size=177,
-                seed=9,
-                write_error_rate=p,
-                collect_reads=True,
-                collect_state=True,
-            )
-            loop = run_fleet_loop(
-                fleet,
-                trace,
-                seed=9,
-                write_error_rate=p,
-                collect_reads=True,
-                collect_state=True,
-            )
-            assert_runs_equal(batched, loop)
+        for r in (2, 3, 6, 7):
+            fleet = small_fleet(ecc=SecdedCode(parity_bits=r))
+            space = fleet.suggested_address_space() + 10
+            trace = make_trace("uniform", 1500, space, seed=3)
+            for p in (0.0, 0.03):
+                batched = fleet.run(
+                    trace,
+                    chunk_size=177,
+                    seed=9,
+                    write_error_rate=p,
+                    collect_reads=True,
+                    collect_state=True,
+                )
+                loop = run_fleet_loop(
+                    fleet,
+                    trace,
+                    seed=9,
+                    write_error_rate=p,
+                    collect_reads=True,
+                    collect_state=True,
+                )
+                assert_runs_equal(batched, loop)
 
     def test_raw_mode_error_injection_byte_identical(self):
         fleet = small_fleet()
@@ -288,6 +300,124 @@ class TestEquivalence:
         result = fleet.run(trace, chunk_size=5, collect_reads=True)
         # read 0 sees the True write, reads 1-2 see the False overwrite
         assert result.read_bits[0].tolist() == [True, False, False]
+
+
+# -- pinned ECC result bytes ---------------------------------------------------
+
+#: Platform of the ECC goldens: big enough for a few dozen 128-bit
+#: blocks per instance.
+GOLDEN_SPEC = CrossbarSpec(raw_kilobytes=2)
+
+#: ``parity_bits -> write error rate``: each rate leaves single, double
+#: and overall-parity-only errors in the stored blocks.
+GOLDEN_RATES = {2: 0.08, 3: 0.04, 6: 0.012, 7: 0.01}
+
+#: sha256 of every array of :func:`ecc_golden_run`'s result, per
+#: ``parity_bits``.  r = 7 is the two-word (128-bit) block.
+ECC_GOLDEN_DIGESTS = {
+    2: """
+read_bits bb26d14a64df2a98098d11f636cc9d5d50cb775f3bb644c25be3b8c54d351eab
+final_state e9ae2b8cc32a53cc60e99c225c045c3bf8b16a8161bae5ab6083367bd477dfdb
+corrected bc890322b0b3c8b6c37d3438f85a1f0bc175da0471deee166d3c5958ff9901ff
+effective_capacity_bits c35ee208911bff85422b7b9db46060c73c3ad82eb1d77a2e5471ac1466cc4d40
+efficiency 4f3fc8b597f92f00ac84f9d5832777d4e8e82d4ddc872df61d60e9f297ec730d
+failure_rate d5d837de43e03613e87b4df1eff1880de90db43959b02f1479aff1d770b22e1f
+failures 9e5a67648e69babe55b695905426e36bdb7a6ae1f744abb4bb2f53492abd210e
+first_failure_index 5ade306501a99c9bce85685ccda1d54bcb6941a71cd744d90b5e16e435730f69
+uncorrectable 9faf9a0e1e06ba9f4f8627557f857b8a3d22152f518f96da3c5621779f231a1b
+""",
+    3: """
+read_bits 3bced7844df34ecc21b9ad6c2dbc8b9402cb735fc0f7f4b29014d697d59a2873
+final_state b011380a3156cde2555e953fb53e517a257a7d869ef4867a4979ec2965d459c8
+corrected 402cbea20e23da28e9136c7855e34c3195a4115da31ad5c41f718e045adb4965
+effective_capacity_bits 79f6362d7d023f38be83f552da5ab203d2c5f72ed94eec607e4a936e2f5472d2
+efficiency 3e896b6ef3563389d5371c05289d2bff986de612efa79bf364e373f2ec350af0
+failure_rate 0cd15e3496166119b10bc5276c7d4201efe23a6693c981266d3f52c3d70c0402
+failures 8818256bfeec1fdf3190a3f9fc88a1de11cf858d8a60425afcebdf5ed3fe17c9
+first_failure_index d282d372221f54dac33fd6eb733ea0e2c9dbbf708eff62e03a0af267fc8adf8d
+uncorrectable af1e6e717ace983462249582b4e9c9063695bf2bc46ef28c697f71a95d5102c5
+""",
+    6: """
+read_bits 95874cf9695fece587140123708b0a68eb553df9c8a27cf9dcce88182ca0c389
+final_state df2c5f542f9c3c2ff5ddfd7aebf8973f17a14e083748a32ab7a0c306701d58a3
+corrected 24c9f70d501acf2b01ac8357ad7f3e659640857331ce60beba911def3349d984
+effective_capacity_bits 34954f4ea8cc30fe483492449f5445c7c7df4a680c0cb3ce42f0b3584bdd3167
+efficiency 976941749fd6e08512e60cb69d4321037b5ac1f37ffe7da9ad9ae3a4776fa773
+failure_rate 80ba6b44c50b4be1002f9d8121cf35dcbe66c0da97963209847826de34bd6c98
+failures bae171236b5b274934620fe19a114a0e117040fb2b84cf55dfb3f94f1ff801c6
+first_failure_index a775012d2ec0b4d72bae8c6c2b3ead64e83beeefc5a7cab02dd02d3fd5576777
+uncorrectable a6e5efe1e58097433b6fe9e0dedc303851b46543e35bd0652e0c66c62919642e
+""",
+    7: """
+read_bits d381ddf73bd48edc6deeb110df5f12f64b74fab6ea3b2766be4a6845930f38bd
+final_state a318ea1f6195e546c1f2df9343c93503afb7b8e10ed0f067912217e38b25610b
+corrected 1a2978e0c6c956d51daab9520b7e5153f34eb4a5548e1bc4a2e855849e177970
+effective_capacity_bits da66cfb8f734711113764c4316edccca5663cc36c62c90d1a4d8152664330498
+efficiency 59332333d924cde0a882fac7556f3646d6dcf02582d866656d86ba45bffb6200
+failure_rate 2fa38e91ce167a790fd1944f81735e17eb038995216888ea951dd4b2dd025a30
+failures 636297b983ad7a50b2bdc43524dd16e8dbeb7d45640c69aed8aa008dc608b9f9
+first_failure_index 650743ce0256062a7c92e21e79b216020524d971c19a7cc1ffdd0239889b053a
+uncorrectable 0ca6e73614bd058ce83d1f15f1f332c4db5afd8e7f14db8792af726cf0b35e62
+""",
+}
+
+
+def ecc_golden_run(r):
+    """Ideal ECC run with write errors and an address space above capacity."""
+    fleet = MemoryFleet.sample(GOLDEN_SPEC, CODE, 8, seed=21, ecc=SecdedCode(r))
+    trace = make_trace("uniform", 3000, fleet.suggested_address_space() + 4, seed=22)
+    result = fleet.run(
+        trace,
+        chunk_size=389,
+        seed=23,
+        write_error_rate=GOLDEN_RATES[r],
+        collect_reads=True,
+        collect_state=True,
+    )
+    return fleet, result
+
+
+def result_digests(result) -> dict[str, str]:
+    """sha256 of the dtype, shape and bytes of every result array."""
+
+    def sha(a):
+        a = np.ascontiguousarray(a)
+        head = repr((a.dtype.str, a.shape)).encode()
+        return hashlib.sha256(head + a.tobytes()).hexdigest()
+
+    out = {"read_bits": sha(result.read_bits), "final_state": sha(result.final_state)}
+    for name in sorted(result.per_instance):
+        out[name] = sha(result.per_instance[name])
+    return out
+
+
+class TestEccGolden:
+    """Exact bytes of ideal SECDED runs, not only agreement with the oracle."""
+
+    @pytest.mark.parametrize("r", sorted(ECC_GOLDEN_DIGESTS))
+    def test_result_bytes_pinned(self, r):
+        _, result = ecc_golden_run(r)
+        expected = dict(
+            line.split() for line in ECC_GOLDEN_DIGESTS[r].split("\n") if line
+        )
+        assert result_digests(result) == expected
+
+    @pytest.mark.parametrize("r", sorted(ECC_GOLDEN_DIGESTS))
+    def test_covers_every_error_class(self, r):
+        """The pinned runs hold single, double and parity-only errors."""
+        fleet, result = ecc_golden_run(r)
+        bb = fleet.ecc.block_bits
+        stored = np.concatenate(
+            [
+                result.final_state[i][cells[: cells.size // bb * bb]].reshape(-1, bb)
+                for i, cells in enumerate(fleet._remaps)
+            ]
+        )
+        _, corrected, uncorrectable = decode_blocks(fleet.ecc, stored)
+        assert (corrected > 0).any()
+        assert (corrected == 0).any()
+        assert uncorrectable.any()
+        assert result.per_instance["failures"].sum() > 0
 
 
 # -- metrics -------------------------------------------------------------------
