@@ -1,6 +1,6 @@
 """READ — batched sneak-path readout engine vs the scalar stamping loop.
 
-Three jobs in one bench:
+Two jobs in one bench:
 
 1. regenerate the sense-margin-vs-bank-size view of the memory
    substrate (not a paper figure: the paper assumes the crossbar
@@ -8,16 +8,11 @@ Three jobs in one bench:
    constraint behind that assumption — floating-scheme margins collapse
    with bank size, the reason arrays are segmented into cave-sized
    banks rather than read as one monolithic 16 kB plane);
-2. regenerate the distributed-line (IR-drop) comparison of the two
-   crosspoint technologies;
-3. gate the PR-5 readout engine: the batched all-scheme worst-case
-   margin sweep of a 64 x 64 bank must run >= 10x faster than the
-   scalar reference (the ``LoopReadoutModel`` oracle of
+2. gate the readout engine: the batched all-scheme worst-case margin
+   sweep of a 64 x 64 bank must run >= 10x faster than the scalar
+   reference (the ``LoopReadoutModel`` oracle of
    ``tests/oracles/readout.py``: per-cell Python stamping, one dense
-   solve per read) while producing *byte-identical* margins, and
-   the block-RHS cell batches must match per-cell solves within solver
-   tolerance (1e-9 relative on the dense path, 1e-6 on the sparse
-   distributed path).
+   solve per read) while producing *byte-identical* margins.
 
 The two sides are timed in interleaved segments and aggregated by
 total time, for the same noisy-shared-runner reasons as
@@ -34,12 +29,10 @@ Environment knobs for smoke runs (see ``run_checks.sh``):
 import os
 import time
 
-import numpy as np
-
 from repro.analysis.report import render_table
-from repro.crossbar.readout import SCHEMES, ReadoutModel
+from repro.crossbar.readout import SCHEMES
 from repro.sim.readout import scheme_margin_sweep
-from tests.oracles.readout import LoopDistributedReadout, LoopReadoutModel
+from tests.oracles.readout import LoopReadoutModel
 
 REPEATS = max(1, int(os.environ.get("READOUT_BENCH_REPEATS", 3)))
 BATCHED_REPS = max(1, int(os.environ.get("READOUT_BENCH_BATCHED_REPS", 5)))
@@ -77,52 +70,6 @@ def test_readout_margins(benchmark, emit):
     assert max(grounded) - min(grounded) < 0.01
     # a half-cave-sized bank keeps several times the margin of a 64-bank
     assert dict(results["float"])[20] > 3 * dict(results["float"])[64]
-
-
-def test_distributed_line_resistance(benchmark, emit):
-    """IR drop along the poly-Si wires erodes the margin.
-
-    A 10 um x 6 nm MSPT nanowire at decoder doping is ~2.5 Mohm, so
-    low-impedance crosspoints (R_on = 100k) would be wire-dominated and
-    unreadable; molecular-junction crosspoints (R_on ~ 10M) keep the
-    crosspoint in charge.  The bench quantifies both regimes.
-    """
-    from repro.crossbar.readout_distributed import DistributedReadout
-    from repro.device.resistance import NanowireGeometry, segment_resistance_ohm
-
-    def run():
-        seg = segment_resistance_ohm(NanowireGeometry(), 5e18, 20)
-        out = {}
-        for label, r_on, r_off in (
-            ("low-Z crosspoints (100k/10M)", 1.0e5, 1.0e7),
-            ("molecular crosspoints (10M/1G)", 1.0e7, 1.0e9),
-        ):
-            base = ReadoutModel(r_on=r_on, r_off=r_off)
-            lossy = DistributedReadout(
-                base=base, row_segment_ohm=seg, col_segment_ohm=seg
-            )
-            out[label] = (base.sense_margin(20, 20), lossy.worst_case_margin(20))
-        return seg, out
-
-    seg, results = benchmark.pedantic(run, rounds=1, iterations=1)
-
-    rows = [
-        [label, f"{100 * ideal:.1f}%", f"{100 * lossy:.1f}%"]
-        for label, (ideal, lossy) in results.items()
-    ]
-    emit(
-        "readout_distributed",
-        f"Line-resistance effect on a 20 x 20 bank "
-        f"(segment = {seg / 1000:.0f} kohm)\n"
-        + render_table(["crosspoint technology", "ideal lines", "with IR drop"], rows),
-    )
-
-    for ideal, lossy in results.values():
-        assert lossy <= ideal + 1e-9
-    # high-impedance crosspoints tolerate the wire resistance
-    low_z = results["low-Z crosspoints (100k/10M)"]
-    mol = results["molecular crosspoints (10M/1G)"]
-    assert mol[1] > 5 * low_z[1]
 
 
 # -- the engine gate -----------------------------------------------------------
@@ -174,40 +121,6 @@ def test_readout_engine_speedup(emit, emit_json):
                 scheme,
                 size,
             )
-
-    # block-RHS cell batches match per-cell solves (dense ideal path)
-    rng = np.random.default_rng(0)
-    states = rng.random((16, 16)) < 0.5
-    cells = np.stack([rng.integers(16, size=32), rng.integers(16, size=32)], axis=1)
-    for scheme in SCHEMES:
-        model = ReadoutModel(scheme=scheme)
-        block = model.read_currents(states, cells)
-        per_cell = np.array(
-            [model.read_current(states, int(r), int(c)) for r, c in cells]
-        )
-        assert np.allclose(block, per_cell, rtol=1e-9), scheme
-
-    # sparse distributed path within documented solver tolerance
-    from repro.crossbar.readout_distributed import DistributedReadout
-
-    dist_states = rng.random((12, 12)) < 0.5
-    dist_cells = np.stack([rng.integers(12, size=8), rng.integers(12, size=8)], axis=1)
-    for scheme in SCHEMES:
-        batched_dist = DistributedReadout(
-            base=ReadoutModel(scheme=scheme),
-            row_segment_ohm=200.0,
-            col_segment_ohm=200.0,
-        )
-        loop_dist = LoopDistributedReadout(
-            base=ReadoutModel(scheme=scheme),
-            row_segment_ohm=200.0,
-            col_segment_ohm=200.0,
-        )
-        assert np.allclose(
-            batched_dist.read_currents(dist_states, dist_cells),
-            loop_dist.read_currents(dist_states, dist_cells),
-            rtol=1e-6,
-        ), scheme
 
     emit(
         "readout_engine_speedup",

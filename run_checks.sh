@@ -84,8 +84,8 @@ if [[ "${FULL_BENCH:-0}" == "1" ]]; then
     python -m pytest -q benchmarks/bench_readout.py
 else
     # fewer timing segments with a loose floor so container noise
-    # cannot flake it; correctness gates (byte-identical margins,
-    # block-RHS equivalence) run at full strictness either way
+    # cannot flake it; the byte-identical margin gate runs at full
+    # strictness either way
     READOUT_BENCH_REPEATS=2 READOUT_BENCH_BATCHED_REPS=3 \
     READOUT_BENCH_MIN_SPEEDUP=5 \
     python -m pytest -q benchmarks/bench_readout.py

@@ -1015,7 +1015,7 @@ def _cmd_margins(spec: CrossbarSpec, args: argparse.Namespace) -> str:
 
 def _cmd_readout(spec: CrossbarSpec, args: argparse.Namespace) -> str:
     """Worst-case sense margins of square banks on the batched readout engine; --scheme
-    all shares each bank size's stamped Laplacians across all three biasing schemes.
+    all shares each bank size's worst-case backgrounds across all three biasing schemes.
     """
     from repro.crossbar.readout import SCHEMES
     from repro.sim.readout import scheme_margin_sweep
@@ -1028,7 +1028,7 @@ def _cmd_readout(spec: CrossbarSpec, args: argparse.Namespace) -> str:
         message = f"expects one or more positive bank sizes, got {args.sizes!r}"
         raise _UsageError(message, "--sizes")
     schemes = SCHEMES if args.scheme == "all" else (args.scheme,)
-    # one engine sweep: each bank size's stamped Laplacians are shared
+    # one engine sweep: each bank size's worst-case backgrounds are shared
     # across every requested scheme; a non-physical technology raises
     # ReadoutError before any solve
     sweep = scheme_margin_sweep(

@@ -24,7 +24,6 @@ from repro.crossbar.readout import (
     margin_vs_bank_size,
     max_bank_size,
 )
-from repro.crossbar.readout_distributed import DistributedReadout
 from repro.crossbar.montecarlo import (
     MonteCarloMarginYield,
     MonteCarloYield,
@@ -63,7 +62,6 @@ __all__ = [
     "DEFAULT_NANOWIRES_PER_HALF_CAVE",
     "DEFAULT_RAW_KILOBYTES",
     "DefectMap",
-    "DistributedReadout",
     "EccError",
     "EccMemory",
     "ReadoutError",

@@ -9,8 +9,9 @@ whose bits are accessed through the *full* chain —
 2. the access fails if the sampled instance lost that wire to threshold
    drift or a contact boundary (the defect map);
 3. the bit value is sensed *electrically*: the cave-sized bank around
-   the crosspoint is solved as a resistor network and the current is
-   compared against the bank's worst-case decision threshold.
+   the crosspoint is solved as a resistor network with the cell forced
+   ON and forced OFF, and the measured current is classified to the
+   nearer of the two references.
 
 This is the executable form of the paper's claim that the MSPT decoder
 "uniquely addresses every nanowire": addressing, yield and read-out are
@@ -21,13 +22,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import obs
 from repro.codes.base import CodeSpace
 from repro.crossbar.defects import DefectMap, sample_defect_map
 from repro.crossbar.readout import ReadoutModel
 from repro.crossbar.spec import CrossbarSpec
 from repro.decoder.addressmap import AddressMap, WireAddress
-from repro.sim.readout import BankCache, IdealBank, state_digest
+from repro.sim.readout import sense_currents, slab_pairs
 
 
 class AddressingFault(RuntimeError):
@@ -82,10 +82,6 @@ class CrossbarArray:
                 f"({side}, {side}) crosspoint grid"
             )
         self._states = np.zeros((side, side), dtype=bool)
-        # state-keyed factorization cache: batched reads key each bank's
-        # stamped/factorized solver on a digest of its state block, so
-        # banks that are quiescent between read batches skip re-stamping
-        self._bank_cache = BankCache(max_banks=64)
 
     # -- addressing --------------------------------------------------------------
 
@@ -129,35 +125,63 @@ class CrossbarArray:
         self._check_access(row, col)
         self._states[row, col] = bool(value)
 
-    def _bank_bounds(self, index: int) -> tuple[int, int]:
-        """Wire-index range of the cave-sized bank containing ``index``."""
-        per_cave = self.address_map.wires_per_cave
-        start = (index // per_cave) * per_cave
-        return start, min(start + per_cave, self.shape[0])
+    def _forced_references(
+        self, rows, cols
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(stored bits, I_if_on, I_if_off) of a batch of crosspoints.
 
-    def _forced_references(self, row: int, col: int) -> tuple[bool, float, float]:
-        """(stored bit, I_if_on, I_if_off) of one crosspoint in its bank.
-
-        The cave-sized bank is solved with the selected cell forced ON
-        and forced OFF (same data background); the reference whose
-        forced state equals the stored bit *is* the measured current.
+        Each crosspoint's cave-sized bank is solved with the selected
+        cell forced ON and forced OFF (same data background); the
+        reference whose forced state equals the stored bit *is* the
+        measured current.  Both forced banks of every cell go to
+        :func:`~repro.sim.readout.sense_currents`, stacked per bank
+        shape in slabs, so a batch reads the same floats as its cells
+        read one at a time.  Raises :class:`AddressingFault` on the
+        first inaccessible crosspoint.
         """
-        self._check_access(row, col)
-        r0, r1 = self._bank_bounds(row)
-        c0, c1 = self._bank_bounds(col)
-        bank = self._states[r0:r1, c0:c1].copy()
-        r_local, c_local = row - r0, col - c0
-        stored = bool(bank[r_local, c_local])
-        bank[r_local, c_local] = True
-        i_on = self.readout.read_current(bank, r_local, c_local)
-        bank[r_local, c_local] = False
-        i_off = self.readout.read_current(bank, r_local, c_local)
-        if i_on <= 0:
+        rows = np.asarray(rows, dtype=int).ravel()
+        cols = np.asarray(cols, dtype=int).ravel()
+        if rows.shape != cols.shape:
+            raise ValueError("rows and cols must have matching shapes")
+        for r, c in zip(rows.tolist(), cols.tolist()):
+            self._check_access(r, c)
+        per = self.address_map.wires_per_cave
+        r0 = rows // per * per
+        c0 = cols // per * per
+        heights = np.minimum(r0 + per, self.shape[0]) - r0
+        widths = np.minimum(c0 + per, self.shape[1]) - c0
+        model = self.readout
+        i_on = np.empty(rows.size)
+        i_off = np.empty(rows.size)
+        for h, w in sorted(set(zip(heights.tolist(), widths.tolist()))):
+            members = np.flatnonzero((heights == h) & (widths == w))
+            step = max(1, slab_pairs(h, w) // 2)
+            for start in range(0, members.size, step):
+                idx = members[start : start + step]
+                k = idx.size
+                lr = rows[idx] - r0[idx]
+                lc = cols[idx] - c0[idx]
+                banks = self._states[
+                    r0[idx, None, None] + np.arange(h)[:, None],
+                    c0[idx, None, None] + np.arange(w),
+                ]
+                forced = np.concatenate([banks, banks])
+                forced[np.arange(k), lr, lc] = True
+                forced[np.arange(k, 2 * k), lr, lc] = False
+                # a (2k * h, w) view keeps ReadoutModel.conductances'
+                # own arithmetic for the whole stack
+                g = model.conductances(forced.reshape(-1, w)).reshape(forced.shape)
+                currents = sense_currents(
+                    g, np.tile(lr, 2), np.tile(lc, 2), model.scheme, model.v_read
+                )
+                i_on[idx] = currents[:k]
+                i_off[idx] = currents[k:]
+        if np.any(i_on <= 0):
             raise AddressingFault("non-positive reference current")
-        return stored, i_on, i_off
+        return self._states[rows, cols], i_on, i_off
 
-    def read_bit(self, row: int, col: int) -> bool:
-        """Sense one crosspoint electrically with dual-reference sensing.
+    def read_bits(self, rows, cols) -> np.ndarray:
+        """Sense many crosspoints electrically with dual-reference sensing.
 
         A fixed current threshold cannot work in a floating-scheme
         crossbar: the sneak-path pedestal depends on the bank's data
@@ -168,110 +192,27 @@ class CrossbarArray:
         and forced OFF (same background), and the measured current is
         classified to the nearer reference.
         """
-        stored, i_on, i_off = self._forced_references(row, col)
-        current = i_on if stored else i_off
-        return abs(current - i_on) < abs(current - i_off)
+        stored, i_on, i_off = self._forced_references(rows, cols)
+        current = np.where(stored, i_on, i_off)
+        return np.abs(current - i_on) < np.abs(current - i_off)
 
-    def _bank_groups(self, rows: np.ndarray, cols: np.ndarray):
-        """Cells grouped by their (row-bank, col-bank) pair.
-
-        Yields ``(bank view bounds, local cells, original indices)`` so
-        every bank's shared-state solves can run as one factorized
-        batch through the readout engine.
-        """
-        per_cave = self.address_map.wires_per_cave
-        keys = (rows // per_cave) * (1 + self.shape[1] // per_cave) + (cols // per_cave)
-        order = np.argsort(keys, kind="stable")
-        for key in np.unique(keys):
-            idx = order[keys[order] == key]
-            r0, _ = self._bank_bounds(int(rows[idx[0]]))
-            c0, _ = self._bank_bounds(int(cols[idx[0]]))
-            local = np.stack([rows[idx] - r0, cols[idx] - c0], axis=1)
-            yield (r0, c0), local, idx
-
-    def _reference_currents(
-        self, rows, cols
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(I_measured, I_if_on, I_if_off) for a batch of crosspoints.
-
-        Raises :class:`AddressingFault` on the first inaccessible
-        crosspoint, like :meth:`read_bit`.  The measured currents — and
-        the reference whose forced state matches the cell's actual
-        state — come from *one* factorized block-RHS solve per bank
-        (the bank Laplacian depends only on the state map, not on the
-        selected cell), memoized in the array's state-keyed
-        :class:`~repro.sim.readout.BankCache`.  The opposite reference
-        is a Sherman-Morrison rank-1 update of the same factorization
-        (toggling one crosspoint perturbs the bank Laplacian by one
-        conductance delta), so dual-reference sensing costs no per-cell
-        re-stamping at all.
-        """
-        rows = np.asarray(rows, dtype=int).ravel()
-        cols = np.asarray(cols, dtype=int).ravel()
-        if rows.shape != cols.shape:
-            raise ValueError("rows and cols must have matching shapes")
-        for r, c in zip(rows, cols):
-            self._check_access(int(r), int(c))
-        currents = np.empty(rows.size)
-        i_on = np.empty(rows.size)
-        i_off = np.empty(rows.size)
-        model = self.readout
-        per = self.address_map.wires_per_cave
-        # toggled minus current conductance: OFF cells gain (g_on -
-        # g_off), ON cells lose it
-        g_swing = 1.0 / model.r_on - 1.0 / model.r_off
-        for (r0, c0), local, idx in self._bank_groups(rows, cols):
-            bank = self._states[r0 : r0 + per, c0 : c0 + per]
-            solver = self._bank_cache.get(
-                b"ideal:" + state_digest(bank),
-                lambda bank=bank: IdealBank(model.conductances(bank)),
-            )
-            measured = solver.read_currents(model.scheme, model.v_read, local)
-            stored = bank[local[:, 0], local[:, 1]]
-            other = solver.toggled_currents(
-                model.scheme,
-                model.v_read,
-                local,
-                measured,
-                g_swing * np.where(stored, -1.0, 1.0),
-            )
-            currents[idx] = measured
-            i_on[idx] = np.where(stored, measured, other)
-            i_off[idx] = np.where(stored, other, measured)
-            obs.counter("readout.sherman_morrison", idx.size)
-        if np.any(i_on <= 0):
-            raise AddressingFault("non-positive reference current")
-        return currents, i_on, i_off
-
-    def read_bits(self, rows, cols) -> np.ndarray:
-        """Sense many crosspoints; dual-reference decisions, batched.
-
-        Cells are grouped by cave-sized bank; each bank's measured
-        currents (and the matching-state references) share one
-        factorized solve.
-        """
-        currents, i_on, i_off = self._reference_currents(rows, cols)
-        return np.abs(currents - i_on) < np.abs(currents - i_off)
+    def read_bit(self, row: int, col: int) -> bool:
+        """Sense one crosspoint: the one-cell case of :meth:`read_bits`."""
+        return bool(self.read_bits([row], [col])[0])
 
     def read_margins(self, rows, cols) -> np.ndarray:
-        """Relative sensing margins of many crosspoints, batched.
-
-        Same quantity as :meth:`read_margin`, with the matching-state
-        reference of every cell taken from one shared block-RHS solve
-        per bank.
-        """
-        _, i_on, i_off = self._reference_currents(rows, cols)
-        return (i_on - i_off) / i_on
-
-    def read_margin(self, row: int, col: int) -> float:
-        """Relative sensing margin of a crosspoint in its current bank.
+        """Relative sensing margins of many crosspoints in their banks.
 
         ``(I_on_ref - I_off_ref) / I_on_ref`` with the actual data
         background — the quantity a design would check against the sense
         amplifier's resolution.
         """
-        _, i_on, i_off = self._forced_references(row, col)
+        _, i_on, i_off = self._forced_references(rows, cols)
         return (i_on - i_off) / i_on
+
+    def read_margin(self, row: int, col: int) -> float:
+        """Sensing margin of one crosspoint (one-cell :meth:`read_margins`)."""
+        return float(self.read_margins([row], [col])[0])
 
     def write_pattern(
         self, rows: np.ndarray, cols: np.ndarray, bits: np.ndarray
@@ -321,10 +262,6 @@ class CrossbarArray:
         return self._states.copy()
 
     # -- reporting ---------------------------------------------------------------
-
-    def bank_cache_stats(self) -> dict:
-        """Hit/miss counters of the state-keyed factorization cache."""
-        return self._bank_cache.stats()
 
     def accessible_fraction(self) -> float:
         """Fraction of crosspoints with both wires addressable."""

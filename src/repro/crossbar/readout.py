@@ -20,11 +20,10 @@ The sense margin compares the read current of a selected ON cell in the
 worst-case background (all other cells ON) against a selected OFF cell
 in the same background.
 
-Reads run on the :mod:`repro.sim.readout` engine: vectorized
-Laplacian stamping, and factorized block-RHS solves for multi-cell
-reads (:meth:`ReadoutModel.read_currents`).  Single-cell reads are
-byte-identical to the original per-cell Python stamping loop (kept with
-the test oracles); block-RHS reads agree within solver tolerance.
+Reads run on the one solver of :mod:`repro.sim.readout`,
+:func:`~repro.sim.readout.sense_currents`: :meth:`ReadoutModel.read_current`
+is its one-cell call, and it is byte-identical to the original per-cell
+Python stamping loop (kept with the test oracles).
 """
 
 from __future__ import annotations
@@ -114,19 +113,6 @@ class ReadoutModel:
         return float(
             sense_currents(g[None], [row], [col], self.scheme, self.v_read)[0]
         )
-
-    def read_currents(self, states: np.ndarray, cells) -> np.ndarray:
-        """Sense currents of many cells of one bank state.
-
-        ``cells`` is a ``(k, 2)`` array-like of ``(row, col)`` pairs.
-        The bank's Laplacian is stamped and factorized once and all
-        cells are solved as one block RHS (the Laplacian depends only on
-        the state map, not on the selected cell).
-        """
-        from repro.sim.readout import IdealBank
-
-        bank = IdealBank(self.conductances(states))
-        return bank.read_currents(self.scheme, self.v_read, cells)
 
     # -- margins -----------------------------------------------------------------
 

@@ -20,14 +20,6 @@ from repro.device.materials import (
     THERMAL_VOLTAGE_300K,
     GateStack,
 )
-from repro.device.resistance import (
-    NanowireGeometry,
-    ResistanceError,
-    carrier_mobility,
-    resistivity_ohm_cm,
-    segment_resistance_ohm,
-    wire_resistance_ohm,
-)
 from repro.device.physics import (
     DOPING_MAX,
     DOPING_MIN,
@@ -61,22 +53,16 @@ __all__ = [
     "GateStack",
     "LevelError",
     "LevelScheme",
-    "NanowireGeometry",
-    "ResistanceError",
     "N_INTRINSIC_SILICON",
     "PAPER_FIT_GATE_STACK",
     "PhysicsError",
     "ROOM_TEMPERATURE",
     "THERMAL_VOLTAGE_300K",
     "ThresholdModel",
-    "carrier_mobility",
     "compose_std",
     "fit_gate_stack_to_paper_example",
     "region_pass_probability",
-    "resistivity_ohm_cm",
-    "segment_resistance_ohm",
     "region_std",
     "sample_region_vt",
     "window_pass_probability",
-    "wire_resistance_ohm",
 ]

@@ -1,4 +1,4 @@
-"""Batched simulation engines (leading batch axis, factorized solves).
+"""Batched simulation engines (leading batch axis, stacked solves).
 
 Every stochastic result of the reproduction — the Sec. 6.1 cave-yield
 cross-check and the DeHon [6] / Hogg [8] stochastic-decoder baselines —
@@ -8,10 +8,11 @@ per Python iteration.  See README.md ("Batched simulation engine") for
 the chunking and reproducibility contract.
 
 :mod:`repro.sim.readout` extends the same engine pattern to the
-deterministic sneak-path solvers: vectorized Laplacian stamping and
-factorized block-RHS solves behind
-:class:`repro.crossbar.readout.ReadoutModel` and
-:class:`repro.crossbar.readout_distributed.DistributedReadout`.
+deterministic sneak-path solver: :func:`~repro.sim.readout.sense_currents`
+solves a stack of (bank state, selected cell) pairs in one call, and
+every crossbar read — :class:`repro.crossbar.readout.ReadoutModel`,
+:class:`repro.crossbar.array.CrossbarArray` and the electrical workload
+engine — goes through it.
 """
 
 from repro.sim.accumulators import MomentSet, StreamingMoments
@@ -43,21 +44,13 @@ from repro.sim.margins import (
     pair_block_matrix,
     select_margins_batched,
 )
-from repro.sim.readout import (
-    DistributedBank,
-    IdealBank,
-    distributed_laplacian,
-    ideal_laplacian,
-    scheme_margin_sweep,
-)
+from repro.sim.readout import scheme_margin_sweep
 
 __all__ = [
     "CaveYieldKernel",
     "Chunk",
     "DEFAULT_MAX_TRIALS_PER_CHUNK",
     "DEFAULT_STREAM_BLOCK",
-    "DistributedBank",
-    "IdealBank",
     "MarginYieldKernel",
     "MetricSummary",
     "MomentSet",
@@ -70,8 +63,6 @@ __all__ = [
     "applied_voltage_matrix",
     "block_margins_batched",
     "conflict_matrix",
-    "distributed_laplacian",
-    "ideal_laplacian",
     "pair_block_matrix",
     "plan_chunks",
     "resolve_rng",

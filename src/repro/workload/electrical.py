@@ -29,8 +29,8 @@ instance and chunk:
    toggles a hot cell, reading it again costs no solve — both forced
    states were seen before.  Misses queue a snapshot of their forced
    state.
-3. **Slab solves.** Once the queue holds a slab (sized to keep its
-   scratch near :data:`SLAB_BYTES` per thread) or the replay ends, the
+3. **Slab solves.** Once the queue holds a slab
+   (:func:`~repro.sim.readout.slab_pairs`) or the replay ends, the
    queued misses go to :func:`~repro.sim.readout.sense_currents` as one
    stack: one ``np.linalg.solve`` call per slab instead of one per
    reference.
@@ -46,9 +46,10 @@ one instance's memo holds, and ``hit_rate`` is hits over lookups.
 Equivalence contract
 --------------------
 The scalar reference (kept with the test oracles) executes the same
-semantics one access at a time through
+semantics one access at a time: it writes through
 :class:`~repro.crossbar.array.CrossbarArray` on the *same* defect maps
-(``read_bit`` + ``read_margin`` per crosspoint).  Batched results are
+and senses each crosspoint with one ``read_current`` per forced bank,
+the per-cell case of :meth:`CrossbarArray.read_bits`.  Batched results are
 byte-identical and chunk-size invariant: every reference current is
 computed with the exact arithmetic of :meth:`ReadoutModel.read_current`
 (the stacked kernel runs one LAPACK ``gesv`` per system, and
@@ -57,8 +58,8 @@ approximated — so cached and fresh values are the same floats.  Cache
 counts are the one exception: LRU evictions make them depend on chunk
 boundaries, so they are reported for diagnostics only.  The engine
 takes a plain :class:`ReadoutModel` and has no other sensing path; a
-per-cell reference solver plugs into the oracle alone, through the
-``read_current`` that ``read_bit`` and ``read_margin`` call.
+per-cell reference solver plugs into the oracle alone, through its
+``read_current``.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ from repro.crossbar.ecc import decode_first_bits, pack_blocks
 from repro.crossbar.readout import ReadoutError, ReadoutModel, check_resolution
 from repro.decoder.addressmap import AddressMap
 from repro.sim.batch import parallel_map
-from repro.sim.readout import BankCache, sense_currents, state_digest
+from repro.sim.readout import BankCache, sense_currents, slab_pairs, state_digest
 from repro.workload.memory_batch import _draw_flips
 from repro.workload.traces import Trace
 
@@ -127,18 +128,6 @@ class ElectricalReadout:
             raise ReadoutError(
                 f"bank cache needs at least one slot, got {self.max_banks}"
             )
-
-
-#: Scratch budget of one stacked solve slab, per thread (forced-state
-#: snapshots, conductance maps and reduced free-node systems).
-SLAB_BYTES = 2 << 20
-
-
-def _slab_cells(rows: int, cols: int) -> int:
-    """Misses per slab for banks up to ``rows x cols`` (:data:`SLAB_BYTES`)."""
-    free = rows + cols - 2
-    per_cell = 8 * (free * free + 3 * rows * cols) + rows * cols
-    return max(1, SLAB_BYTES // per_cell)
 
 
 class _Sensor:
@@ -255,7 +244,7 @@ def run_electrical_batched(
     nbc = -(-side_cols // per)
     arange_bb = np.arange(bb)
 
-    slab = _slab_cells(min(per, side), min(per, side_cols))
+    slab = slab_pairs(min(per, side), min(per, side_cols))
     sensors = [_Sensor(readout.model, readout.max_banks, slab) for _ in range(inst)]
     states = [np.zeros((side, side_cols), dtype=bool) for _ in range(inst)]
     digests: list[dict[int, bytes]] = [{} for _ in range(inst)]

@@ -1,8 +1,11 @@
 """Scalar fleet executor: one access per Python iteration, per instance.
 
-Ideal reads go through ``CrossbarMemory`` / ``SecdedCode`` per access,
-electrical ones through ``CrossbarArray.read_bit`` + ``read_margin`` on
-the same defect maps; results are byte-identical to ``MemoryFleet.run``.
+Ideal reads go through ``CrossbarMemory`` / ``SecdedCode`` per access.
+Electrical runs write through ``CrossbarArray`` on the same defect maps
+and sense each crosspoint with ``dual_reference``: one
+``model.read_current`` per forced bank, so a loop model puts its own
+solver under the whole run.  Results are byte-identical to
+``MemoryFleet.run``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from repro.crossbar.memory import CapacityError, CrossbarMemory
 from repro.workload.electrical import _finish_electrical
 from repro.workload.memory_batch import FleetResult, _error_streams
 from repro.workload.traces import Trace
+from tests.oracles.readout import dual_reference
 
 
 def run_fleet_loop(
@@ -160,6 +164,7 @@ def _run_electrical_loop(
         arr = CrossbarArray(
             fleet.spec, fleet.space, readout=model, defects=fleet._maps[i]
         )
+        per = arr.address_map.wires_per_cave
         remap = fleet._remaps[i]
         cap = int(caps[i])
         err = err_streams[i]
@@ -197,8 +202,8 @@ def _run_electrical_loop(
                 value = False
             elif code is None:
                 r, c = divmod(int(remap[addr]), side_cols)
-                margin = arr.read_margin(r, c)
-                value = arr.read_bit(r, c) and (margin > res)
+                bit, margin = dual_reference(model, arr._states, per, r, c)
+                value = bit and (margin > res)
                 stored = arr.stored_bit(r, c)
                 margins[i, r_off] = margin
                 sensed_bits[i] += 1
@@ -210,8 +215,8 @@ def _run_electrical_loop(
                 stored_blk = np.zeros(bb, dtype=bool)
                 for k in range(bb):
                     r, c = divmod(int(remap[addr * bb + k]), side_cols)
-                    margin = arr.read_margin(r, c)
-                    sensed[k] = arr.read_bit(r, c) and (margin > res)
+                    bit, margin = dual_reference(model, arr._states, per, r, c)
+                    sensed[k] = bit and (margin > res)
                     stored_blk[k] = arr.stored_bit(r, c)
                     margins[i, r_off * bb + k] = margin
                 sensed_bits[i] += bb

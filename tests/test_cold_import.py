@@ -1,10 +1,10 @@
-"""Structural cold-start gate: no engine or paper path loads scipy.
+"""Structural cold-start gate: no product path loads scipy.
 
 scipy dominated a cold ``import repro`` (``scipy.optimize`` alone took
 about two thirds of it, ``scipy.special`` a third of each paper
 command), so the product carries in-tree ports of the two functions it
-used (``brentq`` and ``erf``) and imports ``scipy.linalg`` /
-``scipy.sparse`` only inside the readout bank solvers.  Each case runs
+used (``brentq`` and ``erf``), and every crossbar read solves through
+numpy's ``np.linalg``.  scipy is a test dependency only.  Each case runs
 in a fresh interpreter and inspects ``sys.modules`` afterwards; this
 gates what is loaded, not how long it takes, so it does not flake on a
 busy host.
@@ -56,6 +56,16 @@ SCIPY_FREE = {
     "cli fig8": "repro.cli.main(['fig8'])",
     "cli headline": "repro.cli.main(['headline'])",
     "cli calibrate": "repro.cli.main(['calibrate'])",
+    "cli readout": "repro.cli.main(['readout', '--scheme', 'all'])",
+    "array reads": (
+        "from repro.codes import make_code\n"
+        "from repro.crossbar import CrossbarArray, CrossbarSpec\n"
+        "arr = CrossbarArray(CrossbarSpec(raw_kilobytes=0.2), make_code('TC', 2, 6))\n"
+        "rows = arr.defects.row_ok.nonzero()[0][:4]\n"
+        "cols = arr.defects.col_ok.nonzero()[0][:4]\n"
+        "arr.read_bits(rows, cols)\n"
+        "arr.read_margins(rows, cols)"
+    ),
 }
 
 

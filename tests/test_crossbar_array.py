@@ -44,16 +44,17 @@ class TestConstruction:
         assert s["readout_scheme"] == "float"
 
     def test_rejects_non_readout_model(self):
-        """The array senses through ReadoutModel alone; a distributed
-        line model used to pass here and break summary() later."""
-        from repro.crossbar.readout_distributed import DistributedReadout
+        """The array senses through ReadoutModel alone; another model
+        object used to pass here and break summary() later."""
+        from types import SimpleNamespace
+
         from repro.crossbar.spec import CrossbarSpec
 
         with pytest.raises(TypeError, match="ReadoutModel"):
             CrossbarArray(
                 CrossbarSpec(raw_kilobytes=0.2),
                 make_code("TC", 2, 6),
-                readout=DistributedReadout(),
+                readout=SimpleNamespace(scheme="float", v_read=0.5),
             )
 
 
@@ -184,24 +185,20 @@ class TestWritePattern:
 class TestReferenceCurrentGuards:
     """Regression: read_bit and read_bits must both reject a
     non-positive reference current, like read_margin(s) always did
-    (satellite bugfix).  The array takes a real ReadoutModel; the bank
-    engine underneath is patched to return zero currents."""
+    (satellite bugfix).  The array takes a real ReadoutModel; the
+    stacked solver underneath is patched to return zero currents."""
 
     @pytest.fixture
     def dead(self, monkeypatch):
-        import repro.sim.readout as engine
+        import repro.crossbar.array as array_module
         from repro.crossbar.spec import CrossbarSpec
 
-        def zeros(bank, scheme, v_read, cells, *rest):
-            return np.zeros(len(cells))
-
-        # per-cell solves (read_bit / read_margin) and the batched
-        # bank engine (read_bits / read_margins)
+        # every read, one cell or a batch, senses through this one call
         monkeypatch.setattr(
-            engine, "sense_currents", lambda g, rows, *rest: np.zeros(len(rows))
+            array_module,
+            "sense_currents",
+            lambda g, rows, *rest: np.zeros(len(rows)),
         )
-        monkeypatch.setattr(engine.IdealBank, "read_currents", zeros)
-        monkeypatch.setattr(engine.IdealBank, "toggled_currents", zeros)
         return CrossbarArray(
             CrossbarSpec(raw_kilobytes=0.2), make_code("TC", 2, 6), seed=3
         )
@@ -249,8 +246,13 @@ def seeded_array(kilobytes, family, length, scheme):
 
 
 class TestReadDigests:
-    """Exact bits of the four read paths, recorded before the per-cell
-    restamp path was removed from the array."""
+    """Exact bits of the array's reads, one cell at a time and batched.
+
+    ``CELL`` was recorded before the per-cell restamp path was removed
+    from the array.  The ``BATCH`` margins of ``float`` and ``half_v``
+    are the per-cell digests of the same 2,400 cells, recorded when the
+    batched reads still ran a factorized solve that differed from them
+    in the last bits."""
 
     #: scheme -> (read_bit sha256, read_margin sha256); every accessible
     #: cell of a 41-wire TC M=6 array (256 cells), row-major
@@ -269,11 +271,12 @@ class TestReadDigests:
         ),
     }
     #: scheme -> (read_bits sha256, read_margins sha256); 2,400 distinct
-    #: accessible cells of a 91-wire BGC M=10 array (40-wire banks)
+    #: accessible cells of a 91-wire BGC M=10 array (40-wire banks).  The
+    #: margins are those of per-cell read_margin calls
     BATCH = {
         "float": (
             "14a53a5b219f595ee8c6e2a1ea06e9d4b09bfe6c20a5657bb8467eeb1801cfa4",
-            "4aed4af8aa785ea3f7c25a21f51942226e7976a305e562df88ba8e5e6ca9ec25",
+            "9d23a869f8f7d29c136e863e8be0e838259907def725984f577cb0a21e602e6f",
         ),
         "ground": (
             "14a53a5b219f595ee8c6e2a1ea06e9d4b09bfe6c20a5657bb8467eeb1801cfa4",
@@ -281,7 +284,7 @@ class TestReadDigests:
         ),
         "half_v": (
             "14a53a5b219f595ee8c6e2a1ea06e9d4b09bfe6c20a5657bb8467eeb1801cfa4",
-            "7f4b818fe83cc03b715dd23393c8d117d288fc74fc2dd526ac9cef371508539a",
+            "c2e5c4695df5f2c749b3be9e2a406b58d1cfe1e36c610e3bb30fe61d52769403",
         ),
     }
 
@@ -299,14 +302,30 @@ class TestReadDigests:
         margins = np.array([arr.read_margin(r, c) for r, c in cells])
         assert (sha(bits), sha(margins)) == self.CELL[scheme]
 
-    @pytest.mark.parametrize("scheme", sorted(BATCH))
-    def test_batched_reads(self, scheme):
+    def batch(self, scheme):
         arr = seeded_array(1.0, "BGC", 10, scheme)
         rr, cc = self.accessible(arr)
         pick = np.random.default_rng(5).choice(rr.size, size=2400, replace=False)
-        bits = arr.read_bits(rr[pick], cc[pick])
-        margins = arr.read_margins(rr[pick], cc[pick])
+        return arr, rr[pick], cc[pick]
+
+    @pytest.mark.parametrize("scheme", sorted(BATCH))
+    def test_batched_reads(self, scheme):
+        arr, rows, cols = self.batch(scheme)
+        bits = arr.read_bits(rows, cols)
+        margins = arr.read_margins(rows, cols)
         assert (sha(bits), sha(margins)) == self.BATCH[scheme]
+
+    @pytest.mark.parametrize("scheme", sorted(BATCH))
+    def test_batched_equals_per_cell(self, scheme):
+        """A batch reads the same floats as its cells read one at a time."""
+        arr, rows, cols = self.batch(scheme)
+        cells = list(zip(rows.tolist(), cols.tolist()))
+        bits = np.array([arr.read_bit(r, c) for r, c in cells])
+        margins = np.array([arr.read_margin(r, c) for r, c in cells])
+        assert np.array_equal(arr.read_bits(rows, cols), bits)
+        assert np.array_equal(
+            arr.read_margins(rows, cols).view(np.uint64), margins.view(np.uint64)
+        )
 
 
 class TestFleetDefectInjection:

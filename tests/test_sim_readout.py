@@ -1,15 +1,14 @@
 """Tests for the batched readout engine (repro.sim.readout).
 
-Covers the contracts of the batched readout engine:
+Covers the contracts of the one crossbar read solver, ``sense_currents``:
 
-* equivalence with the loop oracles (``tests/oracles/readout.py``)
-  across schemes, bank shapes and segment resistances (byte-identical
-  on the dense ideal path, sparse-solver tolerance on the distributed
-  path);
-* the ``segment_resistance = 0`` limit against the ideal solver;
-* block-RHS cell batches identical to per-cell solves;
+* bit-for-bit equivalence with the loop oracle
+  (``tests/oracles/readout.py``) across schemes and bank shapes, one
+  pair at a time and stacked;
 * seeded goldens for the ``readout`` sweep evaluator;
-* the batched CrossbarArray read paths against their scalar loops.
+* the batched CrossbarArray read paths against their one-cell reads
+  and the loop oracle's dual-reference sensing;
+* the state-keyed bank cache of the electrical workload engine.
 """
 
 import numpy as np
@@ -22,43 +21,19 @@ from repro.crossbar.readout import (
     margin_vs_bank_size,
     max_bank_size,
 )
-from repro.crossbar.readout_distributed import DistributedReadout
 from repro.sim.readout import (
     BankCache,
-    DistributedBank,
-    IdealBank,
-    distributed_laplacian,
-    ideal_laplacian,
     scheme_margin_sweep,
     sense_currents,
     state_digest,
 )
-from tests.oracles.readout import LoopDistributedReadout, LoopReadoutModel
+from tests.oracles.readout import LoopReadoutModel, dual_reference
 
 SHAPES = ((1, 1), (3, 5), (8, 8), (5, 12))
 
 
 def random_states(shape, seed=0, density=0.5):
     return np.random.default_rng(seed).random(shape) < density
-
-
-class TestStamping:
-    def test_ideal_laplacian_rows_sum_to_zero(self):
-        g = np.random.default_rng(3).random((6, 4)) + 0.1
-        lap = ideal_laplacian(g)
-        assert np.allclose(lap.sum(axis=0), 0.0)
-        assert np.allclose(lap.sum(axis=1), 0.0)
-        assert np.allclose(lap, lap.T)
-
-    def test_distributed_laplacian_rows_sum_to_zero(self):
-        g = np.random.default_rng(4).random((5, 3)) + 0.1
-        lap = distributed_laplacian(g, 2.0, 3.0).toarray()
-        assert np.allclose(lap.sum(axis=0), 0.0)
-        assert np.allclose(lap, lap.T)
-
-    def test_distributed_node_count(self):
-        lap = distributed_laplacian(np.ones((4, 7)), 1.0, 1.0)
-        assert lap.shape == (2 * 4 * 7, 2 * 4 * 7)
 
 
 class TestIdealEquivalence:
@@ -130,149 +105,6 @@ class TestIdealEquivalence:
             scheme_margin_sweep((4, 0))
 
 
-class TestIdealBlockRhs:
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_block_matches_per_cell(self, scheme):
-        """One factorized block solve equals k independent solves."""
-        states = random_states((12, 9), seed=5)
-        model = ReadoutModel(scheme=scheme)
-        rng = np.random.default_rng(2)
-        cells = np.stack([rng.integers(12, size=25), rng.integers(9, size=25)], axis=1)
-        block = model.read_currents(states, cells)
-        per_cell = np.array(
-            [model.read_current(states, int(r), int(c)) for r, c in cells]
-        )
-        assert np.allclose(block, per_cell, rtol=1e-9)
-
-    def test_loop_method_read_currents(self):
-        states = random_states((4, 4), seed=6)
-        model = LoopReadoutModel()
-        cells = [(0, 0), (3, 2), (0, 0)]
-        got = model.read_currents(states, cells)
-        want = [model.read_current(states, r, c) for r, c in cells]
-        assert list(got) == want
-
-    def test_single_pair_accepted(self):
-        states = random_states((3, 3), seed=7)
-        model = ReadoutModel()
-        got = model.read_currents(states, (1, 2))
-        assert got.shape == (1,)
-        assert got[0] == pytest.approx(model.read_current(states, 1, 2))
-
-    def test_rejects_out_of_bank_cells(self):
-        model = ReadoutModel()
-        with pytest.raises(ReadoutError):
-            model.read_currents(np.ones((3, 3), bool), [(0, 3)])
-
-    def test_shared_factorization_reused(self):
-        """The float LU is computed once per bank and reused."""
-        bank = IdealBank(ReadoutModel().conductances(random_states((6, 6))))
-        assert bank._lu is None
-        first = bank.read_currents("float", 0.5, [(0, 0)])
-        lu = bank._lu
-        assert lu is not None
-        second = bank.read_currents("float", 0.5, [(0, 0)])
-        assert bank._lu is lu
-        assert first[0] == second[0]
-
-
-class TestDistributedEquivalence:
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("segment", (0.0, 50.0, 500.0))
-    def test_single_cell_close(self, scheme, segment):
-        states = random_states((6, 6), seed=8)
-        kwargs = dict(
-            base=ReadoutModel(scheme=scheme),
-            row_segment_ohm=segment,
-            col_segment_ohm=segment,
-        )
-        loop = LoopDistributedReadout(**kwargs)
-        batched = DistributedReadout(**kwargs)
-        for row, col in ((0, 0), (3, 4), (5, 5)):
-            a = loop.read_current(states, row, col)
-            b = batched.read_current(states, row, col)
-            assert b == pytest.approx(a, rel=1e-6)
-
-    def test_zero_segment_limit_matches_ideal(self):
-        ideal = ReadoutModel()
-        dist = DistributedReadout(base=ideal, row_segment_ohm=0.0, col_segment_ohm=0.0)
-        states = np.zeros((6, 6), dtype=bool)
-        states[2, 3] = True
-        assert dist.read_current(states, 2, 3) == pytest.approx(
-            ideal.read_current(states, 2, 3), rel=1e-3
-        )
-
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_block_matches_per_cell(self, scheme):
-        states = random_states((7, 5), seed=9)
-        dist = DistributedReadout(
-            base=ReadoutModel(scheme=scheme),
-            row_segment_ohm=200.0,
-            col_segment_ohm=120.0,
-        )
-        rng = np.random.default_rng(3)
-        cells = np.stack([rng.integers(7, size=12), rng.integers(5, size=12)], axis=1)
-        block = dist.read_currents(states, cells)
-        per_cell = np.array(
-            [dist.read_current(states, int(r), int(c)) for r, c in cells]
-        )
-        assert np.allclose(block, per_cell, rtol=1e-9)
-
-    def test_block_matches_loop_reference(self):
-        states = random_states((6, 6), seed=10)
-        cells = [(0, 0), (2, 4), (5, 1)]
-        batched = DistributedReadout()
-        loop = LoopDistributedReadout()
-        assert np.allclose(
-            batched.read_currents(states, cells),
-            loop.read_currents(states, cells),
-            rtol=1e-6,
-        )
-
-    def test_position_sweep_methods_agree(self):
-        kwargs = dict(row_segment_ohm=300.0, col_segment_ohm=300.0)
-        loop = LoopDistributedReadout(**kwargs)
-        batched = DistributedReadout(**kwargs)
-        for (pa, ia), (pb, ib) in zip(
-            loop.position_sweep(8), batched.position_sweep(8)
-        ):
-            assert pa == pb
-            assert ib == pytest.approx(ia, rel=1e-6)
-
-    def test_worst_case_margin_methods_agree(self):
-        kwargs = dict(row_segment_ohm=300.0, col_segment_ohm=300.0)
-        loop = LoopDistributedReadout(**kwargs)
-        batched = DistributedReadout(**kwargs)
-        assert batched.worst_case_margin(8) == pytest.approx(
-            loop.worst_case_margin(8), rel=1e-6
-        )
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(TypeError):
-            DistributedReadout(method="loop")
-
-    def test_one_by_one_bank(self):
-        states = np.array([[True]])
-        for scheme in SCHEMES:
-            dist = DistributedReadout(base=ReadoutModel(scheme=scheme))
-            got = dist.read_currents(states, [(0, 0)])[0]
-            assert got == pytest.approx(
-                LoopDistributedReadout(base=ReadoutModel(scheme=scheme)).read_current(
-                    states, 0, 0
-                ),
-                rel=1e-9,
-            )
-
-    def test_green_factorization_reused(self):
-        bank = DistributedBank(
-            ReadoutModel().conductances(random_states((5, 5))), 0.01, 0.01
-        )
-        bank.read_currents("float", 0.5, [(0, 0)])
-        green = bank._green
-        bank.read_currents("float", 0.5, [(4, 4)])
-        assert bank._green is green
-
-
 class TestReadoutEvaluator:
     def run(self, metric="readout", **params):
         from repro.exp.designpoint import DesignPoint
@@ -318,14 +150,15 @@ class TestReadoutEvaluator:
 
 
 class TestArrayBatchedReads:
-    def make_array(self, seed=3):
+    def make_array(self, seed=3, scheme="float"):
         from repro.codes.registry import make_code
         from repro.crossbar.array import CrossbarArray
         from repro.crossbar.spec import CrossbarSpec
 
         spec = CrossbarSpec(raw_kilobytes=0.2)
         space = make_code("TC", 2, 6)
-        array = CrossbarArray(spec, space, seed=seed)
+        model = ReadoutModel(scheme=scheme)
+        array = CrossbarArray(spec, space, seed=seed, readout=model)
         rng = np.random.default_rng(seed)
         side = array.shape[0]
         rows, cols = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
@@ -357,7 +190,21 @@ class TestArrayBatchedReads:
         rows, cols = self.accessible_cells(array)
         batched = array.read_margins(rows, cols)
         scalar = [array.read_margin(int(r), int(c)) for r, c in zip(rows, cols)]
-        assert np.allclose(batched, scalar, rtol=1e-9)
+        assert batched.tolist() == scalar
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_reads_match_loop_dual_reference(self, scheme):
+        """Batched array reads equal per-cell sensing on the loop solver."""
+        array = self.make_array(scheme=scheme)
+        rows, cols = self.accessible_cells(array, k=24)
+        loop = LoopReadoutModel(scheme=scheme)
+        per = array.address_map.wires_per_cave
+        want = [
+            dual_reference(loop, array.raw_state(), per, int(r), int(c))
+            for r, c in zip(rows, cols)
+        ]
+        assert array.read_bits(rows, cols).tolist() == [b for b, _ in want]
+        assert array.read_margins(rows, cols).tolist() == [m for _, m in want]
 
     def test_read_bits_roundtrip(self):
         array = self.make_array()
@@ -399,14 +246,10 @@ class TestBankCacheUnit:
         cache.get(b"b", lambda: "B")
         cache.get(b"c", lambda: "C")  # evicts "a", the least recent
         assert cache.get(b"a", lambda: "A*") == "A*"
-        stats = cache.stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 4
-        assert stats["evictions"] == 2
-        assert stats["banks"] == len(cache) == 2
-        assert stats["hit_rate"] == pytest.approx(0.2)
-        cache.clear()
-        assert len(cache) == 0
+        assert cache.hits == 1
+        assert cache.misses == 4
+        assert cache.evictions == 2
+        assert len(cache) == 2
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ReadoutError):
@@ -426,39 +269,6 @@ class TestBankCacheUnit:
         big = random_states((8, 8), seed=13)
         view = big[2:6, 1:7]
         assert state_digest(view) == state_digest(view.copy())
-
-
-class TestBankImmutability:
-    """Regression: a mutated-then-read bank cannot serve a stale
-    factorization — bank arrays are frozen copies (satellite bugfix)."""
-
-    def test_ideal_bank_arrays_frozen(self):
-        bank = IdealBank(ReadoutModel().conductances(random_states((5, 5))))
-        bank.read_currents("float", 0.5, [(0, 0)])
-        with pytest.raises(ValueError):
-            bank.g[0, 0] = 99.0
-        with pytest.raises(ValueError):
-            bank.lap[0, 0] = 99.0
-
-    def test_distributed_bank_arrays_frozen(self):
-        bank = DistributedBank(
-            ReadoutModel().conductances(random_states((4, 4))), 1.0e4, 1.0e4
-        )
-        bank.read_currents("float", 0.5, [(0, 0)])
-        with pytest.raises(ValueError):
-            bank.g[0, 0] = 99.0
-        with pytest.raises(ValueError):
-            bank.lap.data[0] = 99.0
-
-    def test_external_mutation_cannot_stale_cached_solves(self):
-        """The bank copies its input, so the caller's array stays free."""
-        g = ReadoutModel().conductances(random_states((5, 5), seed=11))
-        bank = IdealBank(g)
-        before = bank.read_currents("float", 0.5, [(2, 2)])[0]
-        g[:] = 1.0
-        after = bank.read_currents("float", 0.5, [(2, 2)])[0]
-        assert after == before
-        assert IdealBank(g).read_currents("float", 0.5, [(2, 2)])[0] != before
 
 
 class TestDegenerateTies:
