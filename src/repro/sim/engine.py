@@ -306,9 +306,15 @@ class CaveYieldKernel(TrialKernel):
     ``classify``-based mask except on the measure-zero event of a VT
     landing exactly halfway between two levels.
 
+    The window test runs in standard-normal space, ``|z| <=
+    window_halfwidth / sigma_region``: every decoder's nominal VT is its
+    intended level (its doping plan is built from its own level scheme)
+    and every region takes at least one dose (the last-defined wire
+    takes the full doping of its level), so ``sigma_region > 0``.
+
     One kernel is cached per decoder (``decoder.montecarlo_kernel``) and
-    shared by every caller, so draws go to fresh arrays per call, never
-    to a buffer kept on the instance.
+    shared by every caller, so draw buffers are local to each call,
+    never kept on the instance.
     """
 
     metrics = ("cave", "electrical", "geometric")
@@ -317,31 +323,21 @@ class CaveYieldKernel(TrialKernel):
     #: Draw layouts.  ``"trial"`` draws VT noise as ``(trials, N, M)``
     #: — the batch-of-1 form consumes the stream exactly like the seed
     #: per-trial implementation, so the scalar wrappers and the seed's
-    #: per-trial loop use it.  ``"region"`` draws ``(M, trials,
-    #: N)`` so the all-regions reduction runs as a few full-width
-    #: vectorised ANDs instead of NumPy's slow length-M inner reduce;
-    #: it is ~1.3x faster and is the engine default.  The two layouts
-    #: sample the same distribution from different stream orders.
+    #: per-trial loop use it.  ``"region"`` consumes the stream as an
+    #: ``(M, trials, N)`` draw would, one ``(trials, N)`` region at a
+    #: time into one reused buffer, so the all-regions reduction runs
+    #: as a few full-width vectorised ANDs instead of NumPy's slow
+    #: length-M inner reduce and no block-sized draw array exists; it
+    #: is the engine default.  The two layouts sample the same
+    #: distribution from different stream orders.
     LAYOUTS = ("trial", "region")
 
     def __init__(self, decoder) -> None:
         self.decoder = decoder
-        scheme = decoder.scheme
         rules = decoder.rules
-        self.nominal = np.asarray(decoder.plan.nominal_vt(), dtype=float)
-        self.std = decoder.sigma_t * np.sqrt(np.asarray(decoder.nu, dtype=float))
-        levels = np.asarray(scheme.levels)
-        self.target = levels[decoder.patterns]
-        self.halfwidth = scheme.window_halfwidth
-        # Fast path: nominal VT equals the intended level everywhere and
-        # every region is doped, so the window test reduces to
-        # |z| <= halfwidth / sigma in standard-normal space.
-        self._zspace = bool(
-            np.array_equal(self.nominal, self.target) and np.all(self.std > 0)
-        )
-        if self._zspace:
-            self._zmax = self.halfwidth / self.std
-            self._zmax_by_region = np.ascontiguousarray(self._zmax.T)
+        std = decoder.sigma_t * np.sqrt(np.asarray(decoder.nu, dtype=float))
+        self._zmax = decoder.scheme.window_halfwidth / std
+        self._zmax_by_region = np.ascontiguousarray(self._zmax.T)
         pitch = rules.nanowire_pitch_nm
         n = decoder.nanowires
         self.centres = (np.arange(n) + 0.5) * pitch
@@ -354,29 +350,20 @@ class CaveYieldKernel(TrialKernel):
         self, rng: np.random.Generator, trials: int, layout: str = "trial"
     ) -> np.ndarray:
         """``(trials, N)`` boolean electrical addressability masks."""
-        n, m = self.nominal.shape
+        n, m = self._zmax.shape
         if layout == "trial":
             z = rng.standard_normal((trials, n, m))
-            if self._zspace:
-                np.abs(z, out=z)
-                return (z <= self._zmax).all(axis=-1)
-            vt = self.nominal + z * self.std
-            return (np.abs(vt - self.target) <= self.halfwidth).all(axis=-1)
+            np.abs(z, out=z)
+            return (z <= self._zmax).all(axis=-1)
         if layout != "region":
             raise ValueError(f"unknown layout {layout!r}; use 'trial' or 'region'")
-        z = rng.standard_normal((m, trials, n))
-        if self._zspace:
+        z = np.empty((trials, n))
+        ok = np.empty((trials, n), dtype=bool)
+        mask = np.ones((trials, n), dtype=bool)
+        for zmax in self._zmax_by_region:
+            rng.standard_normal(out=z)
             np.abs(z, out=z)
-            mask = z[0] <= self._zmax_by_region[0]
-            for r in range(1, m):
-                mask &= z[r] <= self._zmax_by_region[r]
-            return mask
-        half = self.halfwidth
-        mask = None
-        for r in range(m):
-            vt_err = z[r] * self.std[:, r] + (self.nominal - self.target)[:, r]
-            ok = np.abs(vt_err) <= half
-            mask = ok if mask is None else (mask & ok)
+            mask &= np.less_equal(z, zmax, out=ok)
         return mask
 
     def geometric_masks(self, rng: np.random.Generator, trials: int) -> np.ndarray:

@@ -67,10 +67,11 @@ from repro.sim.engine import TrialKernel
 #: Row-block element budget for the pairwise broadcast (~32 MB float64).
 _PAIR_BLOCK_ELEMENTS = 4_000_000
 
-#: Trial-slab element budget of the margin-yield kernel's transposed
-#: VT slab (800 KB float64: 640 trials of a 20-wire, 8-region half
-#: cave), sized so the slab and its two per-wire row buffers stay in a
-#: core's L2 cache.
+#: Trial-slab element budget of the margin-yield kernel (800 KB
+#: float64: 640 trials of a 20-wire, 8-region half cave).  A block is
+#: drawn, transformed and reduced one slab at a time, so its draw
+#: buffer, the transposed VT copy and the two per-wire row buffers stay
+#: in a core's L2 cache.
 _TRIAL_SLAB_ELEMENTS = 102_400
 
 
@@ -199,10 +200,15 @@ class MarginYieldKernel(TrialKernel):
     shifted once per level.  The select margin of a wire is the same
     quantity at ``u = i`` with the sign flipped
     (``min_j fl(va - vt) == -max_j fl(vt - va)``, exact under
-    round-to-nearest), so it reuses its address's row.  The trial axis
-    is tiled into slabs of a ``(M, N, slab)`` region-major, wire-major
-    transpose whose buffers live only for one call, so :meth:`sample`
-    is re-entrant.
+    round-to-nearest), so it reuses its address's row.
+
+    :meth:`sample` tiles the trial axis into slabs: each slab's normals
+    are drawn in trial order into one reused buffer, turned into VTs in
+    place, reduced through :meth:`realised_margins` (which copies them
+    into an ``(M, N, slab)`` region-major, wire-major transpose) and
+    folded into the per-trial metrics, so no block-sized array exists.
+    The buffers live only for one call, so :meth:`sample` is
+    re-entrant.
     """
 
     metrics = ("margin_yield", "select_margin", "block_margin")
@@ -288,14 +294,22 @@ class MarginYieldKernel(TrialKernel):
         return select.reshape(vt.shape[:-1]), block.reshape(vt.shape[:-1])
 
     def sample(self, rng: np.random.Generator, trials: int) -> dict:
-        z = rng.standard_normal((trials,) + self.nominal.shape)
-        vt = self.nominal + self.std * z
-        select, block = self.realised_margins(vt)
-        worst = np.minimum(select, block)
-        # wires without a conflicting partner already block at +inf, so
-        # the row-min below is the worst margin over conflicting wires
-        return {
-            "margin_yield": (worst > self.guard_v).mean(axis=1),
-            "select_margin": select.min(axis=1),
-            "block_margin": block.min(axis=1),
-        }
+        n_wires, m = self.patterns.shape
+        slab = max(1, _TRIAL_SLAB_ELEMENTS // (m * n_wires))
+        z_buf = np.empty(min(slab, trials) * n_wires * m)
+        out = {name: np.empty(trials) for name in self.metrics}
+        for start in range(0, trials, slab):
+            stop = min(start + slab, trials)
+            # the slab's rows of nominal + std * z, drawn in trial order
+            z = z_buf[: (stop - start) * n_wires * m].reshape(-1, n_wires, m)
+            rng.standard_normal(out=z)
+            np.multiply(self.std, z, out=z)
+            np.add(self.nominal, z, out=z)
+            select, block = self.realised_margins(z)
+            worst = np.minimum(select, block)
+            # wires without a conflicting partner already block at +inf,
+            # so the row-min is the worst margin over conflicting wires
+            out["margin_yield"][start:stop] = (worst > self.guard_v).mean(axis=1)
+            out["select_margin"][start:stop] = select.min(axis=1)
+            out["block_margin"][start:stop] = block.min(axis=1)
+        return out

@@ -14,11 +14,15 @@ The engine's contract, tested here:
 * trial budgets and chunk bounds are validated consistently.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import api
 from repro.codes import make_code
 from repro.crossbar.montecarlo import (
     MonteCarloYield,
@@ -26,6 +30,7 @@ from repro.crossbar.montecarlo import (
     sample_geometric_mask,
     simulate_cave_yield,
 )
+from repro.crossbar.spec import CrossbarSpec
 from repro.crossbar.yield_model import crossbar_yield, decoder_for
 from repro.decoder.addressing import sampled_addressable_mask
 from repro.decoder.stochastic import (
@@ -355,6 +360,74 @@ class TestCaveYieldEngine:
             result.raw["cave"].mean(), rel=1e-12
         )
         assert np.all(result.raw["cave"] <= result.raw["electrical"] + 1e-12)
+
+
+#: sha256 of ``api.mc_result_to_dict(api.simulate(request))`` (sorted-key
+#: JSON), recorded with the kernel that drew each block's region VTs as
+#: one ``(M, trials, N)`` array.  4097, 5000 and 2500 samples end on a
+#: partial stream block.
+PINNED_CAVEMC = {
+    "bgc_m8": (
+        dict(family="BGC", total_length=8, samples=5000, seed=1),
+        "b4803d6115f7255076ebf1c4254d983926401404dd99e34db615101aa6d05afc",
+    ),
+    "tc_n3_m6": (
+        dict(family="TC", total_length=6, n=3, samples=4097, seed=2),
+        "db443c9427a42194adb971f7035c1cc3fc4a9fb9ed1cbc06038e514e0e151f68",
+    ),
+    "gc_m10": (
+        dict(family="GC", total_length=10, samples=3000, seed=3),
+        "848eb674e8d561dd4ec5b7b206dfaa16f1f50be21d575e49b616113f5841a494",
+    ),
+    "hc_m6": (
+        dict(family="HC", total_length=6, samples=2000, seed=4),
+        "346bbe4e46e7e8a7b39254caef4d8f8729617d2d148e04a633f98f3d4663c981",
+    ),
+    "ahc_m8": (
+        dict(family="AHC", total_length=8, samples=4096, seed=5),
+        "f06058a952977a224bd444d47ba13cd0fa2c4cf3fd874abb0c782df83eee6f68",
+    ),
+    "gc_m8_n41": (
+        dict(
+            family="GC",
+            total_length=8,
+            samples=1200,
+            seed=6,
+            spec=CrossbarSpec(nanowires_per_half_cave=41),
+        ),
+        "41f69ed9190a423e0e792389af89768e75f10bdd8017a62c6b313484df7773d9",
+    ),
+    "bgc_n3_m6_block1000": (
+        dict(
+            family="BGC",
+            total_length=6,
+            n=3,
+            samples=2500,
+            seed=7,
+            stream_block=1000,
+        ),
+        "7d366bc163fecd53b336b24ffd124dd393ae92206d6ea59ba001194290b1ace9",
+    ),
+    "tc_m4_sigma08_wm05": (
+        dict(
+            family="TC",
+            total_length=4,
+            samples=9000,
+            seed=8,
+            spec=CrossbarSpec(sigma_t=0.08, window_margin=0.5),
+        ),
+        "33913ca6260298a6dffe535cbb69f9c2894a9a54cc44563a127ee0679fb45e1b",
+    ),
+}
+
+
+class TestPinnedCaveDigests:
+    @pytest.mark.parametrize("name", sorted(PINNED_CAVEMC))
+    def test_cavemc_result_digest(self, name):
+        fields, digest = PINNED_CAVEMC[name]
+        result = api.simulate(api.McRequest("cavemc", **fields))
+        blob = json.dumps(api.mc_result_to_dict(result), sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 # -- validation consistency ----------------------------------------------------
