@@ -72,9 +72,11 @@ from repro.fabrication.lithography import LithographyRules
 from repro.sim.batch import DEFAULT_MAX_TRIALS_PER_CHUNK, DEFAULT_STREAM_BLOCK
 
 #: Version stamp embedded in every canonical request payload.  Bump on
-#: any change that alters the canonical form of an existing request —
-#: digests then change, so stale store entries simply stop matching.
-API_SCHEMA_VERSION = 1
+#: any change that alters the canonical form of an existing request or
+#: the result bytes it maps to — digests then change, so stale store
+#: entries simply stop matching.  v2: the cave and write-error samplers
+#: draw one uniform per wire and one per flip.
+API_SCHEMA_VERSION = 2
 
 #: The Monte-Carlo request kinds.
 MC_KINDS = ("cavemc", "marginmc")

@@ -2,10 +2,12 @@
 
 The analytic model multiplies per-region Gaussian window integrals and
 an expected geometric boundary loss.  The Monte-Carlo simulator samples
-actual threshold voltages (nominal + Gaussian error with the per-region
-sigma from the variability matrix) and actual contact-edge positions
+each wire's electrical addressability (one uniform against the product
+of its regions' window integrals) and actual contact-edge positions
 (uniform alignment offset), then counts truly addressable nanowires.
-Agreement between the two validates the independence assumptions.
+Agreement between the two validates the independence of electrical
+and geometric losses; the test oracle that realises every region's
+threshold voltage checks the window integrals themselves.
 
 Both simulators run the sampling kernel built by :func:`yield_kernel`
 on the chunked engine of :mod:`repro.sim`, evaluating every trial on a
@@ -100,9 +102,9 @@ def sample_electrical_mask(
 
     With ``trials=None`` (legacy form) one ``(N,)`` mask is returned;
     with an integer ``trials`` the masks arrive on a leading batch axis
-    ``(trials, N)``.  The scalar form is the batch-of-1 path of
-    :class:`repro.sim.engine.CaveYieldKernel` and consumes the random
-    stream exactly as the seed implementation did.
+    ``(trials, N)``.  Both are the sampler of
+    :class:`repro.sim.engine.CaveYieldKernel`: one uniform per wire
+    against its addressability probability.
     """
     kernel = decoder.montecarlo_kernel
     masks = kernel.electrical_masks(rng, 1 if trials is None else trials)

@@ -53,10 +53,10 @@ class SweepParams:
     """Evaluator tuning knobs that are not part of the design point.
 
     The ``wl_*`` knobs drive the ``workload`` metric (trace-driven
-    memory-fleet evaluation); ``wl_address_space=0`` sizes the logical
-    address space from the analytic effective-bits figure of each
-    point, so capacity shortfalls against the analytic promise show up
-    as access failures.  The ``ro_*`` knobs set the crosspoint
+    memory-fleet evaluation); its logical address space is sized from
+    the analytic effective-bits figure of each point, so capacity
+    shortfalls against the analytic promise show up as access
+    failures.  The ``ro_*`` knobs set the crosspoint
     technology and margin floor of the ``readout`` metric (sneak-path
     sense margins of the cave-sized bank).  ``wl_readout`` switches the
     workload metric's reads to electrical sensing under the named
@@ -78,7 +78,6 @@ class SweepParams:
         cli={"default": None},
         help="override the montecarlo root seed (default: --seed)",
     )
-    mc_chunk: int = schema.knob(65_536, ge=1)
     k_sigma: float = schema.knob(
         3.0,
         ge=0,
@@ -105,7 +104,6 @@ class SweepParams:
         flags=("--wl-instances",),
         help="sampled crossbar instances per point for the workload metric",
     )
-    wl_write_fraction: float = schema.knob(0.5, ge=0, le=1)
     wl_seed: int = schema.knob(0, ge=0, flags=("--seed",), help=SEED_HELP)
     wl_ecc: bool = schema.knob(
         False,
@@ -120,7 +118,6 @@ class SweepParams:
         help="per-stored-bit write-error probability for the workload metric "
         "(pairs with --wl-ecc to exercise corrected/uncorrectable counts)",
     )
-    wl_address_space: int = schema.knob(0, ge=0)
     wl_readout: str = schema.knob(
         "off",
         choices=READOUT_KINDS,
@@ -152,7 +149,6 @@ class SweepParams:
         help="crosspoint OFF resistance for the readout metric [ohm] "
         "(default 1e7)",
     )
-    ro_v_read: float = schema.knob(0.5, gt=0)
     ro_min_margin: float = schema.knob(
         0.5,
         gt=0,
@@ -162,7 +158,6 @@ class SweepParams:
         help="sense-margin floor for the readout metric's max-bank-size figure "
         "(default 0.5)",
     )
-    ro_bank_limit: int = schema.knob(256, ge=1)
 
     def __post_init__(self) -> None:
         schema.check(self)
@@ -264,7 +259,6 @@ def _eval_montecarlo(
         space,
         samples=params.mc_samples,
         seed=params.mc_seed,
-        max_trials_per_chunk=params.mc_chunk,
     )
     return {
         "mc_samples": mc.samples,
@@ -292,7 +286,6 @@ def _eval_marginmc(
         samples=params.mc_samples,
         seed=params.mc_seed,
         k_sigma=params.k_sigma,
-        max_trials_per_chunk=params.mc_chunk,
     )
     return {
         "mmc_samples": mc.samples,
@@ -313,6 +306,7 @@ def _eval_workload(
     the same root seed so results depend only on (spec, code, params)
     and sweeps stay byte-reproducible at any ``jobs``.
     """
+    from repro.sim.batch import DEFAULT_MAX_TRIALS_PER_CHUNK
     from repro.workload import exhausted_fraction, run_workload
 
     fleet, trace, r = run_workload(
@@ -322,16 +316,16 @@ def _eval_workload(
         accesses=params.wl_accesses,
         instances=params.wl_instances,
         seed=params.wl_seed,
-        write_fraction=params.wl_write_fraction,
+        write_fraction=0.5,
         parity_bits=6 if params.wl_ecc else 0,
-        address_space=params.wl_address_space,
+        address_space=0,
         error_rate=params.wl_error_rate,
         readout=params.wl_readout,
         r_on=params.ro_r_on,
         r_off=params.ro_r_off,
-        v_read=params.ro_v_read,
+        v_read=0.5,
         resolution=params.wl_resolution,
-        chunk_size=params.mc_chunk,
+        chunk_size=DEFAULT_MAX_TRIALS_PER_CHUNK,
     )
     columns = {
         "wl_trace": trace.name,
@@ -362,9 +356,7 @@ def _eval_workload(
 
 
 @functools.lru_cache(maxsize=None)
-def _bank_margins(
-    bank: int, r_on: float, r_off: float, v_read: float
-) -> tuple[float, float, float]:
+def _bank_margins(bank: int, r_on: float, r_off: float) -> tuple[float, float, float]:
     """(float, ground, half_v) margins of one bank size, memoized.
 
     Readout margins depend only on the bank size and the ``ro_*``
@@ -373,14 +365,12 @@ def _bank_margins(
     """
     from repro.sim.readout import scheme_margin_sweep
 
-    sweep = scheme_margin_sweep((bank,), r_on=r_on, r_off=r_off, v_read=v_read)
+    sweep = scheme_margin_sweep((bank,), r_on=r_on, r_off=r_off)
     return (sweep["float"][0], sweep["ground"][0], sweep["half_v"][0])
 
 
 @functools.lru_cache(maxsize=None)
-def _max_float_bank(
-    r_on: float, r_off: float, v_read: float, min_margin: float, limit: int
-) -> int:
+def _max_float_bank(r_on: float, r_off: float, min_margin: float) -> int:
     """Largest float-scheme bank above the margin floor, memoized.
 
     The figure depends only on the readout params — never on the design
@@ -389,8 +379,8 @@ def _max_float_bank(
     """
     from repro.crossbar.readout import ReadoutModel, max_bank_size
 
-    model = ReadoutModel(r_on=r_on, r_off=r_off, v_read=v_read, scheme="float")
-    return max_bank_size(model, min_margin, limit=limit)
+    model = ReadoutModel(r_on=r_on, r_off=r_off, scheme="float")
+    return max_bank_size(model, min_margin, limit=256)
 
 
 def _eval_readout(
@@ -409,7 +399,7 @@ def _eval_readout(
     """
     bank = 2 * spec.nanowires_per_half_cave
     margin_float, margin_ground, margin_half_v = _bank_margins(
-        bank, params.ro_r_on, params.ro_r_off, params.ro_v_read
+        bank, params.ro_r_on, params.ro_r_off
     )
     return {
         "ro_bank_wires": bank,
@@ -417,11 +407,7 @@ def _eval_readout(
         "ro_margin_ground": margin_ground,
         "ro_margin_half_v": margin_half_v,
         "ro_max_float_bank": _max_float_bank(
-            params.ro_r_on,
-            params.ro_r_off,
-            params.ro_v_read,
-            params.ro_min_margin,
-            params.ro_bank_limit,
+            params.ro_r_on, params.ro_r_off, params.ro_min_margin
         ),
         "ro_bank_ok": bool(margin_float >= params.ro_min_margin),
     }

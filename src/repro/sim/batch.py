@@ -9,9 +9,9 @@ The engine decomposes a simulation of ``samples`` trials into
   kernel call, results depend only on ``(seed, stream_block,
   samples)`` — never on how blocks are grouped into chunks.  (They
   *can* depend on the total ``samples``: a kernel whose draw layout
-  interleaves trials — e.g. the region-major cave-yield layout —
-  gives the final, partial block different per-trial values than a
-  full block would.)
+  interleaves trials — e.g. the cave-yield kernel, which draws every
+  trial's wire uniforms before any boundary offset — gives the final,
+  partial block different per-trial values than a full block would.)
 * **chunks** — groups of whole stream blocks of at most
   ``max_trials_per_chunk`` trials that are held in memory together.
   Chunking bounds peak memory at millions of trials; it never changes

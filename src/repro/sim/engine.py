@@ -294,23 +294,22 @@ def run_block_moments(
 
 
 class CaveYieldKernel(TrialKernel):
-    """Batched half-cave yield sampler: VT and boundary-offset draws.
+    """Batched half-cave yield sampler: addressability and boundary draws.
 
-    One trial realises every doping region's threshold voltage
-    (``nominal + sigma_region * z`` with standard-normal ``z``) and
+    One trial realises every nanowire's electrical addressability and
     every contact-group boundary's alignment offset, then counts the
     nanowires that are electrically addressable, geometrically
-    unambiguous, and both.  The electrical test is the addressability
-    window of :class:`repro.device.threshold.LevelScheme` — ``|VT -
-    nominal| <= window_halfwidth`` — which coincides with the legacy
-    ``classify``-based mask except on the measure-zero event of a VT
-    landing exactly halfway between two levels.
+    unambiguous, and both.
 
-    The window test runs in standard-normal space, ``|z| <=
-    window_halfwidth / sigma_region``: every decoder's nominal VT is its
-    intended level (its doping plan is built from its own level scheme)
-    and every region takes at least one dose (the last-defined wire
-    takes the full doping of its level), so ``sigma_region > 0``.
+    A wire is electrically addressable when each of its doping regions
+    lands inside the addressability window of
+    :class:`repro.device.threshold.LevelScheme`, ``|VT - nominal| <=
+    window_halfwidth``.  The regions' VT errors are independent
+    Gaussians, so that event has probability ``decoder.
+    wire_probabilities`` — the product of the regions' window integrals
+    of Sec. 6.1 — and one uniform per wire samples it exactly: ``u <
+    p``.  (The VT-space sampler that draws one normal per region is the
+    test oracle of this law.)
 
     One kernel is cached per decoder (``decoder.montecarlo_kernel``) and
     shared by every caller, so draw buffers are local to each call,
@@ -320,68 +319,42 @@ class CaveYieldKernel(TrialKernel):
     metrics = ("cave", "electrical", "geometric")
     stream_mode = "spawn"
 
-    #: Draw layouts.  ``"trial"`` draws VT noise as ``(trials, N, M)``
-    #: — the batch-of-1 form consumes the stream exactly like the seed
-    #: per-trial implementation, so the scalar wrappers and the seed's
-    #: per-trial loop use it.  ``"region"`` consumes the stream as an
-    #: ``(M, trials, N)`` draw would, one ``(trials, N)`` region at a
-    #: time into one reused buffer, so the all-regions reduction runs
-    #: as a few full-width vectorised ANDs instead of NumPy's slow
-    #: length-M inner reduce and no block-sized draw array exists; it
-    #: is the engine default.  The two layouts sample the same
-    #: distribution from different stream orders.
-    LAYOUTS = ("trial", "region")
-
     def __init__(self, decoder) -> None:
         self.decoder = decoder
         rules = decoder.rules
-        std = decoder.sigma_t * np.sqrt(np.asarray(decoder.nu, dtype=float))
-        self._zmax = decoder.scheme.window_halfwidth / std
-        self._zmax_by_region = np.ascontiguousarray(self._zmax.T)
-        pitch = rules.nanowire_pitch_nm
-        n = decoder.nanowires
-        self.centres = (np.arange(n) + 0.5) * pitch
+        self.wire_p = decoder.wire_probabilities
+        self.pitch = rules.nanowire_pitch_nm
         self.halfzone = rules.contact_gap_nm / 2.0 + rules.alignment_tolerance_nm
         self.tolerance = rules.alignment_tolerance_nm
+        self.wires = np.arange(decoder.nanowires)
         sizes = decoder.group_plan.group_sizes
-        self.boundaries = np.cumsum(sizes[:-1]) * pitch
+        self.boundaries = np.cumsum(sizes[:-1]) * self.pitch
 
-    def electrical_masks(
-        self, rng: np.random.Generator, trials: int, layout: str = "trial"
-    ) -> np.ndarray:
+    def electrical_masks(self, rng: np.random.Generator, trials: int) -> np.ndarray:
         """``(trials, N)`` boolean electrical addressability masks."""
-        n, m = self._zmax.shape
-        if layout == "trial":
-            z = rng.standard_normal((trials, n, m))
-            np.abs(z, out=z)
-            return (z <= self._zmax).all(axis=-1)
-        if layout != "region":
-            raise ValueError(f"unknown layout {layout!r}; use 'trial' or 'region'")
-        z = np.empty((trials, n))
-        ok = np.empty((trials, n), dtype=bool)
-        mask = np.ones((trials, n), dtype=bool)
-        for zmax in self._zmax_by_region:
-            rng.standard_normal(out=z)
-            np.abs(z, out=z)
-            mask &= np.less_equal(z, zmax, out=ok)
-        return mask
+        return rng.random((trials, self.wire_p.size)) < self.wire_p
 
     def geometric_masks(self, rng: np.random.Generator, trials: int) -> np.ndarray:
-        """``(trials, N)`` boolean contact-boundary survival masks."""
+        """``(trials, N)`` boolean contact-boundary survival masks.
+
+        Wire ``i`` is centred at ``(i + 0.5) * pitch`` and dies when its
+        centre lies within ``halfzone`` of an offset boundary, so each
+        boundary kills the contiguous index range ``lo..hi``: the masks
+        compare integer wire indices, never per-wire distances.
+        """
         offsets = rng.uniform(
             -self.tolerance, self.tolerance, size=(trials, self.boundaries.size)
         )
-        mask: np.ndarray | None = None
+        mask = np.ones((trials, self.wires.size), dtype=bool)
         for b in range(self.boundaries.size):
-            position = self.boundaries[b] + offsets[:, b]
-            clear = np.abs(self.centres[None, :] - position[:, None]) > self.halfzone
-            mask = clear if mask is None else (mask & clear)
-        if mask is None:
-            mask = np.ones((trials, self.centres.size), dtype=bool)
+            position = (self.boundaries[b] + offsets[:, b]) / self.pitch - 0.5
+            lo = np.ceil(position - self.halfzone / self.pitch)[:, None]
+            hi = np.floor(position + self.halfzone / self.pitch)[:, None]
+            mask &= (self.wires < lo) | (self.wires > hi)
         return mask
 
     def sample(self, rng: np.random.Generator, trials: int) -> dict:
-        e_mask = self.electrical_masks(rng, trials, layout="region")
+        e_mask = self.electrical_masks(rng, trials)
         g_mask = self.geometric_masks(rng, trials)
         return {
             "cave": (e_mask & g_mask).mean(axis=1),

@@ -78,7 +78,6 @@ from repro.crossbar.readout import ReadoutError, ReadoutModel, check_resolution
 from repro.decoder.addressmap import AddressMap
 from repro.sim.batch import parallel_map
 from repro.sim.readout import BankCache, sense_currents, slab_pairs, state_digest
-from repro.workload.memory_batch import _draw_flips
 from repro.workload.traces import Trace
 
 #: Default number of histogram bins over the [0, 1] margin range.
@@ -224,8 +223,7 @@ def run_electrical_batched(
     fleet,
     trace: Trace,
     chunk_size: int,
-    err_streams: Sequence[np.random.Generator | None],
-    p: float,
+    flips: Sequence,
     readout: ElectricalReadout,
     collect_reads: bool,
     collect_state: bool,
@@ -297,21 +295,14 @@ def run_electrical_batched(
                 if first < first_fail[i]:
                     first_fail[i] = first
 
-            # error-corrupted write values, drawn per chunk for every
-            # write (valid or not) so the stream position is a function
-            # of the trace alone — the loop/chunk-invariance contract
-            vals_w = blocks_w = None
-            if n_w:
-                if code is None:
-                    vals_w = vw.copy()
-                    if err_streams[i] is not None and p > 0:
-                        vals_w ^= _draw_flips(err_streams[i], (n_w,), p)
-                else:
-                    blocks_w = clean_blocks_w
-                    if err_streams[i] is not None and p > 0:
-                        blocks_w = clean_blocks_w ^ _draw_flips(
-                            err_streams[i], (n_w, bb), p
-                        )
+            # error-corrupted write values: every write (valid or not)
+            # takes its bits' flips, so which bits flip is a function of
+            # the trace alone — the loop/chunk-invariance contract
+            written = vw if code is None else clean_blocks_w
+            if n_w and flips[i] is not None:
+                written = written.copy()
+                written.reshape(-1)[flips[i].take(n_w * bb)] ^= True
+            vals_w, blocks_w = (written, None) if code is None else (None, written)
 
             remap = fleet._remaps[i]
             st = states[i]

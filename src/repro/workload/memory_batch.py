@@ -29,10 +29,10 @@ The scalar reference (kept with the test oracles) executes the same
 semantics through the :class:`~repro.crossbar.memory.CrossbarMemory` /
 :class:`SecdedCode` APIs, one access per Python iteration.  Batched
 results are **byte-identical** to that loop and invariant to
-``chunk_size``: write-error draws are consumed from
-per-instance shared streams in trace order, so concatenated chunk draws
-equal the loop's per-access draws (the same contract the sim engine's
-shared-stream kernels rely on).
+``chunk_size``: each instance's write-error flips are a geometric-gap
+Bernoulli process over the global index of its written bits
+(:class:`_FlipStream`), which the loop walks one bit at a time with the
+same gap rule.
 """
 
 from __future__ import annotations
@@ -69,29 +69,47 @@ from repro.workload.traces import Trace
 _ERROR_STREAM_TAG = 0xE44C
 
 
-#: Rows per write-error draw slab: bounds one instance's float draw
-#: buffer (8 KB per stored bit of a row, 512 KB for a 64-bit SECDED
-#: block) however many writes a chunk holds.
-_FLIP_SLAB_ROWS = 1024
+class _FlipStream:
+    """Write-error flips of one instance, sampled by geometric gaps.
 
-
-def _draw_flips(
-    rng: np.random.Generator, shape: tuple[int, ...], p: float
-) -> np.ndarray:
-    """``rng.random(shape) < p``, drawn in fixed-row slabs into one buffer.
-
-    Filling consecutive row slabs consumes the stream exactly like the
-    one-shot call, so the flips are identical; only the float buffer
-    is bounded.
+    Every bit the instance is asked to write — each bit of a stored
+    block, valid address or not, in trace order — has a global index
+    and flips independently with probability ``p``.  The gaps between
+    flips of such a Bernoulli process are geometric (Devroye 1986,
+    ch. X): gap ``k`` is ``floor(log1p(-u_k) / log1p(-p))`` of the k-th
+    uniform of the instance's stream, so the stream holds about one
+    draw per flip, not one per bit.  Flips drawn past the end of a
+    write chunk wait in ``_ahead`` for the next one, so which bits flip
+    depends on (seed, instance, global bit index) alone, never on
+    where a chunk ends.
     """
-    flips = np.empty(shape, dtype=bool)
-    rows = shape[0]
-    buf = np.empty((min(rows, _FLIP_SLAB_ROWS),) + shape[1:])
-    for start in range(0, rows, _FLIP_SLAB_ROWS):
-        draw = buf[: min(_FLIP_SLAB_ROWS, rows - start)]
-        rng.random(out=draw)
-        np.less(draw, p, out=flips[start : start + draw.shape[0]])
-    return flips
+
+    def __init__(self, rng: np.random.Generator, p: float) -> None:
+        self._rng = rng
+        self._p = p
+        with np.errstate(divide="ignore"):  # -inf at p = 1: every gap is 0
+            self._log_q = np.log1p(-p)
+        self._ahead = np.empty(0)  # global indices of drawn, unwritten flips
+        self._last = -1.0  # global index of the last drawn flip
+        self._written = 0
+
+    def take(self, bits: int) -> np.ndarray:
+        """Offsets (ascending, in ``[0, bits)``) of the flips among the
+        next ``bits`` written bits."""
+        end = self._written + bits
+        while self._last < end:
+            draws = int((end - self._last) * self._p * 1.25) + 16
+            gaps = np.floor(np.log1p(-self._rng.random(draws)) / self._log_q)
+            gaps += 1.0
+            positions = np.cumsum(gaps, out=gaps)
+            positions += self._last
+            self._ahead = np.concatenate((self._ahead, positions))
+            self._last = positions[-1]
+        cut = int(np.searchsorted(self._ahead, end))
+        offsets = self._ahead[:cut].astype(np.int64) - self._written
+        self._ahead = self._ahead[cut:]
+        self._written = end
+        return offsets
 
 
 def _error_streams(seed: int, instances: int) -> list[np.random.Generator]:
@@ -100,6 +118,13 @@ def _error_streams(seed: int, instances: int) -> list[np.random.Generator]:
         np.random.SFC64(np.random.SeedSequence([_ERROR_STREAM_TAG, seed]))
     )
     return spawn_block_streams(root, instances)
+
+
+def _flip_streams(seed: int, instances: int, p: float) -> list[_FlipStream | None]:
+    """Each instance's :class:`_FlipStream`; ``None`` (no draws) at ``p = 0``."""
+    if p == 0:
+        return [None] * instances
+    return [_FlipStream(rng, p) for rng in _error_streams(seed, instances)]
 
 
 def prepare_workload(
@@ -447,11 +472,7 @@ class MemoryFleet:
                 f"write error rate must be in [0, 1], got {write_error_rate}"
             )
         validate_chunk(chunk_size)
-        err_streams = (
-            _error_streams(seed, self.instances)
-            if write_error_rate > 0
-            else [None] * self.instances
-        )
+        flips = _flip_streams(seed, self.instances, write_error_rate)
         with obs.span(
             "workload.run",
             trace=trace.name,
@@ -463,8 +484,7 @@ class MemoryFleet:
                 result = self._run_electrical(
                     trace,
                     chunk_size,
-                    err_streams,
-                    write_error_rate,
+                    flips,
                     readout,
                     collect_reads,
                     collect_state,
@@ -474,8 +494,7 @@ class MemoryFleet:
                 result = self._run_batched(
                     trace,
                     chunk_size,
-                    err_streams,
-                    write_error_rate,
+                    flips,
                     collect_reads,
                     collect_state,
                 )
@@ -493,8 +512,7 @@ class MemoryFleet:
         self,
         trace: Trace,
         chunk_size: int,
-        err_streams: Sequence[np.random.Generator | None],
-        p: float,
+        flips: Sequence[_FlipStream | None],
         readout,
         collect_reads: bool,
         collect_state: bool,
@@ -521,8 +539,7 @@ class MemoryFleet:
             self,
             trace,
             chunk_size,
-            err_streams,
-            p,
+            flips,
             readout,
             collect_reads,
             collect_state,
@@ -535,8 +552,7 @@ class MemoryFleet:
         self,
         trace: Trace,
         chunk_size: int,
-        err_streams: Sequence[np.random.Generator | None],
-        p: float,
+        flips: Sequence[_FlipStream | None],
         collect_reads: bool,
         collect_state: bool,
     ) -> FleetResult:
@@ -544,6 +560,7 @@ class MemoryFleet:
         n = trace.accesses
         code = self._ecc
         bb = 1 if code is None else code.block_bits
+        noisy = flips[0] is not None
         caps = self.address_capacities
         # raw mode: one stored bit per crosspoint; ECC: one packed
         # (W,) uint64 row per logical block
@@ -604,11 +621,11 @@ class MemoryFleet:
                 # the uncorrupted write values are instance-invariant;
                 # build them once per chunk, not once per instance
                 if code is None:
-                    if p == 0:
+                    if not noisy:
                         shared_vals_s = vw[order]
                 else:
                     clean_blocks_w = self._enc_words[vw.astype(np.intp)]
-                    if p == 0:
+                    if not noisy:
                         shared_blocks_s = clean_blocks_w[order]
             if timed:
                 forward_s += perf_counter() - t_chunk
@@ -624,18 +641,26 @@ class MemoryFleet:
                         first_fail[i] = first
 
                 st = state[i]
-                # write-side values, error-corrupted per instance; draws
-                # cover every write (valid or not) so the stream position
-                # is a function of the trace alone
+                # write-side values, error-corrupted per instance; every
+                # write (valid or not) takes its bits' flips, so which
+                # bits flip is a function of the trace alone
                 vals_s = shared_vals_s
                 blocks_s = shared_blocks_s
-                if p > 0 and n_w:
+                if noisy and n_w:
+                    flipped = flips[i].take(n_w * bb)
                     if code is None:
-                        flips = _draw_flips(err_streams[i], (n_w,), p)
-                        vals_s = (vw ^ flips)[order]
+                        vals = vw.copy()
+                        vals[flipped] ^= True
+                        vals_s = vals[order]
                     else:
-                        flips = _draw_flips(err_streams[i], (n_w, bb), p)
-                        blocks_s = (clean_blocks_w ^ pack_blocks(code, flips))[order]
+                        blocks = clean_blocks_w.copy()
+                        bit = flipped % bb
+                        np.bitwise_xor.at(
+                            blocks,
+                            (flipped // bb, bit // 64),
+                            np.left_shift(np.uint64(1), (bit % 64).astype(np.uint64)),
+                        )
+                        blocks_s = blocks[order]
 
                 # reads: pre-chunk snapshot gather + forwarding overrides
                 inst_read_s = inst_write_s = 0.0

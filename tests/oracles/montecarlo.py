@@ -1,4 +1,5 @@
-"""Scalar Monte-Carlo loops: the seed cave-yield loop and stochastic baselines."""
+"""Scalar Monte-Carlo loops and samplers: the seed cave-yield loop, its
+VT-space masks, and the stochastic baselines."""
 
 from __future__ import annotations
 
@@ -11,6 +12,39 @@ from repro.decoder.stochastic import (
     unique_code_probability,
 )
 from repro.sim.batch import validate_samples
+
+
+def z_space_electrical_masks(decoder, rng, trials: int) -> np.ndarray:
+    """``(trials, N)`` electrical masks drawn in VT space.
+
+    One standard normal ``z`` per (trial, wire, region), drawn as a
+    ``(trials, N, M)`` array; a wire is addressable iff every region's
+    ``|z| <= window_halfwidth / sigma_region``, i.e. its realised VT
+    lies in the level's window.  A batch of one consumes the stream
+    exactly like the seed's per-trial VT draw.  The product kernel
+    samples the same law with one uniform per wire.
+    """
+    std = decoder.sigma_t * np.sqrt(np.asarray(decoder.nu, dtype=float))
+    zmax = decoder.scheme.window_halfwidth / std
+    z = rng.standard_normal((trials,) + zmax.shape)
+    return (np.abs(z) <= zmax).all(axis=-1)
+
+
+def distance_geometric_masks(kernel, rng, trials: int) -> np.ndarray:
+    """``(trials, N)`` boundary survival masks from per-wire distances.
+
+    The float formula ``|centre - boundary| > halfzone`` the product
+    kernel replaced with integer index ranges; same draws, same masks.
+    """
+    centres = (kernel.wires + 0.5) * kernel.pitch
+    offsets = rng.uniform(
+        -kernel.tolerance, kernel.tolerance, size=(trials, kernel.boundaries.size)
+    )
+    mask = np.ones((trials, centres.size), dtype=bool)
+    for b in range(kernel.boundaries.size):
+        position = kernel.boundaries[b] + offsets[:, b]
+        mask &= np.abs(centres[None, :] - position[:, None]) > kernel.halfzone
+    return mask
 
 
 def simulate_cave_yield_loop(spec, space, samples=200, seed=0) -> MonteCarloYield:
@@ -27,7 +61,7 @@ def simulate_cave_yield_loop(spec, space, samples=200, seed=0) -> MonteCarloYiel
     electrical = np.empty(samples)
     geometric = np.empty(samples)
     for s in range(samples):
-        e_mask = kernel.electrical_masks(rng, 1)[0]
+        e_mask = z_space_electrical_masks(kernel.decoder, rng, 1)[0]
         g_mask = kernel.geometric_masks(rng, 1)[0]
         electrical[s] = e_mask.mean()
         geometric[s] = g_mask.mean()

@@ -32,7 +32,10 @@ def run_fleet_loop(
     it; ``chunk_size`` is ignored.  ``kw`` holds the ``collect_*`` flags.
     """
     n, p = fleet.instances, write_error_rate
-    args = (fleet, trace, _error_streams(seed, n) if p > 0 else [None] * n, p)
+    flips = [None] * n
+    if p > 0:
+        flips = [ScalarFlips(rng, p) for rng in _error_streams(seed, n)]
+    args = (fleet, trace, flips)
     reads, state = kw.get("collect_reads", False), kw.get("collect_state", False)
     if readout is None:
         return _run_ideal_loop(*args, reads, state)
@@ -40,11 +43,38 @@ def run_fleet_loop(
     return _run_electrical_loop(*args, readout, reads, state, margins)
 
 
+class ScalarFlips:
+    """The geometric-gap write-error rule, one written bit at a time.
+
+    Bit ``k`` (the instance's global written-bit index) flips iff it is
+    the next flip position; each flip draws one uniform ``u`` and puts
+    the next flip ``floor(log1p(-u) / log1p(-p)) + 1`` bits further on.
+    """
+
+    def __init__(self, rng: np.random.Generator, p: float) -> None:
+        self.rng = rng
+        self.log_q = np.log1p(-p)
+        self.bit = 0
+        self.next = self.gap()
+
+    def gap(self) -> float:
+        return float(np.floor(np.log1p(-self.rng.random()) / self.log_q))
+
+    def flip(self) -> bool:
+        hit = self.bit == self.next
+        if hit:
+            self.next += self.gap() + 1
+        self.bit += 1
+        return hit
+
+    def flips(self, bits: int) -> np.ndarray:
+        return np.array([self.flip() for _ in range(bits)], dtype=bool)
+
+
 def _run_ideal_loop(
     fleet,
     trace: Trace,
-    err_streams: Sequence[np.random.Generator | None],
-    p: float,
+    err_streams: Sequence[ScalarFlips | None],
     collect_reads: bool,
     collect_state: bool,
 ) -> FleetResult:
@@ -69,7 +99,7 @@ def _run_ideal_loop(
                 if code is None:
                     bit = bool(trace.values[j])
                     if err is not None:
-                        bit ^= bool(err.random() < p)
+                        bit ^= err.flip()
                     try:
                         mem.write(addr, bit)
                     except CapacityError:
@@ -79,7 +109,7 @@ def _run_ideal_loop(
                     payload = np.full(code.data_bits, trace.values[j], bool)
                     block = code.encode(payload)
                     if err is not None:
-                        block = block ^ (err.random(bb) < p)
+                        block = block ^ err.flips(bb)
                     try:
                         mem.write_block(addr * bb, block)
                     except CapacityError:
@@ -129,8 +159,7 @@ def _run_ideal_loop(
 def _run_electrical_loop(
     fleet,
     trace: Trace,
-    err_streams: Sequence[np.random.Generator | None],
-    p: float,
+    err_streams: Sequence[ScalarFlips | None],
     readout: ElectricalReadout,
     collect_reads: bool,
     collect_state: bool,
@@ -175,7 +204,7 @@ def _run_electrical_loop(
                 if code is None:
                     bit = bool(trace.values[j])
                     if err is not None:
-                        bit ^= bool(err.random() < p)
+                        bit ^= err.flip()
                     if addr >= cap:
                         failures[i] += 1
                         first_fail[i] = min(first_fail[i], j)
@@ -186,7 +215,7 @@ def _run_electrical_loop(
                     payload = np.full(code.data_bits, trace.values[j], bool)
                     block = code.encode(payload)
                     if err is not None:
-                        block = block ^ (err.random(bb) < p)
+                        block = block ^ err.flips(bb)
                     if addr >= cap:
                         failures[i] += 1
                         first_fail[i] = min(first_fail[i], j)

@@ -90,6 +90,15 @@ class TestRequestRoundTrips:
         with pytest.raises(ValueError, match="schema"):
             api.SweepRequest.from_dict(payload)
 
+    def test_v1_payload_refused(self):
+        """v1 result bytes came from other samplers: a v1 request is refused."""
+        assert api.API_SCHEMA_VERSION == 2
+        for request in (small_sweep_request(), api.McRequest("cavemc", "TC", 6)):
+            payload = request.to_dict()
+            payload["v"] = 1
+            with pytest.raises(ValueError, match="schema v1 is not supported"):
+                api.parse_request(payload)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one design point"):
             api.SweepRequest(points=())
@@ -142,11 +151,11 @@ class TestDigests:
 # entry on these digests, so a change to the canonical form orphans
 # every existing store: bump API_SCHEMA_VERSION on purpose instead.
 PINNED_DIGESTS = {
-    "sweep": "760e39d8544ffc2d099e60875e60e30a570b7f0eb4ec69a1d4cbd8222e0124d1",
-    "marginmc": "5d5f06287abe50a30d832c82d948751f484c40842ea495cccfccb9fee33ff08d",
-    "cavemc": "276c0f42c586591f1c22e1baea989e516bfd26c8a342a85733cc47a8a0596edb",
-    "memsim": "04feebbcc3feefa3da4f7c02818e9e7d34699aa72a635ed0994da694d9e62810",
-    "memsim_elec": "8c4ef891f9aadc3eac1cc5e1619db516986b8a9e3b75df59c1dfb3788da0f92d",
+    "sweep": "6359bda841e58542e27aa269264e12b80257f33f165813532db34b7b327622cb",
+    "marginmc": "1a06cb675fb0f27356281844f67c8248820abaaadf5ce3060fe02524c6032e18",
+    "cavemc": "2b5e85ce6d0fdbfcfda8d1dc7e18f5845cb8e61e433ed3f1119c3787e89fac1a",
+    "memsim": "3eaf7a13c82d3cf631751c4985ff7331d05e146b0123c0f88fddd7542545bdf0",
+    "memsim_elec": "f5b3cf5d4f84b474e9a85bd5dd92e9c51c81770007d35b654d3558ac4d60748e",
 }
 
 
@@ -313,7 +322,7 @@ class TestReadoutValidation:
         [
             {"ro_r_on": float("nan")},
             {"ro_r_off": float("inf")},
-            {"ro_v_read": float("nan")},
+            {"ro_min_margin": 1.0},
             {"ro_r_on": 1e8},
             {"wl_resolution": 1.0},
         ],

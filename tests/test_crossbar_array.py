@@ -248,26 +248,24 @@ def seeded_array(kilobytes, family, length, scheme):
 class TestReadDigests:
     """Exact bits of the array's reads, one cell at a time and batched.
 
-    ``CELL`` was recorded before the per-cell restamp path was removed
-    from the array.  The ``BATCH`` margins of ``float`` and ``half_v``
-    are the per-cell digests of the same 2,400 cells, recorded when the
-    batched reads still ran a factorized solve that differed from them
-    in the last bits."""
+    Both tables were recorded on the defect maps of the v2 result bytes
+    (one uniform per wire); ``test_batched_equals_per_cell`` ties the
+    batched reads to the per-cell ones bit for bit."""
 
     #: scheme -> (read_bit sha256, read_margin sha256); every accessible
-    #: cell of a 41-wire TC M=6 array (256 cells), row-major
+    #: cell of a 41-wire TC M=6 array (289 cells), row-major
     CELL = {
         "float": (
-            "f33f5d0ac23d798478da08aefc5096258bd6edaf1a6cc9cd2c2878f79719122d",
-            "b857edf68abb34fcdf78ddbf145710bcc343a72b35d01d98f39376519c8f770d",
+            "6ac1724650f7587f5726055aa7972446b28fdbacdaaa2a325890c3801ca9f0bc",
+            "c6e7586eaa376d586cea5630cc2783897a2b3bc250e786dd0b0fa692c5fa16cb",
         ),
         "ground": (
-            "f33f5d0ac23d798478da08aefc5096258bd6edaf1a6cc9cd2c2878f79719122d",
-            "32e567d1c3f82367ea5a8c6dab1edb03c9271e9e4d330532e0cb24df48129f9b",
+            "6ac1724650f7587f5726055aa7972446b28fdbacdaaa2a325890c3801ca9f0bc",
+            "521fba450a5fbd23f0236e73a624b26ee6380ea51991920e1b5037f9fa6344ff",
         ),
         "half_v": (
-            "f33f5d0ac23d798478da08aefc5096258bd6edaf1a6cc9cd2c2878f79719122d",
-            "59986a00f7f6dd0a5843d00062cce2fb750faced8c2832eb5f366b5c94a4d3f2",
+            "6ac1724650f7587f5726055aa7972446b28fdbacdaaa2a325890c3801ca9f0bc",
+            "e8640c0bd22d98a52a0d96a445c0afe78577046a025398c01bd7c57d9536832c",
         ),
     }
     #: scheme -> (read_bits sha256, read_margins sha256); 2,400 distinct
@@ -275,16 +273,16 @@ class TestReadDigests:
     #: margins are those of per-cell read_margin calls
     BATCH = {
         "float": (
-            "14a53a5b219f595ee8c6e2a1ea06e9d4b09bfe6c20a5657bb8467eeb1801cfa4",
-            "9d23a869f8f7d29c136e863e8be0e838259907def725984f577cb0a21e602e6f",
+            "1dec19a6531023a7354f10c7e8bd924716d9fe022939c45801c53570315eff84",
+            "e4b3d50507bf604f9afd7e2e3452d6f38e637243a8d95678dea9d66bc4ccce4e",
         ),
         "ground": (
-            "14a53a5b219f595ee8c6e2a1ea06e9d4b09bfe6c20a5657bb8467eeb1801cfa4",
+            "1dec19a6531023a7354f10c7e8bd924716d9fe022939c45801c53570315eff84",
             "3a17432d2ace80b94d8c9218e38bf6f765a790ddd325cd7b014e2b6f0dcbdbe8",
         ),
         "half_v": (
-            "14a53a5b219f595ee8c6e2a1ea06e9d4b09bfe6c20a5657bb8467eeb1801cfa4",
-            "c2e5c4695df5f2c749b3be9e2a406b58d1cfe1e36c610e3bb30fe61d52769403",
+            "1dec19a6531023a7354f10c7e8bd924716d9fe022939c45801c53570315eff84",
+            "ff2e1325dc6e516dd1c4429056330b0fe1fd7986a18c7dbf795a1521fe962711",
         ),
     }
 
@@ -296,7 +294,7 @@ class TestReadDigests:
     def test_per_cell_reads(self, scheme):
         arr = seeded_array(0.2, "TC", 6, scheme)
         rr, cc = self.accessible(arr)
-        assert rr.size == 256
+        assert rr.size == 289
         cells = list(zip(rr.tolist(), cc.tolist()))
         bits = np.array([arr.read_bit(r, c) for r, c in cells])
         margins = np.array([arr.read_margin(r, c) for r, c in cells])

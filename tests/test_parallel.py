@@ -221,6 +221,9 @@ class TestThreadCountInvariance:
 
 
 class TestSlicing:
+    #: Rows per slab of the split writes of the flip tests.
+    SLAB_ROWS = 1024
+
     @pytest.mark.parametrize("samples", [1, 255, 257, 639, 640, 641])
     def test_tiled_margins_equal_loop(self, samples):
         # a 20-wire, 8-region half cave tiles 640 trials per slab (255
@@ -253,23 +256,27 @@ class TestSlicing:
         _, single_block = kernel.realised_margins(vt[2, 299])
         assert single_block.tobytes() == block[2, 299].tobytes()
 
-    @pytest.mark.parametrize(
-        "rows_delta", [-memory_batch._FLIP_SLAB_ROWS + 1, -1, 0, 1, 1500]
-    )
+    @pytest.mark.parametrize("rows_delta", [-SLAB_ROWS + 1, -1, 0, 1, 1500])
     @pytest.mark.parametrize("cols", [None, 1, 12])
     def test_slabbed_flips_equal_one_shot(self, rows_delta, cols):
-        rows = memory_batch._FLIP_SLAB_ROWS + rows_delta
-        shape = (rows,) if cols is None else (rows, cols)
+        """Writing in row slabs flips the same bits as one write: the
+        gaps drawn past a slab's end carry into the next slab."""
+        rows = self.SLAB_ROWS + rows_delta
+        width = 1 if cols is None else cols
         p = 0.3
-        expected = np.random.default_rng(7).random(shape) < p
-        rng = np.random.default_rng(7)
-        flips = memory_batch._draw_flips(rng, shape, p)
-        assert flips.dtype == bool
+        whole = memory_batch._FlipStream(np.random.default_rng(7), p)
+        expected = whole.take(rows * width)
+        split = memory_batch._FlipStream(np.random.default_rng(7), p)
+        flips = np.concatenate(
+            [
+                split.take(min(self.SLAB_ROWS, rows - start) * width) + start * width
+                for start in range(0, rows, self.SLAB_ROWS)
+            ]
+        )
+        assert flips.dtype == np.int64
         assert np.array_equal(flips, expected)
-        # the stream is left exactly where the one-shot call leaves it
-        ref = np.random.default_rng(7)
-        ref.random(shape)
-        assert rng.random() == ref.random()
+        # both streams go on with the same flips
+        assert np.array_equal(split.take(5000), whole.take(5000))
 
 
 class TestForkHygiene:

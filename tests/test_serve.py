@@ -218,7 +218,9 @@ class TestDaemon:
         with ReproServer(socket_path).running():
             with ServeClient(socket_path) as client:
                 with pytest.raises(ServeError, match="unexpected request kind"):
-                    client._roundtrip("evaluate", {"v": 1, "kind": "bogus"})
+                    client._roundtrip(
+                        "evaluate", {"v": api.API_SCHEMA_VERSION, "kind": "bogus"}
+                    )
                 assert client.ping()  # connection survives the error
 
     @pytest.mark.parametrize("k_sigma", [float("nan"), float("inf"), -1.0])

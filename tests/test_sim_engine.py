@@ -38,7 +38,7 @@ from repro.decoder.stochastic import (
     simulate_random_codes,
     simulate_random_contacts,
 )
-from repro.device.variability import sample_region_vt
+from repro.device.variability import region_pass_probability, sample_region_vt
 from repro.sim import (
     Chunk,
     MonteCarloEngine,
@@ -49,9 +49,11 @@ from repro.sim import (
 )
 from repro.sim.batch import block_sizes
 from tests.oracles.montecarlo import (
+    distance_geometric_masks,
     simulate_cave_yield_loop,
     simulate_random_codes_loop,
     simulate_random_contacts_loop,
+    z_space_electrical_masks,
 )
 
 COMMON = settings(max_examples=25, deadline=None)
@@ -247,16 +249,62 @@ class TestCaveYieldWrappers:
         assert batch.shape == (1, decoder.nanowires)
         assert np.array_equal(scalar, batch[0])
 
-    def test_electrical_wrapper_matches_seed_implementation(self, spec):
-        """Same draws, same mask as the pre-engine classify-based path."""
+    def test_z_space_oracle_matches_seed_implementation(self, spec):
+        """The VT-space oracle: same draws, same mask as the pre-engine
+        classify-based path."""
         decoder = decoder_for(spec, make_code("TC", 2, 8))
-        new = sample_electrical_mask(decoder, np.random.default_rng(123))
+        oracle = z_space_electrical_masks(decoder, np.random.default_rng(123), 1)
         rng = np.random.default_rng(123)
         vt = sample_region_vt(
             decoder.plan.nominal_vt(), decoder.nu, rng, decoder.sigma_t
         )
         seed_mask = sampled_addressable_mask(vt, decoder.patterns, decoder.scheme)
-        assert np.array_equal(new, seed_mask)
+        assert np.array_equal(oracle[0], seed_mask)
+
+    def test_wire_probability_is_region_product_bit_for_bit(self, spec):
+        """The kernel's per-wire p is the product of the regions' window
+        integrals, multiplied region by region."""
+        for family, length in [("TC", 8), ("BGC", 8), ("GC", 10), ("AHC", 6)]:
+            decoder = decoder_for(spec, make_code(family, 2, length))
+            regions = region_pass_probability(
+                decoder.nu, decoder.scheme.window_halfwidth, decoder.sigma_t
+            )
+            product = np.ones(decoder.nanowires)
+            for column in regions.T:
+                product = product * column
+            p = decoder.montecarlo_kernel.wire_p
+            assert p.tobytes() == product.tobytes()
+
+    @pytest.mark.parametrize("family, length", [("TC", 8), ("BGC", 10), ("HC", 6)])
+    def test_kernel_agrees_with_z_space_oracle(self, spec, family, length):
+        """Per wire, the uniform sampler and the VT-space oracle hit the
+        same addressability rate within Monte-Carlo error (5 sigma)."""
+        decoder = decoder_for(spec, make_code(family, 2, length))
+        trials = 40_000
+        kernel = decoder.montecarlo_kernel.electrical_masks(
+            np.random.default_rng(31), trials
+        ).mean(axis=0)
+        oracle = z_space_electrical_masks(
+            decoder, np.random.default_rng(32), trials
+        ).mean(axis=0)
+        p = decoder.wire_probabilities
+        sigma = np.sqrt(p * (1 - p) / trials)
+        assert np.all(np.abs(kernel - oracle) <= 5 * np.sqrt(2) * sigma + 1e-12)
+        assert np.all(np.abs(kernel - p) <= 5 * sigma + 1e-12)
+
+    def test_integer_geometric_masks_equal_distance_formula(self, spec):
+        """Same offsets, same masks as ``|centre - boundary| > halfzone``."""
+        for family, length, n, kw in [
+            ("BGC", 8, 2, {}),
+            ("GC", 8, 2, {"nanowires_per_half_cave": 41}),
+            ("TC", 4, 2, {"sigma_t": 0.08, "window_margin": 0.5}),
+        ]:
+            decoder = decoder_for(CrossbarSpec(**kw), make_code(family, n, length))
+            kernel = decoder.montecarlo_kernel
+            assert kernel.boundaries.size > 0
+            masks = kernel.geometric_masks(np.random.default_rng(4), 20_000)
+            oracle = distance_geometric_masks(kernel, np.random.default_rng(4), 20_000)
+            assert np.array_equal(masks, oracle)
 
     def test_geometric_wrapper_is_batch_of_one(self, spec):
         decoder = decoder_for(spec, make_code("TC", 2, 6))  # 3 groups
@@ -363,29 +411,29 @@ class TestCaveYieldEngine:
 
 
 #: sha256 of ``api.mc_result_to_dict(api.simulate(request))`` (sorted-key
-#: JSON), recorded with the kernel that drew each block's region VTs as
-#: one ``(M, trials, N)`` array.  4097, 5000 and 2500 samples end on a
-#: partial stream block.
+#: JSON), recorded with the v2 kernel that draws one uniform per wire.
+#: Every case but ``ahc_m8`` (4096 samples) ends on a partial stream
+#: block.
 PINNED_CAVEMC = {
     "bgc_m8": (
         dict(family="BGC", total_length=8, samples=5000, seed=1),
-        "b4803d6115f7255076ebf1c4254d983926401404dd99e34db615101aa6d05afc",
+        "00c8cddccf545da2d857ff2741090ddf8c8a95dfd7e1b625dbb827c457711f84",
     ),
     "tc_n3_m6": (
         dict(family="TC", total_length=6, n=3, samples=4097, seed=2),
-        "db443c9427a42194adb971f7035c1cc3fc4a9fb9ed1cbc06038e514e0e151f68",
+        "d3f8c1b88d5c9530f39276208281d606998fbd0361e4283a899aa5609c077519",
     ),
     "gc_m10": (
         dict(family="GC", total_length=10, samples=3000, seed=3),
-        "848eb674e8d561dd4ec5b7b206dfaa16f1f50be21d575e49b616113f5841a494",
+        "43312c4e9f510db5f6c20eab8caeb3036aa63fb663aa9d4a697e82b5358177f5",
     ),
     "hc_m6": (
         dict(family="HC", total_length=6, samples=2000, seed=4),
-        "346bbe4e46e7e8a7b39254caef4d8f8729617d2d148e04a633f98f3d4663c981",
+        "d686f6b6021b80295b519cae48b9e1a29d43388ded46f44dbcc85b6b29d2c903",
     ),
     "ahc_m8": (
         dict(family="AHC", total_length=8, samples=4096, seed=5),
-        "f06058a952977a224bd444d47ba13cd0fa2c4cf3fd874abb0c782df83eee6f68",
+        "ec967ce025c4c27fdee6fb4d932852964944b6ba847ae58e8fc7183fe0fe2bab",
     ),
     "gc_m8_n41": (
         dict(
@@ -395,7 +443,7 @@ PINNED_CAVEMC = {
             seed=6,
             spec=CrossbarSpec(nanowires_per_half_cave=41),
         ),
-        "41f69ed9190a423e0e792389af89768e75f10bdd8017a62c6b313484df7773d9",
+        "bf68a2b79118cbd81d67058b35945db63432453b1d3d92213dd68667f616d47e",
     ),
     "bgc_n3_m6_block1000": (
         dict(
@@ -406,7 +454,7 @@ PINNED_CAVEMC = {
             seed=7,
             stream_block=1000,
         ),
-        "7d366bc163fecd53b336b24ffd124dd393ae92206d6ea59ba001194290b1ace9",
+        "195398e1f4f731c6baad3b32627d15a2b805b72c1dca7a9f44bd4b69fa522ed2",
     ),
     "tc_m4_sigma08_wm05": (
         dict(
@@ -416,7 +464,7 @@ PINNED_CAVEMC = {
             seed=8,
             spec=CrossbarSpec(sigma_t=0.08, window_margin=0.5),
         ),
-        "33913ca6260298a6dffe535cbb69f9c2894a9a54cc44563a127ee0679fb45e1b",
+        "33f14fab3ca70c6333dd77eeaf9b34ec7d2abe75c6df96e895e9760924398bdb",
     ),
 }
 

@@ -1,8 +1,9 @@
 """One Monte-Carlo stream block keeps a cache-sized working set.
 
-The spawn-mode yield kernels draw, transform and reduce one trial slab
-(or one doping region) at a time into buffers local to the call, so a
-4096-trial block of BGC M=8 never holds a block-sized draw array.
+The margin kernel draws, transforms and reduces one trial slab at a
+time into buffers local to the call, and the cave kernel draws one
+uniform per wire, so a 4096-trial block of BGC M=8 never holds a
+block-sized normal draw.
 NumPy reports its buffers to ``tracemalloc``, so the peak below is the
 kernel's own allocation high-water mark on any host.  A kernel that
 draws a whole block at once peaks at 15 MB (marginmc) and 5 MB

@@ -26,6 +26,7 @@ from repro.workload import (
     TraceError,
     exhausted_fraction,
     make_trace,
+    memory_batch,
 )
 from tests.oracles.workload import run_fleet_loop
 
@@ -302,6 +303,51 @@ class TestEquivalence:
         assert result.read_bits[0].tolist() == [True, False, False]
 
 
+# -- write-error flips ---------------------------------------------------------
+
+
+class TestFlipStream:
+    """The geometric-gap sampler keeps the per-bit Bernoulli law."""
+
+    @pytest.mark.parametrize("p, bits", [(1e-3, 4000), (0.08, 200), (0.5, 64)])
+    def test_flip_count_is_binomial(self, p, bits):
+        """Counts of consecutive ``bits``-bit writes against Binomial
+        (bits, p): a chi-square test at a fixed seed, tails pooled so
+        every bin expects at least 5 writes."""
+        from scipy import stats
+
+        writes = 2000
+        stream = memory_batch._FlipStream(np.random.default_rng(17), p)
+        counts = np.array([stream.take(bits).size for _ in range(writes)])
+        law = stats.binom(bits, p)
+        lo, hi = int(law.ppf(0.01)), int(law.ppf(0.99))
+        inner = np.arange(lo + 1, hi)
+        observed = [(counts <= lo).sum()]
+        observed += [(counts == k).sum() for k in inner]
+        observed += [(counts >= hi).sum()]
+        expected = np.r_[law.cdf(lo), law.pmf(inner), law.sf(hi - 1)] * writes
+        assert expected.min() >= 5
+        result = stats.chisquare(observed, expected)
+        assert result.pvalue > 1e-3
+
+    def test_rate_one_flips_every_bit(self):
+        stream = memory_batch._FlipStream(np.random.default_rng(3), 1.0)
+        assert np.array_equal(stream.take(1000), np.arange(1000))
+        assert np.array_equal(stream.take(17), np.arange(17))
+
+    def test_rate_zero_draws_nothing(self, monkeypatch):
+        assert memory_batch._flip_streams(3, 4, 0.0) == [None] * 4
+
+        def no_streams(*args):
+            raise AssertionError("an error stream was built at rate 0")
+
+        monkeypatch.setattr(memory_batch, "_error_streams", no_streams)
+        fleet = small_fleet()
+        trace = make_trace("uniform", 500, fleet.suggested_address_space(), seed=1)
+        clean = fleet.run(trace, seed=4, collect_state=True)
+        assert clean.final_state.any()
+
+
 # -- pinned ECC result bytes ---------------------------------------------------
 
 #: Platform of the ECC goldens: big enough for a few dozen 128-bit
@@ -316,48 +362,48 @@ GOLDEN_RATES = {2: 0.08, 3: 0.04, 6: 0.012, 7: 0.01}
 #: ``parity_bits``.  r = 7 is the two-word (128-bit) block.
 ECC_GOLDEN_DIGESTS = {
     2: """
-read_bits bb26d14a64df2a98098d11f636cc9d5d50cb775f3bb644c25be3b8c54d351eab
-final_state e9ae2b8cc32a53cc60e99c225c045c3bf8b16a8161bae5ab6083367bd477dfdb
-corrected bc890322b0b3c8b6c37d3438f85a1f0bc175da0471deee166d3c5958ff9901ff
-effective_capacity_bits c35ee208911bff85422b7b9db46060c73c3ad82eb1d77a2e5471ac1466cc4d40
-efficiency 4f3fc8b597f92f00ac84f9d5832777d4e8e82d4ddc872df61d60e9f297ec730d
-failure_rate d5d837de43e03613e87b4df1eff1880de90db43959b02f1479aff1d770b22e1f
-failures 9e5a67648e69babe55b695905426e36bdb7a6ae1f744abb4bb2f53492abd210e
-first_failure_index 5ade306501a99c9bce85685ccda1d54bcb6941a71cd744d90b5e16e435730f69
-uncorrectable 9faf9a0e1e06ba9f4f8627557f857b8a3d22152f518f96da3c5621779f231a1b
+read_bits 171bcdfe75d37c50c3d05f4a5ed78e7dd4c01cf7c0f60003207921fd696e0577
+final_state c0f9ae79abc211a25fcb3cb04a0061e228434896655bc32379085e5c5f1eb8eb
+corrected a6fe359f85b269a31a6e5aad63701824a577972f109cae2b3c72881a45532bda
+effective_capacity_bits 298c07d29e675032c8099cc687f5fa5da6f20cfab5e0327822d73a40664e2734
+efficiency fbaea83e6db5b0ba2f4b86e85eef3e680812033ca802444e05842ec46d20c21f
+failure_rate e75ccdf3d23885acfd2b0ad89116bd796aeefdc81c64773450af37f24ea06a96
+failures 1c18db89ca27ba0b32856ac2cbb8c0261c524f007d63571cecf214cece60c5dc
+first_failure_index e1cb6d5cb0898e790430854cb13ecf0e09040d4a3e2404113cbd5e5a6a8a5ec6
+uncorrectable d2511e69297dbffa73df9fa365319164258cfea66f1b0391956a6fa81a78aa76
 """,
     3: """
-read_bits 3bced7844df34ecc21b9ad6c2dbc8b9402cb735fc0f7f4b29014d697d59a2873
-final_state b011380a3156cde2555e953fb53e517a257a7d869ef4867a4979ec2965d459c8
-corrected 402cbea20e23da28e9136c7855e34c3195a4115da31ad5c41f718e045adb4965
-effective_capacity_bits 79f6362d7d023f38be83f552da5ab203d2c5f72ed94eec607e4a936e2f5472d2
-efficiency 3e896b6ef3563389d5371c05289d2bff986de612efa79bf364e373f2ec350af0
-failure_rate 0cd15e3496166119b10bc5276c7d4201efe23a6693c981266d3f52c3d70c0402
-failures 8818256bfeec1fdf3190a3f9fc88a1de11cf858d8a60425afcebdf5ed3fe17c9
-first_failure_index d282d372221f54dac33fd6eb733ea0e2c9dbbf708eff62e03a0af267fc8adf8d
-uncorrectable af1e6e717ace983462249582b4e9c9063695bf2bc46ef28c697f71a95d5102c5
+read_bits 01420aa32ee2152e084f436e01634671f6b53b266ddfcd5679313c8ee5a1d312
+final_state de52981ef6e3a68271a6846d796c09f065a47c53f0edc2d429a9e91304510e25
+corrected 2080c2a582bfc23a44282446c625b760134209769854f7abdaf4135b6a9648ba
+effective_capacity_bits b12ef811473278e99806bb5aead5ae4356a6d0c0b45fd1f41c331517959140a6
+efficiency 7745d17572fb418cefdd9d738775165e6828ca47a0e72c72eef15e7af1bd57e1
+failure_rate 771f23a0d6c718247f7de0e8ac9b8825c0687a9a370a0586e8205e83164b0234
+failures 7509103ca9718035ba72b9a2c21726698fd104342ef48d3a6298b00fb4e26f72
+first_failure_index 2b339c8f83b9d00adef6320968f0ea874144b67e89cec5b52dbd009e27c36694
+uncorrectable 6062340d647227fd594132ed55fb881684acef4ae186e0126a1ef6581f25b442
 """,
     6: """
-read_bits 95874cf9695fece587140123708b0a68eb553df9c8a27cf9dcce88182ca0c389
-final_state df2c5f542f9c3c2ff5ddfd7aebf8973f17a14e083748a32ab7a0c306701d58a3
-corrected 24c9f70d501acf2b01ac8357ad7f3e659640857331ce60beba911def3349d984
-effective_capacity_bits 34954f4ea8cc30fe483492449f5445c7c7df4a680c0cb3ce42f0b3584bdd3167
-efficiency 976941749fd6e08512e60cb69d4321037b5ac1f37ffe7da9ad9ae3a4776fa773
-failure_rate 80ba6b44c50b4be1002f9d8121cf35dcbe66c0da97963209847826de34bd6c98
-failures bae171236b5b274934620fe19a114a0e117040fb2b84cf55dfb3f94f1ff801c6
-first_failure_index a775012d2ec0b4d72bae8c6c2b3ead64e83beeefc5a7cab02dd02d3fd5576777
-uncorrectable a6e5efe1e58097433b6fe9e0dedc303851b46543e35bd0652e0c66c62919642e
+read_bits 261405ae589a6631379987cd5d0929ac2c4510142d8816341a3473944698b792
+final_state b88a018fb3b24b6554c97a0daa97aa1a5384e89023209e6c856c2acadb0753d0
+corrected ee19f83332ed665599b91dd1309a88f0455236c8641bcf3b369a18727fc44e42
+effective_capacity_bits 7f2caae7db8375b76eb67ac63b636b2a32d59d7e812721e3aea9f1e84ac6bb3a
+efficiency 0540fc9e62f0127bded47edd1024ac02b4aa58a4a14be53fe61b94e24fefc0b4
+failure_rate 2cb9c6956f65103e4982066029cd6da1db25761636c5b5d62951108aea6a2459
+failures 5fd9fefc86893f56aae806c501d07ca2623f3c23982fd6fddd3daaee12244eec
+first_failure_index 69f9b6e976f3fd0e3fac486cf9edf75cfb1008faae65db06726d2473fe1a8661
+uncorrectable 6c033e675ddc0557c6953f9b04070c5614ea1da10c1ba73a76ebcd1644da3c01
 """,
     7: """
-read_bits d381ddf73bd48edc6deeb110df5f12f64b74fab6ea3b2766be4a6845930f38bd
-final_state a318ea1f6195e546c1f2df9343c93503afb7b8e10ed0f067912217e38b25610b
-corrected 1a2978e0c6c956d51daab9520b7e5153f34eb4a5548e1bc4a2e855849e177970
-effective_capacity_bits da66cfb8f734711113764c4316edccca5663cc36c62c90d1a4d8152664330498
-efficiency 59332333d924cde0a882fac7556f3646d6dcf02582d866656d86ba45bffb6200
-failure_rate 2fa38e91ce167a790fd1944f81735e17eb038995216888ea951dd4b2dd025a30
-failures 636297b983ad7a50b2bdc43524dd16e8dbeb7d45640c69aed8aa008dc608b9f9
-first_failure_index 650743ce0256062a7c92e21e79b216020524d971c19a7cc1ffdd0239889b053a
-uncorrectable 0ca6e73614bd058ce83d1f15f1f332c4db5afd8e7f14db8792af726cf0b35e62
+read_bits 17623fb1c5f49108737f726c138526900e0bb3186d98dda55d4d22f07b25803e
+final_state 43090d9a07739103a0e20cad7c576318989b67894eede68c1cf814cee6a80654
+corrected d82f0e7fb4d50593775b0f20389792b63635ef023331dc45238cd5ff32f74ce4
+effective_capacity_bits aa5d49ecc9ccb24e86d77c3867317be18116da02cdfcf4cdcf6f9e42c8801ff6
+efficiency 1821be332eac11f0e9abe23a8d0d0605fead079cd4a2e2d1a991c86fab2fcb76
+failure_rate 4cda91ff2f43bb5908e6a7879b24ff332304be6e6723bdc2c5cd797ad5f3849b
+failures db40b157191387a49c35b951bf09940bbac01d4fe03140f2e740497e950fa681
+first_failure_index 50b7da8e2d728a6cc7328d8020a1766fcf58f31e0481f5d100765205b0122206
+uncorrectable f386427103922e4616a6f1ed886ea011f775c6de9c6c240ad8c7abac59bcdb7a
 """,
 }
 

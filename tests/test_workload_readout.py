@@ -64,43 +64,43 @@ COLLECT = dict(collect_reads=True, collect_state=True, collect_margins=True)
 #: (``array_digests``), recorded before the slab-stacked solves replaced
 #: the per-cell ones.
 ENGINE_BATCH_DIGESTS = """
-margins aec38d1a111c6d4e68e16dd1baff7fd97f4d0ba51fb1b08708e56e1f845c613f
-read_bits f5aa31b9d4876bf39ee4d3f54bf14f138ac3b723611aa5a1aa13991cdce8a605
-final_state bd750505ad7e41df08a4c15979d904f52ca3d40b730e220465873472a74544de
+margins cf0806219740380a5f0d76528a58eb765283826162e36117da8a952d5c5efeee
+read_bits e2945d1857c0f08a78522ab3a94e73a54106aed651400fb9968f9892c9f5704f
+final_state 95d20b90fe1a5fa6eb6ce8fed57a4c10677bf034bc74e1c45773ed5efc32e3bf
 corrected 72cdae40b0d99e6f9f1d77ccd0a32bc5eec2bc4fe0e762591880fb98095b4d94
 ecc_masked_misread_rate bbce8ef5c163b80b0189031f43dffdaaebacd527a569769465710fb360e507b5
 ecc_masked_misreads 72cdae40b0d99e6f9f1d77ccd0a32bc5eec2bc4fe0e762591880fb98095b4d94
-effective_capacity_bits 51f7e31187d2998da462ad48d5f9026c2de27c3374574fec5761a94e68e35e3f
-efficiency efc8e1c452e1049e104c732f807eda1dbbdfa0a6fed8937576c11bd071a8cd50
-failure_rate 3636a680fcfaad13c6b30ab803f2cba1ce0f497bd3e6771bca1a14c23babc30a
-failures 9ef706f761dee3f590be2a1dae7eb0989787d99bdd9e57398179d5c59fad5e9e
-first_failure_index d941d914bf7ab79fff208de8071f59cd29897e55ef1c2f49b7efcddf253c0dee
-margin_mean f0751031cf9de4f62e51ee3862d887b81748826bfbf16688a5b4ac9bebf88dd3
-margin_min 9b467b6c4f36417d87bbc5625052abe453fda2e2c36b0f86a07368afd044e0c1
-misread_bits 72cdae40b0d99e6f9f1d77ccd0a32bc5eec2bc4fe0e762591880fb98095b4d94
-misread_rate bbce8ef5c163b80b0189031f43dffdaaebacd527a569769465710fb360e507b5
-misread_reads 72cdae40b0d99e6f9f1d77ccd0a32bc5eec2bc4fe0e762591880fb98095b4d94
-sensed_bits 8ffc94eaf2d1283795199693f73f20263b9ff4372f9ccb70cbbcb064bcb62e39
+effective_capacity_bits 6b2203d0e0e86d6734de8913e752f699f48d66a4c9fd33a51289ca028a600192
+efficiency 9adeb6d173ba219f2d2f3161a59630d7182b1c02be4ea682c4b555b734283ae9
+failure_rate 808d92a7780454d0cc6ebb46a20a0c3f2f1f35d6785ece9220c0179a095fe746
+failures b25abca327eab0283f182efb9d985aeccf50a2c08b5e96c8e750ede033281b75
+first_failure_index 56df0dcbdaabf3c60a81d97d2a7c59547a1bbebeeb808f1378b3bd47eab6fe02
+margin_mean 7144c8132f5f6b76b453a2f8aacec088dba512e9a26eedde01ac456616f95f5b
+margin_min 53c73424b0fcb85fde6be089bf669d55a098832ee21c40372b62dca648282f19
+misread_bits 169d6c106f61385fbb772185a0e5f7db088ac7159f39818121b49cdcd41bf2a9
+misread_rate 2846b588b0262d5a0e02b10fe3eb3b3b1bb1b5458c7ca95928bfcf47c9a31949
+misread_reads 169d6c106f61385fbb772185a0e5f7db088ac7159f39818121b49cdcd41bf2a9
+sensed_bits 04d556d19c1055894805a5cdea80a69f55b094849cd149a5a78eb496bdb7ce83
 uncorrectable 72cdae40b0d99e6f9f1d77ccd0a32bc5eec2bc4fe0e762591880fb98095b4d94
 """
 SECDED_DIGESTS = """
-margins 2fae404352c84f32a69900ec43d5d041f583dd7046e200687cd757381262c864
-read_bits f1451037ba8fb898ee0e336f583b874f50e5494b88fa99cc738fbdab97b31be4
-final_state ef44aa71fa110dffb300edae20b436093d02e76c25a5f5550ec49d7355a38e4c
-corrected 084dc5f8492c4ad6e520aca8f6b345eb13ace18d4cbdb6b147a17d8e97802bf6
-ecc_masked_misread_rate 87f49193c00e8f3f8a15bb75ef6530ea4fbb5116f0d290fdac74ad3dc85d871e
-ecc_masked_misreads 2d620e2f808c22156acbaa16fb75f8d6d258c48655616f1961a26bf44a94423c
-effective_capacity_bits 92d0d65b52f6a1c51558ba6d072f06cf51e35252ed1d2675243afb53d40f32d9
-efficiency d64b80bd022c4295debdd8685d2151810174d2c10a8ee67658e7fb9e6075e5be
-failure_rate 310d05d082afdd95a1053a2bd9fa3735f2f937869dd5a68800ab9a70898d11be
-failures 4c36b554a23c3ac1f42ae7c11429cbb19dd2fa24a7eed989dc170cfa441ce1af
-first_failure_index 3f93b62e1b373f562787a6027630f48634cdcf4f4f271ccada2b988583d4b913
-margin_mean 5c86561f1a91d80b335fb68ce5dec36b61bd81019c415b06877c080dbfe768c2
-margin_min 24a05c8ecd2eb49823de4bb33a81e5229f093268685f0f62c96d080f88c14109
-misread_bits 03ddaa70a03b4e750f33d93e7bc3187be4fb5c629395bb5a278c4e83bcdc9dc7
-misread_rate 8a2a7357915cbdb92e1878e443852e5fd46062a833e0b026352f2dc4199e5433
-misread_reads eac6a05ef7b5c263f870cad5ec546616f8a6c15ad2a11c85ee71e25feaf6f3f5
-sensed_bits f0c65f28bb21690e5920abec887c170f05da626098db2ef9393a1bce171c4318
+margins 077a50dc0e97d74c21d31a8100a1a3b6349d6c95c2c33ce752cac739833a6e50
+read_bits 6e22e34cda3a1a267d65a0b467284241acf82efc978c87ba041469e2f2b8777e
+final_state 1fbf8d7565a06745144260f6f309a746104111a5c0f78d00f6ab1701bae1c150
+corrected 27ade71fd365c48c2eecf56d4dc8eb8d35eea95a990229a2f210be91bebd2110
+ecc_masked_misread_rate a6b2c08aad842fce9313f3f41c43f1e1f98bd9115aca27177bdd83013cd78972
+ecc_masked_misreads fe7f68061082fb7293bee06586c7e1cdeade6f32b2c52186b35e4935e97d375d
+effective_capacity_bits 2183691fc0c640a3719c32729564596b6da55f6875f0bcc676f79eccd8581521
+efficiency 500d4a268ddf052615ed8d850fce1bb76d16930627c1df53be81ce2d976184b2
+failure_rate bbce8ef5c163b80b0189031f43dffdaaebacd527a569769465710fb360e507b5
+failures 72cdae40b0d99e6f9f1d77ccd0a32bc5eec2bc4fe0e762591880fb98095b4d94
+first_failure_index a5ec9ecffa241be344346a60667a417574b612e1aa570a27011a385754a07c7d
+margin_mean ae6013b95f6bce40c9ce029fa1afecd6dbb2a5462a5faea004b87c67c7883304
+margin_min b9e123a9d8323f0740e8460a8a1c39bba5d2fde65d1d4e05a507c3e4affa823f
+misread_bits 7fc9f587bb1cfeba7b621e6fba951919bba37b40f8ea07d56c4038e03830b55d
+misread_rate 52cde530d526e3bbc3f280421d2ab0724f4987f325db3ebe2180c2cb1d40c631
+misread_reads bcd18dcb67521e17e41ee33ab2f762665683cbe5cc68379cb0f6ba76b312cfd7
+sensed_bits 4cf238a13f9e7a117993b614c2d822ae1f1762751f5aaa9195584f4795b9afb6
 uncorrectable 72cdae40b0d99e6f9f1d77ccd0a32bc5eec2bc4fe0e762591880fb98095b4d94
 """
 
@@ -206,19 +206,19 @@ class TestSeededGolden:
             collect_reads=True,
         )
         assert trace.reads == 59 and trace.writes == 61
-        assert r.per_instance["sensed_bits"].tolist() == [59, 56]
-        assert r.per_instance["misread_bits"].tolist() == [2, 2]
-        assert r.per_instance["misread_reads"].tolist() == [2, 2]
-        assert r.per_instance["failures"].tolist() == [0, 8]
-        assert r.read_bits.sum(axis=1).tolist() == [12, 12]
+        assert r.per_instance["sensed_bits"].tolist() == [58, 59]
+        assert r.per_instance["misread_bits"].tolist() == [0, 2]
+        assert r.per_instance["misread_reads"].tolist() == [0, 2]
+        assert r.per_instance["failures"].tolist() == [4, 0]
+        assert r.read_bits.sum(axis=1).tolist() == [14, 12]
         assert r.per_instance["margin_min"][0] == pytest.approx(
-            0.4858407193181311, rel=1e-12
+            0.5766149868695888, rel=1e-12
         )
         assert r.per_instance["margin_mean"][0] == pytest.approx(
-            0.7270465247433778, rel=1e-12
+            0.7500423206864404, rel=1e-12
         )
         assert r.margin_hist[0].tolist() == [
-            0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 10, 8, 11, 17, 11, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 3, 7, 12, 23, 11, 0, 0, 0,
         ]
         assert all(name in r.per_instance for name in ELECTRICAL_METRICS)
         assert all(name in r.summary for name in ELECTRICAL_METRICS)
