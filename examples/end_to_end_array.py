@@ -2,9 +2,9 @@
 
 The complete pipeline on one sampled crossbar instance:
 
-1. translate wire indices to their deterministic decoder addresses
-   (cave, side, contact group, pattern word) — the paper's novelty over
-   stochastic decoders;
+1. give every wire of a half cave a deterministic address, the pattern
+   word on the address mesowires — the paper's novelty over stochastic
+   decoders;
 2. program crosspoints through the decoders, skipping wires the sampled
    instance lost to threshold drift or contact boundaries;
 3. sense bits back *electrically* — each read solves the cave-sized
@@ -17,23 +17,23 @@ import numpy as np
 
 from repro import CrossbarSpec, make_code
 from repro.crossbar import CrossbarArray
+from repro.decoder import address_of_nanowire
 
 
 def main() -> None:
     spec = CrossbarSpec()
-    array = CrossbarArray(spec, make_code("BGC", 2, 10), seed=11)
+    code = make_code("BGC", 2, 10)
+    array = CrossbarArray(spec, code, seed=11)
 
     s = array.summary()
     print(f"Sampled instance   : {s['shape'][0]} x {s['shape'][1]} crosspoints")
     print(f"Accessible         : {100 * s['accessible_fraction']:.1f}%")
     print(f"Bank granularity   : {s['bank_wires']} wires (one cave)")
 
-    print("\nDeterministic addresses of the first rows:")
-    for wire in (0, 19, 20, 39, 40):
-        addr = array.row_address(wire)
-        word = "".join(str(d) for d in addr.word)
-        print(f"  wire {wire:3d} -> cave {addr.cave}, {addr.side:5s} half, "
-              f"group {addr.group}, word {word}")
+    print("\nDeterministic addresses of the first wires of a half cave:")
+    for wire in range(5):
+        word = "".join(str(d) for d in address_of_nanowire(code, wire))
+        print(f"  wire {wire} -> word {word}")
 
     # program a small block and read it back electrically
     rng = np.random.default_rng(2)

@@ -1,25 +1,19 @@
-"""Walk through the decoder-aware MSPT fabrication flow (Figs. 2 and 4).
+"""Walk through the decoder-aware MSPT doping plan (Figs. 2 and 4).
 
 Reproduces the paper's worked examples end to end on a small ternary
 half cave: the pattern matrix is mapped to final doping levels through
 the device physics (Prop. 1), the per-step dose plan is solved
-(Prop. 2), the flow is compiled into explicit spacer and
-lithography/implant events, and replaying the events verifies that the
-accumulated doses reproduce the plan.
+(Prop. 2), and the fabrication complexity Phi is counted from the step
+doses (Def. 4).
 
 Run:  python examples/fabrication_flow.py
 """
 
 import numpy as np
 
-from repro import DopingPlan, ProcessFlow
+from repro import DopingPlan
 from repro.codes import GrayCode
-from repro.fabrication import (
-    MSPTProcess,
-    SpacerRecipe,
-    fabrication_complexity,
-    step_complexities,
-)
+from repro.fabrication import fabrication_complexity, step_complexities
 
 
 def show_matrix(label: str, matrix: np.ndarray, fmt: str) -> None:
@@ -29,20 +23,10 @@ def show_matrix(label: str, matrix: np.ndarray, fmt: str) -> None:
 
 
 def main() -> None:
-    # -- geometry: the spacer loop -----------------------------------------
-    process = MSPTProcess(
-        recipe=SpacerRecipe(poly_thickness_nm=6, oxide_thickness_nm=4)
-    )
-    array = process.fabricate_half_cave(nanowires=8)
-    print(
-        f"MSPT array: {array.half_cave_count} nanowires per half cave, "
-        f"pitch {array.pitch_nm:.0f} nm, symmetric: {array.is_symmetric()}"
-    )
-
     # -- the decoder doping plan (ternary Gray code) ------------------------
     code = GrayCode(n=3, length=2)   # reflected on the wire: M = 4 regions
     plan = DopingPlan.from_code(code, nanowires=8)
-    print(f"\nCode: {code.name}, {code.size} addresses, "
+    print(f"Code: {code.name}, {code.size} addresses, "
           f"M = {code.total_length} doping regions")
 
     show_matrix("\nPattern matrix P (digits)", plan.pattern, "d")
@@ -50,18 +34,10 @@ def main() -> None:
     show_matrix("Step doses S (1e18 cm^-3)", plan.steps / 1e18, "6.2f")
     print(f"\nProp. 2 check (suffix sums reproduce D): {plan.verify()}")
 
-    # -- complexity and the explicit event list -----------------------------
+    # -- complexity: one litho/implant pass per distinct dose -----------------
     phi = step_complexities(plan.steps)
     print(f"Per-step complexity phi: {phi.tolist()}  "
           f"-> Phi = {fabrication_complexity(plan.steps)}")
-
-    flow = ProcessFlow.from_plan(plan)
-    print(f"\nFlow: {flow.spacer_event_count} spacer definitions, "
-          f"{flow.doping_event_count} litho/implant passes")
-    for event in flow.events[:8]:
-        print(f"   {event}")
-    print("   ...")
-    print(f"Replay reproduces planned doping: {flow.verify()}")
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ The library models the full MSPT decoder stack:
   AHC) with their transition metrics;
 * ``repro.device`` — threshold-voltage physics, level schemes and dose
   variability;
-* ``repro.fabrication`` — the MSPT spacer process, doping matrices,
-  fabrication complexity;
+* ``repro.fabrication`` — doping matrices, fabrication complexity and
+  lithography rules;
 * ``repro.decoder`` — pattern, variability and addressing models of a
   half cave, plus contact-group geometry;
 * ``repro.crossbar`` — the 16 kB crossbar platform: yield, area,
@@ -56,7 +56,7 @@ from repro.crossbar import (
 )
 from repro.decoder import HalfCaveDecoder
 from repro.exp import DesignPoint, SweepResult, design_grid, run_sweep
-from repro.fabrication import DopingPlan, ProcessFlow, fabrication_complexity
+from repro.fabrication import DopingPlan, fabrication_complexity
 from repro.sim import MonteCarloEngine, StreamingMoments
 from repro.workload import MemoryFleet, Trace, make_trace
 
@@ -76,7 +76,6 @@ __all__ = [
     "HotCode",
     "MemoryFleet",
     "MonteCarloEngine",
-    "ProcessFlow",
     "StreamingMoments",
     "Trace",
     "TreeCode",

@@ -317,7 +317,9 @@ class WorkloadRequest(_Request):
     that many parity bits, at least 2 and small enough that one code
     block fits the array.  ``readout="off"`` keeps ideal lookups; the
     ``r_on``/``r_off``/``v_read``/``resolution`` technology knobs are
-    active (checked and hashed) for electrical runs only.
+    active (checked and hashed) for electrical runs only.  A nonzero
+    ``error_rate`` needs ECC or an electrical readout: no metric of an
+    ideal raw-bit run depends on write errors.
     ``address_space=0`` sizes the logical space from the analytic
     effective-bits figure (the shared sizing rule of
     :func:`repro.workload.prepare_workload`).
@@ -364,7 +366,8 @@ class WorkloadRequest(_Request):
         ge=0,
         le=1,
         flags=("--error-rate",),
-        help="per-stored-bit flip probability at write time",
+        help="per-stored-bit flip probability at write time (needs --ecc or "
+        "--readout)",
     )
     address_space: int = schema.knob(
         0,
@@ -431,6 +434,13 @@ class WorkloadRequest(_Request):
                 self,
                 "r_on",
                 f"r_off must exceed r_on, got r_off={self.r_off}, r_on={self.r_on}",
+            )
+        if self.error_rate and not self.parity_bits and not _electrical(self):
+            raise schema.error(
+                self,
+                "error_rate",
+                "error_rate needs --ecc or --readout: no metric of an ideal "
+                f"raw-bit run depends on write errors, got {self.error_rate}",
             )
         # 2**r <= raw_bits: one SECDED block must fit the array
         most = self.spec.raw_bits.bit_length() - 1

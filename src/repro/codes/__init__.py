@@ -51,12 +51,6 @@ from repro.codes.metrics import (
     total_transitions,
     transition_positions,
 )
-from repro.codes.reflect import (
-    digit_sum,
-    is_reflected_form,
-    reflect_space,
-    unreflect_word,
-)
 from repro.codes.registry import (
     ALL_FAMILIES,
     HOT_FAMILIES,
@@ -87,7 +81,6 @@ __all__ = [
     "complement_word",
     "counting_words",
     "covers",
-    "digit_sum",
     "digit_transition_counts",
     "family_lengths",
     "gray_rank",
@@ -99,14 +92,12 @@ __all__ = [
     "is_antichain",
     "is_distance_sequence",
     "is_gray_sequence",
-    "is_reflected_form",
     "make_code",
     "minimise_phi_arrangement",
     "minimise_sigma_arrangement",
     "phi_cost_of_order",
     "max_digit_transitions",
     "multiset_permutations",
-    "reflect_space",
     "reflect_word",
     "reflected_gray_words",
     "sigma_cost_of_order",
@@ -115,7 +106,6 @@ __all__ = [
     "step_transitions",
     "total_transitions",
     "transition_positions",
-    "unreflect_word",
     "verify_gray_exact_optimality",
     "validate_word",
     "word_to_int",

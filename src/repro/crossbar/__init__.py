@@ -32,13 +32,6 @@ from repro.crossbar.montecarlo import (
     simulate_cave_yield,
     simulate_margin_yield,
 )
-from repro.crossbar.wire_test import (
-    WireTestReport,
-    expected_pass_fraction,
-    measure_defect_map,
-    probe_half_cave,
-    probe_layer,
-)
 from repro.crossbar.spec import (
     DEFAULT_NANOWIRES_PER_HALF_CAVE,
     DEFAULT_RAW_KILOBYTES,
@@ -69,12 +62,7 @@ __all__ = [
     "SecdedCode",
     "MonteCarloMarginYield",
     "MonteCarloYield",
-    "WireTestReport",
     "YieldReport",
-    "expected_pass_fraction",
-    "measure_defect_map",
-    "probe_half_cave",
-    "probe_layer",
     "crossbar_yield",
     "decode_blocks",
     "decoder_for",

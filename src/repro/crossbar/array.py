@@ -4,8 +4,7 @@
 manipulates: a sampled physical instance of the platform's crossbar
 whose bits are accessed through the *full* chain —
 
-1. the logical wire index is translated to its deterministic decoder
-   address (cave, side, contact group, pattern word);
+1. the crosspoint is selected by its row and column wire indices;
 2. the access fails if the sampled instance lost that wire to threshold
    drift or a contact boundary (the defect map);
 3. the bit value is sensed *electrically*: the cave-sized bank around
@@ -26,7 +25,6 @@ from repro.codes.base import CodeSpace
 from repro.crossbar.defects import DefectMap, sample_defect_map
 from repro.crossbar.readout import ReadoutModel
 from repro.crossbar.spec import CrossbarSpec
-from repro.decoder.addressmap import AddressMap, WireAddress
 from repro.sim.readout import sense_currents, slab_pairs
 
 
@@ -71,7 +69,6 @@ class CrossbarArray:
         self.spec = spec
         self.space = space
         self.readout = readout
-        self.address_map = AddressMap(spec, space)
         self.defects: DefectMap = (
             sample_defect_map(spec, space, seed=seed) if defects is None else defects
         )
@@ -90,14 +87,6 @@ class CrossbarArray:
         """Raw crosspoint grid shape."""
         return self._states.shape
 
-    def row_address(self, row: int) -> WireAddress:
-        """Decoder address of a row wire."""
-        return self.address_map.address_of(row)
-
-    def column_address(self, col: int) -> WireAddress:
-        """Decoder address of a column wire."""
-        return self.address_map.address_of(col)
-
     def is_accessible(self, row: int, col: int) -> bool:
         """True if both wires of the crosspoint survived fabrication."""
         rows, cols = self.shape
@@ -110,13 +99,9 @@ class CrossbarArray:
         if not 0 <= row < rows or not 0 <= col < cols:
             raise AddressingFault(f"crosspoint ({row}, {col}) outside {self.shape}")
         if not self.defects.row_ok[row]:
-            raise AddressingFault(
-                f"row wire {row} is not addressable ({self.row_address(row)})"
-            )
+            raise AddressingFault(f"row wire {row} is not addressable")
         if not self.defects.col_ok[col]:
-            raise AddressingFault(
-                f"column wire {col} is not addressable ({self.column_address(col)})"
-            )
+            raise AddressingFault(f"column wire {col} is not addressable")
 
     # -- bit access ----------------------------------------------------------------
 
@@ -145,7 +130,7 @@ class CrossbarArray:
             raise ValueError("rows and cols must have matching shapes")
         for r, c in zip(rows.tolist(), cols.tolist()):
             self._check_access(r, c)
-        per = self.address_map.wires_per_cave
+        per = self.spec.wires_per_cave
         r0 = rows // per * per
         c0 = cols // per * per
         heights = np.minimum(r0 + per, self.shape[0]) - r0
@@ -276,5 +261,5 @@ class CrossbarArray:
             "row_yield": float(self.defects.row_ok.mean()),
             "col_yield": float(self.defects.col_ok.mean()),
             "readout_scheme": self.readout.scheme,
-            "bank_wires": self.address_map.wires_per_cave,
+            "bank_wires": self.spec.wires_per_cave,
         }

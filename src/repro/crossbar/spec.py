@@ -96,6 +96,11 @@ class CrossbarSpec:
         return math.ceil(math.sqrt(self.raw_bits))
 
     @property
+    def wires_per_cave(self) -> int:
+        """Nanowires per cave (two mirrored half caves)."""
+        return 2 * self.nanowires_per_half_cave
+
+    @property
     def half_caves_per_layer(self) -> int:
         """Half caves needed to host one layer's nanowires."""
         return math.ceil(self.side_nanowires / self.nanowires_per_half_cave)

@@ -18,7 +18,6 @@ from repro.decoder.contact_groups import (
     geometric_survival_fraction,
     plan_contact_groups,
 )
-from repro.decoder.addressmap import AddressError, AddressMap, WireAddress
 from repro.decoder.cave import FullCaveDecoder
 from repro.decoder.decoder import HalfCaveDecoder
 from repro.decoder.margins import MarginReport, margin_report
@@ -52,12 +51,9 @@ from repro.decoder.variability import (
 )
 
 __all__ = [
-    "AddressError",
-    "AddressMap",
     "BaselineComparison",
     "ContactGroupPlan",
     "FullCaveDecoder",
-    "WireAddress",
     "GroupError",
     "HalfCaveDecoder",
     "MarginReport",

@@ -116,7 +116,7 @@ class SweepParams:
         le=1,
         flags=("--wl-error-rate",),
         help="per-stored-bit write-error probability for the workload metric "
-        "(pairs with --wl-ecc to exercise corrected/uncorrectable counts)",
+        "(needs --wl-ecc or --wl-readout)",
     )
     wl_readout: str = schema.knob(
         "off",
@@ -167,6 +167,13 @@ class SweepParams:
                 "ro_r_on",
                 f"r_off must exceed r_on, got r_off={self.ro_r_off}, "
                 f"r_on={self.ro_r_on}",
+            )
+        if self.wl_error_rate and not self.wl_ecc and self.wl_readout == "off":
+            raise schema.error(
+                self,
+                "wl_error_rate",
+                "wl_error_rate needs --wl-ecc or --wl-readout: no metric of an "
+                f"ideal raw-bit run depends on write errors, got {self.wl_error_rate}",
             )
 
 
@@ -397,7 +404,7 @@ def _eval_readout(
     worst-case background once and shares it across schemes, memoized
     per distinct (bank, technology) pair.
     """
-    bank = 2 * spec.nanowires_per_half_cave
+    bank = spec.wires_per_cave
     margin_float, margin_ground, margin_half_v = _bank_margins(
         bank, params.ro_r_on, params.ro_r_off
     )

@@ -1,8 +1,9 @@
-"""MSPT fabrication substrate: doping matrices, complexity, process flow.
+"""MSPT fabrication substrate: doping matrices, fabrication complexity,
+lithography rules.
 
-Implements Sec. 3 (fabrication technique and decoder flow) and Sec. 4
-(pattern / final-doping / step-doping matrices, fabrication complexity)
-of the paper.
+Implements Sec. 4 of the paper (pattern / final-doping / step-doping
+matrices, fabrication complexity) and the lithography design rules of
+the contact groups.
 """
 
 from repro.fabrication.complexity import (
@@ -22,72 +23,28 @@ from repro.fabrication.doping import (
     step_doping_matrix,
     validate_pattern_matrix,
 )
-from repro.fabrication.implant import (
-    ENERGY_MAX_KEV,
-    ENERGY_MIN_KEV,
-    ImplantError,
-    ImplantPlanner,
-    ImplantSetting,
-    energy_for_range,
-    projected_range_nm,
-)
 from repro.fabrication.lithography import (
     DEFAULT_LITHO_PITCH_NM,
     DEFAULT_NANOWIRE_PITCH_NM,
     MIN_CONTACT_WIDTH_FACTOR,
     LithographyRules,
 )
-from repro.fabrication.mspt import (
-    CaveGeometry,
-    MSPTArray,
-    MSPTProcess,
-    ProcessError,
-    Spacer,
-    SpacerRecipe,
-)
-from repro.fabrication.process_flow import DopingEvent, ProcessFlow, SpacerEvent
-from repro.fabrication.variation import (
-    ProcessVariation,
-    VariationError,
-    estimate_position_sigma,
-    sample_spacer_geometry,
-)
 
 __all__ = [
-    "CaveGeometry",
     "DEFAULT_LITHO_PITCH_NM",
     "DEFAULT_NANOWIRE_PITCH_NM",
     "DOSE_RTOL",
     "DopingError",
-    "DopingEvent",
     "DopingPlan",
-    "ENERGY_MAX_KEV",
-    "ENERGY_MIN_KEV",
-    "ImplantError",
-    "ImplantPlanner",
-    "ImplantSetting",
     "LithographyRules",
     "MIN_CONTACT_WIDTH_FACTOR",
-    "MSPTArray",
-    "MSPTProcess",
-    "ProcessError",
-    "ProcessVariation",
-    "ProcessFlow",
-    "Spacer",
-    "SpacerEvent",
-    "SpacerRecipe",
-    "VariationError",
     "accumulate_doses",
     "code_complexity",
     "default_digit_map",
-    "energy_for_range",
     "distinct_nonzero_count",
-    "estimate_position_sigma",
     "fabrication_complexity",
     "final_doping_matrix",
     "plan_complexity",
-    "projected_range_nm",
-    "sample_spacer_geometry",
     "step_complexities",
     "step_doping_matrix",
     "validate_pattern_matrix",

@@ -75,7 +75,6 @@ from repro import obs
 from repro.crossbar.array import AddressingFault
 from repro.crossbar.ecc import decode_first_bits, pack_blocks
 from repro.crossbar.readout import ReadoutError, ReadoutModel, check_resolution
-from repro.decoder.addressmap import AddressMap
 from repro.sim.batch import parallel_map
 from repro.sim.readout import BankCache, sense_currents, slab_pairs, state_digest
 from repro.workload.traces import Trace
@@ -238,7 +237,7 @@ def run_electrical_batched(
     res = readout.resolution
     side = fleet._maps[0].shape[0]
     side_cols = fleet._maps[0].shape[1]
-    per = AddressMap(fleet.spec, fleet.space).wires_per_cave
+    per = fleet.spec.wires_per_cave
     nbc = -(-side_cols // per)
     arange_bb = np.arange(bb)
 

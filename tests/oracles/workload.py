@@ -193,7 +193,7 @@ def _run_electrical_loop(
         arr = CrossbarArray(
             fleet.spec, fleet.space, readout=model, defects=fleet._maps[i]
         )
-        per = arr.address_map.wires_per_cave
+        per = fleet.spec.wires_per_cave
         remap = fleet._remaps[i]
         cap = int(caps[i])
         err = err_streams[i]

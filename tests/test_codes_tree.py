@@ -3,7 +3,6 @@
 import pytest
 
 from repro.codes.base import CodeError
-from repro.codes.reflect import digit_sum
 from repro.codes.tree import TreeCode, counting_words, int_to_word, word_to_int
 
 
@@ -58,7 +57,7 @@ class TestTreeCode:
 
     def test_pattern_words_have_constant_digit_sum(self):
         tc = TreeCode(3, 2)
-        sums = {digit_sum(tc.pattern_word(i)) for i in range(tc.size)}
+        sums = {sum(tc.pattern_word(i)) for i in range(tc.size)}
         assert sums == {2 * (3 - 1)}
 
     def test_uniquely_addressable_after_reflection(self):

@@ -59,15 +59,10 @@ class TestConstruction:
 
 
 class TestAddressing:
-    def test_every_wire_has_address(self, array):
-        for wire in (0, 17, 100, array.address_map.wire_count - 1):
-            addr = array.row_address(wire)
-            assert array.address_map.wire_of(addr) == wire
-
     def test_access_to_defective_row_raises(self, array):
         r = inaccessible_row(array)
         c = accessible_cell(array)[1]
-        with pytest.raises(AddressingFault):
+        with pytest.raises(AddressingFault, match=f"^row wire {r} is not addressable$"):
             array.write_bit(r, c, True)
 
     def test_out_of_range_raises(self, array):

@@ -12,12 +12,11 @@ EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
 class TestFullPipeline:
     def test_code_to_memory_pipeline(self, spec, rng):
-        """Code -> plan -> flow -> decoder -> yield -> defects -> memory."""
+        """Code -> plan -> decoder -> yield -> defects -> memory."""
         from repro import (
             CrossbarMemory,
             DopingPlan,
             HalfCaveDecoder,
-            ProcessFlow,
             crossbar_yield,
             make_code,
             sample_defect_map,
@@ -28,8 +27,6 @@ class TestFullPipeline:
         # fabrication plan is self-consistent
         plan = DopingPlan.from_code(code, spec.nanowires_per_half_cave)
         assert plan.verify()
-        flow = ProcessFlow.from_plan(plan)
-        assert flow.verify()
 
         # decoder figures agree between facade and report
         decoder = HalfCaveDecoder(code, spec.nanowires_per_half_cave)

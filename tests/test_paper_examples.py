@@ -7,6 +7,7 @@ reproduced exactly (in units of 1e18 cm^-3 via the conftest digit map).
 
 import numpy as np
 
+from repro.codes.base import reflect_word
 from repro.decoder.variability import (
     dose_count_matrix,
     sigma_norm1,
@@ -14,7 +15,6 @@ from repro.decoder.variability import (
 )
 from repro.fabrication.complexity import fabrication_complexity, step_complexities
 from repro.fabrication.doping import DopingPlan
-from repro.fabrication.process_flow import ProcessFlow
 
 
 class TestExample1:
@@ -85,6 +85,11 @@ class TestExample5:
         assert np.array_equal(sigma, expected)
         assert sigma_norm1(sigma) == 18.0
 
+    def test_reflected_words(self, example5_pattern):
+        """Example 5's rows are reflected forms of the ternary words 01,02,12."""
+        rows = [reflect_word(w, 3) for w in [(0, 1), (0, 2), (1, 2)]]
+        assert np.array_equal(np.array(rows), example5_pattern)
+
 
 class TestExample6:
     """Gray code reduces Phi from 9 to 7 with phi = (2, 2, 3)."""
@@ -93,26 +98,3 @@ class TestExample6:
         plan = DopingPlan.from_pattern(example5_pattern, paper_map)
         assert step_complexities(plan.steps).tolist() == [2, 2, 3]
         assert fabrication_complexity(plan.steps) == 7
-
-
-class TestExamplesThroughProcessFlow:
-    """The worked examples replayed as explicit fabrication events."""
-
-    def test_example1_flow(self, paper_map, example1_pattern):
-        plan = DopingPlan.from_pattern(example1_pattern, paper_map)
-        flow = ProcessFlow.from_plan(plan)
-        assert flow.doping_event_count == 9  # Phi of Example 3
-        assert flow.verify()
-
-    def test_example5_flow(self, paper_map, example5_pattern):
-        plan = DopingPlan.from_pattern(example5_pattern, paper_map)
-        flow = ProcessFlow.from_plan(plan)
-        assert flow.doping_event_count == 7  # Phi of Example 6
-        assert flow.verify()
-
-    def test_example_reflected_words(self):
-        """Example 5's rows are reflected forms of the ternary words 01,02,12."""
-        from repro.codes.reflect import unreflect_word
-
-        rows = [(0, 1, 2, 1), (0, 2, 2, 0), (1, 2, 1, 0)]
-        assert [unreflect_word(r, 3) for r in rows] == [(0, 1), (0, 2), (1, 2)]

@@ -148,7 +148,8 @@ class TestThreadCountInvariance:
             accesses=6000,
             instances=5,
             parity_bits=parity_bits,
-            error_rate=2e-3,
+            # write errors need a reader: ECC here (raw-bit runs refuse them)
+            error_rate=2e-3 if parity_bits else 0.0,
             seed=3,
         )
         fleet, trace = memory_batch.prepare_workload(

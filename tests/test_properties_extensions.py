@@ -126,21 +126,3 @@ def test_grounding_never_reads_lower_than_isolated_cell(states):
     model = ReadoutModel(scheme="ground")
     g = 1.0 / model.r_on if states[0, 0] else 1.0 / model.r_off
     assert model.read_current(states, 0, 0) == pytest.approx(model.v_read * g, rel=1e-6)
-
-
-# -- address map ------------------------------------------------------------------
-
-
-@given(st.sampled_from(["TC", "GC", "BGC", "HC", "AHC"]), st.integers(10, 30))
-@settings(max_examples=12, deadline=None)
-def test_address_map_bijective_over_families_and_sizes(family, nanowires):
-    from repro.crossbar.spec import spec_with
-    from repro.codes.registry import make_code
-    from repro.decoder.addressmap import AddressMap
-
-    length = 8 if family in ("TC", "GC", "BGC") else 6
-    spec = spec_with(nanowires=nanowires)
-    amap = AddressMap(spec, make_code(family, 2, length))
-    # spot-check the round trip on a sample of wires
-    for wire in range(0, amap.wire_count, max(1, amap.wire_count // 50)):
-        assert amap.wire_of(amap.address_of(wire)) == wire

@@ -206,6 +206,24 @@ class TestParityBits:
         assert not store.exists()
 
 
+class TestErrorRateNeedsAReader:
+    """Write errors only move ECC counts and electrical reads: an ideal
+    raw-bit run reports no metric they change, so a nonzero rate there
+    is refused rather than stored as a distinct, identical result."""
+
+    def test_workload_request(self):
+        with pytest.raises(schema.SchemaError, match="error_rate"):
+            api.WorkloadRequest("TC", 6, error_rate=1e-2)
+        assert api.WorkloadRequest("TC", 6, error_rate=1e-2, parity_bits=6)
+        assert api.WorkloadRequest("TC", 6, error_rate=1e-2, readout="float")
+
+    def test_sweep_params(self):
+        with pytest.raises(schema.SchemaError, match="wl_error_rate"):
+            SweepParams(wl_error_rate=1e-2)
+        assert SweepParams(wl_error_rate=1e-2, wl_ecc=True)
+        assert SweepParams(wl_error_rate=1e-2, wl_readout="ground")
+
+
 #: (request type, field, out-of-range value) for the satellite bounds.
 BOUNDS = [
     (api.WorkloadRequest, "address_space", -3),
@@ -217,6 +235,7 @@ BOUNDS = [
     (api.WorkloadRequest, "total_length", -2),
     (api.McRequest, "family", "XX"),
     (api.WorkloadRequest, "family", "bgc"),
+    (api.WorkloadRequest, "error_rate", 1e-2),
 ]
 
 
@@ -368,6 +387,7 @@ class TestSpecOverrides:
 #: One bad value per request flag group, plus an execution flag.
 BAD_ARGV = [
     "memsim TC -M 6 --error-rate 2",
+    "memsim TC -M 6 --error-rate 1e-2",
     "memsim TC -M 6 --write-fraction nan",
     "memsim TC -M 6 --instances 0",
     "memsim TC -M 6 --accesses -5",
@@ -378,6 +398,7 @@ BAD_ARGV = [
     "sweep --mc-samples 0",
     "sweep --wl-accesses 0",
     "sweep --wl-error-rate nan",
+    "sweep --wl-error-rate 1e-2",
     "sweep --ro-min-margin nan",
     "evaluate TC -M 6 -n 0",
     "shard plan marginmc {job} BGC -M 8 --samples 0",

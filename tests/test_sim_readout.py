@@ -198,7 +198,7 @@ class TestArrayBatchedReads:
         array = self.make_array(scheme=scheme)
         rows, cols = self.accessible_cells(array, k=24)
         loop = LoopReadoutModel(scheme=scheme)
-        per = array.address_map.wires_per_cave
+        per = array.spec.wires_per_cave
         want = [
             dual_reference(loop, array.raw_state(), per, int(r), int(c))
             for r, c in zip(rows, cols)
