@@ -96,14 +96,14 @@ def _equal_runs(a: FleetResult, b: FleetResult) -> bool:
     )
 
 
-def _interleaved_rates(fleet, loop_fleet, trace, loop_trace, readout):
+def _interleaved_rates(fleet, loop_fleet, trace, loop_trace, space, readout):
     """Total-accesses / total-time for both sides, interleaved segments."""
     loop_work = loop_trace.accesses * loop_fleet.instances
     batched_work = trace.accesses * fleet.instances
     loop_time = batched_time = 0.0
     for _ in range(REPEATS):
         start = time.perf_counter()
-        run_fleet_loop(loop_fleet, loop_trace, readout=readout)
+        run_fleet_loop(loop_fleet, loop_trace, space=space, readout=readout)
         loop_time += time.perf_counter() - start
         start = time.perf_counter()
         fleet.run(trace, readout=readout)
@@ -127,9 +127,7 @@ def test_workload_readout_speedup(benchmark, emit, emit_json):
         seed=0,
         skew=SKEW,
     )
-    loop_fleet = MemoryFleet(
-        fleet._maps[:LOOP_INSTANCES], spec=spec, space=space
-    )
+    loop_fleet = MemoryFleet(fleet._maps[:LOOP_INSTANCES], spec=spec)
     loop_trace = _slice_trace(trace, min(LOOP_ACCESSES, ACCESSES))
 
     # -- correctness gates before any timing ---------------------------------
@@ -138,7 +136,9 @@ def test_workload_readout_speedup(benchmark, emit, emit_json):
     batched_small = loop_fleet.run(
         equiv_trace, chunk_size=512, readout=readout, **collect
     )
-    loop_small = run_fleet_loop(loop_fleet, equiv_trace, readout=readout, **collect)
+    loop_small = run_fleet_loop(
+        loop_fleet, equiv_trace, space=space, readout=readout, **collect
+    )
     loop_equivalent = _equal_runs(batched_small, loop_small)
     assert loop_equivalent, "batched electrical result differs from the loop"
 
@@ -152,11 +152,14 @@ def test_workload_readout_speedup(benchmark, emit, emit_json):
     # -- warm-up then interleaved timing --------------------------------------
     fleet.run(_slice_trace(trace, min(5_000, ACCESSES)), readout=readout)
     run_fleet_loop(
-        loop_fleet, _slice_trace(trace, min(500, ACCESSES)), readout=readout
+        loop_fleet,
+        _slice_trace(trace, min(500, ACCESSES)),
+        space=space,
+        readout=readout,
     )
 
     def run_rates():
-        return _interleaved_rates(fleet, loop_fleet, trace, loop_trace, readout)
+        return _interleaved_rates(fleet, loop_fleet, trace, loop_trace, space, readout)
 
     loop_rate, batched_rate = benchmark.pedantic(run_rates, rounds=1, iterations=1)
     speedup = batched_rate / loop_rate

@@ -461,9 +461,11 @@ class WorkloadResult:
     The fleet-level figures every consumer (CLI table/CSV/JSON, daemon,
     store) reports: per-metric Welford summaries, the exhausted-instance
     fraction and — for electrical runs — the readout echo and the
-    sense-current memo counts: ``hits`` (references served without a
-    solve), ``misses`` (references solved), ``evictions``, ``banks`` and
-    ``hit_rate``.  ``cache`` depends on chunk boundaries and is excluded
+    sense-current memo counts, one lookup per read cell under its
+    forced-OFF bank state: ``hits`` (read cells served without a solve),
+    ``misses`` (read cells solved, one solve each for both references),
+    ``evictions``, ``banks`` and ``hit_rate``.  ``cache`` depends on
+    chunk boundaries and is excluded
     from the byte-identity contract (documented on
     :class:`repro.workload.memory_batch.FleetResult`); everything else
     is deterministic per request.

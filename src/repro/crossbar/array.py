@@ -118,11 +118,14 @@ class CrossbarArray:
         Each crosspoint's cave-sized bank is solved with the selected
         cell forced ON and forced OFF (same data background); the
         reference whose forced state equals the stored bit *is* the
-        measured current.  Both forced banks of every cell go to
-        :func:`~repro.sim.readout.sense_currents`, stacked per bank
-        shape in slabs, so a batch reads the same floats as its cells
-        read one at a time.  Raises :class:`AddressingFault` on the
-        first inaccessible crosspoint.
+        measured current.  The two forced banks differ only in the
+        selected cell, which enters no free-node system, so every
+        cell's bank is solved once for both references
+        (:attr:`ReadoutModel.reference_conductances`), stacked per bank
+        shape in slabs of :func:`~repro.sim.readout.slab_pairs`; a
+        batch reads the same floats as its cells read one at a time.
+        Raises :class:`AddressingFault` on the first inaccessible
+        crosspoint.
         """
         rows = np.asarray(rows, dtype=int).ravel()
         cols = np.asarray(cols, dtype=int).ravel()
@@ -140,27 +143,24 @@ class CrossbarArray:
         i_off = np.empty(rows.size)
         for h, w in sorted(set(zip(heights.tolist(), widths.tolist()))):
             members = np.flatnonzero((heights == h) & (widths == w))
-            step = max(1, slab_pairs(h, w) // 2)
+            step = slab_pairs(h, w)
             for start in range(0, members.size, step):
                 idx = members[start : start + step]
-                k = idx.size
-                lr = rows[idx] - r0[idx]
-                lc = cols[idx] - c0[idx]
                 banks = self._states[
                     r0[idx, None, None] + np.arange(h)[:, None],
                     c0[idx, None, None] + np.arange(w),
                 ]
-                forced = np.concatenate([banks, banks])
-                forced[np.arange(k), lr, lc] = True
-                forced[np.arange(k, 2 * k), lr, lc] = False
-                # a (2k * h, w) view keeps ReadoutModel.conductances'
-                # own arithmetic for the whole stack
-                g = model.conductances(forced.reshape(-1, w)).reshape(forced.shape)
-                currents = sense_currents(
-                    g, np.tile(lr, 2), np.tile(lc, 2), model.scheme, model.v_read
+                # a (k * h, w) view keeps ReadoutModel.conductances' own
+                # arithmetic for the whole stack
+                g = model.conductances(banks.reshape(-1, w)).reshape(banks.shape)
+                i_on[idx], i_off[idx] = sense_currents(
+                    g,
+                    rows[idx] - r0[idx],
+                    cols[idx] - c0[idx],
+                    model.scheme,
+                    model.v_read,
+                    model.reference_conductances,
                 )
-                i_on[idx] = currents[:k]
-                i_off[idx] = currents[k:]
         if np.any(i_on <= 0):
             raise AddressingFault("non-positive reference current")
         return self._states[rows, cols], i_on, i_off
@@ -175,7 +175,8 @@ class CrossbarArray:
         the sense amplifier is modelled as ideal dual-reference sensing
         — the cave-sized bank is solved with the selected cell forced ON
         and forced OFF (same background), and the measured current is
-        classified to the nearer reference.
+        classified to the nearer reference.  Both references come from
+        one paired solve per cell (:meth:`_forced_references`).
         """
         stored, i_on, i_off = self._forced_references(rows, cols)
         current = np.where(stored, i_on, i_off)

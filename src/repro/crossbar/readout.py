@@ -114,17 +114,28 @@ class ReadoutModel:
             sense_currents(g[None], [row], [col], self.scheme, self.v_read)[0]
         )
 
+    @property
+    def reference_conductances(self) -> tuple[float, float]:
+        """Selected-cell conductances of the forced-ON and forced-OFF reads.
+
+        The ``selected`` argument of :func:`~repro.sim.readout.sense_currents`
+        that gives both dual-sensing references from one solve per cell,
+        each equal to :meth:`read_current` of the forced state bit for bit.
+        """
+        return 1.0 / self.r_on, 1.0 / self.r_off
+
     # -- margins -----------------------------------------------------------------
 
     def worst_case_currents(self, rows: int, cols: int) -> tuple[float, float]:
         """(I_on, I_off) of a selected cell in the all-ON worst background."""
         if rows < 1 or cols < 1:
             raise ReadoutError("bank must have at least one row and column")
-        background = np.ones((rows, cols), dtype=bool)
-        i_on = self.read_current(background, 0, 0)
-        off_map = background.copy()
-        off_map[0, 0] = False
-        i_off = self.read_current(off_map, 0, 0)
+        from repro.sim.readout import sense_currents
+
+        g = self.conductances(np.ones((rows, cols), dtype=bool))
+        i_on, i_off = sense_currents(
+            g[None], [0], [0], self.scheme, self.v_read, self.reference_conductances
+        )[:, 0].tolist()
         return i_on, i_off
 
     def sense_margin(self, rows: int, cols: int) -> float:

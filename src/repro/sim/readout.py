@@ -8,12 +8,14 @@ behind every crossbar read of the product:
 the scalar loop's own arithmetic — each pair's free-node system is
 gathered into one stack and LAPACK solves the stack in a single
 ``np.linalg.solve`` call — so it reproduces the scalar loop bit for
-bit.  ``ReadoutModel.read_current`` is its one-pair call, the
-:class:`~repro.crossbar.array.CrossbarArray` reads stack every cell's
-forced-ON and forced-OFF bank into it, and the electrical workload
-engine solves its queued misses through it.
+bit.  ``ReadoutModel.read_current`` is its one-pair call.  The
+forced-ON and forced-OFF references of a cell differ only in the
+selected cell, which enters no free-node system, so one solve gives
+both: the :class:`~repro.crossbar.array.CrossbarArray` reads stack
+every cell's bank into it once, and the electrical workload engine
+solves its queued misses through it.
 
-:func:`scheme_margin_sweep` shares the worst-case backgrounds of each
+:func:`scheme_margin_sweep` shares the worst-case background of each
 bank size across the biasing schemes, and :class:`BankCache` is the
 state-keyed LRU memo the electrical workload engine keeps its sense
 currents in.  The module imports numpy only.
@@ -128,16 +130,18 @@ def slab_pairs(rows: int, cols: int) -> int:
     return max(1, SLAB_BYTES // per_cell)
 
 
-
-def sense_currents(g: np.ndarray, rows, cols, scheme: str, v_read: float) -> np.ndarray:
+def sense_currents(
+    g: np.ndarray, rows, cols, scheme: str, v_read: float, selected=None
+) -> np.ndarray:
     """Sense currents of a slab of (conductance map, selected cell) pairs.
 
     ``g`` is a ``(k, R, C)`` stack of ideal-line conductance maps and
     ``rows`` / ``cols`` the ``k`` selected cells.  Every pair gets the
     scalar reference's own arithmetic, bit for bit:
 
-    * the Laplacian diagonals are sequential sums along each line, the
-      element order of the reference's ``np.add.at`` stamping;
+    * the Laplacian diagonals are sequential sums along each line
+      (``np.cumsum``), the element order of the reference's
+      ``np.add.at`` stamping;
     * ``float`` reads reduce each pair to its free-node system (every
       line except the driven row and the sensed column, ascending) and
       the whole slab goes to LAPACK in one ``np.linalg.solve`` call,
@@ -145,6 +149,12 @@ def sense_currents(g: np.ndarray, rows, cols, scheme: str, v_read: float) -> np.
     * ``ground`` / ``half_v`` fix every line, so they need no solve;
     * the sense current sums ``g[i, col] * V[i]`` sequentially over the
       rows, starting from ``0.0`` like the reference loop.
+
+    The selected cell joins the driven row to the sensed column, so it
+    enters no free-node system, only its own term of the final sum.
+    ``selected`` (e.g. ``(1/r_on, 1/r_off)``, forced ON and OFF) lists
+    conductances for it and gets one row of ``k`` currents per entry
+    from the one solve; without it, the ``k`` currents of ``g`` as given.
     """
     g = np.asarray(g, dtype=float)
     k, n_rows, n_cols = g.shape
@@ -155,12 +165,9 @@ def sense_currents(g: np.ndarray, rows, cols, scheme: str, v_read: float) -> np.
         fr, fc = n_rows - 1, n_cols - 1
         keep_c = np.ones((k, n_cols), dtype=bool)
         keep_c[slab, cols] = False
-        d_row = g[:, :, 0].copy()
-        for j in range(1, n_cols):
-            d_row += g[:, :, j]
-        d_col = g[:, 0, :].copy()
-        for i in range(1, n_rows):
-            d_col += g[:, i, :]
+        # copies, so the (k, R, C) running sums are freed at once
+        d_row = np.cumsum(g, axis=2)[:, :, -1].copy()
+        d_col = np.cumsum(g, axis=1)[:, -1, :].copy()
         # free rows then free columns, each ascending: the diagonal,
         # and the -g coupling blocks (``off`` is the column-row block)
         a = np.zeros((k, fr + fc, fr + fc))
@@ -184,8 +191,14 @@ def sense_currents(g: np.ndarray, rows, cols, scheme: str, v_read: float) -> np.
         raise _readout_error(f"unknown scheme {scheme!r}")
     v_rows[~keep_r] = v_read
     terms = g[slab, :, cols] * v_rows
-    # ``+ 0.0`` makes an all-zero sum +0.0, as the reference's 0.0 start
-    return np.cumsum(terms, axis=1)[:, -1] + 0.0
+    if selected is None:
+        # ``+ 0.0`` makes an all-zero sum +0.0, as the reference's 0.0 start
+        return np.cumsum(terms, axis=1)[:, -1] + 0.0
+    out = np.empty((len(selected), k))
+    for j, g_sel in enumerate(selected):
+        terms[slab, rows] = g_sel * v_read
+        out[j] = np.cumsum(terms, axis=1)[:, -1] + 0.0
+    return out
 
 
 # -- bank-size sweeps ----------------------------------------------------------
@@ -201,10 +214,10 @@ def scheme_margin_sweep(
 ) -> dict:
     """Worst-case sense margins of square banks, per scheme and size.
 
-    The two worst-case backgrounds (all-ON, and all-ON with the
-    selected cell OFF) are built once per bank size and shared across
-    every biasing scheme, one :func:`sense_currents` call per scheme.
-    Margins equal the scalar reference bit for bit.
+    The worst-case all-ON background is built once per bank size and
+    shared across every biasing scheme, one paired :func:`sense_currents`
+    call (selected cell ON and OFF) per scheme.  Margins equal the
+    scalar reference bit for bit.
     """
     from repro.crossbar.readout import check_technology
 
@@ -218,13 +231,11 @@ def scheme_margin_sweep(
     for size in sizes:
         # same scalar 1/r division as ReadoutModel.conductances, so the
         # margins stay byte-identical to the loop path
-        g_on = np.full((size, size), 1.0 / r_on)
-        off_map = np.ones((size, size), dtype=bool)
-        off_map[0, 0] = False
-        g_off = np.where(off_map, 1.0 / r_on, 1.0 / r_off)
-        pair = np.stack([g_on, g_off])
+        g_on = np.full((1, size, size), 1.0 / r_on)
         for scheme in schemes:
-            i_on, i_off = sense_currents(pair, [0, 0], [0, 0], scheme, v_read).tolist()
+            i_on, i_off = sense_currents(
+                g_on, [0], [0], scheme, v_read, (1.0 / r_on, 1.0 / r_off)
+            )[:, 0].tolist()
             if i_on <= 0:
                 raise _readout_error("non-positive ON current; check the model")
             out[scheme].append((i_on - i_off) / i_on)

@@ -19,41 +19,47 @@ instance and chunk:
 1. **Replay.** The chunk is split into *segments* — maximal runs of
    same-type accesses.  Write segments scatter with explicit keep-last
    dedupe; read segments record, per valid read cell, its stored bit
-   and the digests of its two forced states (the cave-sized bank with
-   the cell forced ON and forced OFF; one of them is the bank's own
-   state, whose digest is memoized until a write changes the bank).
-2. **Lookup.** Each reference is looked up in the instance's memo of
-   sense currents, keyed by (forced-state digest, cell): an LRU
-   :class:`~repro.sim.readout.BankCache` of forced states bounded by
-   ``max_banks``.  Keying by forced state means that after a write
-   toggles a hot cell, reading it again costs no solve — both forced
-   states were seen before.  Misses queue a snapshot of their forced
-   state.
+   and the digest of its forced-OFF state (the cave-sized bank with
+   the cell forced OFF: the bank's own state when the cell is OFF,
+   whose digest is memoized until a write changes the bank).
+2. **Lookup.** The cell's two references — the bank with the cell
+   forced ON and forced OFF — differ only in the cell itself, which
+   enters no free-node system, so one solve gives both and the pair is
+   a pure function of the forced-OFF state and the cell.  Each read
+   cell is one lookup in the instance's memo of reference pairs, keyed
+   by (forced-OFF state digest, cell): an LRU
+   :class:`~repro.sim.readout.BankCache` of forced-OFF states bounded
+   by ``max_banks``.  A write that toggles the cell itself leaves its
+   key as is, so a hot cell read again after a toggle costs no solve.
+   A miss queues a snapshot of the bank.
 3. **Slab solves.** Once the queue holds a slab
    (:func:`~repro.sim.readout.slab_pairs`) or the replay ends, the
    queued misses go to :func:`~repro.sim.readout.sense_currents` as one
-   stack: one ``np.linalg.solve`` call per slab instead of one per
-   reference.
+   paired stack: one ``np.linalg.solve`` call per slab, one system per
+   read cell for both its references.
 4. **Classification.** Margins, misread counts and the SECDED decode
    of payload bit 0 (:func:`~repro.crossbar.ecc.decode_first_bits`)
    run once over all of the chunk's reads.
 
-``WorkloadResult.cache`` reports the memo: ``hits`` are references
-served without a solve, ``misses`` the solved ones, ``evictions`` the
-forced states the LRU bound dropped, ``banks`` the most forced states
-one instance's memo holds, and ``hit_rate`` is hits over lookups.
+``WorkloadResult.cache`` reports the memo: ``hits`` are read cells
+served without a solve, ``misses`` the solved ones (one solve each),
+``evictions`` the forced-OFF states the LRU bound dropped, ``banks``
+the most forced-OFF states one instance's memo holds, and ``hit_rate``
+is hits over lookups (read cells).
 
 Equivalence contract
 --------------------
 The scalar reference (kept with the test oracles) executes the same
 semantics one access at a time: it writes through
 :class:`~repro.crossbar.array.CrossbarArray` on the *same* defect maps
-and senses each crosspoint with one ``read_current`` per forced bank,
-the per-cell case of :meth:`CrossbarArray.read_bits`.  Batched results are
+and senses each crosspoint with one ``read_current`` per forced bank
+(two solves where :meth:`CrossbarArray.read_bits` makes one paired
+solve).  Batched results are
 byte-identical and chunk-size invariant: every reference current is
 computed with the exact arithmetic of :meth:`ReadoutModel.read_current`
-(the stacked kernel runs one LAPACK ``gesv`` per system, and
-``read_current`` is its one-cell call) and only memoized — never
+(the stacked kernel runs one LAPACK ``gesv`` per system, ``read_current``
+is its one-cell call, and the paired call changes only the selected
+cell's term of the final sum) and only memoized — never
 approximated — so cached and fresh values are the same floats.  Cache
 counts are the one exception: LRU evictions make them depend on chunk
 boundaries, so they are reported for diagnostics only.  The engine
@@ -82,7 +88,7 @@ from repro.workload.traces import Trace
 #: Default number of histogram bins over the [0, 1] margin range.
 DEFAULT_MARGIN_BINS = 20
 
-#: Default bound on distinct forced bank states per instance memo.
+#: Default bound on distinct forced-OFF bank states per instance memo.
 DEFAULT_MAX_BANKS = 256
 
 
@@ -103,8 +109,8 @@ class ElectricalReadout:
     margin_bins:
         Histogram bins over the [0, 1] relative-margin range.
     max_banks:
-        Bound on distinct forced bank states kept in each instance's
-        sense-current memo (LRU beyond it).
+        Bound on distinct forced-OFF bank states kept in each
+        instance's memo of reference pairs (LRU beyond it).
     """
 
     model: ReadoutModel = field(default_factory=ReadoutModel)
@@ -129,18 +135,21 @@ class ElectricalReadout:
 
 
 class _Sensor:
-    """One instance's sense currents: LRU memo, miss queue, slab solves.
+    """One instance's reference currents: LRU memo, miss queue, slab solves.
 
-    A sense current is a pure function of the forced bank state and the
-    selected cell, so it is memoized per ``(forced-state digest, cell)``
-    — an LRU :class:`~repro.sim.readout.BankCache` of forced states,
-    each holding a ``{cell: current}`` dict.  :meth:`slot` hands out one
-    slot of :attr:`values` per reference; misses queue a snapshot of
-    the forced state and are solved together once the queue holds a
-    slab (or at :meth:`flush`), so the memo changes cost, never values.
-    Every miss is solved by :func:`~repro.sim.readout.sense_currents`
-    on the model's conductances, the arithmetic of
-    :meth:`ReadoutModel.read_current`.
+    A read cell's forced-ON and forced-OFF banks differ only in the
+    cell itself, which enters no free-node system, so one solve gives
+    both references, and the pair is a pure function of the forced-OFF
+    bank state and the cell.  It is memoized per ``(forced-OFF state
+    digest, cell)`` — an LRU :class:`~repro.sim.readout.BankCache` of
+    forced-OFF states, each holding a ``{cell: (i_on, i_off)}`` dict.
+    :meth:`slot` hands out one slot of :attr:`values` per read cell and
+    counts one lookup: a hit is served without a solve, a miss queues a
+    snapshot of the bank for one solve.  Queued misses are solved
+    together once the queue holds a slab (or at :meth:`flush`), so the
+    memo changes cost, never values.  Every miss is solved by
+    :func:`~repro.sim.readout.sense_currents` on the model's
+    conductances, the arithmetic of :meth:`ReadoutModel.read_current`.
     """
 
     def __init__(self, model: ReadoutModel, max_banks: int, slab: int) -> None:
@@ -149,17 +158,20 @@ class _Sensor:
         self.slab = slab
         self.hits = 0
         self.misses = 0
-        self.values: list[float] = []
+        self.values: list[tuple[float, float]] = []
         self._pending: dict[tuple[bytes, int, int], int] = {}
         self._queue: list[tuple[int, np.ndarray, int, int, dict]] = []
 
     def slot(self, digest: bytes, block: np.ndarray, lr: int, lc: int) -> int:
-        """Slot of the current of cell ``(lr, lc)`` in forced state ``block``."""
+        """Slot of the ``(i_on, i_off)`` pair of cell ``(lr, lc)`` of ``block``.
+
+        ``digest`` is the block's digest with the cell forced OFF.
+        """
         entry = self.memo.get(digest, dict)
-        value = entry.get((lr, lc))
-        if value is not None:
+        pair = entry.get((lr, lc))
+        if pair is not None:
             self.hits += 1
-            self.values.append(value)
+            self.values.append(pair)
             return len(self.values) - 1
         key = (digest, lr, lc)
         slot = self._pending.get(key)
@@ -167,7 +179,7 @@ class _Sensor:
             self.hits += 1
             return slot
         slot = len(self.values)
-        self.values.append(math.nan)
+        self.values.append((math.nan, math.nan))
         self._pending[key] = slot
         self._queue.append((slot, block.copy(), lr, lc, entry))
         if len(self._queue) >= self.slab:
@@ -183,23 +195,23 @@ class _Sensor:
         groups: dict[tuple[int, int], list[int]] = {}
         for k, item in enumerate(queue):
             groups.setdefault(item[1].shape, []).append(k)
-        currents = np.empty(len(queue))
+        currents = np.empty((2, len(queue)))
         for (_, cols), members in groups.items():
-            forced = np.stack([queue[k][1] for k in members])
+            banks = np.stack([queue[k][1] for k in members])
             # a (k * rows, cols) view keeps ReadoutModel.conductances'
             # own arithmetic for the whole stack
-            g = model.conductances(forced.reshape(-1, cols))
-            currents[members] = sense_currents(
-                g.reshape(forced.shape),
+            g = model.conductances(banks.reshape(-1, cols))
+            currents[:, members] = sense_currents(
+                g.reshape(banks.shape),
                 [queue[k][2] for k in members],
                 [queue[k][3] for k in members],
                 model.scheme,
                 model.v_read,
+                model.reference_conductances,
             )
-        for (slot, _, lr, lc, entry), value in zip(queue, currents):
-            value = float(value)
-            self.values[slot] = value
-            entry[(lr, lc)] = value
+        for (slot, _, lr, lc, entry), pair in zip(queue, zip(*currents.tolist())):
+            self.values[slot] = pair
+            entry[(lr, lc)] = pair
         self.misses += len(queue)
         queue.clear()
         self._pending.clear()
@@ -330,33 +342,33 @@ def run_electrical_batched(
             r0s = r0s.tolist()
             c0s = c0s.tolist()
             stored = np.empty(cells.size, dtype=bool)
-            on_slot = np.empty(cells.size, dtype=np.intp)
-            off_slot = np.empty(cells.size, dtype=np.intp)
+            slots = np.empty(cells.size, dtype=np.intp)
 
             w_cursor = 0
             for seg_start, seg_stop, seg_is_write in segments:
                 if not seg_is_write:
-                    # record both forced-state references of every read
-                    # cell; misses queue up for the slab solves
+                    # look up every read cell's reference pair under
+                    # its forced-OFF state; misses queue up for the slab
+                    # solves
                     lo = int(v_before[r_before[seg_start]]) * bb
                     hi = int(v_before[r_before[seg_stop]]) * bb
                     for t in range(lo, hi):
-                        bid, lr, lc = bids[t], lrs[t], lcs[t]
+                        lr, lc = lrs[t], lcs[t]
                         r0, c0 = r0s[t], c0s[t]
                         block = st[r0 : r0 + per, c0 : c0 + per]
-                        d = dig.get(bid)
-                        if d is None:
-                            d = state_digest(block)
-                            dig[bid] = d
                         bit = bool(block[lr, lc])
-                        flipped = block.copy()
-                        flipped[lr, lc] = not bit
-                        same = sensor.slot(d, block, lr, lc)
-                        other = sensor.slot(state_digest(flipped), flipped, lr, lc)
+                        if bit:
+                            block = block.copy()
+                            block[lr, lc] = False
+                            d = state_digest(block)
+                        else:
+                            # an OFF cell's forced-OFF state is the bank's
+                            # own, digested once until a write changes it
+                            d = dig.get(bids[t])
+                            if d is None:
+                                d = dig[bids[t]] = state_digest(block)
                         stored[t] = bit
-                        on_slot[t], off_slot[t] = (
-                            (same, other) if bit else (other, same)
-                        )
+                        slots[t] = sensor.slot(d, block, lr, lc)
                     continue
 
                 t_seg = perf_counter() if timed else 0.0
@@ -395,10 +407,10 @@ def run_electrical_batched(
 
             # resolve the chunk's margins, classify and decode once
             sensor.flush()
-            currents = np.array(sensor.values)
+            currents = np.array(sensor.values).reshape(-1, 2)
             sensor.values.clear()
-            i_on = currents[on_slot]
-            i_off = currents[off_slot]
+            i_on = currents[slots, 0]
+            i_off = currents[slots, 1]
             if np.any(i_on <= 0):
                 raise AddressingFault("non-positive reference current")
             cell_m = (i_on - i_off) / i_on
@@ -470,10 +482,11 @@ def run_electrical_batched(
 def _cache_stats(sensors: Sequence[_Sensor]) -> dict:
     """Fleet totals of the per-instance sense-current memos.
 
-    ``hits`` counts references served without a solve, ``misses`` the
-    solved ones, ``evictions`` forced states dropped by the LRU bound;
-    ``banks`` is the most forced states any one instance's memo holds
-    (each memo is bounded by ``max_banks``).
+    One lookup per read cell: ``hits`` counts read cells served without
+    a solve, ``misses`` the solved ones, ``evictions`` forced-OFF states
+    dropped by the LRU bound; ``banks`` is the most forced-OFF states
+    any one instance's memo holds (each memo is bounded by
+    ``max_banks``).
     """
     hits = sum(s.hits for s in sensors)
     misses = sum(s.misses for s in sensors)

@@ -265,13 +265,14 @@ class FleetResult:
     per-read-bit ``margins`` matrix (``collect_margins=True``; NaN for
     failed reads), the per-instance ``margin_hist`` counts over
     ``margin_edges``, and the ``cache`` statistics of the per-instance
-    sense-current memos, summed over the fleet: ``hits`` (references
-    served without a solve), ``misses`` (references solved),
-    ``evictions`` (forced states dropped by the LRU bound), ``banks``
-    (the most forced states one instance's memo holds) and
-    ``hit_rate``.  They do not depend on the thread count, but LRU
-    evictions make them depend on chunk boundaries, so ``cache`` is
-    excluded from the byte-identity contract.
+    sense-current memos, summed over the fleet, one lookup per read
+    cell: ``hits`` (read cells served without a solve), ``misses``
+    (read cells solved, one solve each), ``evictions`` (forced-OFF
+    states dropped by the LRU bound), ``banks`` (the most forced-OFF
+    states one instance's memo holds) and ``hit_rate``.  They do not
+    depend on the thread count, but LRU evictions make them depend on
+    chunk boundaries, so ``cache`` is excluded from the byte-identity
+    contract.
     """
 
     trace_name: str
@@ -307,12 +308,11 @@ class MemoryFleet:
         addresses: each write encodes its data bit into a stored block,
         each read decodes (correcting single bit errors) and returns
         the first payload bit.
-    spec, space:
-        Platform specification and address code the maps were sampled
-        from.  Optional for ideal runs; required by the electrical
-        read mode (``run(readout=...)``), which needs the cave-sized
-        bank geometry and the scalar :class:`~repro.crossbar.array.
-        CrossbarArray` reference.  :meth:`sample` records both.
+    spec:
+        Platform specification the maps were sampled from.  Optional
+        for ideal runs; required by the electrical read mode
+        (``run(readout=...)``), which needs the crosspoint grid and
+        the cave-sized bank geometry.  :meth:`sample` records it.
     """
 
     def __init__(
@@ -321,7 +321,6 @@ class MemoryFleet:
         *,
         ecc: SecdedCode | None = None,
         spec: CrossbarSpec | None = None,
-        space: CodeSpace | None = None,
     ) -> None:
         if not defect_maps:
             raise ValueError("a fleet needs at least one instance")
@@ -333,7 +332,6 @@ class MemoryFleet:
         self._maps = list(defect_maps)
         self._ecc = ecc
         self._spec = spec
-        self._space = space
         self._remaps = [np.flatnonzero(dm.working.ravel()) for dm in self._maps]
         rows, cols = self._maps[0].shape
         self._raw_bits = rows * cols
@@ -374,7 +372,7 @@ class MemoryFleet:
             )
             for rng in streams
         ]
-        return cls(maps, ecc=ecc, spec=spec, space=space)
+        return cls(maps, ecc=ecc, spec=spec)
 
     # -- geometry ------------------------------------------------------------
 
@@ -392,11 +390,6 @@ class MemoryFleet:
     def spec(self) -> CrossbarSpec | None:
         """Platform specification the fleet was sampled from, if known."""
         return self._spec
-
-    @property
-    def space(self) -> CodeSpace | None:
-        """Address code the fleet was sampled from, if known."""
-        return self._space
 
     @property
     def raw_bits(self) -> int:
@@ -524,10 +517,10 @@ class MemoryFleet:
             raise TypeError(
                 f"readout must be an ElectricalReadout, got {type(readout).__name__}"
             )
-        if self._spec is None or self._space is None:
+        if self._spec is None:
             raise ValueError(
-                "electrical read mode needs a fleet sampled with spec/space "
-                "(use MemoryFleet.sample or pass spec=/space= explicitly)"
+                "electrical read mode needs a fleet sampled with a spec "
+                "(use MemoryFleet.sample or pass spec= explicitly)"
             )
         side = self._spec.side_nanowires
         if self._maps[0].shape != (side, side):

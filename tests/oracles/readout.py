@@ -1,7 +1,9 @@
 """Loop readout model: the per-cell stamping solver, one solve per read.
 
 It subclasses the product model and overrides the per-cell
-``read_current`` only.  The product's one solver,
+``read_current``, and ``worst_case_currents`` as its two single-state
+reads (the product makes them one paired solve).  The product's one
+solver,
 ``repro.sim.readout.sense_currents``, must reproduce it bit for bit for
 every (state map, cell) pair (``tests/test_sim_readout.py``), and the
 readout benchmark times the margin sweep against it.
@@ -28,6 +30,14 @@ class LoopReadoutModel(ReadoutModel):
         if not 0 <= row < rows or not 0 <= col < cols:
             raise ReadoutError(f"selected cell ({row}, {col}) outside {g.shape}")
         return self._read_current_loop(g, row, col)
+
+    def worst_case_currents(self, rows: int, cols: int) -> tuple[float, float]:
+        if rows < 1 or cols < 1:
+            raise ReadoutError("bank must have at least one row and column")
+        background = np.ones((rows, cols), dtype=bool)
+        i_on = self.read_current(background, 0, 0)
+        background[0, 0] = False
+        return i_on, self.read_current(background, 0, 0)
 
     def sense_margins(self, sizes) -> list[float]:
         return [self.sense_margin(size, size) for size in sizes]

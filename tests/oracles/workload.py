@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.codes.base import CodeSpace
 from repro.crossbar.array import CrossbarArray
 from repro.crossbar.ecc import EccError
 from repro.crossbar.memory import CapacityError, CrossbarMemory
@@ -24,12 +25,22 @@ from tests.oracles.readout import dual_reference
 
 
 def run_fleet_loop(
-    fleet, trace, *, seed=0, write_error_rate=0.0, readout=None, chunk_size=None, **kw
+    fleet,
+    trace,
+    *,
+    seed=0,
+    write_error_rate=0.0,
+    readout=None,
+    chunk_size=None,
+    space=None,
+    **kw,
 ) -> FleetResult:
     """Run ``trace`` on ``fleet`` one access at a time.
 
     Takes :meth:`MemoryFleet.run`'s arguments, so it can stand in for
-    it; ``chunk_size`` is ignored.  ``kw`` holds the ``collect_*`` flags.
+    it; ``chunk_size`` is ignored.  An electrical run also needs the
+    fleet's address code ``space`` for its per-instance
+    ``CrossbarArray``s.  ``kw`` holds the ``collect_*`` flags.
     """
     n, p = fleet.instances, write_error_rate
     flips = [None] * n
@@ -40,7 +51,7 @@ def run_fleet_loop(
     if readout is None:
         return _run_ideal_loop(*args, reads, state)
     margins = kw.get("collect_margins", False)
-    return _run_electrical_loop(*args, readout, reads, state, margins)
+    return _run_electrical_loop(*args, space, readout, reads, state, margins)
 
 
 class ScalarFlips:
@@ -160,6 +171,7 @@ def _run_electrical_loop(
     fleet,
     trace: Trace,
     err_streams: Sequence[ScalarFlips | None],
+    space: CodeSpace,
     readout: ElectricalReadout,
     collect_reads: bool,
     collect_state: bool,
@@ -190,9 +202,7 @@ def _run_electrical_loop(
     )
 
     for i in range(inst):
-        arr = CrossbarArray(
-            fleet.spec, fleet.space, readout=model, defects=fleet._maps[i]
-        )
+        arr = CrossbarArray(fleet.spec, space, readout=model, defects=fleet._maps[i])
         per = fleet.spec.wires_per_cave
         remap = fleet._remaps[i]
         cap = int(caps[i])

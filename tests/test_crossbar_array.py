@@ -188,11 +188,12 @@ class TestReferenceCurrentGuards:
         import repro.crossbar.array as array_module
         from repro.crossbar.spec import CrossbarSpec
 
-        # every read, one cell or a batch, senses through this one call
+        # every read, one cell or a batch, senses through this one
+        # paired call: (forced-ON, forced-OFF) rows of currents
         monkeypatch.setattr(
             array_module,
             "sense_currents",
-            lambda g, rows, *rest: np.zeros(len(rows)),
+            lambda g, rows, *rest: np.zeros((2, len(rows))),
         )
         return CrossbarArray(
             CrossbarSpec(raw_kilobytes=0.2), make_code("TC", 2, 6), seed=3

@@ -5,6 +5,8 @@ Covers the contracts of the one crossbar read solver, ``sense_currents``:
 * bit-for-bit equivalence with the loop oracle
   (``tests/oracles/readout.py``) across schemes and bank shapes, one
   pair at a time and stacked;
+* the paired call (forced-ON and forced-OFF references from one solve)
+  against two single-state reads;
 * seeded goldens for the ``readout`` sweep evaluator;
 * the batched CrossbarArray read paths against their one-cell reads
   and the loop oracle's dual-reference sensing;
@@ -83,6 +85,17 @@ class TestIdealEquivalence:
         batched = margin_vs_bank_size(ReadoutModel(scheme=scheme), sizes)
         assert loop == batched
 
+    def test_loop_margins_never_call_the_product_solver(self, monkeypatch):
+        """The oracle's margins come from its own loop, not sense_currents."""
+        import repro.sim.readout as engine
+
+        def product_solver(*args, **kwargs):
+            raise AssertionError("loop oracle reached sense_currents")
+
+        monkeypatch.setattr(engine, "sense_currents", product_solver)
+        for scheme in SCHEMES:
+            assert 0 < LoopReadoutModel(scheme=scheme).sense_margin(4, 4) < 1
+
     def test_scheme_margin_sweep_matches_models(self):
         sizes = (2, 4, 8)
         sweep = scheme_margin_sweep(sizes)
@@ -103,6 +116,52 @@ class TestIdealEquivalence:
     def test_rejects_bad_sweep_size(self):
         with pytest.raises(ReadoutError):
             scheme_margin_sweep((4, 0))
+
+
+def corner_and_interior_cells(shape):
+    rows, cols = shape
+    corners = {(0, 0), (0, cols - 1), (rows - 1, 0), (rows - 1, cols - 1)}
+    return sorted(corners | {(rows // 2, cols // 2)})
+
+
+class TestPairedReferences:
+    """One paired solve equals two single-state reads, bit for bit."""
+
+    @pytest.mark.parametrize("background", ("random", "all_on", "all_off"))
+    @pytest.mark.parametrize("shape", ((1, 1), (1, 6), (6, 1), (7, 5), (40, 40)))
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_pair_equals_two_read_currents(self, scheme, shape, background):
+        states = {
+            "random": random_states(shape, seed=sum(shape)),
+            "all_on": np.ones(shape, dtype=bool),
+            "all_off": np.zeros(shape, dtype=bool),
+        }[background]
+        model = ReadoutModel(scheme=scheme)
+        cells = corner_and_interior_cells(shape)
+        rows, cols = zip(*cells)
+        g = np.stack([model.conductances(states)] * len(cells))
+        i_on, i_off = sense_currents(
+            g, rows, cols, scheme, model.v_read, model.reference_conductances
+        )
+        want_on, want_off = [], []
+        for r, c in cells:
+            forced = states.copy()
+            forced[r, c] = True
+            want_on.append(model.read_current(forced, r, c))
+            forced[r, c] = False
+            want_off.append(model.read_current(forced, r, c))
+        assert i_on.tobytes() == np.array(want_on).tobytes()
+        assert i_off.tobytes() == np.array(want_off).tobytes()
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_worst_case_currents_equal_two_read_currents(self, scheme):
+        model = ReadoutModel(scheme=scheme)
+        background = np.ones((7, 5), dtype=bool)
+        i_on = model.read_current(background, 0, 0)
+        background[0, 0] = False
+        i_off = model.read_current(background, 0, 0)
+        pair = np.array(model.worst_case_currents(7, 5))
+        assert pair.tobytes() == np.array([i_on, i_off]).tobytes()
 
 
 class TestReadoutEvaluator:

@@ -110,7 +110,7 @@ class TestLoopEquivalence:
         fleet, trace = small_fleet()
         ro = ElectricalReadout(resolution=0.55)
         batched = fleet.run(trace, chunk_size=37, readout=ro, **COLLECT)
-        loop = run_fleet_loop(fleet, trace, readout=ro, **COLLECT)
+        loop = run_fleet_loop(fleet, trace, space=SPACE, readout=ro, **COLLECT)
         assert_equal_runs(batched, loop)
         assert batched.electrical and loop.electrical
         assert batched.cache is not None
@@ -121,7 +121,7 @@ class TestLoopEquivalence:
         ro = ElectricalReadout(resolution=0.6)
         kw = dict(readout=ro, write_error_rate=0.05, seed=11, **COLLECT)
         batched = fleet.run(trace, chunk_size=17, **kw)
-        loop = run_fleet_loop(fleet, trace, **kw)
+        loop = run_fleet_loop(fleet, trace, space=SPACE, **kw)
         assert_equal_runs(batched, loop)
         # the run actually exercised ECC repair and masking
         assert int(batched.per_instance["misread_bits"].sum()) > 0
@@ -131,14 +131,14 @@ class TestLoopEquivalence:
         fleet, trace = small_fleet(accesses=100, seed=2)
         ro = ElectricalReadout(model=ReadoutModel(scheme="half_v"), resolution=0.4)
         batched = fleet.run(trace, chunk_size=29, readout=ro, **COLLECT)
-        loop = run_fleet_loop(fleet, trace, readout=ro, **COLLECT)
+        loop = run_fleet_loop(fleet, trace, space=SPACE, readout=ro, **COLLECT)
         assert_equal_runs(batched, loop)
 
     def test_ground_scheme_byte_identical(self):
         fleet, trace = small_fleet(accesses=100, seed=8)
         ro = ElectricalReadout(model=ReadoutModel(scheme="ground"), resolution=0.4)
         batched = fleet.run(trace, chunk_size=23, readout=ro, **COLLECT)
-        loop = run_fleet_loop(fleet, trace, readout=ro, **COLLECT)
+        loop = run_fleet_loop(fleet, trace, space=SPACE, readout=ro, **COLLECT)
         assert_equal_runs(batched, loop)
 
     @pytest.mark.parametrize("ecc", (None, SecdedCode(3)), ids=("raw", "secded"))
@@ -155,6 +155,7 @@ class TestLoopEquivalence:
         loop = run_fleet_loop(
             fleet,
             trace,
+            space=SPACE,
             readout=ElectricalReadout(LoopReadoutModel(scheme=scheme), resolution=0.5),
             **COLLECT,
         )
@@ -247,7 +248,7 @@ def digest_table(text: str) -> dict[str, str]:
     return dict(line.split() for line in text.split("\n") if line)
 
 
-def engine_batch_run():
+def engine_batch_run(max_banks=ElectricalReadout().max_banks):
     """The engine-batch electrical request: TC M=6, 1,024 x 2, float."""
     req = WorkloadRequest(
         "TC", 6, accesses=1024, instances=2, readout="float", resolution=0.55, seed=7
@@ -261,7 +262,7 @@ def engine_batch_run():
         seed=req.seed,
         write_fraction=req.write_fraction,
     )
-    ro = ElectricalReadout(resolution=req.resolution)
+    ro = ElectricalReadout(resolution=req.resolution, max_banks=max_banks)
     return fleet.run(trace, seed=req.seed, readout=ro, **COLLECT)
 
 
@@ -300,6 +301,36 @@ class TestBankCache:
         r = fleet.run(trace, readout=ro)
         assert r.cache["banks"] <= 4
         assert r.cache["evictions"] > 0
+
+    def test_one_lookup_per_read_cell(self):
+        """Both references of a read cell are one lookup and one solve."""
+        r = engine_batch_run(max_banks=1)
+        sensed = int(r.per_instance["sensed_bits"].sum())
+        assert r.cache["hits"] + r.cache["misses"] == sensed
+        assert r.cache["misses"] <= sensed
+        assert r.cache["evictions"] > 0
+
+    @pytest.mark.parametrize("chunk_size", (2, 1000))
+    def test_toggled_cell_reread_is_a_hit(self, chunk_size):
+        """Toggling a cell leaves its forced-OFF state, the memo key, as is."""
+        from repro.workload.traces import Trace
+
+        fleet, _ = small_fleet(instances=1)
+        trace = Trace(
+            "toggle",
+            addresses=np.zeros(6, dtype=np.int64),
+            is_write=np.array([True, False] * 3),
+            values=np.array([True, True, False, False, True, True]),
+            address_space=1,
+        )
+        r = fleet.run(
+            trace,
+            chunk_size=chunk_size,
+            readout=ElectricalReadout(),
+            collect_reads=True,
+        )
+        assert r.read_bits.tolist() == [[True, False, True]]
+        assert (r.cache["hits"], r.cache["misses"]) == (2, 1)
 
     def test_tiny_cache_results_unchanged(self):
         """Evictions cost speed, never correctness."""
@@ -355,7 +386,7 @@ class TestResolution:
 
         fleet, trace = small_fleet(accesses=10)
         bare = MemoryFleet(fleet._maps)
-        with pytest.raises(ValueError, match="spec/space"):
+        with pytest.raises(ValueError, match="sampled with a spec"):
             bare.run(trace, readout=ElectricalReadout())
         with pytest.raises(TypeError, match="ElectricalReadout"):
             fleet.run(trace, readout=ReadoutModel())
