@@ -2,9 +2,11 @@
 """Diff two ``BENCH_*.json`` trees and flag performance regressions.
 
 Every perf bench writes machine-readable gate numbers to
-``benchmarks/output/BENCH_<name>.json`` (see ``conftest.py``).  This
-tool compares two such trees — e.g. the committed baselines against a
-fresh ``./run_checks.sh`` run — and prints a per-gate table:
+``benchmarks/output/BENCH_<name>.json`` (see ``conftest.py``; the
+directory is git-ignored, so running a bench leaves the tree clean).
+This tool compares two such trees — e.g. the committed baselines in
+``benchmarks/baselines/`` against a fresh ``./run_checks.sh`` run —
+and prints a per-gate table:
 
 * **speedup gates** (keys containing ``speedup``) are machine-relative
   ratios and transfer across hosts; a drop beyond ``--max-regression``
@@ -21,10 +23,9 @@ fresh ``./run_checks.sh`` run — and prints a per-gate table:
 
 Usage::
 
-    # keep a baseline, re-run the benches, then diff
-    cp -r benchmarks/output /tmp/bench-baseline
+    # re-run the benches, then diff against the committed baselines
     ./run_checks.sh
-    python benchmarks/compare_bench.py /tmp/bench-baseline benchmarks/output
+    python benchmarks/compare_bench.py benchmarks/baselines benchmarks/output
 
 Exit status: 0 when no gated metric regressed beyond the threshold,
 1 otherwise, 2 for usage errors (e.g. no common BENCH files).

@@ -75,8 +75,10 @@ from repro.sim.batch import DEFAULT_MAX_TRIALS_PER_CHUNK, DEFAULT_STREAM_BLOCK
 #: any change that alters the canonical form of an existing request or
 #: the result bytes it maps to — digests then change, so stale store
 #: entries simply stop matching.  v2: the cave and write-error samplers
-#: draw one uniform per wire and one per flip.
-API_SCHEMA_VERSION = 2
+#: draw one uniform per wire and one per flip.  v3: float-scheme reads
+#: factor each bank state once in a fixed operation order, the same
+#: bits on every host.
+API_SCHEMA_VERSION = 3
 
 #: The Monte-Carlo request kinds.
 MC_KINDS = ("cavemc", "marginmc")
@@ -462,8 +464,8 @@ class WorkloadResult:
     store) reports: per-metric Welford summaries, the exhausted-instance
     fraction and — for electrical runs — the readout echo and the
     sense-current memo counts, one lookup per read cell under its
-    forced-OFF bank state: ``hits`` (read cells served without a solve),
-    ``misses`` (read cells solved, one solve each for both references),
+    bank's state: ``misses`` (read cells whose bank state had to be
+    factored, one factorization each), ``hits`` (the other read cells),
     ``evictions``, ``banks`` and ``hit_rate``.  ``cache`` depends on
     chunk boundaries and is excluded
     from the byte-identity contract (documented on

@@ -25,7 +25,7 @@ from repro.codes.base import CodeSpace
 from repro.crossbar.defects import DefectMap, sample_defect_map
 from repro.crossbar.readout import ReadoutModel
 from repro.crossbar.spec import CrossbarSpec
-from repro.sim.readout import sense_currents, slab_pairs
+from repro.sim.readout import sense_currents, slab_states
 
 
 class AddressingFault(RuntimeError):
@@ -115,17 +115,17 @@ class CrossbarArray:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(stored bits, I_if_on, I_if_off) of a batch of crosspoints.
 
-        Each crosspoint's cave-sized bank is solved with the selected
+        Each crosspoint's cave-sized bank is read with the selected
         cell forced ON and forced OFF (same data background); the
         reference whose forced state equals the stored bit *is* the
-        measured current.  The two forced banks differ only in the
-        selected cell, which enters no free-node system, so every
-        cell's bank is solved once for both references
-        (:attr:`ReadoutModel.reference_conductances`), stacked per bank
-        shape in slabs of :func:`~repro.sim.readout.slab_pairs`; a
-        batch reads the same floats as its cells read one at a time.
-        Raises :class:`AddressingFault` on the first inaccessible
-        crosspoint.
+        measured current.  The selected cell joins the driven row to
+        the sensed column, so both references of every cell read from
+        a bank come from that bank's one factorization
+        (:attr:`ReadoutModel.reference_conductances`): the distinct
+        banks are stacked per bank shape in slabs of
+        :func:`~repro.sim.readout.slab_states` and factored once each.
+        A cell reads the same floats in any batch.  Raises
+        :class:`AddressingFault` on the first inaccessible crosspoint.
         """
         rows = np.asarray(rows, dtype=int).ravel()
         cols = np.asarray(cols, dtype=int).ravel()
@@ -134,21 +134,27 @@ class CrossbarArray:
         for r, c in zip(rows.tolist(), cols.tolist()):
             self._check_access(r, c)
         per = self.spec.wires_per_cave
+        n_rows, n_cols = self.shape
         r0 = rows // per * per
         c0 = cols // per * per
-        heights = np.minimum(r0 + per, self.shape[0]) - r0
-        widths = np.minimum(c0 + per, self.shape[1]) - c0
+        heights = np.minimum(r0 + per, n_rows) - r0
+        widths = np.minimum(c0 + per, n_cols) - c0
         model = self.readout
         i_on = np.empty(rows.size)
         i_off = np.empty(rows.size)
         for h, w in sorted(set(zip(heights.tolist(), widths.tolist()))):
             members = np.flatnonzero((heights == h) & (widths == w))
-            step = slab_pairs(h, w)
-            for start in range(0, members.size, step):
-                idx = members[start : start + step]
+            origins, which = np.unique(
+                r0[members] * n_cols + c0[members], return_inverse=True
+            )
+            step = slab_states(h, w)
+            for start in range(0, origins.size, step):
+                slab = origins[start : start + step]
+                mine = (which >= start) & (which < start + step)
+                idx = members[mine]
                 banks = self._states[
-                    r0[idx, None, None] + np.arange(h)[:, None],
-                    c0[idx, None, None] + np.arange(w),
+                    (slab // n_cols)[:, None, None] + np.arange(h)[:, None],
+                    (slab % n_cols)[:, None, None] + np.arange(w),
                 ]
                 # a (k * h, w) view keeps ReadoutModel.conductances' own
                 # arithmetic for the whole stack
@@ -160,6 +166,7 @@ class CrossbarArray:
                     model.scheme,
                     model.v_read,
                     model.reference_conductances,
+                    which=which[mine] - start,
                 )
         if np.any(i_on <= 0):
             raise AddressingFault("non-positive reference current")
@@ -176,7 +183,8 @@ class CrossbarArray:
         — the cave-sized bank is solved with the selected cell forced ON
         and forced OFF (same background), and the measured current is
         classified to the nearer reference.  Both references come from
-        one paired solve per cell (:meth:`_forced_references`).
+        the one factorization of the cell's bank
+        (:meth:`_forced_references`).
         """
         stored, i_on, i_off = self._forced_references(rows, cols)
         current = np.where(stored, i_on, i_off)

@@ -21,9 +21,13 @@ worst-case background (all other cells ON) against a selected OFF cell
 in the same background.
 
 Reads run on the one solver of :mod:`repro.sim.readout`,
-:func:`~repro.sim.readout.sense_currents`: :meth:`ReadoutModel.read_current`
-is its one-cell call, and it is byte-identical to the original per-cell
-Python stamping loop (kept with the test oracles).
+:func:`~repro.sim.readout.sense_currents`, which factors each bank state
+once in a fixed operation order (result bytes v3: the same bits on every
+host).  :meth:`ReadoutModel.read_current` is its one-cell call and
+:meth:`ReadoutModel.reference_currents` its one-cell dual-reference
+call; the scalar oracle kept with the tests repeats the same arithmetic
+one cell at a time, bit for bit, and the per-cell free-node solve it
+replaced stays there as the tolerance reference (within 1e-12).
 """
 
 from __future__ import annotations
@@ -99,10 +103,10 @@ class ReadoutModel:
     def read_current(self, states: np.ndarray, row: int, col: int) -> float:
         """Sense current [A] when reading crosspoint (row, col).
 
-        Solves the nodal equations of the full bank.  The selected row
-        is driven at ``v_read`` and the selected column is held at
-        virtual ground by the sense amplifier; unselected lines follow
-        the biasing scheme.
+        Solves the nodal equations of the full bank (one factorization
+        of ``states``).  The selected row is driven at ``v_read`` and the
+        selected column is held at virtual ground by the sense
+        amplifier; unselected lines follow the biasing scheme.
         """
         g = self.conductances(states)
         rows, cols = g.shape
@@ -119,10 +123,34 @@ class ReadoutModel:
         """Selected-cell conductances of the forced-ON and forced-OFF reads.
 
         The ``selected`` argument of :func:`~repro.sim.readout.sense_currents`
-        that gives both dual-sensing references from one solve per cell,
-        each equal to :meth:`read_current` of the forced state bit for bit.
+        that gives both dual-sensing references from the one
+        factorization of a cell's bank.  The reference whose forced state
+        is the cell's own equals :meth:`read_current` bit for bit; the
+        other equals :meth:`read_current` of the forced state within
+        rounding (the same circuit, factored from the other state).
         """
         return 1.0 / self.r_on, 1.0 / self.r_off
+
+    def reference_currents(
+        self, states: np.ndarray, row: int, col: int
+    ) -> tuple[float, float]:
+        """(I_on, I_off) of crosspoint (row, col) forced ON and forced OFF.
+
+        Both references come from one factorization of ``states`` (the
+        bank with the cell as stored): the one-cell call of the
+        dual-reference reads of :class:`~repro.crossbar.array.CrossbarArray`
+        and of the electrical workload engine.
+        """
+        g = self.conductances(states)
+        rows, cols = g.shape
+        if not 0 <= row < rows or not 0 <= col < cols:
+            raise ReadoutError(f"selected cell ({row}, {col}) outside {g.shape}")
+        from repro.sim.readout import sense_currents
+
+        i_on, i_off = sense_currents(
+            g[None], [row], [col], self.scheme, self.v_read, self.reference_conductances
+        )[:, 0].tolist()
+        return i_on, i_off
 
     # -- margins -----------------------------------------------------------------
 
@@ -130,13 +158,7 @@ class ReadoutModel:
         """(I_on, I_off) of a selected cell in the all-ON worst background."""
         if rows < 1 or cols < 1:
             raise ReadoutError("bank must have at least one row and column")
-        from repro.sim.readout import sense_currents
-
-        g = self.conductances(np.ones((rows, cols), dtype=bool))
-        i_on, i_off = sense_currents(
-            g[None], [0], [0], self.scheme, self.v_read, self.reference_conductances
-        )[:, 0].tolist()
-        return i_on, i_off
+        return self.reference_currents(np.ones((rows, cols), dtype=bool), 0, 0)
 
     def sense_margin(self, rows: int, cols: int) -> float:
         """Relative worst-case margin ``(I_on - I_off) / I_on``.

@@ -2,12 +2,15 @@
 
 A shard worker holds a *lease* while it computes: a small JSON file
 under ``<job_dir>/leases/`` that a daemon thread re-writes every
-``ttl / 4`` seconds.  Liveness is judged entirely by the file's mtime —
-a lease older than its TTL means the worker stopped renewing, whether
-it was SIGKILLed, segfaulted, or froze with every thread stopped — so
-the signal works across processes and across hosts sharing the job
-directory over a network filesystem, with no sockets or signals
-involved.
+``ttl / 4`` seconds.  Liveness is judged by the supervisor's own clock
+(:class:`LeaseWatch`): a lease the supervisor has not seen change for
+longer than its TTL (``time.monotonic``) means the worker stopped
+renewing, whether it was SIGKILLed, segfaulted, or froze with every
+thread stopped.  No two clocks are ever compared, so a lease written
+by a host whose clock runs ahead still expires, and one written by a
+host whose clock runs behind is not taken for dead; the signal works
+across processes and across hosts sharing the job directory over a
+network filesystem, with no sockets or signals involved.
 
 Renewal is a :func:`repro.durable.atomic_write` like every other write
 in the job directory: a reader never sees a half-written lease.  On
@@ -46,7 +49,12 @@ def lease_path_for(job_dir: str | Path, shard: ShardSpec) -> Path:
 
 
 def read_lease(path: str | Path) -> dict | None:
-    """The lease document plus its ``age_s``, or None if absent/unreadable."""
+    """The lease document plus its ``age_s``, or None if absent/unreadable.
+
+    ``age_s`` compares the file's mtime with this host's wall clock: a
+    status figure only (another host's clock may differ), never the
+    staleness judgment, which is :class:`LeaseWatch`'s.
+    """
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -56,13 +64,39 @@ def read_lease(path: str | Path) -> dict | None:
         return None
 
 
-def lease_is_stale(path: str | Path, ttl_s: float | None = None) -> bool:
-    """True when the lease exists but stopped being renewed for > TTL."""
-    doc = read_lease(path)
-    if doc is None:
-        return False
-    ttl = ttl_s if ttl_s is not None else float(doc.get("ttl_s", DEFAULT_LEASE_TTL_S))
-    return doc["age_s"] > ttl
+class LeaseWatch:
+    """Lease staleness by the watcher's own monotonic clock.
+
+    Each :meth:`stale` call stats the lease file; whenever its identity
+    (inode, mtime, ctime, size) differs from the last call's, the file
+    was renewed and the watcher notes ``time.monotonic()``.  A lease
+    that has not changed for more than ``ttl_s`` of the watcher's time
+    is stale — whatever clock the file's timestamps came from.
+    """
+
+    def __init__(self, ttl_s: float) -> None:
+        self.ttl_s = float(ttl_s)
+        self._seen: dict[Path, tuple[tuple, float]] = {}
+
+    def stale(self, path: str | Path) -> bool:
+        """True when ``path`` exists and has not changed for > TTL."""
+        path = Path(path)
+        now = time.monotonic()
+        try:
+            st = path.stat()
+        except OSError:
+            self._seen.pop(path, None)
+            return False
+        mark = (st.st_ino, st.st_mtime_ns, st.st_ctime_ns, st.st_size)
+        seen = self._seen.get(path)
+        if seen is None or seen[0] != mark:
+            self._seen[path] = (mark, now)
+            return False
+        return now - seen[1] > self.ttl_s
+
+    def forget(self, path: str | Path) -> None:
+        """Drop what was seen of ``path`` (its worker is gone)."""
+        self._seen.pop(Path(path), None)
 
 
 class Lease:

@@ -7,8 +7,9 @@ supervisor loop built for the failure modes the chaos suite injects:
   unhandled exception).  Its shard is re-queued with exponential
   backoff, up to ``retries`` extra attempts.
 * **hung worker** — the child is alive but its lease (see
-  :mod:`repro.dist.lease`) stopped being renewed for longer than its
-  TTL.  The supervisor SIGKILLs it and re-queues the shard.
+  :mod:`repro.dist.lease`) has not changed for longer than its TTL of
+  the supervisor's own monotonic clock, whatever clock stamped the
+  file.  The supervisor SIGKILLs it and re-queues the shard.
 * **corrupt result** — the child exited 0 but its result file fails
   :func:`repro.dist.manifest.validate_result` (truncated, wrong keys).
   The bad file is deleted and the shard re-queued.
@@ -27,7 +28,8 @@ sentinels, so a worker's exit wakes it at once and the next ready
 shard starts in the freed slot without delay.  The wait is bounded by
 the next backoff expiry (when a slot is free) and by the next lease
 check, which runs every ``lease_ttl_s / 4`` — the cadence workers
-renew at — so a hung worker is SIGKILLed within about 1.25 TTL.
+renew at — so a hung worker is SIGKILLed within about 1.25 TTL of the
+supervisor first seeing its last renewal.
 
 Every supervision event is appended to ``<job_dir>/supervisor.jsonl``
 (the audit log ``repro shard status`` reads for retry counts) and
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro import faults, obs, schema
-from repro.dist.lease import lease_is_stale, lease_path_for
+from repro.dist.lease import LeaseWatch, lease_path_for
 from repro.dist.spec import ShardSpec
 from repro.durable import append_line, atomic_write
 
@@ -259,9 +261,11 @@ def launch(
     completed: set[int] = set()
     retried: dict[int, int] = {}
     failures: list[ShardFailure] = []
+    watch = LeaseWatch(lease_ttl_s)
 
     def _fail(run: _Running, reason: str) -> None:
         shard = run.shard
+        watch.forget(lease_path_for(job_dir, shard))
         try:
             lease_path_for(job_dir, shard).unlink()
         except OSError:
@@ -369,9 +373,7 @@ def launch(
     def _check_leases() -> None:
         for run in running.values():
             lease_path = lease_path_for(job_dir, run.shard)
-            if run.killed_reason is None and lease_is_stale(
-                lease_path, lease_ttl_s
-            ):
+            if run.killed_reason is None and watch.stale(lease_path):
                 obs.counter("dist.lease_expired")
                 log_event(
                     job_dir,

@@ -9,8 +9,9 @@ the chunking and reproducibility contract.
 
 :mod:`repro.sim.readout` extends the same engine pattern to the
 deterministic sneak-path solver: :func:`~repro.sim.readout.sense_currents`
-solves a stack of (bank state, selected cell) pairs in one call, and
-every crossbar read — :class:`repro.crossbar.readout.ReadoutModel`,
+factors a stack of bank states once each, in a fixed operation order,
+and reads any cells of them, and every crossbar read —
+:class:`repro.crossbar.readout.ReadoutModel`,
 :class:`repro.crossbar.array.CrossbarArray` and the electrical workload
 engine — goes through it.
 """

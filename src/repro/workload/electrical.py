@@ -16,56 +16,59 @@ one instance per task with its own state, memo and error stream, so
 results and cache counts are the same at any thread width.  Per
 instance and chunk:
 
-1. **Replay.** The chunk is split into *segments* — maximal runs of
-   same-type accesses.  Write segments scatter with explicit keep-last
-   dedupe; read segments record, per valid read cell, its stored bit
-   and the digest of its forced-OFF state (the cave-sized bank with
-   the cell forced OFF: the bank's own state when the cell is OFF,
-   whose digest is memoized until a write changes the bank).
-2. **Lookup.** The cell's two references — the bank with the cell
-   forced ON and forced OFF — differ only in the cell itself, which
-   enters no free-node system, so one solve gives both and the pair is
-   a pure function of the forced-OFF state and the cell.  Each read
-   cell is one lookup in the instance's memo of reference pairs, keyed
-   by (forced-OFF state digest, cell): an LRU
-   :class:`~repro.sim.readout.BankCache` of forced-OFF states bounded
-   by ``max_banks``.  A write that toggles the cell itself leaves its
-   key as is, so a hot cell read again after a toggle costs no solve.
-   A miss queues a snapshot of the bank.
-3. **Slab solves.** Once the queue holds a slab
-   (:func:`~repro.sim.readout.slab_pairs`) or the replay ends, the
-   queued misses go to :func:`~repro.sim.readout.sense_currents` as one
-   paired stack: one ``np.linalg.solve`` call per slab, one system per
-   read cell for both its references.
-4. **Classification.** Margins, misread counts and the SECDED decode
+1. **Replay.**  The chunk is split into *segments* — maximal runs of
+   same-type accesses.  The chunk's surviving writes (the last per
+   address within each write segment, valid for the instance) are
+   resolved to cells, banks and values once; each write segment then
+   scatters its slice of them.  Read segments record, per valid read
+   cell, its stored bit and the digest of its bank's actual state (the
+   cave-sized bank, digested once and memoized until a write changes
+   it).
+2. **Lookup.**  A read cell's two references — the bank with the cell
+   forced ON and forced OFF — both come from one factorization of the
+   bank's actual state (the selected cell joins the driven row to the
+   sensed column, so it enters no factor), and so does every other
+   cell read from that state.  Each read cell is one lookup in the
+   instance's memo, an LRU :class:`~repro.sim.readout.BankCache` of
+   bank states bounded by ``max_banks``; an entry keeps the state's
+   reference pairs and, while some bank holds the state, its factors.
+   So any cell of an unchanged bank costs no factorization; a write
+   that changes the bank gives it a new state, and a state no bank
+   holds any more keeps only its pairs.  A state without factors
+   queues a snapshot of the bank.
+3. **Slab factorizations.**  Once the queue holds a slab of states
+   (:func:`~repro.sim.readout.slab_states`) or the replay ends, the
+   queued states are factored together
+   (:func:`~repro.sim.readout.factor_banks`, once per state) and every
+   queued cell is read from its state's factors
+   (:func:`~repro.sim.readout.bank_currents`).
+4. **Classification.**  Margins, misread counts and the SECDED decode
    of payload bit 0 (:func:`~repro.crossbar.ecc.decode_first_bits`)
    run once over all of the chunk's reads.
 
-``WorkloadResult.cache`` reports the memo: ``hits`` are read cells
-served without a solve, ``misses`` the solved ones (one solve each),
-``evictions`` the forced-OFF states the LRU bound dropped, ``banks``
-the most forced-OFF states one instance's memo holds, and ``hit_rate``
-is hits over lookups (read cells).
+``WorkloadResult.cache`` reports the memo: ``misses`` are read cells
+whose bank state had to be factored (one factorization each),
+``hits`` the read cells served from a state already held or queued,
+``evictions`` the states the LRU bound dropped, ``banks`` the most
+states one instance's memo holds, and ``hit_rate`` is hits over
+lookups (read cells).
 
 Equivalence contract
 --------------------
 The scalar reference (kept with the test oracles) executes the same
 semantics one access at a time: it writes through
 :class:`~repro.crossbar.array.CrossbarArray` on the *same* defect maps
-and senses each crosspoint with one ``read_current`` per forced bank
-(two solves where :meth:`CrossbarArray.read_bits` makes one paired
-solve).  Batched results are
-byte-identical and chunk-size invariant: every reference current is
-computed with the exact arithmetic of :meth:`ReadoutModel.read_current`
-(the stacked kernel runs one LAPACK ``gesv`` per system, ``read_current``
-is its one-cell call, and the paired call changes only the selected
-cell's term of the final sum) and only memoized — never
-approximated — so cached and fresh values are the same floats.  Cache
+and senses each crosspoint with one ``reference_currents`` call on its
+bank as stored.  Batched results are byte-identical and chunk-size
+invariant: a state's factors and a cell's currents depend on that
+state and cell alone (fixed-order elementwise arithmetic, no BLAS
+reduction), and they are only memoized — never approximated — so
+cached and fresh values are the same floats, on every host.  Cache
 counts are the one exception: LRU evictions make them depend on chunk
 boundaries, so they are reported for diagnostics only.  The engine
 takes a plain :class:`ReadoutModel` and has no other sensing path; a
 per-cell reference solver plugs into the oracle alone, through its
-``read_current``.
+``reference_currents``.
 """
 
 from __future__ import annotations
@@ -82,13 +85,20 @@ from repro.crossbar.array import AddressingFault
 from repro.crossbar.ecc import decode_first_bits, pack_blocks
 from repro.crossbar.readout import ReadoutError, ReadoutModel, check_resolution
 from repro.sim.batch import parallel_map
-from repro.sim.readout import BankCache, sense_currents, slab_pairs, state_digest
+from repro.sim.readout import (
+    BankCache,
+    bank_currents,
+    factor_banks,
+    sense_currents,
+    slab_states,
+    state_digest,
+)
 from repro.workload.traces import Trace
 
 #: Default number of histogram bins over the [0, 1] margin range.
 DEFAULT_MARGIN_BINS = 20
 
-#: Default bound on distinct forced-OFF bank states per instance memo.
+#: Default bound on distinct bank states per instance memo.
 DEFAULT_MAX_BANKS = 256
 
 
@@ -109,8 +119,8 @@ class ElectricalReadout:
     margin_bins:
         Histogram bins over the [0, 1] relative-margin range.
     max_banks:
-        Bound on distinct forced-OFF bank states kept in each
-        instance's memo of reference pairs (LRU beyond it).
+        Bound on distinct bank states kept in each instance's memo of
+        bank factors (LRU beyond it).
     """
 
     model: ReadoutModel = field(default_factory=ReadoutModel)
@@ -134,22 +144,44 @@ class ElectricalReadout:
             )
 
 
-class _Sensor:
-    """One instance's reference currents: LRU memo, miss queue, slab solves.
+class _Bank:
+    """Memo entry of one bank state: its factors and its cells' references.
 
-    A read cell's forced-ON and forced-OFF banks differ only in the
-    cell itself, which enters no free-node system, so one solve gives
-    both references, and the pair is a pure function of the forced-OFF
-    bank state and the cell.  It is memoized per ``(forced-OFF state
-    digest, cell)`` — an LRU :class:`~repro.sim.readout.BankCache` of
-    forced-OFF states, each holding a ``{cell: (i_on, i_off)}`` dict.
-    :meth:`slot` hands out one slot of :attr:`values` per read cell and
-    counts one lookup: a hit is served without a solve, a miss queues a
-    snapshot of the bank for one solve.  Queued misses are solved
-    together once the queue holds a slab (or at :meth:`flush`), so the
-    memo changes cost, never values.  Every miss is solved by
+    While factored, ``bits`` is the state packed eight cells a byte and
+    ``floats`` its row sums, pivots and packed multipliers in one array
+    (``None`` for the fixed-line schemes, which need no factors).
+    """
+
+    __slots__ = ("shape", "bits", "floats", "pairs", "queued")
+
+    def __init__(self) -> None:
+        self.shape: tuple[int, int] | None = None
+        self.bits: np.ndarray | None = None
+        self.floats: np.ndarray | None = None
+        self.pairs: dict[tuple[int, int], tuple[float, float]] = {}
+        self.queued = False
+
+
+class _Sensor:
+    """One instance's reference currents: LRU memo, queues, slab factorizations.
+
+    Both references of a read cell (the cell forced ON and forced OFF)
+    come from one factorization of the bank's actual state, and so does
+    every other cell read from that state.  The memo is an LRU
+    :class:`~repro.sim.readout.BankCache` keyed by the bank's state
+    digest; each entry keeps a ``{cell: (i_on, i_off)}`` dict and the
+    state's factors, which are dropped at the next flush once no bank
+    holds the state (:meth:`hold` / :meth:`release`), so they take
+    memory for the banks' current states only.  :meth:`slot` hands out
+    one slot of :attr:`values` per read cell and counts one lookup: a
+    *miss* is a read cell whose bank state must be factored (a state
+    the memo holds no factors for), a *hit* any other read cell.
+    Misses queue a snapshot of the bank; queued states are factored
+    together once the queue holds a slab (or at :meth:`flush`), and
+    then every queued cell is read from its state's factors, so the
+    memo changes cost, never values.  Factors and reads are those of
     :func:`~repro.sim.readout.sense_currents` on the model's
-    conductances, the arithmetic of :meth:`ReadoutModel.read_current`.
+    conductances, the arithmetic of :meth:`ReadoutModel.reference_currents`.
     """
 
     def __init__(self, model: ReadoutModel, max_banks: int, slab: int) -> None:
@@ -158,63 +190,122 @@ class _Sensor:
         self.slab = slab
         self.hits = 0
         self.misses = 0
-        self.values: list[tuple[float, float]] = []
+        self.values: list[tuple[float, float] | None] = []
         self._pending: dict[tuple[bytes, int, int], int] = {}
-        self._queue: list[tuple[int, np.ndarray, int, int, dict]] = []
+        self._cells: list[tuple[int, _Bank, int, int]] = []
+        self._states: list[tuple[_Bank, np.ndarray]] = []
+        self._held: dict[bytes, int] = {}
+        self._released: list[bytes] = []
+
+    def hold(self, digest: bytes) -> None:
+        """A bank now holds the state ``digest``."""
+        self._held[digest] = self._held.get(digest, 0) + 1
+
+    def release(self, digest: bytes) -> None:
+        """A bank left the state ``digest``; with no holder left, the
+        state's factors are dropped at the next flush (its pairs stay)."""
+        left = self._held[digest] - 1
+        if left:
+            self._held[digest] = left
+        else:
+            del self._held[digest]
+            self._released.append(digest)
 
     def slot(self, digest: bytes, block: np.ndarray, lr: int, lc: int) -> int:
         """Slot of the ``(i_on, i_off)`` pair of cell ``(lr, lc)`` of ``block``.
 
-        ``digest`` is the block's digest with the cell forced OFF.
+        ``digest`` is the digest of ``block``, the bank's actual state.
         """
-        entry = self.memo.get(digest, dict)
-        pair = entry.get((lr, lc))
+        bank = self.memo.get(digest, _Bank)
+        pair = bank.pairs.get((lr, lc))
         if pair is not None:
             self.hits += 1
             self.values.append(pair)
             return len(self.values) - 1
         key = (digest, lr, lc)
         slot = self._pending.get(key)
-        if slot is not None:
+        if slot is None:
+            slot = self._pending[key] = len(self.values)
+            self.values.append(None)
+            self._cells.append((slot, bank, lr, lc))
+        if bank.bits is not None or bank.queued:
             self.hits += 1
             return slot
-        slot = len(self.values)
-        self.values.append((math.nan, math.nan))
-        self._pending[key] = slot
-        self._queue.append((slot, block.copy(), lr, lc, entry))
-        if len(self._queue) >= self.slab:
+        self.misses += 1
+        bank.queued = True
+        self._states.append((bank, block.copy()))
+        if len(self._states) >= self.slab:
             self.flush()
         return slot
 
     def flush(self) -> None:
-        """Solve every queued miss: one stacked solve per bank shape."""
-        queue = self._queue
-        if not queue:
-            return
+        """Factor every queued state, then read every queued cell."""
         model = self.model
-        groups: dict[tuple[int, int], list[int]] = {}
-        for k, item in enumerate(queue):
-            groups.setdefault(item[1].shape, []).append(k)
-        currents = np.empty((2, len(queue)))
-        for (_, cols), members in groups.items():
-            banks = np.stack([queue[k][1] for k in members])
-            # a (k * rows, cols) view keeps ReadoutModel.conductances'
-            # own arithmetic for the whole stack
-            g = model.conductances(banks.reshape(-1, cols))
-            currents[:, members] = sense_currents(
-                g.reshape(banks.shape),
-                [queue[k][2] for k in members],
-                [queue[k][3] for k in members],
-                model.scheme,
-                model.v_read,
-                model.reference_conductances,
-            )
-        for (slot, _, lr, lc, entry), pair in zip(queue, zip(*currents.tolist())):
-            self.values[slot] = pair
-            entry[(lr, lc)] = pair
-        self.misses += len(queue)
-        queue.clear()
+        shapes: dict[tuple[int, int], list] = {}
+        for bank, state in self._states:
+            shapes.setdefault(state.shape, []).append((bank, state))
+        for shape, members in shapes.items():
+            states = np.stack([state for _, state in members])
+            bits = np.packbits(states.reshape(len(members), -1), axis=1)
+            floats = [None] * len(members)
+            if model.scheme == "float":
+                factors = factor_banks(states, *model.reference_conductances)
+                d_row, low, piv = factors[3:]
+                floats = np.concatenate([d_row, piv.T, low.T], axis=1)
+            for k, (bank, _) in enumerate(members):
+                # copies, so an entry never pins its whole slab
+                bank.shape = shape
+                bank.bits = bits[k].copy()
+                bank.floats = None if floats[k] is None else floats[k].copy()
+                bank.queued = False
+        self._states.clear()
+
+        groups: dict[tuple[int, int], list] = {}
+        for item in self._cells:
+            groups.setdefault(item[1].shape, []).append(item)
+        for (rows, cols), cells in groups.items():
+            index: dict[int, int] = {}
+            banks = []
+            which = []
+            for _, bank, _, _ in cells:
+                k = index.setdefault(id(bank), len(banks))
+                if k == len(banks):
+                    banks.append(bank)
+                which.append(k)
+            packed = np.stack([b.bits for b in banks])
+            states = np.unpackbits(packed, axis=1, count=rows * cols).view(bool)
+            states = states.reshape(-1, rows, cols)
+            lrs = [c[2] for c in cells]
+            lcs = [c[3] for c in cells]
+            refs = model.reference_conductances
+            if model.scheme == "float":
+                m = cols - 1
+                floats = np.stack([b.floats for b in banks])
+                factors = (
+                    states,
+                    *refs,
+                    floats[:, :rows],
+                    floats[:, rows + m :].T,
+                    floats[:, rows : rows + m].T,
+                )
+                currents = bank_currents(factors, which, lrs, lcs, model.v_read, refs)
+            else:
+                # a (k * rows, cols) view keeps ReadoutModel.conductances'
+                # own arithmetic for the whole stack
+                g = model.conductances(states.reshape(-1, cols)).reshape(states.shape)
+                currents = sense_currents(
+                    g, lrs, lcs, model.scheme, model.v_read, refs, which=which
+                )
+            for (slot, bank, lr, lc), pair in zip(cells, zip(*currents.tolist())):
+                self.values[slot] = pair
+                bank.pairs[(lr, lc)] = pair
+        self._cells.clear()
         self._pending.clear()
+        for digest in self._released:
+            bank = self.memo.peek(digest)
+            if bank is not None and digest not in self._held:
+                bank.bits = bank.floats = None
+        self._released.clear()
 
 
 def _segments(is_write: np.ndarray) -> list[tuple[int, int, bool]]:
@@ -253,7 +344,7 @@ def run_electrical_batched(
     nbc = -(-side_cols // per)
     arange_bb = np.arange(bb)
 
-    slab = slab_pairs(min(per, side), min(per, side_cols))
+    slab = slab_states(min(per, side), min(per, side_cols))
     sensors = [_Sensor(readout.model, readout.max_banks, slab) for _ in range(inst)]
     states = [np.zeros((side, side_cols), dtype=bool) for _ in range(inst)]
     digests: list[dict[int, bytes]] = [{} for _ in range(inst)]
@@ -288,6 +379,16 @@ def run_electrical_batched(
         # [s, e) holds reads r_before[s] .. r_before[e] - 1
         r_before = np.r_[0, np.cumsum(~w)]
         ar = a[~w]
+        aw = a[w]
+        # last write per address within each write segment (segments
+        # are told apart by the reads before them); trace order kept
+        seg_w = r_before[:-1][w]
+        order = np.lexsort((aw, seg_w))
+        sa, ss = aw[order], seg_w[order]
+        last = np.ones(n_w, dtype=bool)
+        last[order[:-1]] = (sa[1:] != sa[:-1]) | (ss[1:] != ss[:-1])
+        # write-index bounds of each write segment, in trace order
+        w_bounds = np.r_[0, np.cumsum([e - s for s, e, is_w in segments if is_w])]
         clean_blocks_w = (
             np.where(vw[:, None], fleet._enc[1], fleet._enc[0])
             if code is not None and n_w
@@ -313,9 +414,19 @@ def run_electrical_batched(
             if n_w and flips[i] is not None:
                 written = written.copy()
                 written.reshape(-1)[flips[i].take(n_w * bb)] ^= True
-            vals_w, blocks_w = (written, None) if code is None else (None, written)
 
             remap = fleet._remaps[i]
+            # every surviving valid write of the chunk: its cells, banks
+            # and values, and where each write segment's run of them lies
+            kept = np.flatnonzero(last & (aw < cap))
+            if code is None:
+                phys_w = remap[aw[kept]]
+            else:
+                phys_w = remap[aw[kept][:, None] * bb + arange_bb]
+            new_w = written[kept]
+            bank_w = (phys_w // side_cols // per) * nbc + (phys_w % side_cols) // per
+            seg_lo = np.searchsorted(kept, w_bounds).tolist()
+            w_seg = 0
             st = states[i]
             st_flat = st.reshape(-1)
             dig = digests[i]
@@ -344,64 +455,38 @@ def run_electrical_batched(
             stored = np.empty(cells.size, dtype=bool)
             slots = np.empty(cells.size, dtype=np.intp)
 
-            w_cursor = 0
             for seg_start, seg_stop, seg_is_write in segments:
                 if not seg_is_write:
-                    # look up every read cell's reference pair under
-                    # its forced-OFF state; misses queue up for the slab
-                    # solves
+                    # look up every read cell's reference pair under its
+                    # bank's state; new states queue up for the slab
+                    # factorizations
                     lo = int(v_before[r_before[seg_start]]) * bb
                     hi = int(v_before[r_before[seg_stop]]) * bb
+                    stored[lo:hi] = st_flat[cells[lo:hi]]
                     for t in range(lo, hi):
-                        lr, lc = lrs[t], lcs[t]
                         r0, c0 = r0s[t], c0s[t]
                         block = st[r0 : r0 + per, c0 : c0 + per]
-                        bit = bool(block[lr, lc])
-                        if bit:
-                            block = block.copy()
-                            block[lr, lc] = False
-                            d = state_digest(block)
-                        else:
-                            # an OFF cell's forced-OFF state is the bank's
-                            # own, digested once until a write changes it
-                            d = dig.get(bids[t])
-                            if d is None:
-                                d = dig[bids[t]] = state_digest(block)
-                        stored[t] = bit
-                        slots[t] = sensor.slot(d, block, lr, lc)
+                        # digested once until a write changes the bank
+                        d = dig.get(bids[t])
+                        if d is None:
+                            d = dig[bids[t]] = state_digest(block)
+                            sensor.hold(d)
+                        slots[t] = sensor.slot(d, block, lrs[t], lcs[t])
                     continue
 
                 t_seg = perf_counter() if timed else 0.0
-                seg_valid = a[seg_start:seg_stop] < cap
-                k = seg_stop - seg_start
-                if code is None:
-                    seg_vals = vals_w[w_cursor : w_cursor + k][seg_valid]
-                else:
-                    seg_blocks = blocks_w[w_cursor : w_cursor + k][seg_valid]
-                w_cursor += k
-                av = a[seg_start:seg_stop][seg_valid]
-                if av.size:
-                    # last write per address wins within the run
-                    order = np.argsort(av, kind="stable")
-                    av_s = av[order]
-                    keep = np.empty(av_s.size, dtype=bool)
-                    keep[:-1] = av_s[1:] != av_s[:-1]
-                    keep[-1] = True
-                    if code is None:
-                        phys = remap[av_s[keep]]
-                        new = seg_vals[order][keep]
-                    else:
-                        phys = remap[
-                            av_s[keep][:, None] * bb + arange_bb
-                        ].reshape(-1)
-                        new = seg_blocks[order][keep].reshape(-1)
+                lo_w, hi_w = seg_lo[w_seg], seg_lo[w_seg + 1]
+                w_seg += 1
+                if hi_w > lo_w:
+                    phys = phys_w[lo_w:hi_w]
+                    new = new_w[lo_w:hi_w]
                     changed = st_flat[phys] != new
                     if changed.any():
                         st_flat[phys] = new
-                        cp = phys[changed]
-                        wb = (cp // side_cols // per) * nbc + (cp % side_cols) // per
-                        for bid in np.unique(wb).tolist():
-                            dig.pop(bid, None)
+                        for bid in set(bank_w[lo_w:hi_w][changed].tolist()):
+                            old = dig.pop(bid, None)
+                            if old is not None:
+                                sensor.release(old)
                 if timed:
                     inst_write_s += perf_counter() - t_seg
 
@@ -482,11 +567,11 @@ def run_electrical_batched(
 def _cache_stats(sensors: Sequence[_Sensor]) -> dict:
     """Fleet totals of the per-instance sense-current memos.
 
-    One lookup per read cell: ``hits`` counts read cells served without
-    a solve, ``misses`` the solved ones, ``evictions`` forced-OFF states
-    dropped by the LRU bound; ``banks`` is the most forced-OFF states
-    any one instance's memo holds (each memo is bounded by
-    ``max_banks``).
+    One lookup per read cell: ``misses`` counts read cells whose bank
+    state had to be factored (one factorization each), ``hits`` the
+    others, ``evictions`` bank states dropped by the LRU bound;
+    ``banks`` is the most states any one instance's memo holds (each
+    memo is bounded by ``max_banks``).
     """
     hits = sum(s.hits for s in sensors)
     misses = sum(s.misses for s in sensors)

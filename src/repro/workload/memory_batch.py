@@ -266,10 +266,10 @@ class FleetResult:
     failed reads), the per-instance ``margin_hist`` counts over
     ``margin_edges``, and the ``cache`` statistics of the per-instance
     sense-current memos, summed over the fleet, one lookup per read
-    cell: ``hits`` (read cells served without a solve), ``misses``
-    (read cells solved, one solve each), ``evictions`` (forced-OFF
-    states dropped by the LRU bound), ``banks`` (the most forced-OFF
-    states one instance's memo holds) and ``hit_rate``.  They do not
+    cell: ``misses`` (read cells whose bank state had to be factored,
+    one factorization each), ``hits`` (the other read cells),
+    ``evictions`` (bank states dropped by the LRU bound), ``banks`` (the
+    most states one instance's memo holds) and ``hit_rate``.  They do not
     depend on the thread count, but LRU evictions make them depend on
     chunk boundaries, so ``cache`` is excluded from the byte-identity
     contract.

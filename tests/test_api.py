@@ -92,11 +92,22 @@ class TestRequestRoundTrips:
 
     def test_v1_payload_refused(self):
         """v1 result bytes came from other samplers: a v1 request is refused."""
-        assert api.API_SCHEMA_VERSION == 2
+        assert api.API_SCHEMA_VERSION == 3
         for request in (small_sweep_request(), api.McRequest("cavemc", "TC", 6)):
             payload = request.to_dict()
             payload["v"] = 1
             with pytest.raises(ValueError, match="schema v1 is not supported"):
+                api.parse_request(payload)
+
+    def test_v2_payload_refused(self):
+        """v2 float-scheme reads came from per-cell LAPACK solves, whose
+        bits depend on the host: a v2 request is refused."""
+        assert api.API_SCHEMA_VERSION == 3
+        electrical = api.WorkloadRequest("TC", 6, readout="float")
+        for request in (small_sweep_request(), electrical):
+            payload = request.to_dict()
+            payload["v"] = 2
+            with pytest.raises(ValueError, match="schema v2 is not supported"):
                 api.parse_request(payload)
 
     def test_validation(self):
@@ -151,11 +162,11 @@ class TestDigests:
 # entry on these digests, so a change to the canonical form orphans
 # every existing store: bump API_SCHEMA_VERSION on purpose instead.
 PINNED_DIGESTS = {
-    "sweep": "6359bda841e58542e27aa269264e12b80257f33f165813532db34b7b327622cb",
-    "marginmc": "1a06cb675fb0f27356281844f67c8248820abaaadf5ce3060fe02524c6032e18",
-    "cavemc": "2b5e85ce6d0fdbfcfda8d1dc7e18f5845cb8e61e433ed3f1119c3787e89fac1a",
-    "memsim": "3eaf7a13c82d3cf631751c4985ff7331d05e146b0123c0f88fddd7542545bdf0",
-    "memsim_elec": "f5b3cf5d4f84b474e9a85bd5dd92e9c51c81770007d35b654d3558ac4d60748e",
+    "sweep": "99ab23313d9ef587ec3437e0b9baecb074cd2a6479bf1d5fa0e332bdc0039102",
+    "marginmc": "67f5d0771b206c93f9668e8c7d063baa217744c522ab55231fddd9d2607ec89c",
+    "cavemc": "35dadf4c78cc8c327069cfb9435991f729c73c333fe7be7e758ee3d194009aba",
+    "memsim": "cdd0fc9fa5be13a1c84a74e2d7523b06cf0830226eb473d25ac567ebc5f875da",
+    "memsim_elec": "31a8fa5952cd8ad5809ff477b82932fb22fd74792be731d8a031d657f1e21054",
 }
 
 

@@ -93,6 +93,47 @@ def chaos_launch(job, **kwargs):
     return launch(job, **kwargs)
 
 
+def guarded_launch(job, timeout_s, **kwargs):
+    """``chaos_launch`` that fails instead of hanging the suite.
+
+    After ``timeout_s`` every shard worker is killed (a SIGSTOPped one
+    too) and ``TimeoutError`` is raised out of the supervisor's wait.
+    """
+    import multiprocessing
+
+    def expire(signum, frame):
+        for child in multiprocessing.active_children():
+            child.kill()
+            child.join(5)
+        raise TimeoutError(f"launch still running after {timeout_s} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, timeout_s)
+    try:
+        return chaos_launch(job, **kwargs)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def skew_lease_clock(monkeypatch, offset_s):
+    """Stamp every lease write as if the worker's clock were ``offset_s`` off.
+
+    Forked shard workers inherit the patch, so each renewal leaves the
+    lease file with an mtime ``offset_s`` away from this host's clock.
+    """
+    from repro.dist.lease import Lease
+
+    write = Lease._write
+
+    def skewed(self):
+        write(self)
+        stamp = time.time() + offset_s
+        os.utime(self.path, (stamp, stamp))
+
+    monkeypatch.setattr(Lease, "_write", skewed)
+
+
 class TestShardCrashRecovery:
     """kill -9 mid-run, then resume byte-identically — the tentpole claim."""
 
@@ -149,6 +190,48 @@ class TestShardCrashRecovery:
         # the stalled worker never exits, so only the supervisor's
         # bounded wait (lease checks every ttl/4) can catch it
         assert expired[0]["ts"] - started < 3 * ttl
+
+    def test_stalled_worker_with_lease_clock_ahead_is_reaped(
+        self, tmp_path, monkeypatch
+    ):
+        """A lease stamped 1 h ahead never looks old by wall-clock age;
+        the supervisor's own clock still expires it."""
+        skew_lease_clock(monkeypatch, 3600.0)
+        job = tmp_path / "job"
+        write_job(job, mc_plan(shards=1))
+        monkeypatch.setenv(faults.ENV_VAR, "dist.stall=@1")
+        ttl = 0.6
+        started = time.time()
+        report = guarded_launch(job, 20 * ttl, retries=2, lease_ttl_s=ttl)
+        assert report.ran == (0,)
+        assert report.retried == ((0, 1),)
+        assert merge_results(job) == clean_single_host()
+        events = [
+            json.loads(line)
+            for line in (job / SUPERVISOR_LOG).read_text().splitlines()
+        ]
+        expired = [e for e in events if e["event"] == "lease_expired"]
+        assert len(expired) == 1
+        # ~1.25 TTL after the supervisor first saw the lease, plus start-up
+        assert expired[0]["ts"] - started < 3 * ttl
+
+    def test_renewing_worker_with_lease_clock_behind_is_kept(
+        self, tmp_path, monkeypatch
+    ):
+        """A lease stamped 1 h behind looks an hour old by wall-clock age,
+        but it keeps changing, so its healthy worker is not reaped."""
+        skew_lease_clock(monkeypatch, -3600.0)
+        job = tmp_path / "job"
+        write_job(job, mc_plan(shards=1))
+        ttl = 0.4
+        # the worker sleeps 4 TTLs inside its lease, renewing throughout
+        monkeypatch.setenv(faults.ENV_VAR, f"dist.stall=@1:{4 * ttl}")
+        report = guarded_launch(job, 60.0, retries=0, lease_ttl_s=ttl)
+        assert report.ran == (0,)
+        assert report.retried == ()
+        assert merge_results(job) == clean_single_host()
+        log = (job / SUPERVISOR_LOG).read_text()
+        assert "lease_expired" not in log
 
     def test_backoff_delays_the_retry_start(self, tmp_path, monkeypatch):
         """Blocking on worker exit never starts a backed-off attempt early."""

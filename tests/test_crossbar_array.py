@@ -193,7 +193,7 @@ class TestReferenceCurrentGuards:
         monkeypatch.setattr(
             array_module,
             "sense_currents",
-            lambda g, rows, *rest: np.zeros((2, len(rows))),
+            lambda g, rows, *rest, **which: np.zeros((2, len(rows))),
         )
         return CrossbarArray(
             CrossbarSpec(raw_kilobytes=0.2), make_code("TC", 2, 6), seed=3
@@ -245,15 +245,16 @@ class TestReadDigests:
     """Exact bits of the array's reads, one cell at a time and batched.
 
     Both tables were recorded on the defect maps of the v2 result bytes
-    (one uniform per wire); ``test_batched_equals_per_cell`` ties the
-    batched reads to the per-cell ones bit for bit."""
+    (one uniform per wire), the float margins with the v3 factor-once
+    kernel; ``test_batched_equals_per_cell`` ties the batched reads to
+    the per-cell ones bit for bit."""
 
     #: scheme -> (read_bit sha256, read_margin sha256); every accessible
     #: cell of a 41-wire TC M=6 array (289 cells), row-major
     CELL = {
         "float": (
             "6ac1724650f7587f5726055aa7972446b28fdbacdaaa2a325890c3801ca9f0bc",
-            "c6e7586eaa376d586cea5630cc2783897a2b3bc250e786dd0b0fa692c5fa16cb",
+            "5ff3930c2e98db5e1ca33c8e208c97b0c9a550877bd22e3549a2406bca866f06",
         ),
         "ground": (
             "6ac1724650f7587f5726055aa7972446b28fdbacdaaa2a325890c3801ca9f0bc",
@@ -270,7 +271,7 @@ class TestReadDigests:
     BATCH = {
         "float": (
             "1dec19a6531023a7354f10c7e8bd924716d9fe022939c45801c53570315eff84",
-            "e4b3d50507bf604f9afd7e2e3452d6f38e637243a8d95678dea9d66bc4ccce4e",
+            "ce262dccfd665550dca4b85fbfdad76132f0e56ac726a654ec185b1cbfc6d6ad",
         ),
         "ground": (
             "1dec19a6531023a7354f10c7e8bd924716d9fe022939c45801c53570315eff84",

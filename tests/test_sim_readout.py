@@ -2,11 +2,13 @@
 
 Covers the contracts of the one crossbar read solver, ``sense_currents``:
 
-* bit-for-bit equivalence with the loop oracle
+* bit-for-bit equivalence with the scalar kernel loop oracle
   (``tests/oracles/readout.py``) across schemes and bank shapes, one
   pair at a time and stacked;
-* the paired call (forced-ON and forced-OFF references from one solve)
-  against two single-state reads;
+* the paired call (forced-ON and forced-OFF references from one
+  factorization) against single-state reads;
+* agreement within 1e-12 with the per-cell LAPACK solves it replaced,
+  and the exact-split subset sums against ``math.fsum``;
 * seeded goldens for the ``readout`` sweep evaluator;
 * the batched CrossbarArray read paths against their one-cell reads
   and the loop oracle's dual-reference sensing;
@@ -28,8 +30,13 @@ from repro.sim.readout import (
     scheme_margin_sweep,
     sense_currents,
     state_digest,
+    subset_sums,
 )
-from tests.oracles.readout import LoopReadoutModel, dual_reference
+from tests.oracles.readout import (
+    LoopReadoutModel,
+    dual_reference,
+    lapack_sense_currents,
+)
 
 SHAPES = ((1, 1), (3, 5), (8, 8), (5, 12))
 
@@ -125,7 +132,15 @@ def corner_and_interior_cells(shape):
 
 
 class TestPairedReferences:
-    """One paired solve equals two single-state reads, bit for bit."""
+    """One paired call against single-state reads.
+
+    ``ground`` / ``half_v`` fix every line, so both references equal two
+    ``read_current`` calls bit for bit.  A ``float`` pair comes from one
+    factorization of the bank as stored: the reference whose forced
+    state is the stored bit equals ``read_current`` of the bank bit for
+    bit, and the other equals ``read_current`` of the forced bank (the
+    same circuit, factored from the other state) within 1e-12 of the
+    read's ON current."""
 
     @pytest.mark.parametrize("background", ("random", "all_on", "all_off"))
     @pytest.mark.parametrize("shape", ((1, 1), (1, 6), (6, 1), (7, 5), (40, 40)))
@@ -150,8 +165,16 @@ class TestPairedReferences:
             want_on.append(model.read_current(forced, r, c))
             forced[r, c] = False
             want_off.append(model.read_current(forced, r, c))
-        assert i_on.tobytes() == np.array(want_on).tobytes()
-        assert i_off.tobytes() == np.array(want_off).tobytes()
+        want_on, want_off = np.array(want_on), np.array(want_off)
+        if scheme != "float":
+            assert i_on.tobytes() == want_on.tobytes()
+            assert i_off.tobytes() == want_off.tobytes()
+            return
+        own = np.where(states[rows, cols], i_on, i_off)
+        unforced = [model.read_current(states, r, c) for r, c in cells]
+        assert own.tobytes() == np.array(unforced).tobytes()
+        assert np.all(np.abs(i_on - want_on) <= 1e-12 * want_on)
+        assert np.all(np.abs(i_off - want_off) <= 1e-12 * want_on)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_worst_case_currents_equal_two_read_currents(self, scheme):
@@ -161,7 +184,72 @@ class TestPairedReferences:
         background[0, 0] = False
         i_off = model.read_current(background, 0, 0)
         pair = np.array(model.worst_case_currents(7, 5))
-        assert pair.tobytes() == np.array([i_on, i_off]).tobytes()
+        if scheme != "float":
+            assert pair.tobytes() == np.array([i_on, i_off]).tobytes()
+            return
+        # the all-ON bank is the one factored: its own read is exact
+        assert pair[0] == i_on
+        assert abs(pair[1] - i_off) <= 1e-12 * i_on
+
+
+class TestLapackTolerance:
+    """The factor-once kernel against the per-cell LAPACK solves it replaced.
+
+    Currents agree within 1e-12 of the read's ON reference current (the
+    sense amplifier's full scale; an OFF reference whose sneak current
+    is tiny carries the ON current's rounding) and margins within 1e-12
+    relative, across bank shapes, backgrounds and ON/OFF ratios from 2 to
+    1e6 (the exact split's dynamic range)."""
+
+    @pytest.mark.parametrize("ratio", (2.0, 1.0e2, 1.0e4, 1.0e6))
+    @pytest.mark.parametrize(
+        "shape", ((1, 1), (1, 6), (6, 1), (7, 5), (40, 40), (64, 64))
+    )
+    def test_currents_and_margins(self, shape, ratio):
+        model = ReadoutModel(r_on=1.0e5, r_off=1.0e5 * ratio)
+        banks = (
+            random_states(shape, seed=sum(shape)),
+            np.ones(shape, dtype=bool),
+            np.zeros(shape, dtype=bool),
+        )
+        cells = corner_and_interior_cells(shape)
+        rows, cols = (np.tile(a, len(banks)) for a in zip(*cells))
+        which = np.repeat(np.arange(len(banks)), len(cells))
+        g = np.stack([model.conductances(b) for b in banks])
+        refs = model.reference_conductances
+        got = sense_currents(g, rows, cols, "float", model.v_read, refs, which=which)
+        want = lapack_sense_currents(g[which], rows, cols, "float", model.v_read, refs)
+        assert np.all(np.abs(got - want) <= 1e-12 * want[0])
+        got_m = (got[0] - got[1]) / got[0]
+        want_m = (want[0] - want[1]) / want[0]
+        assert np.all(np.abs(got_m - want_m) <= 1e-12 * want_m)
+
+
+class TestSubsetSums:
+    """The exact-split Gram sums are the correctly rounded subset sums."""
+
+    @pytest.mark.parametrize("n_rows", (1, 7, 40, 64))
+    @pytest.mark.parametrize("ratio", (2.0, 1.0e6))
+    def test_equal_fsum_bit_for_bit(self, n_rows, ratio):
+        import math
+
+        rng = np.random.default_rng(n_rows)
+        on = rng.random((3, n_rows, 9)) < 0.5
+        g = np.where(on, 1.0e-5, 1.0e-5 / ratio)
+        w = 1.0 / np.cumsum(g, axis=2)[:, :, -1]
+        w[0] *= 2.0 ** rng.integers(-20, 21, size=n_rows)  # wider spread too
+        patterns = on.astype(float)
+        got = subset_sums(patterns, w)
+        for s, j, k in np.ndindex(3, 9, 9):
+            rows = on[s, :, j] & on[s, :, k]
+            assert got[s, j, k] == math.fsum(w[s, rows])
+
+    def test_sums_do_not_depend_on_the_stack(self):
+        rng = np.random.default_rng(3)
+        patterns = (rng.random((5, 40, 6)) < 0.5).astype(float)
+        w = rng.random((5, 40)) * 2.0 ** rng.integers(-30, 30, size=(5, 1))
+        alone = [subset_sums(patterns[k : k + 1], w[k : k + 1]) for k in range(5)]
+        assert subset_sums(patterns, w).tobytes() == np.concatenate(alone).tobytes()
 
 
 class TestReadoutEvaluator:

@@ -61,10 +61,10 @@ def assert_equal_runs(a, b, *, compare_cache=False):
 COLLECT = dict(collect_reads=True, collect_state=True, collect_margins=True)
 
 #: ``name sha256`` of every result array of the two golden runs
-#: (``array_digests``), recorded before the slab-stacked solves replaced
-#: the per-cell ones.
+#: (``array_digests``); the margin arrays re-recorded with the v3
+#: factor-once kernel (read bits and counts unchanged).
 ENGINE_BATCH_DIGESTS = """
-margins cf0806219740380a5f0d76528a58eb765283826162e36117da8a952d5c5efeee
+margins d6a4566c67c608e0b3b6e2ec019be64d86c7172ca078edae3da3c91157d3e4e7
 read_bits e2945d1857c0f08a78522ab3a94e73a54106aed651400fb9968f9892c9f5704f
 final_state 95d20b90fe1a5fa6eb6ce8fed57a4c10677bf034bc74e1c45773ed5efc32e3bf
 corrected 72cdae40b0d99e6f9f1d77ccd0a32bc5eec2bc4fe0e762591880fb98095b4d94
@@ -75,8 +75,8 @@ efficiency 9adeb6d173ba219f2d2f3161a59630d7182b1c02be4ea682c4b555b734283ae9
 failure_rate 808d92a7780454d0cc6ebb46a20a0c3f2f1f35d6785ece9220c0179a095fe746
 failures b25abca327eab0283f182efb9d985aeccf50a2c08b5e96c8e750ede033281b75
 first_failure_index 56df0dcbdaabf3c60a81d97d2a7c59547a1bbebeeb808f1378b3bd47eab6fe02
-margin_mean 7144c8132f5f6b76b453a2f8aacec088dba512e9a26eedde01ac456616f95f5b
-margin_min 53c73424b0fcb85fde6be089bf669d55a098832ee21c40372b62dca648282f19
+margin_mean 8a92e5539aa366414ebccf34ce27b1dc898996e4809e54191eafebc4feb4b2c6
+margin_min 8329ac0e2958844efffa18f3c589a9681c11361a8fc205a4eb0025f062cfaec0
 misread_bits 169d6c106f61385fbb772185a0e5f7db088ac7159f39818121b49cdcd41bf2a9
 misread_rate 2846b588b0262d5a0e02b10fe3eb3b3b1bb1b5458c7ca95928bfcf47c9a31949
 misread_reads 169d6c106f61385fbb772185a0e5f7db088ac7159f39818121b49cdcd41bf2a9
@@ -84,7 +84,7 @@ sensed_bits 04d556d19c1055894805a5cdea80a69f55b094849cd149a5a78eb496bdb7ce83
 uncorrectable 72cdae40b0d99e6f9f1d77ccd0a32bc5eec2bc4fe0e762591880fb98095b4d94
 """
 SECDED_DIGESTS = """
-margins 077a50dc0e97d74c21d31a8100a1a3b6349d6c95c2c33ce752cac739833a6e50
+margins 3abc49c60990d56939b2714c8a5e4f0002f3a87e5b89673791bd4bf53a785dca
 read_bits 6e22e34cda3a1a267d65a0b467284241acf82efc978c87ba041469e2f2b8777e
 final_state 1fbf8d7565a06745144260f6f309a746104111a5c0f78d00f6ab1701bae1c150
 corrected 27ade71fd365c48c2eecf56d4dc8eb8d35eea95a990229a2f210be91bebd2110
@@ -95,8 +95,8 @@ efficiency 500d4a268ddf052615ed8d850fce1bb76d16930627c1df53be81ce2d976184b2
 failure_rate bbce8ef5c163b80b0189031f43dffdaaebacd527a569769465710fb360e507b5
 failures 72cdae40b0d99e6f9f1d77ccd0a32bc5eec2bc4fe0e762591880fb98095b4d94
 first_failure_index a5ec9ecffa241be344346a60667a417574b612e1aa570a27011a385754a07c7d
-margin_mean ae6013b95f6bce40c9ce029fa1afecd6dbb2a5462a5faea004b87c67c7883304
-margin_min b9e123a9d8323f0740e8460a8a1c39bba5d2fde65d1d4e05a507c3e4affa823f
+margin_mean 446d4620248ef6e84c9de016b77d66d0de37e643acebde09df8d78bc675d58e6
+margin_min e47f2a628ed161e8eb6b7bc107cf18c6e1896bba796326872e06b6c3f46552db
 misread_bits 7fc9f587bb1cfeba7b621e6fba951919bba37b40f8ea07d56c4038e03830b55d
 misread_rate 52cde530d526e3bbc3f280421d2ab0724f4987f325db3ebe2180c2cb1d40c631
 misread_reads bcd18dcb67521e17e41ee33ab2f762665683cbe5cc68379cb0f6ba76b312cfd7
@@ -303,7 +303,8 @@ class TestBankCache:
         assert r.cache["evictions"] > 0
 
     def test_one_lookup_per_read_cell(self):
-        """Both references of a read cell are one lookup and one solve."""
+        """Both references of a read cell are one lookup; a miss is one
+        factorization."""
         r = engine_batch_run(max_banks=1)
         sensed = int(r.per_instance["sensed_bits"].sum())
         assert r.cache["hits"] + r.cache["misses"] == sensed
@@ -311,17 +312,25 @@ class TestBankCache:
         assert r.cache["evictions"] > 0
 
     @pytest.mark.parametrize("chunk_size", (2, 1000))
-    def test_toggled_cell_reread_is_a_hit(self, chunk_size):
-        """Toggling a cell leaves its forced-OFF state, the memo key, as is."""
+    def test_unchanged_state_costs_no_factorization(self, chunk_size):
+        """Any cell of a bank state the memo holds is a hit; a write that
+        changes the bank makes a new state, factored once."""
         from repro.workload.traces import Trace
 
         fleet, _ = small_fleet(instances=1)
+        per = fleet.spec.wires_per_cave
+        side = fleet._maps[0].shape[1]
+        bank = [
+            (cell // side // per, cell % side // per)
+            for cell in fleet._remaps[0][:64].tolist()
+        ]
+        a, b = 0, next(k for k in range(1, 64) if bank[k] == bank[0])
         trace = Trace(
-            "toggle",
-            addresses=np.zeros(6, dtype=np.int64),
-            is_write=np.array([True, False] * 3),
-            values=np.array([True, True, False, False, True, True]),
-            address_space=1,
+            "same-bank",
+            addresses=np.array([a, b, a, a, a, b], dtype=np.int64),
+            is_write=np.array([False, False, False, True, False, False]),
+            values=np.array([False, False, False, True, False, False]),
+            address_space=b + 1,
         )
         r = fleet.run(
             trace,
@@ -329,8 +338,8 @@ class TestBankCache:
             readout=ElectricalReadout(),
             collect_reads=True,
         )
-        assert r.read_bits.tolist() == [[True, False, True]]
-        assert (r.cache["hits"], r.cache["misses"]) == (2, 1)
+        assert r.read_bits.tolist() == [[False, False, False, True, False]]
+        assert (r.cache["hits"], r.cache["misses"]) == (3, 2)
 
     def test_tiny_cache_results_unchanged(self):
         """Evictions cost speed, never correctness."""
