@@ -28,6 +28,7 @@ correct document).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -115,12 +116,48 @@ def record_completion(job_dir: str | Path, shard: ShardSpec, result: dict) -> No
     append_line(manifest_path_for(job_dir), line)
 
 
+class ManifestTail:
+    """A job's completion lines, read incrementally.
+
+    Each :meth:`read` parses only the complete lines appended since the
+    previous one (a line still being written waits for the next read),
+    so a supervisor checking one completion per finished shard reads
+    every manifest byte once instead of the whole file per shard.
+    """
+
+    def __init__(self, job_dir: str | Path) -> None:
+        self.path = manifest_path_for(job_dir)
+        #: Completion-line fields keyed by shard key (last line wins).
+        self.entries: dict[str, dict] = {}
+        self._offset = 0
+
+    def read(self) -> dict[str, dict]:
+        """Fold in the lines appended since the last read; all entries."""
+        try:
+            with self.path.open("rb") as fh:
+                if os.fstat(fh.fileno()).st_size < self._offset:
+                    # truncated behind our back: start over
+                    self.entries.clear()
+                    self._offset = 0
+                fh.seek(self._offset)
+                chunk = fh.read()
+        except FileNotFoundError:
+            return self.entries
+        end = chunk.rfind(b"\n") + 1
+        for line in chunk[:end].splitlines():
+            if line.strip():
+                entry = json.loads(line)
+                self.entries[entry["key"]] = entry
+        self._offset += end
+        return self.entries
+
+
 def completed_keys(job_dir: str | Path) -> set[str]:
     """Shard keys with a manifest line *and* an existing result file."""
     results = results_dir_for(job_dir)
     return {
         key
-        for key, entry in _manifest_entries(job_dir).items()
+        for key, entry in ManifestTail(job_dir).read().items()
         if (results / entry["file"]).exists()
     }
 
@@ -132,29 +169,39 @@ def pending_shards(job_dir: str | Path, plan: ShardPlan | None = None) -> list:
     return [s for s in plan.shards if s.key not in done]
 
 
-def validate_result(job_dir: str | Path, shard: ShardSpec) -> str | None:
-    """Why a shard's result file cannot be merged, or None if it can.
+#: The :func:`read_result` reason of a result file that does not exist.
+RESULT_MISSING = "result file missing"
 
-    The one result check: :func:`repro.dist.merge.load_results` refuses
-    a file it rejects, and the supervisor catches a truncated or
-    mismatched result (and re-runs the shard) *before* a merge would.
+
+def read_result(job_dir: str | Path, shard: ShardSpec) -> tuple[dict | None, str | None]:
+    """A shard's parsed result document, or None and why it cannot be merged.
+
+    The one result check, on one parse of the file:
+    :func:`repro.dist.merge.load_results` refuses a file it rejects,
+    and the supervisor catches a truncated or mismatched result (and
+    re-runs the shard) *before* a merge would.
     """
     path = results_dir_for(job_dir) / shard.file_name
-    if not path.exists():
-        return "result file missing"
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_bytes())
+    except FileNotFoundError:
+        return None, RESULT_MISSING
     except (OSError, ValueError):
-        return "result file unreadable or truncated"
+        return None, "result file unreadable or truncated"
     if not isinstance(doc, dict):
-        return "result document is not an object"
+        return None, "result document is not an object"
     if doc.get("job_key") != shard.job_key:
-        return f"job key mismatch (got {doc.get('job_key')!r})"
+        return None, f"job key mismatch (got {doc.get('job_key')!r})"
     if doc.get("shard_key") != shard.key:
-        return f"shard key mismatch (got {doc.get('shard_key')!r})"
+        return None, f"shard key mismatch (got {doc.get('shard_key')!r})"
     if "data" not in doc:
-        return "result document has no data section"
-    return None
+        return None, "result document has no data section"
+    return doc, None
+
+
+def validate_result(job_dir: str | Path, shard: ShardSpec) -> str | None:
+    """Why a shard's result file cannot be merged, or None if it can."""
+    return read_result(job_dir, shard)[1]
 
 
 @dataclass(frozen=True)
@@ -176,20 +223,6 @@ class LaunchReport:
 #: A completed shard whose elapsed time exceeds this multiple of the
 #: median completed-shard time is flagged as a straggler.
 STRAGGLER_FACTOR = 2.0
-
-
-def _manifest_entries(job_dir: str | Path) -> dict[str, dict]:
-    """Completion-line fields keyed by shard key (last line wins)."""
-    manifest = manifest_path_for(job_dir)
-    if not manifest.exists():
-        return {}
-    entries: dict[str, dict] = {}
-    for line in manifest.read_text().splitlines():
-        line = line.strip()
-        if line:
-            entry = json.loads(line)
-            entries[entry["key"]] = entry
-    return entries
 
 
 def status(job_dir: str | Path) -> dict:
@@ -219,7 +252,7 @@ def status(job_dir: str | Path) -> dict:
     job_dir = Path(job_dir)
     plan = load_job(job_dir)
     done = completed_keys(job_dir)
-    entries = _manifest_entries(job_dir)
+    entries = ManifestTail(job_dir).read()
     results = results_dir_for(job_dir)
     pending = [s.index for s in plan.shards if s.key not in done]
     quarantined = set(quarantined_indices(job_dir))

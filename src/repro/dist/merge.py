@@ -22,7 +22,6 @@ The merge contract is **byte identity**, not statistical agreement:
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro import api
@@ -31,10 +30,10 @@ from repro.exp.results import SweepResult
 from repro.sim.accumulators import MomentSet
 
 from repro.dist.manifest import (
+    RESULT_MISSING,
+    ManifestTail,
     load_job,
-    pending_shards,
-    results_dir_for,
-    validate_result,
+    read_result,
 )
 from repro.dist.spec import ShardPlan
 
@@ -45,27 +44,38 @@ def load_results(job_dir: str | Path, plan: ShardPlan | None = None) -> list[dic
     Raises :class:`FileNotFoundError` if any shard is incomplete
     (listing the missing indices) and :class:`ValueError` naming the
     shard and the reason if a result file fails
-    :func:`~repro.dist.manifest.validate_result` — truncated, or
-    belonging to another job or shard: content keys make mixing two
-    jobs in one directory a hard error, not a silent wrong answer.
+    :func:`~repro.dist.manifest.read_result` — truncated, or belonging
+    to another job or shard: content keys make mixing two jobs in one
+    directory a hard error, not a silent wrong answer.  Each result
+    file is read and parsed once.
     """
     job_dir = Path(job_dir)
     plan = plan if plan is not None else load_job(job_dir)
-    missing = [s.index for s in pending_shards(job_dir, plan)]
+    recorded = ManifestTail(job_dir).read()
+    results = []
+    missing = []
+    rejected = []
+    for shard in plan.shards:
+        if shard.key not in recorded:
+            missing.append(shard.index)
+            continue
+        doc, reason = read_result(job_dir, shard)
+        if reason == RESULT_MISSING:
+            missing.append(shard.index)
+        elif reason is not None:
+            rejected.append((shard.index, reason))
+        else:
+            results.append(doc)
     if missing:
         raise FileNotFoundError(
             f"job {plan.key} incomplete: shards {missing} have no recorded "
             f"result (run `repro shard launch {job_dir}` to finish them)"
         )
-    results = []
-    for shard in plan.shards:
-        reason = validate_result(job_dir, shard)
-        if reason is not None:
-            raise ValueError(
-                f"shard {shard.index} of job {plan.key} cannot be merged: {reason}"
-            )
-        path = results_dir_for(job_dir) / shard.file_name
-        results.append(json.loads(path.read_text()))
+    if rejected:
+        index, reason = rejected[0]
+        raise ValueError(
+            f"shard {index} of job {plan.key} cannot be merged: {reason}"
+        )
     return results
 
 

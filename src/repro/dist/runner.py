@@ -58,9 +58,12 @@ def run_shard(shard: ShardSpec, *, telemetry_path: str | Path | None = None) -> 
     progress signal ``repro shard status`` sizes up).  If the caller's
     process already has telemetry enabled, the shard snapshot is folded
     into the live registry too, so in-process ``shard run`` keeps one
-    coherent tree.
+    coherent tree.  The ``cache`` key counts this shard's own pipeline
+    cache hits and misses, not the process's running totals, so a
+    worker that runs many shards reports each one alone.
     """
     started = time.perf_counter()
+    caches = cache_stats()
     sinks = []
     if telemetry_path is not None:
         sinks.append(
@@ -110,7 +113,7 @@ def run_shard(shard: ShardSpec, *, telemetry_path: str | Path | None = None) -> 
         "count": shard.count,
         "units": shard.units,
         "elapsed_s": time.perf_counter() - started,
-        "cache": cache_stats(),
+        "cache": cache_stats(since=caches),
         "telemetry": snapshot,
         "data": data,
     }

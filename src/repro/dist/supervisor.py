@@ -1,18 +1,24 @@
 """Supervised shard fleets: detect dead/hung workers, retry, quarantine.
 
-:func:`launch` replaces the fire-and-forget worker pool with a
-supervisor loop built for the failure modes the chaos suite injects:
+:func:`launch` forks ``min(workers, pending)`` worker processes once
+and feeds them shard attempts — ``(spec path, fault epoch)`` over a
+pipe — refilling a worker the moment it reports its attempt done.  The
+supervisor loop handles the failure modes the chaos suite injects:
 
-* **dead worker** — the child process exits non-zero (crash, SIGKILL,
-  unhandled exception).  Its shard is re-queued with exponential
-  backoff, up to ``retries`` extra attempts.
-* **hung worker** — the child is alive but its lease (see
+* **dead worker** — the worker process exits mid-attempt (crash,
+  SIGKILL, unhandled exception).  Its shard is re-queued with
+  exponential backoff, up to ``retries`` extra attempts, and a fresh
+  worker is forked for the slot when the next attempt is ready.
+* **hung worker** — the worker is alive but its lease (see
   :mod:`repro.dist.lease`) has not changed for longer than its TTL of
   the supervisor's own monotonic clock, whatever clock stamped the
-  file.  The supervisor SIGKILLs it and re-queues the shard.
-* **corrupt result** — the child exited 0 but its result file fails
-  :func:`repro.dist.manifest.validate_result` (truncated, wrong keys).
-  The bad file is deleted and the shard re-queued.
+  file.  The supervisor SIGKILLs it and re-queues the shard; a fresh
+  worker takes the slot.
+* **corrupt result** — the worker reported the attempt done but its
+  result file fails :func:`repro.dist.manifest.validate_result`
+  (truncated, wrong keys) or the manifest has no completion line for
+  it.  The bad file is deleted and the shard re-queued; the worker
+  stays.
 * **poison shard** — a shard that fails every attempt is *quarantined*:
   a marker file lands in ``<job_dir>/quarantine/`` and the launch
   raises :class:`ShardJobError` with a per-shard failure report instead
@@ -23,22 +29,27 @@ completion is an atomic rename + manifest append, any retry schedule
 merges **byte-identical** to the clean single-host run — the property
 the chaos tests assert under injected crashes, stalls and corruption.
 
-The supervisor is event-driven: it blocks on the workers' process
-sentinels, so a worker's exit wakes it at once and the next ready
-shard starts in the freed slot without delay.  The wait is bounded by
-the next backoff expiry (when a slot is free) and by the next lease
-check, which runs every ``lease_ttl_s / 4`` — the cadence workers
-renew at — so a hung worker is SIGKILLed within about 1.25 TTL of the
-supervisor first seeing its last renewal.
+The supervisor is event-driven: it blocks on the workers' pipes and
+process sentinels, so a report or an exit wakes it at once and the
+next ready shard starts on the idle worker without delay.  The wait is
+bounded by the next backoff expiry (when a slot is free) and by the
+next lease check, which runs every ``lease_ttl_s / 4`` — the cadence
+workers renew at — so a hung worker is SIGKILLed within about 1.25 TTL
+of the supervisor first seeing its last renewal.  When the queue
+drains, every worker is told to exit and joined before :func:`launch`
+returns; on :class:`ShardJobError` or an interrupt the same happens in
+a ``finally`` (busy workers are killed), so no worker outlives the
+call.
 
 Every supervision event is appended to ``<job_dir>/supervisor.jsonl``
 (the audit log ``repro shard status`` reads for retry counts) and
 counted through :mod:`repro.obs` (``dist.retries``,
 ``dist.lease_expired``, ``dist.quarantined``).
 
-Retries re-run workers in a fresh fault *epoch*
-(``$REPRO_FAULT_EPOCH`` = attempt number), so one-shot ``@N`` faults
-from :mod:`repro.faults` kill the first attempt and leave the retry
+Each attempt runs in a fresh fault *epoch* (``$REPRO_FAULT_EPOCH`` =
+attempt number) with fresh per-site call counters
+(:func:`repro.faults.begin_attempt`), so one-shot ``@N`` faults from
+:mod:`repro.faults` kill every first attempt and leave the retry
 clean, while probability-1.0 faults stay poisonous through every
 attempt and exercise the quarantine path.
 """
@@ -158,13 +169,29 @@ class ShardJobError(RuntimeError):
         return str(self)
 
 
-def _child_entry(spec_path: str, lease_ttl_s: float, epoch: int) -> None:
-    """Worker process body: mark the fault epoch, run the shard, exit."""
-    os.environ[faults.EPOCH_ENV_VAR] = str(epoch)
+def _worker_main(conn, inherited, lease_ttl_s: float) -> None:
+    """Worker process body: run the ``(spec path, epoch)`` attempts the
+    supervisor sends down ``conn``, report each one back, and exit on
+    ``None``, or when the supervisor is gone.  Any exception fails the
+    attempt with exit code 1."""
     from repro.dist.runner import run_shard_file
 
+    # the fork copied the supervisor's ends of every worker pipe; with
+    # them closed, a dead supervisor reads as EOF here
+    for end in inherited:
+        end.close()
     try:
-        run_shard_file(spec_path, lease_ttl_s=lease_ttl_s)
+        while True:
+            try:
+                task = conn.recv()
+            except EOFError:
+                break
+            if task is None:
+                break
+            spec_path, epoch = task
+            faults.begin_attempt(epoch)
+            run_shard_file(spec_path, lease_ttl_s=lease_ttl_s)
+            conn.send(epoch)
     except BaseException:
         traceback.print_exc(file=sys.stderr)
         os._exit(1)
@@ -179,10 +206,10 @@ class _Attempt:
 
 
 @dataclass
-class _Running:
-    shard: ShardSpec
-    epoch: int
+class _Worker:
     proc: "multiprocessing.process.BaseProcess"
+    conn: "multiprocessing.connection.Connection"
+    attempt: _Attempt | None = None  # the attempt it runs; None when idle
     killed_reason: str | None = None
 
 
@@ -201,9 +228,10 @@ def launch(
     Completed shards (per the checkpoint manifest) are skipped, so
     re-launching an interrupted job re-runs only the missing shards.
     ``workers`` defaults to ``min(pending, cpu_count)``.  Ready shards
-    start the moment a worker slot is free; between starts the
-    supervisor blocks until a worker exits, a backoff expires or a
-    lease check (every ``lease_ttl_s / 4``) is due.
+    start the moment a worker is idle; between starts the supervisor
+    blocks until a worker reports or exits, a backoff expires or a
+    lease check (every ``lease_ttl_s / 4``) is due.  No worker process
+    outlives the call, whether it returns or raises.
 
     Returns the job's :class:`~repro.dist.manifest.LaunchReport`
     (``ran``/``skipped`` exactly as before, plus ``retried`` and
@@ -217,7 +245,7 @@ def launch(
     from repro.dist.lease import DEFAULT_LEASE_TTL_S
     from repro.dist.manifest import (
         LaunchReport,
-        completed_keys,
+        ManifestTail,
         load_job,
         pending_shards,
         results_dir_for,
@@ -241,6 +269,7 @@ def launch(
         lease_ttl_s = DEFAULT_LEASE_TTL_S
     if workers is None:
         workers = max(1, min(len(todo), os.cpu_count() or 1))
+    slots = min(workers, len(todo))
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -255,16 +284,17 @@ def launch(
 
     shards_dir = shards_dir_for(job_dir)
     results_dir = results_dir_for(job_dir)
+    manifest = ManifestTail(job_dir)
     queue: list[_Attempt] = [_Attempt(s, 0, 0.0) for s in todo]
-    running: dict[int, _Running] = {}
+    pool: list[_Worker] = []
     fail_reasons: dict[int, list[str]] = {}
     completed: set[int] = set()
     retried: dict[int, int] = {}
     failures: list[ShardFailure] = []
     watch = LeaseWatch(lease_ttl_s)
 
-    def _fail(run: _Running, reason: str) -> None:
-        shard = run.shard
+    def _fail(attempt: _Attempt, reason: str) -> None:
+        shard = attempt.shard
         watch.forget(lease_path_for(job_dir, shard))
         try:
             lease_path_for(job_dir, shard).unlink()
@@ -272,7 +302,7 @@ def launch(
             pass
         reasons = fail_reasons.setdefault(shard.index, [])
         reasons.append(reason)
-        attempts = run.epoch + 1
+        attempts = attempt.epoch + 1
         if len(reasons) <= retries:
             delay = backoff_s * (2 ** (len(reasons) - 1))
             queue.append(_Attempt(shard, attempts, time.monotonic() + delay))
@@ -319,18 +349,11 @@ def launch(
                 },
             )
 
-    def _reap(run: _Running) -> None:
-        shard = run.shard
-        run.proc.join()
-        code = run.proc.exitcode
-        if run.killed_reason is not None:
-            _fail(run, run.killed_reason)
-            return
-        if code != 0:
-            _fail(run, f"worker exited with code {code}")
-            return
+    def _reap(attempt: _Attempt) -> None:
+        """Judge an attempt its worker reported finished."""
+        shard = attempt.shard
         reason = validate_result(job_dir, shard)
-        if reason is None and shard.key not in completed_keys(job_dir):
+        if reason is None and shard.key not in manifest.read():
             reason = "no completion record in manifest"
         if reason is not None:
             # never merge from a bad file: drop it and re-run the shard
@@ -338,7 +361,7 @@ def launch(
                 (results_dir / shard.file_name).unlink()
             except OSError:
                 pass
-            _fail(run, f"invalid result: {reason}")
+            _fail(attempt, f"invalid result: {reason}")
             return
         completed.add(shard.index)
         log_event(
@@ -347,33 +370,55 @@ def launch(
                 "event": "done",
                 "index": shard.index,
                 "key": shard.key,
-                "attempt": run.epoch + 1,
+                "attempt": attempt.epoch + 1,
             },
         )
+
+    def _bury(worker: _Worker) -> None:
+        """Drop a dead worker; the attempt it was running fails."""
+        worker.proc.join()
+        worker.conn.close()
+        pool.remove(worker)
+        if worker.attempt is not None:
+            _fail(
+                worker.attempt,
+                worker.killed_reason
+                or f"worker exited with code {worker.proc.exitcode}",
+            )
 
     def _start_ready() -> None:
         now = time.monotonic()
         for attempt in sorted(queue, key=lambda a: (a.ready_at, a.shard.index)):
-            if len(running) >= workers:
-                break
             if attempt.ready_at > now:
                 continue
+            worker = next((w for w in pool if w.attempt is None), None)
+            if worker is None:
+                if len(pool) >= slots:
+                    break
+                conn, child_conn = ctx.Pipe()
+                proc = ctx.Process(
+                    target=_worker_main,
+                    args=(child_conn, [conn, *(w.conn for w in pool)], lease_ttl_s),
+                    daemon=False,
+                )
+                proc.start()
+                child_conn.close()
+                worker = _Worker(proc, conn)
+                pool.append(worker)
             queue.remove(attempt)
+            worker.attempt = attempt
             spec_path = shards_dir / attempt.shard.file_name
-            proc = ctx.Process(
-                target=_child_entry,
-                args=(str(spec_path), lease_ttl_s, attempt.epoch),
-                daemon=False,
-            )
-            proc.start()
-            running[attempt.shard.index] = _Running(
-                attempt.shard, attempt.epoch, proc
-            )
+            try:
+                worker.conn.send((str(spec_path), attempt.epoch))
+            except OSError:
+                pass  # it died idle: its exit fails this attempt
 
     def _check_leases() -> None:
-        for run in running.values():
-            lease_path = lease_path_for(job_dir, run.shard)
-            if run.killed_reason is None and watch.stale(lease_path):
+        for worker in pool:
+            run = worker.attempt
+            if run is None or worker.killed_reason is not None:
+                continue
+            if watch.stale(lease_path_for(job_dir, run.shard)):
                 obs.counter("dist.lease_expired")
                 log_event(
                     job_dir,
@@ -384,33 +429,62 @@ def launch(
                         "attempt": run.epoch + 1,
                     },
                 )
-                run.killed_reason = "lease expired (worker hung)"
-                run.proc.kill()
+                worker.killed_reason = "lease expired (worker hung)"
+                worker.proc.kill()
 
     # workers renew their leases every ttl/4 (see Lease): checking at the
     # same cadence kills a hung worker within about 1.25 TTL of its last beat
     lease_every_s = max(lease_ttl_s / 4.0, 0.01)
     next_lease_check = time.monotonic() + lease_every_s
-    with obs.span("dist.launch", shards=len(todo), workers=workers):
-        while queue or running:
-            _start_ready()
-            now = time.monotonic()
-            timeout = next_lease_check - now
-            if queue and len(running) < workers:
-                timeout = min(timeout, min(a.ready_at for a in queue) - now)
-            # block until a worker exits or the timeout is up; with no
-            # worker running this just waits out the next backoff
-            exited = wait(
-                [run.proc.sentinel for run in running.values()],
-                max(timeout, 0.0),
-            )
-            for index, run in list(running.items()):
-                if run.proc.sentinel in exited:
-                    del running[index]
-                    _reap(run)
-            if time.monotonic() >= next_lease_check:
-                _check_leases()
-                next_lease_check = time.monotonic() + lease_every_s
+    try:
+        with obs.span("dist.launch", shards=len(todo), workers=workers):
+            while queue or any(w.attempt is not None for w in pool):
+                _start_ready()
+                now = time.monotonic()
+                timeout = next_lease_check - now
+                busy = sum(w.attempt is not None for w in pool)
+                if queue and busy < slots:
+                    timeout = min(timeout, min(a.ready_at for a in queue) - now)
+                # block until a worker reports or exits, or the timeout is
+                # up; with no attempt running this waits out the next backoff
+                ready = wait(
+                    [w.proc.sentinel for w in pool]
+                    + [
+                        w.conn
+                        for w in pool
+                        if w.attempt is not None and w.killed_reason is None
+                    ],
+                    max(timeout, 0.0),
+                )
+                for worker in list(pool):
+                    dead = worker.proc.sentinel in ready
+                    if worker.conn in ready and worker.killed_reason is None:
+                        try:
+                            worker.conn.recv()
+                        except (EOFError, OSError):
+                            dead = True  # it died mid-attempt
+                        else:
+                            attempt, worker.attempt = worker.attempt, None
+                            _reap(attempt)
+                    if dead:
+                        _bury(worker)
+                if time.monotonic() >= next_lease_check:
+                    _check_leases()
+                    next_lease_check = time.monotonic() + lease_every_s
+    finally:
+        # idle workers are told to exit; busy ones only while unwinding
+        # from an error or interrupt, and those are killed
+        for worker in pool:
+            if worker.attempt is None:
+                try:
+                    worker.conn.send(None)
+                except OSError:
+                    pass
+            else:
+                worker.proc.kill()
+        for worker in pool:
+            worker.proc.join()
+            worker.conn.close()
 
     report = LaunchReport(
         ran=tuple(sorted(completed)),

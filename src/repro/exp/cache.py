@@ -54,8 +54,12 @@ def cached_spec(
     return spec_with(base, **dict(overrides)) if overrides else base
 
 
-def cache_stats() -> dict[str, dict[str, int]]:
-    """Hit/miss counters of every pipeline cache, keyed by cache name."""
+def cache_stats(since: dict | None = None) -> dict[str, dict[str, int]]:
+    """Hit/miss counters of every pipeline cache, keyed by cache name.
+
+    With ``since`` (an earlier ``cache_stats()``), every figure is the
+    change after it: what one run between the two calls did.
+    """
     out: dict[str, dict[str, int]] = {}
     for name, info in (
         ("make_code", make_code.cache_info()),
@@ -71,6 +75,8 @@ def cache_stats() -> dict[str, dict[str, int]]:
             "misses": info.misses,
             "currsize": info.currsize,
         }
+        if since is not None:
+            out[name] = {k: v - since[name][k] for k, v in out[name].items()}
     return out
 
 

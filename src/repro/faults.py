@@ -33,9 +33,11 @@ The spec is a comma-separated list of clauses:
 for stall/latency sites).
 
 The fault *epoch* is read from ``$REPRO_FAULT_EPOCH`` at decision
-time; the shard supervisor sets it to the retry attempt number in each
-worker it spawns, which is what lets a one-shot ``@N`` fault kill the
-first attempt and leave the retry untouched.
+time.  A shard worker starts every attempt with :func:`begin_attempt`,
+which sets the epoch to the retry attempt number and zeroes the call
+counters, so a one-shot ``@N`` fault kills the Nth call of every first
+attempt — whichever worker process runs it — and leaves the retry
+untouched.
 
 Sites
 -----
@@ -164,8 +166,9 @@ def _parse_clause(clause: str) -> tuple[str, str, float | None]:
 class FaultPlan:
     """A seeded set of :class:`FaultRule`, with per-site call counters.
 
-    Call counters (and the :attr:`fired` tally) are per-process state:
-    each shard worker, daemon or CLI process counts its own calls, and
+    Call counters (and the :attr:`fired` tally) are per-attempt state:
+    each daemon or CLI process counts its own calls, a shard worker
+    starts every attempt from zero (:func:`begin_attempt`), and
     determinism across processes comes from the seed/epoch/call inputs
     of :meth:`FaultRule.decide`, not from shared state.
     """
@@ -177,7 +180,8 @@ class FaultPlan:
             if rule.site in self.rules:
                 raise ValueError(f"duplicate fault clause for site {rule.site!r}")
             self.rules[rule.site] = rule
-        #: How many times each site has fired in this process.
+        #: How many times each site has fired since the plan was made
+        #: or last :meth:`reset`.
         self.fired: dict[str, int] = {}
         self._calls: dict[str, int] = {}
         self._lock = threading.Lock()
@@ -204,6 +208,12 @@ class FaultPlan:
                     FaultRule(site, probability=float(trigger), value=value)
                 )
         return cls(tuple(rules), seed=seed)
+
+    def reset(self) -> None:
+        """Zero every call counter and the :attr:`fired` tally."""
+        with self._lock:
+            self._calls.clear()
+            self.fired.clear()
 
     @staticmethod
     def epoch() -> int:
@@ -281,6 +291,15 @@ class injected:
 
     def __exit__(self, *exc) -> None:
         deactivate()
+
+
+def begin_attempt(epoch: int) -> None:
+    """Start one shard attempt in this process: fault epoch ``epoch``
+    (the retry attempt number), every call counter back at zero."""
+    os.environ[EPOCH_ENV_VAR] = str(epoch)
+    plan = active_plan()
+    if plan is not None:
+        plan.reset()
 
 
 # -- injection-site helpers ----------------------------------------------------
